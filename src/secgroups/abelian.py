@@ -2,8 +2,11 @@
 
 A `FinAbGroup` is Z^n modulo the row lattice of a relation matrix.  Nothing
 is ever reduced to a "nicer" presentation behind the caller's back: elements
-keep their coefficient vectors, and equality, membership and isomorphism
-questions are answered through Smith normal form.
+keep their coefficient vectors.  Construction runs one Smith normal form on
+the transposed relations and keeps its certificate (U, U^-1 and the
+diagonal); every later membership test (element equality, well-definedness
+of maps) is a mat-vec by U plus one divisibility test per diagonal entry,
+with no further SNF.
 
 `AbMap` is a homomorphism given by its matrix on generators (columns are
 images).  Construction checks well-definedness: every source relation must
@@ -19,6 +22,7 @@ square), and the mod-2 variants used at levels three and up.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from . import intlinalg as la
 
@@ -35,11 +39,20 @@ class FinAbGroup:
                 raise ValueError("relation length %d != ngens %d" % (len(r), ngens))
             rels.append(r)
         self.relations = rels
-        _, d, _, _, _ = la.smith_normal_form(rels, ngens)
-        diag = la.diagonal(d, ngens)
+        # Smith certificate of the relation lattice L, the column span of
+        # R^T: with U R^T V = D, a vector v lies in L iff U v lies in D Z^n,
+        # so coordinate i of U v is taken modulo moduli[i] (0 = exactly).
+        # R^T has the same invariant factors as R.
+        u, d, _, ui, _ = la.smith_normal_form(la.transpose(rels, ngens),
+                                              len(rels))
+        diag = la.diagonal(d, len(rels))
         rank = sum(1 for x in diag if x)
         self.free_rank = ngens - rank
         self.invariant_factors = tuple(x for x in diag if x > 1)
+        self._u, self._uinv = u, ui
+        self._moduli = diag[:rank] + [0] * (ngens - rank)
+        self._checks = [(u[i], m) for i, m in enumerate(self._moduli)
+                        if m != 1]
 
     # -- structure ---------------------------------------------------------
 
@@ -73,29 +86,35 @@ class FinAbGroup:
     def zero(self) -> "AbElem":
         return AbElem(self, [0] * self.ngens)
 
-    def basis_element(self, i: int) -> "AbElem":
-        v = [0] * self.ngens
-        v[i] = 1
-        return AbElem(self, v)
-
     def contains_in_lattice(self, vec) -> bool:
-        return la.in_lattice(self.relations, self.ngens, list(vec))
+        """Does vec lie in the relation lattice?"""
+        vec = list(vec)
+        if not any(vec):
+            return True
+        if not self.relations:
+            return False
+        for row, m in self._checks:
+            y = sum(map(mul, row, vec))
+            if y % m if m else y:
+                return False
+        return True
+
+    def divide(self, d: int, vec):
+        """One s with d*s == vec modulo the relations, or None."""
+        z = []
+        for y, m in zip(la.mat_vec(self._u, list(vec)), self._moduli):
+            zi = la.divide_mod(d, y, m)
+            if zi is None:
+                return None
+            z.append(zi)
+        return la.mat_vec(self._uinv, z)
 
     def elements(self):
         """Iterate over all elements (requires the group to be finite)."""
         if self.free_rank:
             raise ValueError("infinite group")
-        rt = la.transpose(self.relations, self.ngens)
-        u, d, _, ui, _ = la.smith_normal_form(rt, len(self.relations))
-        diag = la.diagonal(d, len(self.relations))
-        # in coordinates y = u @ v the relation lattice is diagonal
-        mods = []
-        for i in range(self.ngens):
-            di = diag[i] if i < len(diag) else 0
-            mods.append(di)
-        assert all(m > 0 for m in mods)
-        for ys in itertools.product(*[range(m) for m in mods]):
-            yield AbElem(self, la.mat_vec(ui, list(ys)))
+        for ys in itertools.product(*[range(m) for m in self._moduli]):
+            yield AbElem(self, la.mat_vec(self._uinv, list(ys)))
 
 
 class AbElem:

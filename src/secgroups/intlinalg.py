@@ -12,11 +12,16 @@ together with the unimodular transforms and their inverses:
     U * A * V == D      and      Uinv * D * Vinv == A
 
 with D diagonal, each diagonal entry nonnegative and dividing the next.
-Lattice membership, integer solving, kernels and preimages are all small
-wrappers around it.
+Integer solving, kernels and preimages are small wrappers around it.
+`in_lattice` answers membership for an ad-hoc set of rows with a fresh SNF;
+a `FinAbGroup` instead keeps the Smith certificate of its relation lattice,
+computed once at construction, and reduces membership and division there to
+`divide_mod` on each diagonal coordinate.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -181,6 +186,19 @@ def smith_normal_form(a: list[list[int]], ncols: int):
 
 def diagonal(d: list[list[int]], ncols: int) -> list[int]:
     return [d[i][i] for i in range(min(len(d), ncols))]
+
+
+def divide_mod(d: int, b: int, m: int):
+    """One z with d*z == b modulo m (exactly when m == 0), or None."""
+    g = math.gcd(d, m)
+    if g == 0:
+        return 0 if b == 0 else None
+    if b % g:
+        return None
+    if m == 0:
+        return b // d
+    m //= g
+    return b // g * pow(d // g, -1, m) % m
 
 
 def solve(a: list[list[int]], ncols: int, b: list[int]):

@@ -191,9 +191,6 @@ class Class2Group:
                          self.gen_names, check=False)
         return ab.underlying_ab()
 
-    def pair_to_ab(self, elem: "Class2Elem") -> list[int]:
-        return list(elem.qvec) + list(elem.cvec)
-
     def is_isomorphic_abstract(self, other: "Class2Group") -> bool:
         """Cheap invariant screen: abelianization plus commutator subgroup.
 
@@ -432,10 +429,8 @@ class Class2Hom:
                 raise ValueError("not surjective on Q layer")
             img = self.eval(s.element(qpre))
             # fix the central discrepancy through cmap
-            resid = la.vec_sub(ej + [0] * 0, img.qvec)  # zero mod relations
-            cdef = img.cvec
-            cfix = la.solve_mod(self.cmap.matrix, s.c.ngens, [-x for x in cdef],
-                                t.c.relations)
+            cfix = la.solve_mod(self.cmap.matrix, s.c.ngens,
+                                [-x for x in img.cvec], t.c.relations)
             if cfix is None:
                 raise ValueError("central layer not surjective")
             gen_images.append(s.element(qpre, cfix))
@@ -533,25 +528,12 @@ class Subgroup:
             quot = Class2Group(qq, cq, g.lam, g.beta, g.gen_names)
         except ValueError as exc:
             raise QuotientError("cocycle does not descend: %s" % exc) from exc
-        # twist the projection so every subgroup generator maps to 1:
-        # unknowns t[:, k] in C satisfy sum_k q_g[k] t[:, k] = -c_g  (mod rels)
-        rows = []
-        rhs = []
-        for e in self.gens:
-            for r in range(nc):
-                row = [0] * (nc * nq)
-                for k in range(nq):
-                    row[r * nq + k] = e.qvec[k]
-                rows.append(row)
-                rhs.append(-e.cvec[r])
-        if rows:
-            sol = _solve_blockwise(rows, rhs, nc, nq, cq)
-            if sol is None:
-                raise QuotientError("projection twist has no solution; "
-                                    "quotient cocycle fails to descend")
-            t = sol
-        else:
-            t = la.zeros(nc, nq)
+        # twist the projection so every subgroup generator maps to 1
+        t = _projection_twist([e.qvec for e in self.gens],
+                              [e.cvec for e in self.gens], nq, cq)
+        if t is None:
+            raise QuotientError("projection twist has no solution; "
+                                "quotient cocycle fails to descend")
         gen_images = []
         for i in range(nq):
             qv = [0] * nq
@@ -565,24 +547,28 @@ class Subgroup:
         return quot, proj
 
 
-def _solve_blockwise(rows, rhs, nc, nq, cq: FinAbGroup):
-    """Solve the stacked twist system modulo the quotient's C relations."""
-    nrel = len(cq.relations)
-    neq = len(rhs)
-    nunk = nc * nq
-    nblocks = neq // nc
-    ext_cols = nunk + nblocks * nrel
-    a = [row[:] + [0] * (nblocks * nrel) for row in rows]
-    for b in range(nblocks):
-        for k, lrow in enumerate(cq.relations):
-            col = nunk + b * nrel + k
+def _projection_twist(qparts, cparts, nq: int, cq: FinAbGroup):
+    """T (cq.ngens x nq) with T q_e == -c_e modulo cq for every pair, or None.
+
+    With G the matrix whose columns are the q_e and C the one of the c_e,
+    the system is T G == -C.  For the Smith form U G V = D and S = T U^-1
+    it reads S D == -C V, one scalar division d_j s_j == (-C V)_j in cq per
+    column j (d_j = 0 past the rank of G), and T = S U.
+    """
+    nc, ng = cq.ngens, len(qparts)
+    u, d, v, _, _ = la.smith_normal_form(la.transpose(qparts, nq), ng)
+    diag = la.diagonal(d, ng)
+    cv = la.mat_mul(la.transpose(cparts, nc), v)
+    s = la.zeros(nc, nq)
+    for j in range(ng):
+        sj = cq.divide(diag[j] if j < len(diag) else 0,
+                       [-cv[r][j] for r in range(nc)])
+        if sj is None:
+            return None
+        if j < nq:
             for r in range(nc):
-                a[b * nc + r][col] = lrow[r]
-    sol = la.solve(a, ext_cols, rhs)
-    if sol is None:
-        return None
-    t = [[sol[r * nq + k] for k in range(nq)] for r in range(nc)]
-    return t
+                s[r][j] = sj[r]
+    return la.mat_mul(s, u)
 
 
 def hom_cokernel(f: Class2Hom):
@@ -777,12 +763,8 @@ def boundary_map(n: int, free_group: Class2Group):
     """
     a = free_group.q
     lts, from_plain, ts = level_tensor_square(n, a)
-    if n == 2:
-        m = [row[:] for row in free_group.lam]
-    else:
-        # lam kills 1 + swap, so the same matrix drives the reduced square
-        m = [row[:] for row in free_group.lam]
-    bmap = AbMap(lts, free_group.c, m)
+    # at n >= 3 lam kills 1 + swap, so the same matrix drives the reduced square
+    bmap = AbMap(lts, free_group.c, [row[:] for row in free_group.lam])
     return lts, bmap, from_plain, ts
 
 
@@ -790,7 +772,8 @@ def exact_sequence_report(n: int, points: PointedSet) -> dict:
     """Exactness of gamma_n -> tensor_n -> free_nil -> Z[A] over a pointed set.
 
     Returns a dict of booleans: injective head, exactness in the middle,
-    image of the boundary equals the commutator layer, surjective tail.
+    image of the boundary equals the commutator layer.  The tail is the
+    identity on the Q layer, so it is surjective by construction.
     """
     g = free_nil(points)
     a = g.q
@@ -817,7 +800,6 @@ def exact_sequence_report(n: int, points: PointedSet) -> dict:
         report["middle_exact"] = cok.is_trivial()
     cok_b, _ = bnd.cokernel()
     report["boundary_hits_commutators"] = cok_b.is_trivial()
-    report["tail_surjective"] = True  # the Q-layer projection is the identity
     report["exact"] = all(report[k] for k in
                           ("head_injective", "composite_zero", "middle_exact",
                            "boundary_hits_commutators"))

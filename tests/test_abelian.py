@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secgroups import intlinalg as la
 from secgroups.abelian import (AbMap, FinAbGroup, direct_sum, gamma,
@@ -146,3 +147,36 @@ def test_zero_and_identity_maps_compose():
     i = identity_map(a)
     assert i.compose(z) == z
     assert z.compose(i) == z
+
+
+@st.composite
+def _lattice_and_vector(draw):
+    """(n, relation rows, vector): 0-4 rows, some zero or dependent, and a
+    vector that is a combination of the rows, perturbed or not."""
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    if draw(st.booleans()):
+        rows.append([0] * n)
+    elif len(rows) >= 2 and draw(st.booleans()):
+        rows.append(la.vec_add(rows[0], la.vec_scale(2, rows[1])))
+    coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    vec = [0] * n
+    for c, r in zip(coeffs, rows):
+        vec = la.vec_add(vec, la.vec_scale(c, r))
+    if draw(st.booleans()):
+        vec = la.vec_add(vec, draw(st.lists(entry, min_size=n, max_size=n)))
+    return n, rows, vec
+
+
+@given(_lattice_and_vector(), st.integers(-4, 4))
+@settings(max_examples=300, deadline=None)
+def test_certificate_membership_and_division_match_fresh_snf(case, d):
+    n, rows, vec = case
+    g = FinAbGroup(n, rows)
+    assert g.contains_in_lattice(vec) == la.in_lattice(rows, n, vec)
+    s = g.divide(d, vec)
+    scalar = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    assert (s is None) == (la.solve_mod(scalar, n, vec, rows) is None)
+    if s is not None:
+        assert la.in_lattice(rows, n, la.vec_sub(la.vec_scale(d, s), vec))

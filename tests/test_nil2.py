@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word, commutator_word
 from secgroups.abelian import FinAbGroup
+from secgroups.models import wedge_model
 from secgroups.nil2 import (
     Class2Group, Class2Hom, QuotientError, Subgroup,
     free_nil, nilize, element_to_word, hom_from_words,
     hom_kernel, hom_cokernel, identity_hom, trivial_hom, product_group,
     boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
+    _projection_twist,
 )
 from secgroups.selftest import oracle_element, _random_word
 
@@ -117,6 +120,104 @@ def test_subgroup_quotient():
     q, proj = sub.quotient()
     assert proj.eval(g.generator(0) ** 2).is_identity()
     assert not proj.eval(g.generator(0)).is_identity()
+
+
+def _solve_blockwise(rows, rhs, nc, nq, cq: FinAbGroup):
+    """Solve the stacked twist system modulo the quotient's C relations."""
+    nrel = len(cq.relations)
+    neq = len(rhs)
+    nunk = nc * nq
+    nblocks = neq // nc
+    ext_cols = nunk + nblocks * nrel
+    a = [row[:] + [0] * (nblocks * nrel) for row in rows]
+    for b in range(nblocks):
+        for k, lrow in enumerate(cq.relations):
+            col = nunk + b * nrel + k
+            for r in range(nc):
+                a[b * nc + r][col] = lrow[r]
+    sol = la.solve(a, ext_cols, rhs)
+    if sol is None:
+        return None
+    t = [[sol[r * nq + k] for k in range(nq)] for r in range(nc)]
+    return t
+
+
+def _stacked_twist(qparts, cparts, nq, cq):
+    """Oracle for the projection twist: one linear system in the nc*nq
+    entries of T, plus a slack block in cq's relations per generator."""
+    nc = cq.ngens
+    rows, rhs = [], []
+    for qe, ce in zip(qparts, cparts):
+        for r in range(nc):
+            row = [0] * (nc * nq)
+            for k in range(nq):
+                row[r * nq + k] = qe[k]
+            rows.append(row)
+            rhs.append(-ce[r])
+    if not rows:
+        return la.zeros(nc, nq)
+    return _solve_blockwise(rows, rhs, nc, nq, cq)
+
+
+def _compare_twist_solvers(qparts, cparts, nq, cq):
+    """Both twist solvers agree on solvability and every T they return
+    solves T q_e == -c_e modulo cq; True if solvable."""
+    new = _projection_twist(qparts, cparts, nq, cq)
+    old = _stacked_twist(qparts, cparts, nq, cq)
+    assert (new is None) == (old is None)
+    for t in (new, old):
+        if t is not None:
+            for qe, ce in zip(qparts, cparts):
+                assert la.in_lattice(cq.relations, cq.ngens,
+                                     la.vec_add(la.mat_vec(t, qe), ce))
+    return new is not None
+
+
+def _compare_twists(group, gens):
+    """Both twist solvers on the normal closure of gens."""
+    sub = Subgroup(group, gens, normal=True)
+    return _compare_twist_solvers(
+        [e.qvec for e in gens], [e.cvec for e in gens], group.q.ngens,
+        FinAbGroup(group.c.ngens, sub.c_rows))
+
+
+def test_projection_twist_matches_stacked_solve_on_free_quotients():
+    rng = random.Random(11)
+    solvable = []
+    for k in (1, 2, 3):
+        g = free_nil(PointedSet(list("abc"[:k])))
+        for _ in range(40):
+            gens = [g.element([rng.randint(-3, 3) for _ in range(k)],
+                              [rng.randint(-3, 3) for _ in range(g.c.ngens)])
+                    for _ in range(rng.randint(0, 3))]
+            solvable.append(_compare_twists(g, gens))
+    assert any(solvable) and not all(solvable)
+
+
+def test_projection_twist_matches_stacked_solve_on_random_systems():
+    # systems that need no normal closure, so d_j can be a unit modulo an
+    # invariant factor of cq without dividing it (T = 2 solves 2 T == -1
+    # modulo 5)
+    assert _projection_twist([[2]], [[1]], 1, FinAbGroup(1, [[5]])) == [[2]]
+    rng = random.Random(12)
+    solvable = []
+    for _ in range(150):
+        nq, nc = rng.randint(0, 3), rng.randint(0, 3)
+        ng = rng.randint(0, 3)
+        cq = FinAbGroup(nc, [[rng.randint(-6, 6) for _ in range(nc)]
+                             for _ in range(rng.randint(0, 3))])
+        qparts = [[rng.randint(-4, 4) for _ in range(nq)] for _ in range(ng)]
+        cparts = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(ng)]
+        solvable.append(_compare_twist_solvers(qparts, cparts, nq, cq))
+    assert any(solvable) and not all(solvable)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_projection_twist_matches_stacked_solve_on_wedges(n, k):
+    bnd = wedge_model(n, PointedSet(list("abcd"[:k]))).bnd
+    gens = [bnd.eval(x) for x in bnd.source.generators()]
+    assert _compare_twists(bnd.target, gens)
 
 
 def test_product_group_embeddings_commute():
