@@ -162,6 +162,7 @@ class AbMap:
         self.source = source
         self.target = target
         self.matrix = [list(r) for r in matrix]
+        self._solver = None  # built by the first preimage
         if len(self.matrix) != target.ngens or any(
                 len(r) != source.ngens for r in self.matrix):
             raise ValueError("matrix shape must be target.ngens x source.ngens")
@@ -217,10 +218,13 @@ class AbMap:
         k = len(basis)
         bt = la.transpose(basis, src.ngens)  # src.ngens x k, columns = basis
         rel_rows = []
-        for rel in src.relations:
-            coeffs = la.solve(bt, k, rel)
-            assert coeffs is not None, "source relation escapes kernel lattice"
-            rel_rows.append(coeffs)
+        if src.relations:
+            solver = la.Solver(bt, k)
+            for rel in src.relations:
+                coeffs = solver.solve(rel)
+                assert coeffs is not None, \
+                    "source relation escapes kernel lattice"
+                rel_rows.append(coeffs)
         kgroup = FinAbGroup(k, rel_rows)
         incl = AbMap(kgroup, src, bt, check=False)
         return kgroup, incl
@@ -249,8 +253,10 @@ class AbMap:
     def preimage(self, y):
         """One x with f(x) == y, or None."""
         vec = y.vec if isinstance(y, AbElem) else list(y)
-        sol = la.solve_mod(self.matrix, self.source.ngens, vec,
-                           self.target.relations)
+        if self._solver is None:
+            self._solver = la.Solver(self.matrix, self.source.ngens,
+                                     self.target.relations)
+        sol = self._solver.solve(vec)
         if sol is None:
             return None
         return AbElem(self.source, sol)

@@ -2,7 +2,9 @@
 
 Exit status contract: 0 = success, 1 = verified negative (an axiom
 violation, a failed comparison, a failed law), 2 = error (parse errors,
-dangling references, undecidable or capped computations).
+dangling references, a block of the wrong kind for the command, undecidable
+or capped computations), 3 = internal error (any other exception; one line
+on stderr naming it, no traceback).
 """
 
 from __future__ import annotations
@@ -13,21 +15,23 @@ import random
 import sys
 
 from .coset import DEFAULT_CAP, EnumerationCapExceeded
-from .crossed import (CrossedModule, CrossMorphism, H0Undecidable,
-                      PointedGroupoid, check_axioms)
+from .crossed import (CrossedModule, CrossMorphism, FreeGroupBase,
+                      H0Undecidable, ReducedQuadraticModule, WordHom,
+                      check_axioms)
 from .functors import ad2, ad3, adjunction_check, fiber, phi1, phi2, phi3, \
     six_term
 from .models import homotopy_groups, k_invariant, suspension_comparison, \
     wedge_model
 from .nil2 import Class2Group, Class2Hom
-from .serialization import (Document, ParseError, TrackBlock, describe_ab,
-                            parse, print_document, _print_block)
+from .serialization import (Document, ParseError, TensorHom, TrackBlock,
+                            describe_ab, parse, print_document, _print_block)
 from .tracks import HopfTrack, TwoMorphism, vcomp
 from .words import PointedSet
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _coset_cap(args) -> int:
@@ -42,10 +46,60 @@ def _load(path: str) -> Document:
         return parse(fh.read())
 
 
-def _get(doc: Document, name: str):
+# the level-n objects a `cross` block builds
+_LEVELED = (CrossedModule, ReducedQuadraticModule)
+_ANY_LEVEL = range(1, sys.maxsize)
+
+
+class _Need:
+    """The block kind a command argument needs, as said in its errors."""
+
+    def __init__(self, text: str, types, levels=_ANY_LEVEL):
+        self.text = text
+        self.types = types
+        self.levels = levels
+
+    def admits(self, obj) -> bool:
+        return (isinstance(obj, self.types)
+                and (not isinstance(obj, _LEVELED) or obj.level in self.levels))
+
+
+CROSSED = _Need("a crossed module", _LEVELED)
+LEVEL_1 = _Need("a level-1 crossed module", _LEVELED, range(1, 2))
+LEVEL_2_UP = _Need("a crossed module of level 2 or more", _LEVELED,
+                   range(2, sys.maxsize))
+MORPHISM = _Need("a morphism", (CrossMorphism,))
+TRACK = _Need("a track", (HopfTrack,))
+CHECKABLE = _Need("a crossed module, a hom of class-2 groups, a morphism, "
+                  "a track or a 2-morphism",
+                  _LEVELED + (Class2Hom, CrossMorphism, HopfTrack,
+                              TwoMorphism))
+
+
+_KINDS = [(Class2Group, "a group"), (FreeGroupBase, "a free group"),
+          (Class2Hom, "a hom"), (WordHom, "a hom into a free group"),
+          (TensorHom, "a tensor hom"), (CrossMorphism, "a morphism"),
+          (HopfTrack, "a track"), (TwoMorphism, "a 2-morphism")]
+
+
+def _kind(obj) -> str:
+    """What a document block built, in the words of the document format."""
+    if isinstance(obj, _LEVELED):
+        return "a level-%d crossed module" % obj.level
+    for cls, text in _KINDS:
+        if isinstance(obj, cls):
+            return text
+    return "a %s" % type(obj).__name__
+
+
+def _get(doc: Document, name: str, command: str, need: _Need):
     if name not in doc:
         raise KeyError("no block named %r in the document" % name)
-    return doc[name]
+    obj = doc[name]
+    if not need.admits(obj):
+        raise ValueError("block %s is %s; %s needs %s"
+                         % (name, _kind(obj), command, need.text))
+    return obj
 
 
 def _describe_group(g) -> str:
@@ -59,7 +113,7 @@ def _describe_group(g) -> str:
 
 def cmd_check(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name)
+    obj = _get(doc, args.name, "check", CHECKABLE)
     if isinstance(obj, (CrossMorphism, Class2Hom, HopfTrack, TwoMorphism)):
         obj.validate()
         print("check %s: ok" % args.name)
@@ -75,7 +129,7 @@ def cmd_check(args) -> int:
 
 def cmd_h0(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name)
+    obj = _get(doc, args.name, "h0", CROSSED)
     h0 = obj.h0()
     if isinstance(h0, Class2Group):
         print("h0 %s = %s" % (args.name, _describe_group(h0)))
@@ -91,7 +145,7 @@ def cmd_h0(args) -> int:
 
 def cmd_h1(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name)
+    obj = _get(doc, args.name, "h1", CROSSED)
     h1 = obj.h1()
     try:
         print("h1 %s = %s" % (args.name, describe_ab(h1)))
@@ -102,7 +156,7 @@ def cmd_h1(args) -> int:
 
 def cmd_homotopy_groups(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name)
+    obj = _get(doc, args.name, "homotopy-groups", CROSSED)
     h0, h1 = homotopy_groups(obj)
     print("h0 = %s" % _describe_group(h0))
     print("h1 = %s" % describe_ab(h1))
@@ -111,7 +165,7 @@ def cmd_homotopy_groups(args) -> int:
 
 def cmd_fiber(args) -> int:
     doc = _load(args.file)
-    f = _get(doc, args.name)
+    f = _get(doc, args.name, "fiber", MORPHISM)
     fib = fiber(f)
     violations = fib.obj.check_axioms()
     print("fiber of %s: M rank %d, N rank %d" % (
@@ -126,7 +180,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_six_term(args) -> int:
     doc = _load(args.file)
-    f = _get(doc, args.name)
+    f = _get(doc, args.name, "six-term", MORPHISM)
     rep = six_term(f)
     for key in ("h1_head_injective", "exact_at_h1x", "exact_at_h1y",
                 "exact_at_h0fib", "exact_at_h0x"):
@@ -137,7 +191,8 @@ def cmd_six_term(args) -> int:
 
 def cmd_phi(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name)
+    need = LEVEL_1 if args.level == 1 else LEVEL_2_UP
+    obj = _get(doc, args.name, "phi %d" % args.level, need)
     if args.level == 3:
         out = phi3(obj)
     elif args.level == 2:
@@ -155,7 +210,8 @@ def cmd_phi(args) -> int:
 
 def cmd_ad(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name)
+    need = LEVEL_1 if args.level == 2 else LEVEL_2_UP
+    obj = _get(doc, args.name, "ad %d" % args.level, need)
     if args.level == 3:
         out, _ = ad3(obj)
     elif args.level == 2:
@@ -171,8 +227,10 @@ def cmd_ad(args) -> int:
 
 def cmd_adjoint_check(args) -> int:
     doc = _load(args.file)
-    x = _get(doc, args.x)
-    y = _get(doc, args.y)
+    command = "adjoint-check %d" % args.level
+    x = _get(doc, args.x, command,
+             LEVEL_1 if args.level == 2 else LEVEL_2_UP)
+    y = _get(doc, args.y, command, LEVEL_2_UP)
     rep = adjunction_check(args.level, x, y)
     print("hom(ad%d x, y) = %d, hom(x, phi%d y) = %d, bijection: %s" % (
         args.level, rep["hom_adj"], args.level, rep["hom_phi"],
@@ -194,7 +252,7 @@ def cmd_wedge(args) -> int:
 
 def cmd_k_invariant(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name)
+    obj = _get(doc, args.name, "k-invariant", CROSSED)
     ki = k_invariant(obj)
     print("k-invariant: isomorphism=%s zero=%s certificate=%s" % (
         ki.is_isomorphism(), ki.is_zero(), ki.certificate))
@@ -212,8 +270,8 @@ def cmd_suspend_compare(args) -> int:
 
 def cmd_paste(args) -> int:
     doc = _load(args.file)
-    first = _get(doc, args.first)
-    second = _get(doc, args.second)
+    first = _get(doc, args.first, "paste", TRACK)
+    second = _get(doc, args.second, "paste", TRACK)
     out = vcomp(second, first)
     b1 = doc.blocks[args.first]
     block = TrackBlock("%s_%s" % (args.second, args.first), out.n,
@@ -322,6 +380,10 @@ def main(argv=None) -> int:
             NotImplementedError) as e:
         print("error: %s" % (e,), file=sys.stderr)
         return EXIT_ERROR
+    except Exception as e:  # noqa: BLE001 - the exit-code contract
+        print("internal error: %s: %s" % (type(e).__name__, e),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -50,7 +50,10 @@ def _word_to_ints(w: Word, index: dict) -> list[int]:
 
 def todd_coxeter(group: FinitelyPresentedGroup, cap: int = DEFAULT_CAP) -> int:
     """Number of cosets of the trivial subgroup (the group order) if the
-    enumeration completes within `cap` live cosets."""
+    enumeration completes within `cap` defined cosets.
+
+    The cap counts every coset ever defined, including those later merged
+    away by coincidences, not only the live ones."""
     gens = group.generators
     if not gens:
         return 1

@@ -23,14 +23,12 @@ queries raise `H0Undecidable` unless a bounded coset enumeration
 
 from __future__ import annotations
 
-import itertools
-
 from . import intlinalg as la
-from .abelian import AbMap, FinAbGroup, TensorSquare, tensor_square, zero_map
+from .abelian import AbMap, FinAbGroup, tensor_square
 from .coset import (DEFAULT_CAP, EnumerationCapExceeded,
                     FinitelyPresentedGroup, todd_coxeter)
-from .nil2 import (Class2Elem, Class2Group, Class2Hom, Subgroup, free_nil,
-                   hom_cokernel, hom_kernel, identity_hom, nilize)
+from .nil2 import (Class2Elem, Class2Group, Class2Hom, hom_cokernel,
+                   hom_kernel, identity_hom)
 from .words import PointedSet, Word, commutator_word
 
 
@@ -330,14 +328,6 @@ class PointedGroupoid:
         """g after f (requires target(f) == source(g))."""
         return self.compose_table[(g, f)]
 
-    def identity_of(self, obj):
-        for name, (s, t) in self.morphisms.items():
-            if s == t == obj and all(
-                    self.compose_table.get((name, f)) == f
-                    for f, (fs, ft) in self.morphisms.items() if ft == obj):
-                return name
-        raise ValueError("no identity at %r" % (obj,))
-
     def check(self) -> list[str]:
         out = []
         for (g, f), h in self.compose_table.items():
@@ -567,10 +557,6 @@ class ReducedQuadraticModule:
             raise ValueError("kernel of the boundary is not abelian")
         return k.underlying_ab()
 
-    def h1_group(self):
-        """(kernel as Class2Group, inclusion hom) for map-level work."""
-        return hom_kernel(self.bnd)
-
 
 class StableQuadraticModule(ReducedQuadraticModule):
     """Level >= 3: omega also kills the symmetrized tensor square."""
@@ -674,7 +660,7 @@ class CrossMorphism:
         cols = []
         for g in ks.generators():
             img = self.f1.eval(kis.eval(g))
-            coords = _subgroup_coords(img, kt, kit)
+            coords = _subgroup_coords(img, kit)
             cols.append(coords)
         return AbMap(h1s, h1t, la.transpose(cols, h1t.ngens))
 
@@ -698,21 +684,18 @@ class CrossMorphism:
         return self.induced_h0().is_isomorphism()
 
 
-def _subgroup_coords(elem: Class2Elem, sub: Class2Group, incl: Class2Hom):
+def _subgroup_coords(elem: Class2Elem, incl: Class2Hom):
     """Coordinates of an ambient element inside a subgroup given by incl."""
     amb = incl.target
-    qparts = [g.qvec for g in incl.gen_images]
-    qmat = la.transpose(qparts, amb.q.ngens) if qparts else \
-        la.zeros(amb.q.ngens, 0)
-    m = la.solve_mod(qmat, len(qparts), elem.qvec, amb.q.relations)
+    m = incl.q_map().preimage(elem.qvec)
     if m is None:
         raise ValueError("element not in subgroup (Q layer)")
     prod = amb.identity()
-    for g, k in zip(incl.gen_images, m):
+    for g, k in zip(incl.gen_images, m.vec):
         if k:
             prod = prod * (g ** k)
     resid = la.vec_sub(elem.cvec, prod.cvec)
-    cc = la.solve_mod(incl.cmap.matrix, sub.c.ngens, resid, amb.c.relations)
+    cc = incl.cmap.preimage(resid)
     if cc is None:
         raise ValueError("element not in subgroup (C layer)")
-    return list(m) + list(cc)
+    return m.vec + cc.vec

@@ -22,11 +22,11 @@ from . import intlinalg as la
 from .abelian import AbMap, FinAbGroup, tensor_square, zero_map
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
                       GroupAction, OmegaPairing, PointedGroupoid,
-                      ReducedQuadraticModule, StableQuadraticModule, WordHom,
+                      ReducedQuadraticModule, StableQuadraticModule,
                       _subgroup_coords)
-from .nil2 import (Class2Elem, Class2Group, Class2Hom, Subgroup, free_nil,
-                   hom_cokernel, hom_kernel, identity_hom, nilize,
-                   product_group, trivial_hom)
+from .nil2 import (Class2Elem, Class2Group, Class2Hom, Subgroup,
+                   abelian_as_class2, free_nil, hom_cokernel, hom_kernel,
+                   identity_hom, nilize, product_group)
 from .words import PointedSet, Word
 
 
@@ -119,7 +119,7 @@ def fiber(f: CrossMorphism) -> Fiber:
 
 
 def _coords_pair(elem: Class2Elem, sub: Class2Group, incl: Class2Hom):
-    full = _subgroup_coords(elem, sub, incl)
+    full = _subgroup_coords(elem, incl)
     return full[:sub.q.ngens], full[sub.q.ngens:]
 
 
@@ -151,7 +151,7 @@ def six_term(f: CrossMorphism) -> dict:
         pe = embed(n_x.identity(), elem_my)
         qc, cc = _coords_pair(pe, fib.obj.n, fib.zero_incl)
         delta_imgs.append(p_fib.eval(fib.obj.n.element(qc, cc)))
-    h1y_c2 = _ab_as_class2(h1y_ab)
+    h1y_c2 = abelian_as_class2(h1y_ab)
     delta = Class2Hom(h1y_c2, m4.source, delta_imgs,
                       zero_map(h1y_c2.c, m4.source.c))
 
@@ -194,12 +194,6 @@ def _exact_ab(f_in: AbMap, f_out: AbMap) -> bool:
     ker, ki = f_out.kernel()
     ker_rows = la.transpose(ki.matrix, ker.ngens) + mid.relations
     return la.lattices_equal(im, la.row_basis(ker_rows, mid.ngens), mid.ngens)
-
-
-def _ab_as_class2(a: FinAbGroup) -> Class2Group:
-    c = FinAbGroup(0)
-    return Class2Group(a, c, la.zeros(0, a.ngens ** 2),
-                       la.zeros(0, a.ngens ** 2), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +373,7 @@ def ad2(x: CrossedModule):
     coords = AbCoords(n_nil)
     ts = tensor_square(coords.group)
     t_ab = ts.group
-    t_c2 = _ab_as_class2(t_ab)
+    t_c2 = abelian_as_class2(t_ab)
     prod, embed = product_group(x.m, t_c2)
     na = coords.group.ngens
 

@@ -13,15 +13,19 @@ together with the unimodular transforms and their inverses:
 
 with D diagonal, each diagonal entry nonnegative and dividing the next.
 Integer solving, kernels and preimages are small wrappers around it.
-`in_lattice` answers membership for an ad-hoc set of rows with a fresh SNF;
-a `FinAbGroup` instead keeps the Smith certificate of its relation lattice,
-computed once at construction, and reduces membership and division there to
-`divide_mod` on each diagonal coordinate.
+A `Solver` keeps the certificate of one system a @ x == b modulo a lattice,
+so repeated solves against one map (preimages, kernel and subgroup
+coordinates) reuse one SNF; `solve` and `solve_mod` are one-shot wrappers
+around it.  `in_lattice` answers membership for an ad-hoc set of rows with a
+fresh SNF; a `FinAbGroup` instead keeps the Smith certificate of its
+relation lattice, computed once at construction, and reduces membership and
+division there to `divide_mod` on each diagonal coordinate.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -201,22 +205,49 @@ def divide_mod(d: int, b: int, m: int):
     return b // g * pow(d // g, -1, m) % m
 
 
+class Solver:
+    """Solutions of a @ x == b modulo the lattice spanned by lattice_rows,
+    for many right-hand sides b against one fixed system.
+
+    Construction runs one SNF of the extended matrix E = [a | lattice_rows^T]
+    and keeps its certificate U E V = D: the rows of U, the diagonal and the
+    first ncols rows of V.  `solve(b)` is then U b, one divisibility test per
+    diagonal entry and V y truncated to the a-columns, with no further SNF.
+    This is the vector the extended system's SNF solution gives, so a held
+    solver and a fresh one agree exactly.
+    """
+
+    def __init__(self, a: list[list[int]], ncols: int, lattice_rows=()):
+        self.nrows = len(a)
+        ext = [a[i][:] + [r[i] for r in lattice_rows]
+               for i in range(self.nrows)]
+        u, d, v, _, _ = smith_normal_form(ext, ncols + len(lattice_rows))
+        diag = diagonal(d, ncols + len(lattice_rows))
+        rank = sum(1 for x in diag if x)  # nonzero entries come first
+        self._pivots = list(zip(u[:rank], diag[:rank]))
+        self._zero_rows = u[rank:]
+        self._v = [row[:rank] for row in v[:ncols]]
+
+    def solve(self, b: list[int]):
+        """One x with a @ x == b modulo the lattice, or None."""
+        if len(b) != self.nrows:
+            raise ValueError("right-hand side has %d entries, system has %d "
+                             "rows" % (len(b), self.nrows))
+        for row in self._zero_rows:
+            if sum(map(mul, row, b)):
+                return None
+        ys = []
+        for row, di in self._pivots:
+            y, r = divmod(sum(map(mul, row, b)), di)
+            if r:
+                return None
+            ys.append(y)
+        return [sum(map(mul, row, ys)) for row in self._v]
+
+
 def solve(a: list[list[int]], ncols: int, b: list[int]):
     """One integer solution x of a @ x == b, or None."""
-    m = len(a)
-    u, d, v, _, _ = smith_normal_form(a, ncols)
-    ub = mat_vec(u, b)
-    y = [0] * ncols
-    diag = diagonal(d, ncols)
-    for i in range(m):
-        di = diag[i] if i < len(diag) else 0
-        if di:
-            if ub[i] % di:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i]:
-            return None
-    return mat_vec(v, y)
+    return Solver(a, ncols).solve(b)
 
 
 def kernel_basis(a: list[list[int]], ncols: int) -> list[list[int]]:
@@ -257,13 +288,7 @@ def in_lattice(rows: list[list[int]], ncols: int, vec: list[int]) -> bool:
 def solve_mod(a: list[list[int]], ncols: int, b: list[int],
               lattice_rows: list[list[int]]):
     """One x with a @ x == b modulo the lattice spanned by lattice_rows."""
-    nrows = len(b)
-    ext = [a[i][:] + [lattice_rows[k][i] for k in range(len(lattice_rows))]
-           for i in range(nrows)]
-    sol = solve(ext, ncols + len(lattice_rows), b)
-    if sol is None:
-        return None
-    return sol[:ncols]
+    return Solver(a, ncols, lattice_rows).solve(b)
 
 
 def preimage_lattice(a: list[list[int]], ncols: int,

@@ -16,21 +16,14 @@ functor into h1, together with a well-definedness certificate.
 from __future__ import annotations
 
 from . import intlinalg as la
-from .abelian import (AbMap, FinAbGroup, gamma, gamma_map, identity_map,
-                      tensor_square, tensor_z2)
+from .abelian import (AbMap, FinAbGroup, gamma, gamma_map, tensor_square,
+                      tensor_z2)
 from .crossed import (AbCoords, CrossedModule, FreeGroupBase, GroupAction,
                       OmegaPairing, ReducedQuadraticModule,
                       StableQuadraticModule, WordHom, _subgroup_coords)
-from .nil2 import (Class2Group, Class2Hom, boundary_map, free_nil,
-                   hom_cokernel, hom_kernel, level_gamma)
-from .words import PointedSet, Word
-
-
-def abelian_as_class2(a: FinAbGroup, gen_names=None) -> Class2Group:
-    """An abelian group viewed as a class-2 group with trivial central layer."""
-    c = FinAbGroup(0)
-    return Class2Group(a, c, la.zeros(0, a.ngens ** 2),
-                       la.zeros(0, a.ngens ** 2), gen_names, check=False)
+from .nil2 import (Class2Hom, abelian_as_class2, boundary_map, free_nil,
+                   hom_cokernel, hom_kernel)
+from .words import PointedSet
 
 
 def wedge_model(n: int, points: PointedSet):
@@ -141,7 +134,7 @@ def k_invariant(x) -> KInvariant:
         elem = x.omega.eval_vec(tvec)
         if not x.bnd.eval(elem).is_identity():
             raise ValueError("pairing image escapes the kernel")
-        return _subgroup_coords(elem, kern, kincl)
+        return _subgroup_coords(elem, kincl)
 
     cert = {"kernel_generators_vanish": True}
     kgrp, kin = gq.kernel()

@@ -28,9 +28,9 @@ fails to descend raises `QuotientError` instead of silently answering.
 from __future__ import annotations
 
 from . import intlinalg as la
-from .abelian import (AbElem, AbMap, FinAbGroup, TensorSquare, gamma,
-                      identity_map, reduced_tensor_square, tensor_square,
-                      tensor_square_map, tensor_z2, zero_map)
+from .abelian import (AbMap, FinAbGroup, gamma, identity_map,
+                      reduced_tensor_square, tensor_square, tensor_z2,
+                      zero_map)
 from .words import PointedSet, Word
 
 
@@ -219,16 +219,25 @@ class Class2Group:
         return "Class2Group(Q=%r, C=%r)" % (self.q, self.c)
 
 
+def abelian_as_class2(a: FinAbGroup, gen_names=None) -> Class2Group:
+    """An abelian group viewed as a class-2 group with trivial central layer."""
+    c = FinAbGroup(0)
+    return Class2Group(a, c, la.zeros(0, a.ngens ** 2),
+                       la.zeros(0, a.ngens ** 2), gen_names, check=False)
+
+
 def _lattice_quotient_group(gen_rows: list[list[int]], ambient: FinAbGroup) -> FinAbGroup:
     """The subgroup (lattice + relations)/relations of an ambient group."""
     lat = la.row_basis(gen_rows + ambient.relations, ambient.ngens)
     k = len(lat)
     bt = la.transpose(lat, ambient.ngens)
     rels = []
-    for r in ambient.relations:
-        coeffs = la.solve(bt, k, r)
-        assert coeffs is not None
-        rels.append(coeffs)
+    if ambient.relations:
+        solver = la.Solver(bt, k)
+        for r in ambient.relations:
+            coeffs = solver.solve(r)
+            assert coeffs is not None
+            rels.append(coeffs)
     return FinAbGroup(k, rels)
 
 
@@ -344,6 +353,7 @@ class Class2Hom:
         self.target = target
         self.gen_images = list(gen_images)
         self.cmap = cmap
+        self._q_map = None  # built by the first q_map()
         if len(self.gen_images) != source.q.ngens:
             raise ValueError("need one image per Q generator")
         if cmap.source is not source.c or cmap.target is not target.c:
@@ -372,7 +382,11 @@ class Class2Hom:
         return la.transpose(cols, self.target.q.ngens)
 
     def q_map(self) -> AbMap:
-        return AbMap(self.source.q, self.target.q, self.q_matrix())
+        """The map on Q layers, built once so its preimage solver is held."""
+        if self._q_map is None:
+            self._q_map = AbMap(self.source.q, self.target.q,
+                                self.q_matrix())
+        return self._q_map
 
     # -- validation ------------------------------------------------------------
 
@@ -419,29 +433,28 @@ class Class2Hom:
     def inverse(self) -> "Class2Hom":
         """Inverse of an isomorphism (raises when not invertible)."""
         s, t = self.source, self.target
-        a = self.q_matrix()
+        qmap = self.q_map()
         gen_images = []
         for j in range(t.q.ngens):
             ej = [0] * t.q.ngens
             ej[j] = 1
-            qpre = la.solve_mod(a, s.q.ngens, ej, t.q.relations)
+            qpre = qmap.preimage(ej)
             if qpre is None:
                 raise ValueError("not surjective on Q layer")
-            img = self.eval(s.element(qpre))
+            img = self.eval(s.element(qpre.vec))
             # fix the central discrepancy through cmap
-            cfix = la.solve_mod(self.cmap.matrix, s.c.ngens,
-                                [-x for x in img.cvec], t.c.relations)
+            cfix = self.cmap.preimage([-x for x in img.cvec])
             if cfix is None:
                 raise ValueError("central layer not surjective")
-            gen_images.append(s.element(qpre, cfix))
+            gen_images.append(s.element(qpre.vec, cfix.vec))
         cm_cols = []
         for j in range(t.c.ngens):
             ej = [0] * t.c.ngens
             ej[j] = 1
-            pre = la.solve_mod(self.cmap.matrix, s.c.ngens, ej, t.c.relations)
+            pre = self.cmap.preimage(ej)
             if pre is None:
                 raise ValueError("central layer not surjective")
-            cm_cols.append(pre)
+            cm_cols.append(pre.vec)
         cmap = AbMap(t.c, s.c, la.transpose(cm_cols, s.c.ngens), check=False)
         inv = Class2Hom(t, s, gen_images, cmap)
         assert inv.compose(self) == identity_hom(s), "inverse failed"
@@ -607,25 +620,27 @@ def hom_kernel(f: Class2Hom):
     kelems = []
     for u in u_vectors:
         img = f.eval(s.ordered_product_element(u))
-        cfix = la.solve_mod(f.cmap.matrix, ncs, [-x for x in img.cvec],
-                            t.c.relations)
+        cfix = f.cmap.preimage([-x for x in img.cvec])
         assert cfix is not None, "killable defect has no lift"
-        kelems.append(s.element(u, la.vec_add(s.collect_central(u), cfix)))
+        kelems.append(s.element(u, la.vec_add(s.collect_central(u),
+                                              cfix.vec)))
     nk = len(kelems)
     # Q-layer relations: source relations expressed in the u basis
     u_mat = la.transpose(u_vectors, nqs) if u_vectors else la.zeros(nqs, 0)
     qk_rels = []
-    for rel in s.q.relations:
-        coeffs = la.solve_mod(u_mat, nk, rel, s.q.relations)
-        assert coeffs is not None, "source relation escapes kernel lattice"
-        qk_rels.append(coeffs)
+    if s.q.relations:
+        solver = la.Solver(u_mat, nk, s.q.relations)
+        for rel in s.q.relations:
+            coeffs = solver.solve(rel)
+            assert coeffs is not None, "source relation escapes kernel lattice"
+            qk_rels.append(coeffs)
     qk = FinAbGroup(nk, qk_rels)
     ck = ckern
 
     def central_coords(cvec) -> list[int]:
-        coeffs = la.solve_mod(cincl.matrix, ck.ngens, cvec, s.c.relations)
+        coeffs = cincl.preimage(cvec)
         assert coeffs is not None, "central value outside kernel layer"
-        return coeffs
+        return coeffs.vec
 
     lamk = la.zeros(ck.ngens, nk * nk)
     betak = la.zeros(ck.ngens, nk * nk)

@@ -13,24 +13,22 @@ commutator token per swap, and never calls the production collection code.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from . import intlinalg as la
 from .abelian import (AbMap, FinAbGroup, gamma, identity_map, tensor_square,
-                      tensor_square_map, tensor_z2, zero_map)
+                      tensor_square_map, tensor_z2)
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, GroupAction,
                       OmegaPairing, PointedGroupoid, ReducedQuadraticModule,
                       StableQuadraticModule)
-from .functors import ad1, ad2, ad3, adjunction_check, fiber, six_term
-from .models import (abelian_as_class2, homotopy_groups, k_invariant,
-                     suspension_comparison, wedge_model)
-from .nil2 import (Class2Group, Class2Hom, boundary_map, element_to_word,
+from .functors import ad1, ad2, adjunction_check, fiber, six_term
+from .models import (homotopy_groups, k_invariant, suspension_comparison,
+                     wedge_model)
+from .nil2 import (Class2Group, Class2Hom, abelian_as_class2, boundary_map,
                    exact_sequence_report, free_nil, hom_from_words,
-                   identity_hom, nilize, trivial_hom)
+                   identity_hom, nilize)
 from .tracks import (HopfTrack, nil_track, suspend_track, tracks_between,
-                     vcomp, vcomp2, whisker_left, whisker_left2,
-                     whisker_right, whisker_right2, interchange_holds,
+                     vcomp, whisker_left, whisker_right, interchange_holds,
                      TwoMorphism)
 from .words import PointedSet, Word
 

@@ -29,7 +29,7 @@ from .abelian import AbMap, FinAbGroup
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
                       GroupAction, OmegaPairing, ReducedQuadraticModule,
                       StableQuadraticModule, WordHom)
-from .nil2 import Class2Group, Class2Hom, free_nil, nilize
+from .nil2 import Class2Group, Class2Hom, abelian_as_class2, free_nil, nilize
 from .tracks import HopfTrack, TwoMorphism, boundary_map
 from .words import PointedSet, Word
 
@@ -448,12 +448,6 @@ class _Parser:
 # building live objects
 # ---------------------------------------------------------------------------
 
-def _abelian_as_class2(a: FinAbGroup, names) -> Class2Group:
-    c = FinAbGroup(0)
-    return Class2Group(a, c, la.zeros(0, a.ngens ** 2),
-                       la.zeros(0, a.ngens ** 2), names, check=False)
-
-
 def _resolve(doc: Document, name: str, want: str):
     if name not in doc:
         raise ValueError("reference to undefined %s %r" % (want, name))
@@ -503,7 +497,7 @@ def _build(block, doc: Document):
                 if len(row) != block.k:
                     raise ValueError("relation arity != rank")
             names = ["x%d" % i for i in range(block.k)]
-            return _abelian_as_class2(FinAbGroup(block.k, block.rels), names)
+            return abelian_as_class2(FinAbGroup(block.k, block.rels), names)
         if block.kind == "free":
             return FreeGroupBase(PointedSet(["*"] + block.basis))
         return free_nil(PointedSet(["*"] + block.basis))
@@ -687,13 +681,10 @@ def describe_ab(a: FinAbGroup) -> str:
     """A human-readable isomorphism type like 'Z^2 x Z/2 x Z/4'."""
     parts = []
     r = a.free_rank
-    r = r() if callable(r) else r
-    inv = a.invariant_factors
-    inv = inv() if callable(inv) else inv
     if r == 1:
         parts.append("Z")
     elif r > 1:
         parts.append("Z^%d" % r)
-    for d in inv:
+    for d in a.invariant_factors:
         parts.append("Z/%d" % d)
     return " x ".join(parts) if parts else "0"

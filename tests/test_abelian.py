@@ -180,3 +180,22 @@ def test_certificate_membership_and_division_match_fresh_snf(case, d):
     assert (s is None) == (la.solve_mod(scalar, n, vec, rows) is None)
     if s is not None:
         assert la.in_lattice(rows, n, la.vec_sub(la.vec_scale(d, s), vec))
+
+
+def test_preimage_is_the_same_on_repeated_calls_and_equal_maps():
+    src = FinAbGroup(3, [[2, 0, 0]])
+    tgt = FinAbGroup(2, [[4, 0], [0, 6]])
+    matrix = [[2, 1, 0], [0, 3, 2]]
+    f, g = AbMap(src, tgt, matrix), AbMap(src, tgt, matrix)
+    answered = 0
+    for y in tgt.elements():
+        first = f.preimage(y)
+        again, other = f.preimage(y), g.preimage(y.vec)
+        fresh = la.solve_mod(matrix, 3, y.vec, tgt.relations)
+        if first is None:
+            assert again is None and other is None and fresh is None
+            continue
+        answered += 1
+        assert first.vec == again.vec == other.vec == fresh
+        assert f(first) == y
+    assert 0 < answered < 24

@@ -4,7 +4,9 @@ import importlib.resources
 
 import pytest
 
-from secgroups.cli import main, EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR
+from secgroups import cli
+from secgroups.cli import main, EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR, \
+    EXIT_INTERNAL
 
 
 CORPUS = importlib.resources.files("secgroups") / "corpus"
@@ -123,3 +125,35 @@ def test_adjoint_check(capsys, tmp_path):
         "cross Y n=2 { M = C2 ; N = D2 ; del = dy ; omega = zero }\n")
     assert main(["adjoint-check", "2", str(doc), "X", "Y"]) == EXIT_OK
     assert "bijection" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["six-term", "morphism.sg", "X"],
+     "block X is a level-2 crossed module; six-term needs a morphism"),
+    (["fiber", "wedge_level2.sg", "W"],
+     "block W is a level-2 crossed module; fiber needs a morphism"),
+    (["ad", "2", "wedge_level2.sg", "W"],
+     "block W is a level-2 crossed module; ad 2 needs a level-1 crossed "
+     "module"),
+    (["adjoint-check", "2", "morphism.sg", "X", "Y"],
+     "block X is a level-2 crossed module; adjoint-check 2 needs a level-1 "
+     "crossed module"),
+    (["h0", "abelian_groups.sg", "B"],
+     "block B is a group; h0 needs a crossed module"),
+])
+def test_wrong_block_kind_is_an_error_not_a_crash(argv, message, capsys):
+    argv = [_path(a) if a.endswith(".sg") else a for a in argv]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise AttributeError("no attribute 'base'")
+
+    monkeypatch.setattr(cli, "cmd_canon", broken)
+    assert main(["canon", _path("track.sg")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: AttributeError: no attribute 'base'\n"

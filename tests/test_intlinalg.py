@@ -108,3 +108,74 @@ def test_empty_dimensions():
     assert d == [] and v == la.identity(3)
     assert la.mat_mul([], []) == []
     assert la.row_basis([], 2) == []
+
+
+def _fresh_solve_mod(a, ncols, b, lattice_rows):
+    """The one-SNF-per-call solve_mod that `Solver` replaced, as the oracle."""
+    nrows = len(b)
+    ext = [a[i][:] + [lattice_rows[k][i] for k in range(len(lattice_rows))]
+           for i in range(nrows)]
+    next_ = ncols + len(lattice_rows)
+    u, d, v, _, _ = la.smith_normal_form(ext, next_)
+    ub = la.mat_vec(u, b)
+    y = [0] * next_
+    diag = la.diagonal(d, next_)
+    for i in range(len(ext)):
+        di = diag[i] if i < len(diag) else 0
+        if di:
+            if ub[i] % di:
+                return None
+            y[i] = ub[i] // di
+        elif ub[i]:
+            return None
+    return la.mat_vec(v, y)[:ncols]
+
+
+@st.composite
+def _systems(draw):
+    """(a, ncols, lattice rows, right-hand sides): 0-4 rows, columns and
+    lattice rows, some zero or dependent, and right-hand sides that are
+    solvable by construction or arbitrary (often unsolvable)."""
+    entry = st.integers(-3, 3)
+
+    def vec(n):
+        return draw(st.lists(entry, min_size=n, max_size=n))
+
+    def matrix(rows, cols):
+        m = [vec(cols) for _ in range(rows)]
+        if rows >= 2 and draw(st.booleans()):
+            m[-1] = la.vec_scale(draw(st.integers(-2, 2)), m[0])
+        return m
+
+    nrows, ncols, nlat = (draw(st.integers(0, 4)) for _ in range(3))
+    a = matrix(nrows, ncols)
+    lat = matrix(nlat, nrows)
+    rhs = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            x, z = vec(ncols), vec(nlat)
+            rhs.append([la.mat_vec(a, x)[i]
+                        + sum(lat[k][i] * z[k] for k in range(nlat))
+                        for i in range(nrows)])
+        else:
+            rhs.append(vec(nrows))
+    return a, ncols, lat, rhs
+
+
+@given(_systems())
+@settings(max_examples=400, deadline=None)
+def test_held_solver_matches_fresh_solve_mod(system):
+    a, ncols, lat, rhs = system
+    solver = la.Solver(a, ncols, lat)
+    for b in rhs:
+        x = solver.solve(b)
+        assert x == _fresh_solve_mod(a, ncols, b, lat)
+        assert x == la.solve_mod(a, ncols, b, lat)
+        if x is not None:
+            diff = la.vec_sub(la.mat_vec(a, x), b)
+            assert la.in_lattice(lat, len(b), diff)
+
+
+def test_solver_rejects_a_wrong_length_right_hand_side():
+    with pytest.raises(ValueError):
+        la.Solver([[1, 0], [0, 1]], 2).solve([1])
