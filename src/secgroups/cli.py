@@ -70,9 +70,9 @@ LEVEL_2_UP = _Need("a crossed module of level 2 or more", _LEVELED,
                    range(2, sys.maxsize))
 MORPHISM = _Need("a morphism", (CrossMorphism,))
 TRACK = _Need("a track", (HopfTrack,))
-CHECKABLE = _Need("a crossed module, a hom of class-2 groups, a morphism, "
-                  "a track or a 2-morphism",
-                  _LEVELED + (Class2Hom, CrossMorphism, HopfTrack,
+CHECKABLE = _Need("a crossed module, a hom of class-2 groups, a hom into "
+                  "a free group, a morphism, a track or a 2-morphism",
+                  _LEVELED + (Class2Hom, WordHom, CrossMorphism, HopfTrack,
                               TwoMorphism))
 
 
@@ -114,7 +114,8 @@ def _describe_group(g) -> str:
 def cmd_check(args) -> int:
     doc = _load(args.file)
     obj = _get(doc, args.name, "check", CHECKABLE)
-    if isinstance(obj, (CrossMorphism, Class2Hom, HopfTrack, TwoMorphism)):
+    if isinstance(obj, (CrossMorphism, Class2Hom, WordHom, HopfTrack,
+                        TwoMorphism)):
         obj.validate()
         print("check %s: ok" % args.name)
         return EXIT_OK

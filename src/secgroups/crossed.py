@@ -272,9 +272,13 @@ class OmegaPairing:
             self.validate()
 
     def validate(self):
-        for x in self.images:
-            for y in self.images:
-                if not (x * y == y * x):
+        # x*y and y*x differ only by beta(x, y) - beta(y, x) in the C layer
+        qs = [x.qvec for x in self.images]
+        for i in range(len(qs)):
+            for j in range(i):
+                comm = la.vec_sub(self.m.beta_eval(qs[i], qs[j]),
+                                  self.m.beta_eval(qs[j], qs[i]))
+                if not self.m.c.contains_in_lattice(comm):
                     raise ValueError("omega images do not commute")
         for rel in self.ts.group.relations:
             if not self.eval_vec(rel).is_identity():

@@ -109,11 +109,11 @@ def fiber(f: CrossMorphism) -> Fiber:
             omega_images.append(x.omega.pair(base_vectors[i], base_vectors[j]))
     omega_fib = OmegaPairing(coords_fib, x.m, omega_images)
 
-    cls = StableQuadraticModule if x.level >= 3 else ReducedQuadraticModule
     if x.level >= 3:
-        fib_obj = cls(x.m, fib0, bnd_fib, omega_fib, level=x.level)
+        fib_obj = StableQuadraticModule(x.m, fib0, bnd_fib, omega_fib,
+                                        level=x.level)
     else:
-        fib_obj = cls(x.m, fib0, bnd_fib, omega_fib)
+        fib_obj = ReducedQuadraticModule(x.m, fib0, bnd_fib, omega_fib)
     jmor = CrossMorphism(fib_obj, x, identity_hom(x.m), proj)
     return Fiber(fib_obj, jmor, incl0)
 

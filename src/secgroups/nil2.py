@@ -11,9 +11,9 @@ so all word problems reduce to exact integer linear algebra.  Commutators
 are written additively in the group-theory convention [x, y] = -x-y+x+y.
 
 Homomorphisms are stored as generator images plus a map on the central
-layer; construction verifies multiplicativity on generator pairs and
-representative independence on relations, which suffices in class two
-because every obstruction term is bilinear.
+layer; construction checks commutator compatibility on generator pairs
+i > j and representative independence on relations, which suffices in
+class two because every obstruction term is bilinear.
 
 The free objects here are `free_nil` (free class-2 group on a pointed set,
 with the strictly upper triangular cocycle convention fixing the orientation
@@ -392,11 +392,20 @@ class Class2Hom:
 
     def validate(self):
         s, t = self.source, self.target
-        gens = s.generators()
-        imgs = [self.eval(x) for x in gens]
-        for i, x in enumerate(gens):
-            for j, y in enumerate(gens):
-                if self.eval(x * y) != imgs[i] * imgs[j]:
+        # eval is multiplicative on x*y by construction unless x = e_i and
+        # y = e_j with i > j: there it collects e_j e_i and corrects by
+        # cmap(beta_s(e_i, e_j) - beta_s(e_j, e_i)), which must be the
+        # commutator of the images, beta_t(q_i, q_j) - beta_t(q_j, q_i).
+        nq = s.q.ngens
+        qs = [img.qvec for img in self.gen_images]
+        for i in range(nq):
+            for j in range(i):
+                src = [row[i * nq + j] - row[j * nq + i] for row in s.beta]
+                obstruction = la.vec_sub(
+                    la.vec_sub(t.beta_eval(qs[i], qs[j]),
+                               t.beta_eval(qs[j], qs[i])),
+                    la.mat_vec(self.cmap.matrix, src))
+                if not t.c.contains_in_lattice(obstruction):
                     raise ValueError(
                         "not multiplicative on generators %d,%d" % (i, j))
         # representative independence across the Q relations

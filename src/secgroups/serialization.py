@@ -22,8 +22,6 @@ parse-print-parse is the identity on canonical documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import intlinalg as la
 from .abelian import AbMap, FinAbGroup
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
@@ -52,11 +50,11 @@ _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyz"
                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_*^-")
 
 
-@dataclass
 class _Tok:
-    text: str
-    line: int
-    col: int
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -98,58 +96,59 @@ def _tokenize(text: str) -> list[_Tok]:
 # block forms (the canonical abstract syntax)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GroupBlock:
-    name: str
-    kind: str                      # "ab" | "nil2"
-    k: int = 0
-    rels: list = field(default_factory=list)
-    basis: list = field(default_factory=list)
+    def __init__(self, name: str, kind: str, k: int = 0, rels=None,
+                 basis=None):
+        self.name = name
+        self.kind = kind                # "ab" | "nil2"
+        self.k = k
+        self.rels = rels if rels is not None else []
+        self.basis = basis if basis is not None else []
 
 
-@dataclass
 class HomBlock:
-    name: str
-    src: str
-    tgt: str
-    tensor: bool
-    images: list = field(default_factory=list)   # [(label, word-string)]
+    def __init__(self, name: str, src: str, tgt: str, tensor: bool, images):
+        self.name = name
+        self.src = src
+        self.tgt = tgt
+        self.tensor = tensor
+        self.images = images            # [(label, word-string)]
 
 
-@dataclass
 class CrossBlock:
-    name: str
-    n: int
-    m: str
-    ngrp: str
-    delname: str
-    omega: str = ""                # tensor-hom name, "id" or "zero" (n >= 2)
-    act: list = field(default_factory=list)      # ["trivial"] or hom names
+    def __init__(self, name: str, n: int, m: str, ngrp: str, delname: str):
+        self.name = name
+        self.n = n
+        self.m = m
+        self.ngrp = ngrp
+        self.delname = delname
+        self.omega = ""     # tensor-hom name, "id" or "zero" (n >= 2)
+        self.act = []       # ["trivial"] or hom names
 
 
-@dataclass
 class MorBlock:
-    name: str
-    src: str
-    tgt: str
-    f1: str
-    f0: str
+    def __init__(self, name: str, src: str, tgt: str, f1: str, f0: str):
+        self.name = name
+        self.src = src
+        self.tgt = tgt
+        self.f1 = f1
+        self.f0 = f0
 
 
-@dataclass
 class TrackBlock:
-    name: str
-    n: int
-    f: str
-    g: str
-    alpha: list = field(default_factory=list)
+    def __init__(self, name: str, n: int, f: str, g: str, alpha):
+        self.name = name
+        self.n = n
+        self.f = f
+        self.g = g
+        self.alpha = alpha
 
 
-@dataclass
 class TwoBlock:
-    name: str
-    mor: str
-    values: list = field(default_factory=list)   # [(label, word-string)]
+    def __init__(self, name: str, mor: str, values):
+        self.name = name
+        self.mor = mor
+        self.values = values            # [(label, word-string)]
 
 
 class Document:

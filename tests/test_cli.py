@@ -21,6 +21,11 @@ def test_check_valid_object(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_check_hom_into_free_group(capsys):
+    assert main(["check", _path("free_base.sg"), "del1"]) == EXIT_OK
+    assert capsys.readouterr().out == "check del1: ok\n"
+
+
 def test_check_unknown_name_errors():
     assert main(["check", _path("wedge_level2.sg"), "NOPE"]) == EXIT_ERROR
 

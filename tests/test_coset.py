@@ -1,5 +1,7 @@
 """Coset enumeration for finitely presented groups."""
 
+import random
+
 import pytest
 
 from secgroups.words import Word
@@ -54,3 +56,44 @@ def test_abelianization():
     ab = g.abelianization()
     assert ab.invariant_factors == (6,)
     assert ab.order() == 6
+
+
+def test_orders_of_random_two_generator_presentations_match_sympy():
+    """<a, b | a^p, b^q, w> for p, q in 2..6 and |w| in 2..8: every order
+    the bounded enumeration answers is the order sympy enumerates."""
+    pytest.importorskip("sympy")
+    from sympy.combinatorics.coset_table import coset_enumeration_r
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    class Presentation(FpGroup):
+        """FpGroup without the rewriting system its constructor builds;
+        coset enumeration does not use it."""
+
+        def __init__(self, fr_grp, relators):
+            self.free_group = fr_grp
+            self.relators = list(relators)
+            self.generators = fr_grp.generators
+
+    f, a, b = free_group("a b")
+    rng = random.Random(20061)
+    answered = 0
+    for _ in range(252):
+        p, q = rng.randint(2, 6), rng.randint(2, 6)
+        w = [(rng.choice("ab"), rng.choice((1, -1)))
+             for _ in range(rng.randint(2, 8))]
+        try:
+            order = FinitelyPresentedGroup(
+                ["a", "b"], [Word([("a", p)]), Word([("b", q)]), Word(w)]
+            ).order()
+        except EnumerationCapExceeded:
+            continue
+        answered += 1
+        rel = f.identity
+        for s, e in w:
+            rel = rel * ({"a": a, "b": b}[s] ** e)
+        table = coset_enumeration_r(Presentation(f, [a ** p, b ** q, rel]),
+                                    [], max_cosets=100_000)
+        table.compress()
+        assert order == len(table.table), (p, q, w)
+    assert answered > 0

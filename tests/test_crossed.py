@@ -2,11 +2,12 @@
 homotopy groups."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secgroups.words import PointedSet, Word
 from secgroups.abelian import FinAbGroup, AbMap, identity_map
 from secgroups import intlinalg as la
-from secgroups.nil2 import Class2Hom, free_nil, identity_hom
+from secgroups.nil2 import Class2Group, Class2Hom, free_nil, identity_hom
 from secgroups.crossed import (
     FreeGroupBase, WordHom, AbCoords, GroupAction, OmegaPairing,
     PointedGroupoid, CrossedModule, ReducedQuadraticModule,
@@ -69,6 +70,64 @@ def test_omega_pairing_bilinear():
     # concrete values: omega(u, v) = 2uv in Z/8
     assert om.pair([1], [1]) == rqm.m.element([2], [])
     assert om.pair([3], [1]) == rqm.m.element([6], [])
+
+
+def _all_pairs_validate(om: OmegaPairing):
+    """The former `OmegaPairing.validate`: every ordered pair of images
+    multiplied both ways, then the tensor-square relations."""
+    for x in om.images:
+        for y in om.images:
+            if not (x * y == y * x):
+                raise ValueError("omega images do not commute")
+    for rel in om.ts.group.relations:
+        if not om.eval_vec(rel).is_identity():
+            raise ValueError("omega not defined modulo relations")
+
+
+def _error(check):
+    try:
+        check()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+_SMALL = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+def _vectors(n, entry=_SMALL):
+    return st.lists(entry, min_size=n, max_size=n)
+
+
+def _matrix(draw, rows, cols, entry=_SMALL):
+    return [draw(_vectors(cols, entry)) for _ in range(rows)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_omega_validate_matches_all_pairs_oracle(data):
+    """Random M = Class2Group(check=False), nq 0-4, nc 0-3, small beta and
+    in some cases lam != beta - beta o swap; N_ab with 0-2 generators."""
+    draw = data.draw
+    nq, nc = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    na = draw(st.sampled_from([0, 1, 2, 2]))
+    q = FinAbGroup(nq, _matrix(draw, draw(st.integers(0, 2)), nq,
+                               st.integers(-4, 4)))
+    c = FinAbGroup(nc, _matrix(draw, draw(st.integers(0, 2)), nc,
+                               st.integers(-4, 4)))
+    beta = _matrix(draw, nc, nq * nq)
+    lam = beta if draw(st.booleans()) else [
+        [row[i * nq + j] - row[j * nq + i]
+         for i in range(nq) for j in range(nq)] for row in beta]
+    m = Class2Group(q, c, lam, beta, check=False)
+    n_ab = FinAbGroup(na, _matrix(draw, draw(st.integers(0, 2)), na,
+                                  st.integers(-4, 4)))
+    images = [m.element(draw(_vectors(nq, st.integers(-2, 2))),
+                        draw(_vectors(nc)))
+              for _ in range(na * na)]
+    om = OmegaPairing(AbCoords(abelian_as_class2(n_ab)), m, images,
+                      check=False)
+    assert _error(om.validate) == _error(lambda: _all_pairs_validate(om))
 
 
 def test_reduced_quadratic_module_axioms():

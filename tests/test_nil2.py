@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word, commutator_word
-from secgroups.abelian import FinAbGroup
+from secgroups.abelian import AbMap, FinAbGroup
 from secgroups.models import wedge_model
 from secgroups.nil2 import (
     Class2Group, Class2Hom, QuotientError, Subgroup,
@@ -120,6 +121,74 @@ def test_subgroup_quotient():
     q, proj = sub.quotient()
     assert proj.eval(g.generator(0) ** 2).is_identity()
     assert not proj.eval(g.generator(0)).is_identity()
+
+
+def _all_pairs_validate(f: Class2Hom):
+    """The former `Class2Hom.validate`: eval on every product of two
+    generators, central ones included, then the relation representatives."""
+    s = f.source
+    gens = s.generators()
+    imgs = [f.eval(x) for x in gens]
+    for i, x in enumerate(gens):
+        for j, y in enumerate(gens):
+            if f.eval(x * y) != imgs[i] * imgs[j]:
+                raise ValueError(
+                    "not multiplicative on generators %d,%d" % (i, j))
+    for r in s.q.relations:
+        rep = s.ordered_product_element(r)
+        alt = s.central(s.collect_central(r))
+        if f.eval(rep) != f.eval(alt):
+            raise ValueError("hom disagrees on relation representatives")
+
+
+def _error(check):
+    try:
+        check()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+_SMALL = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+def _vectors(n, entry=_SMALL):
+    return st.lists(entry, min_size=n, max_size=n)
+
+
+def _matrix(draw, rows, cols, entry=_SMALL):
+    return [draw(_vectors(cols, entry)) for _ in range(rows)]
+
+
+@st.composite
+def _unchecked_class2_groups(draw):
+    """Class2Group(check=False) with nq 0-4, nc 0-3, at most two Q and two
+    C relations, small beta and, in some cases, lam != beta - beta o swap."""
+    nq, nc = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    q = FinAbGroup(nq, _matrix(draw, draw(st.integers(0, 2)), nq,
+                               st.integers(-4, 4)))
+    c = FinAbGroup(nc, _matrix(draw, draw(st.integers(0, 2)), nc,
+                               st.integers(-4, 4)))
+    beta = _matrix(draw, nc, nq * nq)
+    lam = [[row[i * nq + j] - row[j * nq + i]
+            for i in range(nq) for j in range(nq)] for row in beta]
+    if draw(st.booleans()):
+        lam = [[x + d for x, d in zip(row, extra)]
+               for row, extra in zip(lam, _matrix(draw, nc, nq * nq))]
+    return Class2Group(q, c, lam, beta, check=False)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_all_pairs_oracle(data):
+    s = data.draw(_unchecked_class2_groups())
+    t = data.draw(_unchecked_class2_groups())
+    nqt, nct = t.q.ngens, t.c.ngens
+    images = [t.element(data.draw(_vectors(nqt)), data.draw(_vectors(nct)))
+              for _ in range(s.q.ngens)]
+    cmap = AbMap(s.c, t.c, _matrix(data.draw, nct, s.c.ngens), check=False)
+    f = Class2Hom(s, t, images, cmap, check=False)
+    assert _error(f.validate) == _error(lambda: _all_pairs_validate(f))
 
 
 def _solve_blockwise(rows, rhs, nc, nq, cq: FinAbGroup):
