@@ -22,8 +22,8 @@ from .abelian import AbElem, AbMap, FinAbGroup, GammaGroup, TensorSquare, \
     tensor_square_map, tensor_z2
 from .coset import DEFAULT_CAP, EnumerationCapExceeded, \
     FinitelyPresentedGroup
-from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
-                      GroupAction, H0Undecidable, OmegaPairing,
+from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeBaseHom,
+                      FreeGroupBase, GroupAction, H0Undecidable, OmegaPairing,
                       PointedGroupoid, ReducedQuadraticModule,
                       StableQuadraticModule, WordHom, check_axioms)
 from .functors import (Fiber, ad1, ad2, ad3, adjunction_check, fiber, phi1,
@@ -35,8 +35,8 @@ from .nil2 import (Class2Elem, Class2Group, Class2Hom, QuotientError,
                    exact_sequence_report, free_nil, hom_cokernel,
                    hom_from_words, hom_kernel, identity_hom, nilize,
                    trivial_hom)
-from .serialization import Document, ParseError, canonicalize, describe_ab, \
-    parse, print_document
+from .serialization import Document, ParseError, ValidationError, \
+    canonicalize, describe_ab, parse, print_document
 from .tracks import (CLASSICAL_HOPF_SIGN, HopfTrack, TwoMorphism, hopf,
                      interchange_holds, nil_track, suspend_track,
                      tracks_between, vcomp, vcomp2, whisker_left,

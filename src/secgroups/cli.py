@@ -2,9 +2,10 @@
 
 Exit status contract: 0 = success, 1 = verified negative (an axiom
 violation, a failed comparison, a failed law), 2 = error (parse errors,
-dangling references, a block of the wrong kind for the command, undecidable
-or capped computations), 3 = internal error (any other exception; one line
-on stderr naming it, no traceback).
+dangling references, blocks that build no valid object, a block of the
+wrong kind for the command, undecidable or capped computations),
+3 = internal error (any other exception; one line on stderr naming it, no
+traceback).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .models import homotopy_groups, k_invariant, suspension_comparison, \
     wedge_model
 from .nil2 import Class2Group, Class2Hom
 from .serialization import (Document, ParseError, TensorHom, TrackBlock,
-                            describe_ab, parse, print_document, _print_block)
+                            ValidationError, describe_ab, parse,
+                            print_document, _print_block)
 from .tracks import HopfTrack, TwoMorphism, vcomp
 from .words import PointedSet
 
@@ -135,23 +137,16 @@ def cmd_h0(args) -> int:
     if isinstance(h0, Class2Group):
         print("h0 %s = %s" % (args.name, _describe_group(h0)))
         return EXIT_OK
-    # level-1 objects deliver a presentation; try to decide its order
-    if isinstance(obj, CrossedModule):
-        order = obj.h0_order(cap=_coset_cap(args))
-        print("h0 %s: presented group of order %d" % (args.name, order))
-        return EXIT_OK
-    print("h0 %s = %s" % (args.name, h0))
+    # a free base delivers a presentation; try to decide its order
+    order = obj.h0_order(cap=_coset_cap(args))
+    print("h0 %s: presented group of order %d" % (args.name, order))
     return EXIT_OK
 
 
 def cmd_h1(args) -> int:
     doc = _load(args.file)
     obj = _get(doc, args.name, "h1", CROSSED)
-    h1 = obj.h1()
-    try:
-        print("h1 %s = %s" % (args.name, describe_ab(h1)))
-    except AttributeError:
-        print("h1 %s = %s" % (args.name, h1))
+    print("h1 %s = %s" % (args.name, describe_ab(obj.h1())))
     return EXIT_OK
 
 
@@ -204,7 +199,7 @@ def cmd_phi(args) -> int:
         raise ValueError("phi level must be 1, 2 or 3")
     violations = check_axioms(out)
     print("phi%d %s: level-%d object, axioms %s" % (
-        args.level, args.name, getattr(out, "level", 0),
+        args.level, args.name, out.level,
         "ok" if not violations else "FAIL"))
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
@@ -371,6 +366,9 @@ def main(argv=None) -> int:
     random.seed(args.seed)
     try:
         return args.fn(args)
+    except ValidationError as e:
+        print("invalid document: %s" % e, file=sys.stderr)
+        return EXIT_ERROR
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_ERROR

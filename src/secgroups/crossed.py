@@ -15,6 +15,15 @@ defect is (bi)linear in its arguments in a class-2 setting, so vanishing on
 generators forces vanishing everywhere.  `check_axioms` returns a list of
 human-readable violations instead of raising, so callers can report.
 
+Every object has a base group `.base` (`.n` on quadratic modules): the
+free group `FreeGroupBase` or a class-2 group at level one, a class-2 group
+above.  Both kinds of base answer one interface (generators, the letters an
+element acts by, elements, freeness, free homs, nilization, and the
+homotopy groups of a boundary into them), and `AbCoords` gives either one
+abelianized coordinates with a basis of base elements, so nothing below
+asks which kind of base it holds.  A map fed by words of a free base is a
+`FreeBaseHom`; a boundary into a free base is a `WordHom`.
+
 Over a free-group base (level one) the exact identity problem for h0 is
 undecidable in general; `h0` then returns a finite presentation and exact
 queries raise `H0Undecidable` unless a bounded coset enumeration
@@ -27,8 +36,8 @@ from . import intlinalg as la
 from .abelian import AbMap, FinAbGroup, tensor_square
 from .coset import (DEFAULT_CAP, EnumerationCapExceeded,
                     FinitelyPresentedGroup, todd_coxeter)
-from .nil2 import (Class2Elem, Class2Group, Class2Hom, hom_cokernel,
-                   hom_kernel, identity_hom)
+from .nil2 import (Class2Elem, Class2Group, Class2Hom, free_nil,
+                   hom_cokernel, hom_kernel, identity_hom)
 from .words import PointedSet, Word, commutator_word
 
 
@@ -37,21 +46,110 @@ class H0Undecidable(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# free-group bases and word-valued boundaries
+# free-group bases, word-fed maps and word-valued boundaries
 # ---------------------------------------------------------------------------
 
 class FreeGroupBase:
-    """The free group on the non-base points of a pointed set."""
+    """The free group on the non-base points of a pointed set, with reduced
+    words as elements: a base group at level one, with the interface of
+    `Class2Group` as a base."""
+
+    wedge_index = None  # not a class-2 group
 
     def __init__(self, points: PointedSet):
         self.points = points
-        self.symbols = points.nonbase()
+        self.gen_names = points.nonbase()
+        self._index = {s: i for i, s in enumerate(self.gen_names)}
 
     def identity(self) -> Word:
         return Word()
 
+    def generator(self, i: int) -> Word:
+        return Word([(self.gen_names[i], 1)])
+
+    def generators(self) -> list[Word]:
+        return [self.generator(i) for i in range(len(self.gen_names))]
+
+    def letters(self, word: Word) -> list[tuple[int, int]]:
+        return [(self._index[s], e) for s, e in word.letters]
+
+    def elements(self):
+        raise ValueError("infinite object set")
+
+    def is_free(self) -> bool:
+        return True
+
+    def free_hom(self, target: Class2Group, gen_images) -> "FreeBaseHom":
+        return FreeBaseHom(self, target, gen_images)
+
+    def nilization(self):
+        """(free class-2 group on the same letters, the nilization map)."""
+        g = free_nil(self.points)
+        return g, self.free_hom(g, [g.generator(i) for i in range(g.q.ngens)])
+
+    def h0_of(self, bnd: "WordHom") -> FinitelyPresentedGroup:
+        """h0 of a boundary into this base: the presented quotient."""
+        rels = [bnd.eval(g) for g in bnd.source.generators()]
+        return FinitelyPresentedGroup(self.gen_names, rels)
+
+    def h1_of(self, bnd: "WordHom") -> FinAbGroup:
+        """h1 of a boundary into this base: its kernel, when the boundary
+        images commute and the source is abelian."""
+        m = bnd.source
+        rooted = _common_root(bnd.q_images + bnd.c_images)
+        if rooted is None:
+            raise NotImplementedError(
+                "kernel over a free base needs commuting boundary images")
+        _, exps = rooted
+        if all(e == 0 for e in exps):
+            if not m.is_abelian():
+                raise NotImplementedError("nonabelian full kernel")
+            return m.underlying_ab()
+        # kernel of the induced map (m -> Z given by exps), then underlying_ab
+        nm = m.q.ngens + m.c.ngens
+        ker = la.kernel_basis([exps], nm)
+        # present the kernel with the pair relations of M restricted
+        if not m.is_abelian():
+            raise NotImplementedError("nonabelian kernel over a free base")
+        amb = m.underlying_ab()
+        rels = []
+        for r in amb.relations:
+            coeffs = la.solve_mod(la.transpose(ker, nm), len(ker), r,
+                                  amb.relations)
+            if coeffs is not None:
+                rels.append(coeffs)
+        return FinAbGroup(len(ker), rels)
+
     def __repr__(self):
-        return "FreeGroupBase(%r)" % (self.symbols,)
+        return "FreeGroupBase(%r)" % (self.gen_names,)
+
+
+class FreeBaseHom:
+    """Homomorphism from a free base into a class-2 group, by the images of
+    its letters.  The nilization of a free base is one, and a `Class2Hom`
+    composed after one is again one."""
+
+    def __init__(self, source: FreeGroupBase, target: Class2Group,
+                 gen_images):
+        self.source = source
+        self.target = target
+        self.gen_images = list(gen_images)
+
+    def eval(self, word: Word) -> Class2Elem:
+        out = self.target.identity()
+        for i, e in self.source.letters(word):
+            out = out * (self.gen_images[i] ** e)
+        return out
+
+    __call__ = eval
+
+    def then(self, outer: Class2Hom) -> "FreeBaseHom":
+        """outer after self."""
+        return FreeBaseHom(self.source, outer.target,
+                           [outer.eval(img) for img in self.gen_images])
+
+    def __eq__(self, other):
+        return all(a == b for a, b in zip(self.gen_images, other.gen_images))
 
 
 class WordHom:
@@ -150,13 +248,15 @@ class AbCoords:
 
     For a class-2 base whose central layer is generated by commutators the
     abelianization is just the Q layer; otherwise the full pair presentation
-    is used.  For a free base it is the free abelian group on the symbols.
+    is used.  For a free base it is the free abelian group on the letters.
+    `basis` lists base elements whose coordinates are the unit vectors of
+    `group`.
     """
 
     def __init__(self, base):
         self.base = base
         if isinstance(base, FreeGroupBase):
-            self.group = FinAbGroup(len(base.symbols))
+            self.group = FinAbGroup(len(base.gen_names))
             self.mode = "free"
         elif isinstance(base, Class2Group):
             lam_cols = la.transpose(base.lam, base.q.ngens ** 2)
@@ -173,10 +273,12 @@ class AbCoords:
                 self.mode = "full"
         else:
             raise TypeError("unsupported base %r" % (base,))
+        # the letters, then the central generators in the "full" mode
+        self.basis = base.generators()[:self.group.ngens]
 
     def of(self, elem) -> list[int]:
         if self.mode == "free":
-            return elem.exponent_sums(self.base.symbols)
+            return elem.exponent_sums(self.base.gen_names)
         if self.mode == "q":
             return list(elem.qvec)
         return list(elem.qvec) + list(elem.cvec)
@@ -199,9 +301,7 @@ class GroupAction:
         self.m = m
         self.autos = list(autos)
         self._inverses = None
-        nsym = (len(base.symbols) if isinstance(base, FreeGroupBase)
-                else base.q.ngens)
-        if len(self.autos) != nsym:
+        if len(self.autos) != len(base.gen_names):
             raise ValueError("need one automorphism per base generator")
         if check:
             for a in self.autos:
@@ -210,47 +310,22 @@ class GroupAction:
 
     @classmethod
     def trivial(cls, base, m: Class2Group):
-        nsym = (len(base.symbols) if isinstance(base, FreeGroupBase)
-                else base.q.ngens)
-        return cls(base, m, [identity_hom(m)] * nsym, check=False)
+        return cls(base, m, [identity_hom(m)] * len(base.gen_names),
+                   check=False)
 
     def inverses(self):
         if self._inverses is None:
             self._inverses = [a.inverse() for a in self.autos]
         return self._inverses
 
-    def _act_letters(self, x: Class2Elem, letters) -> Class2Elem:
+    def act(self, x: Class2Elem, n) -> Class2Elem:
+        """x acted on by the base element n (Word or Class2Elem)."""
         out = x
-        for idx, exp in letters:
+        for idx, exp in self.base.letters(n):
             auto = self.autos[idx] if exp > 0 else self.inverses()[idx]
             for _ in range(abs(exp)):
                 out = auto.eval(out)
         return out
-
-    def act(self, x: Class2Elem, n) -> Class2Elem:
-        """x acted on by the base element n (Word or Class2Elem)."""
-        if isinstance(self.base, FreeGroupBase):
-            index = {s: i for i, s in enumerate(self.base.symbols)}
-            return self._act_letters(x, [(index[s], e) for s, e in n.letters])
-        letters = []
-        for i, a in enumerate(n.qvec):
-            if a:
-                letters.append((i, a))
-        resid = la.vec_sub(n.cvec, self.base.collect_central(n.qvec))
-        if any(resid):
-            coeffs = la.solve_mod(self.base.lam, self.base.q.ngens ** 2,
-                                  resid, self.base.c.relations)
-            if coeffs is None:
-                raise ValueError("central base element outside commutators")
-            nq = self.base.q.ngens
-            for p, a in enumerate(coeffs):
-                if a:
-                    i, j = divmod(p, nq)
-                    seq = [(i, -1), (j, -1), (i, 1), (j, 1)]
-                    for _ in range(abs(a)):
-                        letters.extend(seq if a > 0 else
-                                       [(s, -e) for s, e in reversed(seq)])
-        return self._act_letters(x, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +387,8 @@ class OmegaPairing:
 class PointedGroupoid:
     """Level-0 object: finite groupoid with a base object named *."""
 
+    level = 0
+
     def __init__(self, objects, morphisms, compose_table, base="*"):
         """morphisms: dict name -> (src, tgt); compose_table maps
         (g, f) -> g after f ... stored as (second, first) -> name."""
@@ -355,6 +432,8 @@ class PointedGroupoid:
                             out.append("associativity fails at (%s,%s,%s)"
                                        % (h, g, f))
         return out
+
+    check_axioms = check
 
     def iso_classes(self):
         classes = []
@@ -416,29 +495,15 @@ class CrossedModule:
     def act(self, x: Class2Elem, n) -> Class2Elem:
         return self.action.act(x, n)
 
-    def base_mul(self, a, b):
-        if isinstance(self.base, FreeGroupBase):
-            return (a * b).reduced()
-        return a * b
-
-    def base_conj(self, x, n):
-        """-n + x + n in the base."""
-        if isinstance(self.base, FreeGroupBase):
-            return (n.inverse() * x * n).reduced()
-        return x.conjugate_by(n)
-
     def check_axioms(self) -> list[str]:
         out = []
         m_gens = self.m.generators()
-        if isinstance(self.base, FreeGroupBase):
-            base_gens = [Word([(s, 1)]) for s in self.base.symbols]
-        else:
-            base_gens = self.base.generators()
+        base_gens = self.base.generators()
         for i, mg in enumerate(m_gens):
             dm = self.bnd.eval(mg)
             for j, ng in enumerate(base_gens):
                 lhs = self.bnd.eval(self.act(mg, ng))
-                rhs = self.base_conj(dm, ng)
+                rhs = dm.conjugate_by(ng)
                 if not lhs == rhs:
                     out.append("CM1 fails at m gen %d, base gen %d" % (i, j))
         for i, mg in enumerate(m_gens):
@@ -450,11 +515,7 @@ class CrossedModule:
         return out
 
     def h0(self):
-        if isinstance(self.base, FreeGroupBase):
-            rels = [self.bnd.eval(g) for g in self.m.generators()]
-            return FinitelyPresentedGroup(self.base.symbols, rels)
-        grp, _ = hom_cokernel(self.bnd)
-        return grp
+        return self.base.h0_of(self.bnd)
 
     def h0_order(self, cap: int = DEFAULT_CAP):
         h = self.h0()
@@ -466,43 +527,7 @@ class CrossedModule:
         return h.order()
 
     def h1(self) -> FinAbGroup:
-        if isinstance(self.base, FreeGroupBase):
-            return self._h1_free()
-        k, _ = hom_kernel(self.bnd)
-        if not k.is_abelian():
-            raise ValueError("kernel of the boundary is not abelian; "
-                             "axioms must be failing")
-        return k.underlying_ab()
-
-    def _h1_free(self) -> FinAbGroup:
-        words = self.bnd.q_images + self.bnd.c_images
-        rooted = _common_root(words)
-        if rooted is None:
-            raise NotImplementedError(
-                "kernel over a free base needs commuting boundary images")
-        _, exps = rooted
-        nq, nc = self.m.q.ngens, self.m.c.ngens
-        row = [exps[:nq] + exps[nq:]]
-        if all(e == 0 for e in row[0]):
-            ab = self.m
-            if not ab.is_abelian():
-                raise NotImplementedError("nonabelian full kernel")
-            return ab.underlying_ab()
-        # kernel of the induced map (m -> Z given by exps), then underlying_ab
-        ker = la.kernel_basis(row, nq + nc)
-        bt = la.transpose(ker, nq + nc) if ker else la.zeros(nq + nc, 0)
-        # present the kernel with the pair relations of M restricted
-        amb = self.m.underlying_ab() if self.m.is_abelian() else None
-        if amb is None:
-            raise NotImplementedError("nonabelian kernel over a free base")
-        rels = []
-        for r in amb.relations:
-            coeffs = la.solve_mod(la.transpose(ker, nq + nc), len(ker), r,
-                                  amb.relations)
-            if coeffs is None:
-                continue
-            rels.append(coeffs)
-        return FinAbGroup(len(ker), rels)
+        return self.base.h1_of(self.bnd)
 
 
 class ReducedQuadraticModule:
@@ -517,6 +542,11 @@ class ReducedQuadraticModule:
         self.bnd = bnd
         self.omega = omega
         self.coords = omega.coords
+
+    @property
+    def base(self) -> Class2Group:
+        """The base group: a read-only alias of `n`."""
+        return self.n
 
     def check_axioms(self) -> list[str]:
         out = list(self.omega.centrality_violations())
@@ -552,14 +582,10 @@ class ReducedQuadraticModule:
         return all(self.bnd.eval(g).is_central() for g in self.m.generators())
 
     def h0(self) -> Class2Group:
-        grp, _ = hom_cokernel(self.bnd)
-        return grp
+        return self.base.h0_of(self.bnd)
 
     def h1(self) -> FinAbGroup:
-        k, _ = hom_kernel(self.bnd)
-        if not k.is_abelian():
-            raise ValueError("kernel of the boundary is not abelian")
-        return k.underlying_ab()
+        return self.base.h1_of(self.bnd)
 
 
 class StableQuadraticModule(ReducedQuadraticModule):
@@ -584,8 +610,6 @@ class StableQuadraticModule(ReducedQuadraticModule):
 
 def check_axioms(x) -> list[str]:
     """Uniform axiom check across levels; returns violation strings."""
-    if isinstance(x, PointedGroupoid):
-        return x.check()
     return x.check_axioms()
 
 
@@ -612,9 +636,7 @@ class CrossMorphism:
             if not lhs == rhs:
                 raise ValueError("boundary square does not commute")
         if s.level == 1:
-            base_gens = ([Word([(sym, 1)]) for sym in s.base.symbols]
-                         if isinstance(s.base, FreeGroupBase)
-                         else s.base.generators())
+            base_gens = s.base.generators()
             for mg in s.m.generators():
                 for ng in base_gens:
                     lhs = self.f1.eval(s.act(mg, ng))
@@ -638,22 +660,8 @@ class CrossMorphism:
 
     def _f0_ab_matrix(self):
         s, t = self.src, self.tgt
-        cols = []
-        if isinstance(s.base if hasattr(s, "base") else s.n, FreeGroupBase):
-            base = s.base
-            for sym in base.symbols:
-                img = self.f0.eval(Word([(sym, 1)]))
-                cols.append(t.coords.of(img))
-        else:
-            n = s.n if hasattr(s, "n") else s.base
-            for i in range(n.q.ngens):
-                img = self.f0.eval(n.generator(i))
-                cols.append(self.tgt.coords.of(img))
-            if s.coords.mode == "full":
-                for j in range(n.c.ngens):
-                    img = self.f0.eval(n.central_generator(j))
-                    cols.append(self.tgt.coords.of(img))
-        return la.transpose(cols, self.tgt.coords.group.ngens)
+        cols = [t.coords.of(self.f0.eval(b)) for b in s.coords.basis]
+        return la.transpose(cols, t.coords.group.ngens)
 
     # -- induced maps -----------------------------------------------------------
 
@@ -670,14 +678,13 @@ class CrossMorphism:
 
     def induced_h0(self):
         s, t = self.src, self.tgt
-        if isinstance(getattr(s, "base", None), FreeGroupBase):
+        cs = s.h0()
+        if isinstance(cs, FinitelyPresentedGroup):
             raise H0Undecidable("induced h0 over a free base is a "
                                 "presentation-level statement only")
-        cs, ps = hom_cokernel(s.bnd)
         ct, pt = hom_cokernel(t.bnd)
-        base_s = s.base if hasattr(s, "base") else s.n
-        imgs = [pt.eval(self.f0.eval(base_s.generator(i)))
-                for i in range(base_s.q.ngens)]
+        imgs = [pt.eval(self.f0.eval(s.base.generator(i)))
+                for i in range(s.base.q.ngens)]
         cmatrix = la.mat_mul(pt.cmap.matrix, self.f0.cmap.matrix)
         cmap = AbMap(cs.c, ct.c, cmatrix)
         return Class2Hom(cs, ct, imgs, cmap)

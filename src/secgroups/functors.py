@@ -25,8 +25,8 @@ from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
                       ReducedQuadraticModule, StableQuadraticModule,
                       _subgroup_coords)
 from .nil2 import (Class2Elem, Class2Group, Class2Hom, Subgroup,
-                   abelian_as_class2, free_nil, hom_cokernel, hom_kernel,
-                   identity_hom, nilize, product_group)
+                   abelian_as_class2, hom_cokernel, hom_kernel, identity_hom,
+                   product_group)
 from .words import PointedSet, Word
 
 
@@ -92,21 +92,9 @@ def fiber(f: CrossMorphism) -> Fiber:
 
     # pairing pulled back along the projection
     coords_fib = AbCoords(fib0)
-    na = coords_fib.group.ngens
-    base_vectors = []
-    for i in range(na):
-        if coords_fib.mode == "q":
-            elem = proj.eval(fib0.generator(i))
-        else:
-            if i < fib0.q.ngens:
-                elem = proj.eval(fib0.generator(i))
-            else:
-                elem = proj.eval(fib0.central_generator(i - fib0.q.ngens))
-        base_vectors.append(x.coords.of(elem))
-    omega_images = []
-    for i in range(na):
-        for j in range(na):
-            omega_images.append(x.omega.pair(base_vectors[i], base_vectors[j]))
+    base_vectors = [x.coords.of(proj.eval(b)) for b in coords_fib.basis]
+    omega_images = [x.omega.pair(u, v)
+                    for u in base_vectors for v in base_vectors]
     omega_fib = OmegaPairing(coords_fib, x.m, omega_images)
 
     if x.level >= 3:
@@ -252,7 +240,7 @@ class SemidirectGroupoid:
 
     def target(self, mor):
         n, m = mor
-        return self.x.base_mul(n, self.x.bnd.eval(m))
+        return n * self.x.bnd.eval(m)
 
     def compose(self, second, first):
         """second after first; target(first) must equal source(second)."""
@@ -266,13 +254,10 @@ class SemidirectGroupoid:
         """Monoidal sum (n, m) + (n', m') = (n + n', m^{n'} + m')."""
         n, m = a
         n2, m2 = b
-        return (self.x.base_mul(n, n2), self.x.act(m, n2) * m2)
+        return (n * n2, self.x.act(m, n2) * m2)
 
     def to_pointed_groupoid(self) -> PointedGroupoid:
-        base = self.x.base
-        if isinstance(base, FreeGroupBase):
-            raise ValueError("infinite object set")
-        objs = list(base.elements())
+        objs = list(self.x.base.elements())
         mors = {}
         names = {}
         morlist = []
@@ -341,35 +326,13 @@ def ad3(x: ReducedQuadraticModule):
     return stab, unit
 
 
-class NilizeHom:
-    """The nilization map from a free base into its free class-2 group."""
-
-    def __init__(self, base: FreeGroupBase, target: Class2Group):
-        self.base = base
-        self.target = target
-        self.cmap = AbMap(FinAbGroup(0), target.c,
-                          la.zeros(target.c.ngens, 0), check=False)
-
-    def eval(self, word: Word) -> Class2Elem:
-        return nilize(word, self.target)
-
-    __call__ = eval
-
-
 def ad2(x: CrossedModule):
     """Nilization: the induced quadratic module on the class-2 base.
 
     Returns (reduced quadratic module, unit morphism x -> phi2(result)).
     """
-    base = x.base
-    if isinstance(base, FreeGroupBase):
-        n_nil = free_nil(base.points)
-        to_nil = NilizeHom(base, n_nil)
-        base_gens = [Word([(s, 1)]) for s in base.symbols]
-    else:
-        n_nil = base
-        to_nil = identity_hom(base)
-        base_gens = [base.generator(i) for i in range(base.q.ngens)]
+    n_nil, to_nil = x.base.nilization()
+    base_gens = [x.base.generator(i) for i in range(len(x.base.gen_names))]
     coords = AbCoords(n_nil)
     ts = tensor_square(coords.group)
     t_ab = ts.group
@@ -384,9 +347,8 @@ def ad2(x: CrossedModule):
     m_gens = x.m.generators()
     for mg in m_gens:
         dm = coords.of(to_nil.eval(x.bnd.eval(mg)))
-        for gi, ng in enumerate(base_gens):
-            nv = coords.of(to_nil.eval(ng) if isinstance(base, FreeGroupBase)
-                           else ng)
+        for ng in base_gens:
+            nv = coords.of(to_nil.eval(ng))
             moved = mg.inverse() * x.act(mg, ng)
             rel = embed(moved, t_elem([-v for v in la.kron(dm, nv)]))
             rel_elems.append(rel)
@@ -394,8 +356,7 @@ def ad2(x: CrossedModule):
     for mg in m_gens:
         dm = coords.of(to_nil.eval(x.bnd.eval(mg)))
         for ng in base_gens:
-            nv = coords.of(to_nil.eval(ng) if isinstance(base, FreeGroupBase)
-                           else ng)
+            nv = coords.of(to_nil.eval(ng))
             vec = la.vec_add(la.kron(dm, nv), la.kron(nv, dm))
             rel_elems.append(embed(x.m.identity(), t_elem(vec)))
     sub = Subgroup(prod, rel_elems, normal=True)
@@ -405,15 +366,11 @@ def ad2(x: CrossedModule):
     bnd_imgs = []
     for i in range(x.m.q.ngens):
         bnd_imgs.append(to_nil.eval(x.bnd.eval(x.m.generator(i))))
-    for i in range(na):
-        for j in range(na):
-            gi = n_nil.element([1 if k == i else 0 for k in range(na)]) \
-                if coords.mode == "q" else None
-            gj = n_nil.element([1 if k == j else 0 for k in range(na)]) \
-                if coords.mode == "q" else None
-            if gi is None:
-                raise NotImplementedError("nilization needs q-mode coords")
-            bnd_imgs.append(gi.commutator(gj))
+    # the abelianization must be the Q layer, with the generators as basis
+    if len(coords.basis) > n_nil.q.ngens:
+        raise NotImplementedError("nilization needs q-mode coords")
+    bnd_imgs += [gi.commutator(gj) for gi in coords.basis
+                 for gj in coords.basis]
     ccols = []
     for j in range(x.m.c.ngens):
         img = to_nil.eval(x.bnd.eval(x.m.central_generator(j)))
@@ -521,21 +478,17 @@ def ad1(g: PointedGroupoid) -> PresentedCrossedModule:
 ADJUNCTION_CAP = 10 ** 6
 
 
-def _enumerate_class2_homs(s: Class2Group, t: Class2Group, cap: int):
-    """All homomorphisms s -> t; s free class-2 or t finite."""
-    if hasattr(s, "wedge_index"):  # free class-2 group: pick any images
-        telems = list(t.elements())
-        total = len(telems) ** s.q.ngens
+def _enumerate_homs(s, t, cap: int):
+    """All homomorphisms s -> t; s free (a free base or a free class-2
+    group) or t finite."""
+    telems = list(t.elements())
+    if s.is_free():  # pick any images
+        total = len(telems) ** len(s.gen_names)
         if total > cap:
             raise RuntimeError("enumeration cap exceeded")
-        for imgs in itertools.product(telems, repeat=s.q.ngens):
-            ccols = []
-            for (i, j), p in sorted(s.wedge_index.items(), key=lambda kv: kv[1]):
-                ccols.append(imgs[i].commutator(imgs[j]).cvec)
-            cmap = AbMap(s.c, t.c, la.transpose(ccols, t.c.ngens), check=False)
-            yield Class2Hom(s, t, list(imgs), cmap, check=False)
+        for imgs in itertools.product(telems, repeat=len(s.gen_names)):
+            yield s.free_hom(t, list(imgs))
         return
-    telems = list(t.elements())
     centrals = [e for e in t.elements() if all(v == 0 for v in e.qvec)]
     total = (len(telems) ** s.q.ngens) * (len(centrals) ** s.c.ngens)
     if total > cap:
@@ -551,49 +504,11 @@ def _enumerate_class2_homs(s: Class2Group, t: Class2Group, cap: int):
                 continue
 
 
-def _enumerate_word_maps(base: FreeGroupBase, t: Class2Group, cap: int):
-    telems = list(t.elements())
-    total = len(telems) ** len(base.symbols)
-    if total > cap:
-        raise RuntimeError("enumeration cap exceeded")
-    for imgs in itertools.product(telems, repeat=len(base.symbols)):
-        yield _WordToClass2(base, t, list(imgs))
-
-
-class _WordToClass2:
-    """Group map from a free base into a class-2 group, by symbol images."""
-
-    def __init__(self, base: FreeGroupBase, target: Class2Group, images):
-        self.base = base
-        self.target = target
-        self.images = images
-        self.cmap = AbMap(FinAbGroup(0), target.c,
-                          la.zeros(target.c.ngens, 0), check=False)
-
-    def eval(self, word: Word) -> Class2Elem:
-        out = self.target.identity()
-        idx = {s: i for i, s in enumerate(self.base.symbols)}
-        for sym, e in word.letters:
-            out = out * (self.images[idx[sym]] ** e)
-        return out
-
-    __call__ = eval
-
-    def __eq__(self, other):
-        return all(a == b for a, b in zip(self.images, other.images))
-
-
 def enumerate_morphisms(x, y, cap: int = ADJUNCTION_CAP):
     """All morphisms x -> y of same-level objects with finite targets."""
     out = []
-    if x.level == 1:
-        base_iter = (_enumerate_word_maps(x.base, y.base, cap)
-                     if isinstance(x.base, FreeGroupBase)
-                     else _enumerate_class2_homs(x.base, y.base, cap))
-        f0s = list(base_iter)
-    else:
-        f0s = list(_enumerate_class2_homs(x.n, y.n, cap))
-    f1s = list(_enumerate_class2_homs(x.m, y.m, cap))
+    f0s = list(_enumerate_homs(x.base, y.base, cap))
+    f1s = list(_enumerate_homs(x.m, y.m, cap))
     if len(f0s) * len(f1s) > cap:
         raise RuntimeError("enumeration cap exceeded")
     for f0 in f0s:
@@ -607,48 +522,12 @@ def enumerate_morphisms(x, y, cap: int = ADJUNCTION_CAP):
 
 def compose_morphisms(g: CrossMorphism, f: CrossMorphism) -> CrossMorphism:
     """g after f."""
-    if isinstance(f.f0, (_WordToClass2, NilizeHom, _ChainWordMap)):
-        f0 = _ChainWordMap(g.f0, f.f0)
-    else:
-        f0 = g.f0.compose(f.f0)
-    f1 = g.f1.compose(f.f1)
-    return CrossMorphism(f.src, g.tgt, f1, f0, check=False)
-
-
-class _ChainWordMap:
-    """Composite of a class-2 hom after a word-fed map."""
-
-    def __init__(self, outer, inner):
-        self.outer = outer
-        self.inner = inner
-        self.cmap = None
-
-    def eval(self, w: Word):
-        return self.outer.eval(self.inner.eval(w))
-
-    __call__ = eval
-
-    def __eq__(self, other):
-        if isinstance(other, _ChainWordMap):
-            other_images = [other.eval(Word([(s, 1)]))
-                            for s in other.inner.base.symbols]
-        elif isinstance(other, _WordToClass2):
-            other_images = other.images
-        else:
-            return NotImplemented
-        mine = [self.eval(Word([(s, 1)])) for s in self.inner.base.symbols]
-        return all(a == b for a, b in zip(mine, other_images))
+    return CrossMorphism(f.src, g.tgt, g.f1.compose(f.f1),
+                         g.f0.compose(f.f0), check=False)
 
 
 def morphisms_equal(a: CrossMorphism, b: CrossMorphism) -> bool:
-    if not all(p == q for p, q in zip(a.f1.gen_images, b.f1.gen_images)):
-        return False
-    if not a.f1.cmap == b.f1.cmap:
-        return False
-    f0a, f0b = a.f0, b.f0
-    if isinstance(f0a, Class2Hom) and isinstance(f0b, Class2Hom):
-        return f0a == f0b
-    return f0a == f0b
+    return a.f1 == b.f1 and a.f0 == b.f0
 
 
 def adjunction_check(n: int, x, y, cap: int = ADJUNCTION_CAP) -> dict:

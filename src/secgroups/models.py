@@ -96,16 +96,12 @@ def k_invariant(x) -> KInvariant:
         raise ValueError("h1 is not abelian")
     h1_ab = kern.underlying_ab()
     coords = x.coords
-    na = coords.group.ngens
-    # the projection on abelianized coordinates
-    cols = []
-    for i in range(na):
-        if coords.mode == "q":
-            img = proj.eval(x.n.generator(i))
-        else:
-            raise NotImplementedError("k-invariant needs commutator-spanned "
-                                      "central layer in the base")
-        cols.append(list(img.qvec) + list(img.cvec))
+    # the projection on abelianized coordinates, which must be the Q layer
+    if len(coords.basis) > x.base.q.ngens:
+        raise NotImplementedError("k-invariant needs commutator-spanned "
+                                  "central layer in the base")
+    cols = [list(img.qvec) + list(img.cvec)
+            for img in (proj.eval(b) for b in coords.basis)]
     qmatrix = la.transpose(cols, h_ab.ngens)
     qmap = AbMap(coords.group, h_ab, qmatrix)
 
@@ -125,7 +121,6 @@ def k_invariant(x) -> KInvariant:
         for i in range(coords.group.ngens):
             m[ts.index(i, i)][i] = 1
         inc = AbMap(g_src_grp, ts.group, m, check=False)
-        g_src_group = g_src_grp
 
     src_group = gq.source
 

@@ -43,7 +43,17 @@ def _binom2(a: int) -> int:
 
 
 class Class2Group:
-    """Central extension of abelian Q by central C with bilinear cocycle."""
+    """Central extension of abelian Q by central C with bilinear cocycle.
+
+    It is also the base group of a level-n object, and shares that
+    interface with `crossed.FreeGroupBase`: `gen_names`, `generator`,
+    `generators`, `identity`, `letters`, `elements`, `is_free`, `free_hom`,
+    `nilization`, and the homotopy groups `h0_of`/`h1_of` of a boundary.
+    """
+
+    # set by free_nil: the central generator of each commutator [e_i, e_j]
+    # for i < j, keyed (i, j) in the order of the central generators
+    wedge_index = None
 
     def __init__(self, q: FinAbGroup, c: FinAbGroup,
                  lam_matrix, beta_matrix, gen_names=None, check: bool = True):
@@ -190,6 +200,64 @@ class Class2Group:
         ab = Class2Group(self.q, cq, la.zeros(nc, nq * nq), self.beta,
                          self.gen_names, check=False)
         return ab.underlying_ab()
+
+    # -- as a base group ------------------------------------------------------
+
+    def letters(self, elem) -> list[tuple[int, int]]:
+        """The (generator index, exponent) letters of a word for elem: its
+        Q part, then the commutators that make up its central residue."""
+        out = [(i, a) for i, a in enumerate(elem.qvec) if a]
+        resid = la.vec_sub(elem.cvec, self.collect_central(elem.qvec))
+        if any(resid):
+            nq = self.q.ngens
+            coeffs = la.solve_mod(self.lam, nq ** 2, resid, self.c.relations)
+            if coeffs is None:
+                raise ValueError("central base element outside commutators")
+            for p, a in enumerate(coeffs):
+                if a:
+                    i, j = divmod(p, nq)
+                    seq = [(i, -1), (j, -1), (i, 1), (j, 1)]
+                    for _ in range(abs(a)):
+                        out.extend(seq if a > 0 else
+                                   [(s, -e) for s, e in reversed(seq)])
+        return out
+
+    def is_free(self) -> bool:
+        """Whether this is a free class-2 group (built by free_nil)."""
+        return self.wedge_index is not None
+
+    def free_hom(self, target: "Class2Group", gen_images,
+                 check: bool = True) -> "Class2Hom":
+        """The hom with these generator images whose central-layer map is
+        forced by commutators: the wedge generator e_i ^ e_j of a free
+        class-2 group goes to the commutator of the images of e_i and e_j.
+        A group without central layer is served as well."""
+        pairs = list(self.wedge_index or ())
+        if len(pairs) != self.c.ngens:
+            raise ValueError("generator images do not force the central "
+                             "layer of a group that is not free")
+        cols = [gen_images[i].commutator(gen_images[j]).cvec
+                for i, j in pairs]
+        cmap = AbMap(self.c, target.c, la.transpose(cols, target.c.ngens),
+                     check=False)
+        return Class2Hom(self, target, gen_images, cmap, check=check)
+
+    def nilization(self):
+        """(class-2 group, map from this base): the identity here."""
+        return self, identity_hom(self)
+
+    def h0_of(self, bnd: "Class2Hom") -> "Class2Group":
+        """h0 of a boundary into this base: its cokernel."""
+        return hom_cokernel(bnd)[0]
+
+    def h1_of(self, bnd: "Class2Hom") -> FinAbGroup:
+        """h1 of a boundary into this base: its kernel, which is abelian
+        when the axioms hold."""
+        k, _ = hom_kernel(bnd)
+        if not k.is_abelian():
+            raise ValueError("kernel of the boundary is not abelian; "
+                             "axioms must be failing")
+        return k.underlying_ab()
 
     def is_isomorphic_abstract(self, other: "Class2Group") -> bool:
         """Cheap invariant screen: abelianization plus commutator subgroup.
@@ -417,11 +485,16 @@ class Class2Hom:
 
     # -- algebra -----------------------------------------------------------------
 
-    def compose(self, other: "Class2Hom") -> "Class2Hom":
-        """self after other."""
-        imgs = [self.eval(img) for img in other.gen_images]
-        cm = self.cmap.compose(other.cmap)
-        return Class2Hom(other.source, self.target, imgs, cm, check=False)
+    def compose(self, other):
+        """self after other: a Class2Hom, or a `crossed.FreeBaseHom` out of
+        a free base, and the composite is then again one."""
+        return other.then(self)
+
+    def then(self, outer: "Class2Hom") -> "Class2Hom":
+        """outer after self."""
+        imgs = [outer.eval(img) for img in self.gen_images]
+        cm = outer.cmap.compose(self.cmap)
+        return Class2Hom(self.source, outer.target, imgs, cm, check=False)
 
     def __eq__(self, other):
         if not isinstance(other, Class2Hom):
@@ -735,18 +808,11 @@ def element_to_word(elem: Class2Elem) -> Word:
 
 def hom_from_words(source: Class2Group, target: Class2Group,
                    images: dict, cmap: AbMap = None) -> Class2Hom:
-    """Homomorphism of free_nil groups from generator words."""
-    gen_images = []
-    for name in source.gen_names:
-        gen_images.append(nilize(images[name], target))
+    """Homomorphism of free_nil groups from generator words; the central
+    layer map is forced by commutators unless given."""
+    gen_images = [nilize(images[name], target) for name in source.gen_names]
     if cmap is None:
-        # commutator layer is forced: wedge (i,j) -> [img_i, img_j]
-        cols = []
-        for (i, j), _ in sorted(source.wedge_index.items(), key=lambda t: t[1]):
-            val = gen_images[i].commutator(gen_images[j])
-            cols.append(val.cvec)
-        cmap = AbMap(source.c, target.c,
-                     la.transpose(cols, target.c.ngens), check=False)
+        return source.free_hom(target, gen_images)
     return Class2Hom(source, target, gen_images, cmap)
 
 

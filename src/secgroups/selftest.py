@@ -148,12 +148,7 @@ def _random_track(rng, n, src, tgt, bdata):
         av = [amat[r][i] for r in range(lts.ngens)]
         imgs.append(phi.eval(src.generator(i))
                     * tgt.central(la.mat_vec(bmap.matrix, av)))
-    cols = []
-    for (a, b), _ in sorted(src.wedge_index.items(), key=lambda t: t[1]):
-        cols.append(imgs[a].commutator(imgs[b]).cvec)
-    psi = Class2Hom(src, tgt, imgs,
-                    AbMap(src.c, tgt.c, la.transpose(cols, tgt.c.ngens),
-                          check=False), check=False)
+    psi = src.free_hom(tgt, imgs, check=False)
     alpha = AbMap(FinAbGroup(k), lts, amat, check=False)
     return HopfTrack(n, phi, psi, alpha, check=False)
 
@@ -164,7 +159,6 @@ def crit_3(rng=None, per_law=1000):
     out = []
     for n in (2, 3):
         bdata = boundary_map(n, B)
-        bdata_c = boundary_map(n, C)
         budget = per_law if n == 2 else per_law // 2
         ok1 = ok2 = ok3 = ok4 = ok5 = True
         for _ in range(budget):

@@ -22,7 +22,6 @@ parse-print-parse is the identity on canonical documents.
 
 from __future__ import annotations
 
-from . import intlinalg as la
 from .abelian import AbMap, FinAbGroup
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
                       GroupAction, OmegaPairing, ReducedQuadraticModule,
@@ -39,6 +38,11 @@ class ParseError(ValueError):
         super().__init__("line %d, col %d: %s" % (line, col, message))
         self.line = line
         self.col = col
+
+
+class ValidationError(ParseError):
+    """A well-formed block that does not build a valid object (a hom that
+    is not well defined, a mismatched module, ...), with its position."""
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +281,9 @@ class _Parser:
                                  t.col)
             try:
                 obj = _build(block, doc)
-            except ParseError:
-                raise
-            except Exception as e:
-                raise ParseError("in block %r: %s" % (block.name, e),
-                                 t.line, t.col)
+            except (ValueError, NotImplementedError) as e:
+                raise ValidationError("in block %r: %s" % (block.name, e),
+                                      t.line, t.col)
             try:
                 doc.add(block, obj)
             except ValueError as e:
@@ -529,20 +531,7 @@ def _build(block, doc: Document):
                 images.append(_group_elem(tgt, by_name[lab]))
             return TensorHom(src, tgt, images)
         imgs = _ordered_images(src, block.images, "generator")
-        gen_images = [_group_elem(tgt, w) for w in imgs]
-        if hasattr(src, "wedge_index"):
-            cols = []
-            for (i, j), _ in sorted(src.wedge_index.items(),
-                                    key=lambda t: t[1]):
-                cols.append(gen_images[i].commutator(gen_images[j]).cvec)
-            cmap = AbMap(src.c, tgt.c, la.transpose(cols, tgt.c.ngens),
-                         check=False)
-        elif src.c.ngens == 0:
-            cmap = AbMap(src.c, tgt.c, la.zeros(tgt.c.ngens, 0), check=False)
-        else:
-            raise ValueError("cannot infer the central layer of %r"
-                             % block.name)
-        return Class2Hom(src, tgt, gen_images, cmap)
+        return src.free_hom(tgt, [_group_elem(tgt, w) for w in imgs])
 
     if isinstance(block, CrossBlock):
         m = _resolve(doc, block.m, "group")
@@ -602,8 +591,7 @@ def _build(block, doc: Document):
         mor = _resolve(doc, block.mor, "mor")
         if not isinstance(mor, CrossMorphism):
             raise ValueError("twomorphism needs a mor block")
-        base = TwoMorphism._base(mor.src)
-        imgs = _ordered_images(base, block.values, "base")
+        imgs = _ordered_images(mor.src.base, block.values, "base")
         values = [_group_elem(mor.tgt.m, w) for w in imgs]
         return TwoMorphism(mor, values)
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 from . import intlinalg as la
 from .abelian import (AbMap, FinAbGroup, tensor_square, tensor_square_map,
                       zero_map)
-from .crossed import CrossMorphism, FreeGroupBase
-from .nil2 import Class2Elem, Class2Group, Class2Hom, boundary_map, \
-    element_to_word, nilize
+from .crossed import CrossMorphism
+from .nil2 import Class2Elem, Class2Hom, boundary_map, element_to_word, \
+    nilize
 from .words import Word
 
 CLASSICAL_HOPF_SIGN = -1
@@ -165,19 +165,6 @@ def suspend_track(track: HopfTrack) -> HopfTrack:
 # 2-morphisms between morphisms of crossed / quadratic modules
 # ---------------------------------------------------------------------------
 
-def _forced_base_cmap(source: Class2Group, gen_images, target: Class2Group,
-                      fallback: AbMap) -> AbMap:
-    """Central-layer matrix forced by commutators when the source central
-    layer has the wedge basis; otherwise the caller's fallback."""
-    if not hasattr(source, "wedge_index"):
-        return fallback
-    cols = []
-    for (i, j), _ in sorted(source.wedge_index.items(), key=lambda t: t[1]):
-        cols.append(gen_images[i].commutator(gen_images[j]).cvec)
-    return AbMap(source.c, target.c, la.transpose(cols, target.c.ngens),
-                 check=False)
-
-
 class TwoMorphism:
     """A 2-morphism f => g between morphisms x -> y of the same level,
     given by its values on the base generators of x.
@@ -199,8 +186,8 @@ class TwoMorphism:
         self.y = f.tgt
         self.level = self.x.level
         self.values = list(values)
-        base = self._base(self.x)
-        if isinstance(base, FreeGroupBase) or not hasattr(base, "wedge_index"):
+        base = self.x.base
+        if base.wedge_index is None:
             raise NotImplementedError(
                 "2-morphisms need a free class-2 base for word evaluation")
         if len(self.values) != base.q.ngens:
@@ -209,21 +196,16 @@ class TwoMorphism:
         if check:
             self.validate()
 
-    @staticmethod
-    def _base(obj):
-        return obj.base if obj.level == 1 else obj.n
-
     # -- evaluation ---------------------------------------------------------
 
     def _f0(self, word: Word):
-        return self.f.f0.eval(nilize(word, self._base(self.x)))
+        return self.f.f0.eval(nilize(word, self.x.base))
 
     def _letter_value(self, i: int, exp: int) -> Class2Elem:
         v = self.values[i]
         if exp == 1:
             return v
-        base = self._base(self.x)
-        letter = Word([(base.gen_names[i], 1)])
+        letter = Word([(self.x.base.gen_names[i], 1)])
         if self.level == 1:
             # from 1 = alpha(e)^{f0(e^-1)} alpha(e^-1)
             return self.y.act(v, self._f0(letter).inverse()).inverse()
@@ -232,8 +214,7 @@ class TwoMorphism:
         return v.inverse() * corr
 
     def eval_word(self, word: Word) -> Class2Elem:
-        base = self._base(self.x)
-        index = {s: i for i, s in enumerate(base.gen_names)}
+        index = {s: i for i, s in enumerate(self.x.base.gen_names)}
         out = self.y.m.identity()
         for sym, e in word.letters:
             step = 1 if e > 0 else -1
@@ -255,14 +236,9 @@ class TwoMorphism:
 
     def _derive_companion(self) -> CrossMorphism:
         x, y, f = self.x, self.y, self.f
-        base_x = self._base(x)
-        base_y = self._base(y)
-        g0_imgs = []
-        for i in range(base_x.q.ngens):
-            d_alpha = y.bnd.eval(self.values[i])
-            g0_imgs.append(f.f0.eval(base_x.generator(i)) * d_alpha)
-        g0 = Class2Hom(base_x, base_y, g0_imgs,
-                       _forced_base_cmap(base_x, g0_imgs, base_y, f.f0.cmap))
+        g0_imgs = [f.f0.eval(x.base.generator(i)) * y.bnd.eval(v)
+                   for i, v in enumerate(self.values)]
+        g0 = x.base.free_hom(y.base, g0_imgs)
         g1_imgs = []
         for i in range(x.m.q.ngens):
             mg = x.m.generator(i)
@@ -283,8 +259,7 @@ class TwoMorphism:
 
     def validate(self):
         x, y = self.x, self.y
-        base = self._base(x)
-        gens = [base.generator(i) for i in range(base.q.ngens)]
+        gens = [x.base.generator(i) for i in range(x.base.q.ngens)]
         for a in gens:
             for b in gens:
                 lhs = self.eval(a * b)
@@ -322,7 +297,7 @@ def vcomp2(second: TwoMorphism, first: TwoMorphism) -> TwoMorphism:
 
 def whisker_right2(alpha: TwoMorphism, k: CrossMorphism) -> TwoMorphism:
     """alpha whiskered by k: w -> x on the source side."""
-    base_w = TwoMorphism._base(k.src)
+    base_w = k.src.base
     vals = [alpha.eval(k.f0.eval(base_w.generator(i)))
             for i in range(base_w.q.ngens)]
     fk = CrossMorphism(k.src, alpha.y, alpha.f.f1.compose(k.f1),

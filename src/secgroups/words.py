@@ -82,6 +82,10 @@ class Word:
             out = out * self
         return out
 
+    def conjugate_by(self, other: "Word") -> "Word":
+        """other^-1 * self * other."""
+        return other.inverse() * self * other
+
     def is_trivial(self) -> bool:
         return not self.reduced().letters
 

@@ -162,3 +162,28 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert main(["canon", _path("track.sg")]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == "internal error: AttributeError: no attribute 'base'\n"
+
+
+def test_invalid_hom_is_a_validation_error(tmp_path, capsys):
+    doc = tmp_path / "bad_hom.sg"
+    doc.write_text("group A ab 1 rel 2\n"
+                   "group B ab 1\n"
+                   "hom f : A -> B { x0 -> x0 }\n")
+    assert main(["check", str(doc), "f"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid document: line 3, col 1: in block 'f': "
+                            "hom disagrees on relation representatives\n")
+
+
+def test_slip_while_building_a_block_is_an_internal_error(monkeypatch,
+                                                          capsys):
+    from secgroups import serialization
+
+    def broken(block, doc):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(serialization, "_build", broken)
+    assert main(["canon", _path("track.sg")]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == \
+        "internal error: TypeError: unsupported operand\n"

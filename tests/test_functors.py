@@ -4,11 +4,13 @@ free objects on groupoids, and the adjunction."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from secgroups.words import PointedSet
+from secgroups.words import PointedSet, Word
 from secgroups.abelian import FinAbGroup
-from secgroups.nil2 import identity_hom
-from secgroups.crossed import CrossMorphism, check_axioms
+from secgroups.nil2 import free_nil, hom_from_words, identity_hom, nilize
+from secgroups.crossed import (AbCoords, CrossMorphism, FreeBaseHom,
+                               FreeGroupBase, check_axioms)
 from secgroups.models import wedge_model
 from secgroups.functors import (
     fiber, six_term, phi1, phi2, phi3, ad1, ad2, ad3,
@@ -107,3 +109,56 @@ def test_adjunction_bijection(n):
         y = _finite_rqm(2, 2, 1, stable=True, level=3)
     rep = adjunction_check(n, x, y)
     assert rep["counts_equal"] and rep["bijection"], rep
+
+
+# ---------------------------------------------------------------------------
+# the word-fed map out of a free base
+# ---------------------------------------------------------------------------
+
+LETTERS = "abc"
+
+
+def _words(k, max_len=8):
+    letters = st.tuples(st.sampled_from(LETTERS[:k]), st.sampled_from([-1, 1]))
+    return st.lists(letters, max_size=max_len).map(Word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_word_fed_map_matches_nilize_and_chained_evaluation(data):
+    k = data.draw(st.integers(1, 3), label="letters")
+    points = PointedSet(list(LETTERS[:k]))
+    base = FreeGroupBase(points)
+    g = free_nil(points)
+    to_nil = FreeBaseHom(base, g, [g.generator(i) for i in range(k)])
+    w = data.draw(_words(k), label="word")
+    assert to_nil.eval(w) == nilize(w, free_nil(points))
+    nil_group, nilization = base.nilization()
+    assert nilization.eval(w) == nilize(w, nil_group)
+    # a class-2 hom after the map is again a word-fed map, evaluated as the
+    # hom applied to the map's value
+    k2 = data.draw(st.integers(1, 3), label="target letters")
+    h = free_nil(PointedSet(list(LETTERS[:k2])))
+    outer = hom_from_words(g, h, {s: data.draw(_words(k2, 4), label=s)
+                                  for s in g.gen_names})
+    composed = outer.compose(to_nil)
+    assert isinstance(composed, FreeBaseHom)
+    assert composed.eval(w) == outer.eval(to_nil.eval(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ab_coords_agree_over_free_base_and_free_nil(data):
+    k = data.draw(st.integers(1, 3), label="letters")
+    points = PointedSet(list(LETTERS[:k]))
+    g = free_nil(points)
+    free, nil = AbCoords(FreeGroupBase(points)), AbCoords(g)
+    u = data.draw(_words(k), label="word")
+    v = Word(data.draw(st.permutations(u.letters), label="shuffled"))
+    want = free.of(u)
+    assert free.of(v) == want
+    assert nil.of(nilize(u, g)) == want
+    assert nil.of(nilize(v, g)) == want
+    units = [[int(i == j) for j in range(k)] for i in range(k)]
+    assert [free.of(b) for b in free.basis] == units
+    assert [nil.of(b) for b in nil.basis] == units
