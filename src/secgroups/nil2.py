@@ -10,6 +10,12 @@ lam = beta - beta o swap.  Elements are pairs (q, c) multiplied by
 so all word problems reduce to exact integer linear algebra.  Commutators
 are written additively in the group-theory convention [x, y] = -x-y+x+y.
 
+`lam` and `beta` are stored dense, one row per central generator and one
+column per pair (i, j) of Q generators, and that is the form every reader
+of the matrices sees.  They are evaluated through their nonzeros only,
+indexed once per group by first index: a free class-2 group has one nonzero
+per central generator, an abelian group viewed as class two has none.
+
 Homomorphisms are stored as generator images plus a map on the central
 layer; construction checks commutator compatibility on generator pairs
 i > j and representative independence on relations, which suffices in
@@ -68,6 +74,8 @@ class Class2Group:
             raise ValueError("beta must be c.ngens x q.ngens^2")
         self.gen_names = list(gen_names) if gen_names else [
             "x%d" % i for i in range(nq)]
+        self._lam_terms = _nonzero_terms(self.lam, nq)
+        self._beta_terms = _nonzero_terms(self.beta, nq)
         if check:
             self._validate()
 
@@ -89,17 +97,16 @@ class Class2Group:
                 ej = [0] * self.q.ngens
                 ej[j] = 1
                 for u, v in ((rel, ej), (ej, rel)):
-                    img = la.mat_vec(self.beta, la.kron(u, v))
-                    if not self.c.contains_in_lattice(img):
+                    if not self.c.contains_in_lattice(self.beta_eval(u, v)):
                         raise ValueError("cocycle not defined modulo relations")
 
     # -- evaluation ----------------------------------------------------------
 
     def beta_eval(self, qu, qv) -> list[int]:
-        return la.mat_vec(self.beta, la.kron(qu, qv))
+        return _pairing(self._beta_terms, self.c.ngens, qu, qv)
 
     def lam_eval(self, qu, qv) -> list[int]:
-        return la.mat_vec(self.lam, la.kron(qu, qv))
+        return _pairing(self._lam_terms, self.c.ngens, qu, qv)
 
     # -- element constructors -------------------------------------------------
 
@@ -285,6 +292,29 @@ class Class2Group:
 
     def __repr__(self):
         return "Class2Group(Q=%r, C=%r)" % (self.q, self.c)
+
+
+def _nonzero_terms(mat, nq: int):
+    """The nonzeros of an nc x nq^2 pairing matrix, grouped by first index:
+    [(i, [(j, r, coeff), ...]), ...] over the i that have any."""
+    by_i = {}
+    for r, row in enumerate(mat):
+        for p, coeff in enumerate(row):
+            if coeff:
+                i, j = divmod(p, nq)
+                by_i.setdefault(i, []).append((j, r, coeff))
+    return sorted(by_i.items())
+
+
+def _pairing(terms, nc: int, qu, qv) -> list[int]:
+    """sum coeff * qu[i] * qv[j] over the nonzero terms, into C."""
+    out = [0] * nc
+    for i, row in terms:
+        a = qu[i]
+        if a:
+            for j, r, coeff in row:
+                out[r] += coeff * a * qv[j]
+    return out
 
 
 def abelian_as_class2(a: FinAbGroup, gen_names=None) -> Class2Group:

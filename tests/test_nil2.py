@@ -161,21 +161,69 @@ def _matrix(draw, rows, cols, entry=_SMALL):
 
 
 @st.composite
-def _unchecked_class2_groups(draw):
-    """Class2Group(check=False) with nq 0-4, nc 0-3, at most two Q and two
-    C relations, small beta and, in some cases, lam != beta - beta o swap."""
-    nq, nc = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+def _unchecked_class2_groups(draw, max_nq=4, max_nc=3, entry=_SMALL):
+    """Class2Group(check=False) with nq 0-max_nq, nc 0-max_nc, at most two
+    Q and two C relations, small beta and, in some cases,
+    lam != beta - beta o swap."""
+    nq, nc = draw(st.integers(0, max_nq)), draw(st.integers(0, max_nc))
     q = FinAbGroup(nq, _matrix(draw, draw(st.integers(0, 2)), nq,
                                st.integers(-4, 4)))
     c = FinAbGroup(nc, _matrix(draw, draw(st.integers(0, 2)), nc,
                                st.integers(-4, 4)))
-    beta = _matrix(draw, nc, nq * nq)
+    beta = _matrix(draw, nc, nq * nq, entry)
     lam = [[row[i * nq + j] - row[j * nq + i]
             for i in range(nq) for j in range(nq)] for row in beta]
     if draw(st.booleans()):
         lam = [[x + d for x, d in zip(row, extra)]
-               for row, extra in zip(lam, _matrix(draw, nc, nq * nq))]
+               for row, extra in zip(lam, _matrix(draw, nc, nq * nq, entry))]
     return Class2Group(q, c, lam, beta, check=False)
+
+
+def _dense(mat, qu, qv):
+    """The cocycle as a dense matrix times the Kronecker product qu (x) qv:
+    the evaluation the nonzero index replaced, kept as its oracle."""
+    return la.mat_vec(mat, la.kron(qu, qv))
+
+
+def _dense_collect_central(g: Class2Group, qvec):
+    nq = g.q.ngens
+    out = [0] * g.c.ngens
+    prefix = [0] * nq
+    for i, a in enumerate(qvec):
+        ei = [int(k == i) for k in range(nq)]
+        out = la.vec_add(out, la.vec_scale(a * (a - 1) // 2,
+                                           _dense(g.beta, ei, ei)))
+        out = la.vec_add(out, _dense(g.beta, prefix, la.vec_scale(a, ei)))
+        prefix[i] += a
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_cocycle_evaluation_matches_dense_oracle(data):
+    g = data.draw(_unchecked_class2_groups(5, 4, st.integers(-3, 3)))
+    nq, nc = g.q.ngens, g.c.ngens
+    vec = st.integers(-5, 5)
+    qx, qy = data.draw(_vectors(nq, vec)), data.draw(_vectors(nq, vec))
+    cx, cy = data.draw(_vectors(nc, vec)), data.draw(_vectors(nc, vec))
+    x, y = g.element(qx, cx), g.element(qy, cy)
+    assert g.beta_eval(qx, qy) == _dense(g.beta, qx, qy)
+    assert g.lam_eval(qx, qy) == _dense(g.lam, qx, qy)
+    assert x.commutator(y).cvec == _dense(g.lam, qx, qy)
+    xy = x * y
+    assert (xy.qvec, xy.cvec) == (
+        la.vec_add(qx, qy),
+        la.vec_add(la.vec_add(cx, cy), _dense(g.beta, qx, qy)))
+    inv = x.inverse()
+    assert (inv.qvec, inv.cvec) == (
+        [-a for a in qx], la.vec_add([-a for a in cx], _dense(g.beta, qx, qx)))
+    a = data.draw(st.integers(-4, 4))
+    power = x ** a
+    assert (power.qvec, power.cvec) == (
+        la.vec_scale(a, qx),
+        la.vec_add(la.vec_scale(a, cx),
+                   la.vec_scale(a * (a - 1) // 2, _dense(g.beta, qx, qx))))
+    assert g.collect_central(qx) == _dense_collect_central(g, qx)
 
 
 @given(st.data())
