@@ -666,6 +666,9 @@ class CrossMorphism:
     # -- induced maps -----------------------------------------------------------
 
     def induced_h1(self) -> AbMap:
+        if any(isinstance(x.base, FreeGroupBase) for x in (self.src, self.tgt)):
+            raise NotImplementedError("induced h1 over a free base is not "
+                                      "implemented")
         ks, kis = hom_kernel(self.src.bnd)
         kt, kit = hom_kernel(self.tgt.bnd)
         h1s, h1t = ks.underlying_ab(), kt.underlying_ab()

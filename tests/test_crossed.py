@@ -13,6 +13,7 @@ from secgroups.crossed import (
     PointedGroupoid, CrossedModule, ReducedQuadraticModule,
     StableQuadraticModule, CrossMorphism, check_axioms, H0Undecidable,
 )
+from secgroups.functors import ad2
 from secgroups.models import abelian_as_class2, wedge_model
 from secgroups.selftest import (
     _conjugation_module, _finite_rqm, cyclic_groupoid, klein_groupoid,
@@ -153,6 +154,14 @@ def test_cross_morphism_identity_and_weak_equivalence():
     f = CrossMorphism(x, x, identity_hom(x.m), identity_hom(x.n))
     f.validate()
     assert f.is_weak_equivalence()
+
+
+def test_induced_h1_refuses_a_free_base():
+    _, unit = ad2(wedge_model(1, PointedSet(["*", "a"])))
+    with pytest.raises(NotImplementedError, match="free base"):
+        unit.induced_h1()
+    with pytest.raises(NotImplementedError, match="free base"):
+        unit.is_weak_equivalence()
 
 
 def test_groupoid_check_and_h0_h1():
