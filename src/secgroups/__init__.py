@@ -25,7 +25,8 @@ from .coset import DEFAULT_CAP, EnumerationCapExceeded, \
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeBaseHom,
                       FreeGroupBase, GroupAction, H0Undecidable, OmegaPairing,
                       PointedGroupoid, ReducedQuadraticModule,
-                      StableQuadraticModule, WordHom, check_axioms)
+                      StableQuadraticModule, WordHom, check_axioms,
+                      quadratic_module)
 from .functors import (Fiber, ad1, ad2, ad3, adjunction_check, fiber, phi1,
                        phi2, phi3, six_term)
 from .models import (KInvariant, homotopy_groups, k_invariant,

@@ -15,6 +15,13 @@ defect is (bi)linear in its arguments in a class-2 setting, so vanishing on
 generators forces vanishing everywhere.  `check_axioms` returns a list of
 human-readable violations instead of raising, so callers can report.
 
+Every object of level one and up acts on M through its base by `act(x,
+n)`: a crossed module through its automorphisms, a quadratic module
+through the pairing, x^n = x * omega({bnd x} (x) {n}).  A 2-morphism obeys
+one derivation rule under that action at every level.  `quadratic_module`
+is the one place that picks the reduced (level two) or stable (level three
+and up) class from a level.
+
 Every object has a base group `.base` (`.n` on quadratic modules): the
 free group `FreeGroupBase` or a class-2 group at level one, a class-2 group
 above.  Both kinds of base answer one interface (generators, the letters an
@@ -548,6 +555,10 @@ class ReducedQuadraticModule:
         """The base group: a read-only alias of `n`."""
         return self.n
 
+    def act(self, x: Class2Elem, n: Class2Elem) -> Class2Elem:
+        """x acted on by the base element n: x * omega({bnd x} (x) {n})."""
+        return x * self.omega.pair_elems(self.bnd.eval(x), n)
+
     def check_axioms(self) -> list[str]:
         out = list(self.omega.centrality_violations())
         n_gens = self.n.generators()
@@ -592,6 +603,9 @@ class StableQuadraticModule(ReducedQuadraticModule):
     """Level >= 3: omega also kills the symmetrized tensor square."""
 
     def __init__(self, m, n, bnd, omega, level: int = 3):
+        if level < 3:
+            raise ValueError("a stable quadratic module has level >= 3, "
+                             "not %d" % level)
         super().__init__(m, n, bnd, omega)
         self.level = level
 
@@ -606,6 +620,17 @@ class StableQuadraticModule(ReducedQuadraticModule):
                 if not self.omega.eval_vec(vec).is_identity():
                     out.append("stability fails at (%d,%d)" % (i, j))
         return out
+
+
+def quadratic_module(m: Class2Group, n: Class2Group, bnd: Class2Hom,
+                     omega: OmegaPairing, level: int):
+    """The quadratic module of a level >= 2: reduced at level two, stable
+    above."""
+    if level < 2:
+        raise ValueError("a quadratic module has level >= 2, not %d" % level)
+    if level == 2:
+        return ReducedQuadraticModule(m, n, bnd, omega)
+    return StableQuadraticModule(m, n, bnd, omega, level=level)
 
 
 def check_axioms(x) -> list[str]:

@@ -23,7 +23,7 @@ from .abelian import AbMap, FinAbGroup, tensor_square, zero_map
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
                       GroupAction, OmegaPairing, PointedGroupoid,
                       ReducedQuadraticModule, StableQuadraticModule,
-                      _subgroup_coords)
+                      _subgroup_coords, quadratic_module)
 from .nil2 import (Class2Elem, Class2Group, Class2Hom, Subgroup,
                    abelian_as_class2, hom_cokernel, hom_kernel, identity_hom,
                    product_group)
@@ -97,11 +97,7 @@ def fiber(f: CrossMorphism) -> Fiber:
                     for u in base_vectors for v in base_vectors]
     omega_fib = OmegaPairing(coords_fib, x.m, omega_images)
 
-    if x.level >= 3:
-        fib_obj = StableQuadraticModule(x.m, fib0, bnd_fib, omega_fib,
-                                        level=x.level)
-    else:
-        fib_obj = ReducedQuadraticModule(x.m, fib0, bnd_fib, omega_fib)
+    fib_obj = quadratic_module(x.m, fib0, bnd_fib, omega_fib, x.level)
     jmor = CrossMorphism(fib_obj, x, identity_hom(x.m), proj)
     return Fiber(fib_obj, jmor, incl0)
 
@@ -194,25 +190,20 @@ def phi3(x: StableQuadraticModule) -> ReducedQuadraticModule:
 
 
 def phi2(x: ReducedQuadraticModule) -> CrossedModule:
-    """A reduced quadratic module as a crossed module: the pairing becomes
-    the action m^n = m + omega({bnd m} (x) {n})."""
+    """A reduced quadratic module as a crossed module: its action
+    m^n = m + omega({bnd m} (x) {n}), one automorphism per base generator."""
     n = x.n
     autos = []
     for i in range(n.q.ngens):
-        xv = x.coords.of(n.generator(i))
-        gen_images = []
-        for g in range(x.m.q.ngens):
-            mg = x.m.generator(g)
-            dm = x.coords.of(x.bnd.eval(mg))
-            gen_images.append(mg * x.omega.pair(dm, xv))
+        ng = n.generator(i)
+        gen_images = [x.act(x.m.generator(g), ng)
+                      for g in range(x.m.q.ngens)]
         ccols = []
         for j in range(x.m.c.ngens):
-            cg = x.m.central_generator(j)
-            dc = x.coords.of(x.bnd.eval(cg))
-            extra = x.omega.pair(dc, xv)
-            if not x.m.q.contains_in_lattice(extra.qvec):
+            moved = x.act(x.m.central_generator(j), ng)
+            if not x.m.q.contains_in_lattice(moved.qvec):
                 raise ValueError("action does not preserve the central layer")
-            ccols.append(la.vec_add(cg.cvec, extra.cvec))
+            ccols.append(moved.cvec)
         cmap = AbMap(x.m.c, x.m.c, la.transpose(ccols, x.m.c.ngens),
                      check=False)
         autos.append(Class2Hom(x.m, x.m, gen_images, cmap))
@@ -500,7 +491,7 @@ def _enumerate_homs(s, t, cap: int):
                          check=False)
             try:
                 yield Class2Hom(s, t, list(imgs), cmap, check=True)
-            except (ValueError, AssertionError):
+            except ValueError:
                 continue
 
 
@@ -515,7 +506,7 @@ def enumerate_morphisms(x, y, cap: int = ADJUNCTION_CAP):
         for f1 in f1s:
             try:
                 out.append(CrossMorphism(x, y, f1, f0))
-            except (ValueError, AssertionError):
+            except ValueError:
                 continue
     return out
 

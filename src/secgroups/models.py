@@ -16,13 +16,12 @@ functor into h1, together with a well-definedness certificate.
 from __future__ import annotations
 
 from . import intlinalg as la
-from .abelian import (AbMap, FinAbGroup, gamma, gamma_map, tensor_square,
-                      tensor_z2)
+from .abelian import AbMap, FinAbGroup
 from .crossed import (AbCoords, CrossedModule, FreeGroupBase, GroupAction,
-                      OmegaPairing, ReducedQuadraticModule,
-                      StableQuadraticModule, WordHom, _subgroup_coords)
+                      OmegaPairing, WordHom, _subgroup_coords,
+                      quadratic_module)
 from .nil2 import (Class2Hom, abelian_as_class2, boundary_map, free_nil,
-                   hom_cokernel, hom_kernel)
+                   hom_cokernel, hom_kernel, level_gamma, level_gamma_map)
 from .words import PointedSet
 
 
@@ -51,9 +50,7 @@ def wedge_model(n: int, points: PointedSet):
     omega_images = [m.generator(p) for p in range(lts.ngens)]
     omega = OmegaPairing(coords, m, omega_images,
                          check=(n == 2))
-    if n == 2:
-        return ReducedQuadraticModule(m, ngroup, bnd, omega)
-    return StableQuadraticModule(m, ngroup, bnd, omega, level=n)
+    return quadratic_module(m, ngroup, bnd, omega, n)
 
 
 def homotopy_groups(x):
@@ -103,26 +100,10 @@ def k_invariant(x) -> KInvariant:
     cols = [list(img.qvec) + list(img.cvec)
             for img in (proj.eval(b) for b in coords.basis)]
     qmatrix = la.transpose(cols, h_ab.ngens)
-    qmap = AbMap(coords.group, h_ab, qmatrix)
-
-    if n == 2:
-        g_src = gamma(coords.group)
-        g_tgt = gamma(h_ab)
-        gq = gamma_map(qmap, g_src, g_tgt)
-        ts = tensor_square(coords.group)
-        inc = g_src.into_tensor_square(ts)
-        gamma_h = g_tgt.group
-    else:
-        g_src_grp, proj_src = tensor_z2(coords.group)
-        gamma_h, proj_tgt = tensor_z2(h_ab)
-        gq = AbMap(g_src_grp, gamma_h, qmatrix)
-        ts = tensor_square(coords.group)
-        m = la.zeros(ts.group.ngens, coords.group.ngens)
-        for i in range(coords.group.ngens):
-            m[ts.index(i, i)][i] = 1
-        inc = AbMap(g_src_grp, ts.group, m, check=False)
-
-    src_group = gq.source
+    gq = level_gamma_map(n, AbMap(coords.group, h_ab, qmatrix))
+    # the level tensor square keeps the plain basis the pairing reads
+    _, inc, _ = level_gamma(n, coords.group)
+    src_group, gamma_h = gq.source, gq.target
 
     def push(vec) -> list[int]:
         tvec = la.mat_vec(inc.matrix, vec)

@@ -34,7 +34,7 @@ fails to descend raises `QuotientError` instead of silently answering.
 from __future__ import annotations
 
 from . import intlinalg as la
-from .abelian import (AbMap, FinAbGroup, gamma, identity_map,
+from .abelian import (AbMap, FinAbGroup, gamma, gamma_map, identity_map,
                       reduced_tensor_square, tensor_square, tensor_z2,
                       zero_map)
 from .words import PointedSet, Word
@@ -872,6 +872,14 @@ def level_gamma(n: int, a: FinAbGroup):
         m[ts.index(i, i)][i] = 1
     inc = AbMap(g2, lts, m)
     return g2, inc, (lts, from_plain, ts)
+
+
+def level_gamma_map(n: int, f: AbMap) -> AbMap:
+    """The level quadratic functor on a map f: A -> B, between the groups
+    `level_gamma` gives A and B: gamma(f) at level 2, f (x) Z/2 above."""
+    if n == 2:
+        return gamma_map(f, gamma(f.source), gamma(f.target))
+    return AbMap(tensor_z2(f.source)[0], tensor_z2(f.target)[0], f.matrix)
 
 
 def boundary_map(n: int, free_group: Class2Group):

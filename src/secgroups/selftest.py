@@ -16,17 +16,17 @@ from __future__ import annotations
 import random
 
 from . import intlinalg as la
-from .abelian import (AbMap, FinAbGroup, gamma, identity_map, tensor_square,
-                      tensor_square_map, tensor_z2)
+from .abelian import (AbMap, FinAbGroup, identity_map, tensor_square,
+                      tensor_square_map)
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, GroupAction,
                       OmegaPairing, PointedGroupoid, ReducedQuadraticModule,
-                      StableQuadraticModule)
+                      quadratic_module)
 from .functors import ad1, ad2, adjunction_check, fiber, six_term
 from .models import (homotopy_groups, k_invariant, suspension_comparison,
                      wedge_model)
 from .nil2 import (Class2Group, Class2Hom, abelian_as_class2, boundary_map,
                    exact_sequence_report, free_nil, hom_from_words,
-                   identity_hom, nilize)
+                   identity_hom, level_gamma, nilize)
 from .tracks import (HopfTrack, nil_track, suspend_track, tracks_between,
                      vcomp, whisker_left, whisker_right, interchange_holds,
                      TwoMorphism)
@@ -220,13 +220,9 @@ def crit_3(rng=None, per_law=1000):
             B2 = free_nil(_points(k))
             _, bmap, _, _ = boundary_map(n, B2)
             kg, _ = bmap.kernel()
-            if n == 2:
-                want = gamma(B2.q).group
-            else:
-                want, _ = tensor_z2(B2.q)
             out.append(_result(
                 "track torsor kernel n=%d k=%d" % (n, k),
-                kg.is_isomorphic_to(want)))
+                kg.is_isomorphic_to(level_gamma(n, B2.q)[0])))
     return out
 
 
@@ -328,9 +324,7 @@ def quotient_wedge(n: int, points: PointedSet, extra_rels):
     omega = OmegaPairing(AbCoords(w.n), m,
                          [m.generator(p) for p in range(lts.ngens)],
                          check=False)
-    if n == 2:
-        return ReducedQuadraticModule(m, w.n, bnd, omega)
-    return StableQuadraticModule(m, w.n, bnd, omega, level=n)
+    return quadratic_module(m, w.n, bnd, omega, n)
 
 
 def _random_quotient_wedge(rng, n, points):
@@ -554,7 +548,7 @@ def crit_9():
 # criterion 10: adjunction corpus
 # ---------------------------------------------------------------------------
 
-def _finite_rqm(m_order, n_order, omega_scale, stable=False, level=2):
+def _finite_rqm(m_order, n_order, omega_scale, level=2):
     m = abelian_as_class2(FinAbGroup(1, [[m_order]]), ["m0"])
     ngrp = abelian_as_class2(FinAbGroup(1, [[n_order]]), ["n0"])
     bnd = Class2Hom(m, ngrp, [ngrp.identity()],
@@ -562,9 +556,7 @@ def _finite_rqm(m_order, n_order, omega_scale, stable=False, level=2):
                     check=False)
     images = [m.element([omega_scale], [])]
     omega = OmegaPairing(AbCoords(ngrp), m, images, check=False)
-    if stable:
-        return StableQuadraticModule(m, ngrp, bnd, omega, level=level)
-    return ReducedQuadraticModule(m, ngrp, bnd, omega)
+    return quadratic_module(m, ngrp, bnd, omega, level)
 
 
 def adjunction_corpus_2():
@@ -578,8 +570,7 @@ def adjunction_corpus_3():
     """(x, y) instances for the level-2/level-3 adjunction."""
     xs = [wedge_model(2, _points(1)), _finite_rqm(2, 2, 1),
           _finite_rqm(2, 2, 0)]
-    ys = [_finite_rqm(2, 2, 1, stable=True), _finite_rqm(2, 2, 0,
-                                                         stable=True)]
+    ys = [_finite_rqm(2, 2, 1, level=3), _finite_rqm(2, 2, 0, level=3)]
     return [(x, y) for x in xs for y in ys][:10]
 
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from .abelian import AbMap, FinAbGroup
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
-                      GroupAction, OmegaPairing, ReducedQuadraticModule,
-                      StableQuadraticModule, WordHom)
+                      GroupAction, OmegaPairing, WordHom, quadratic_module)
 from .nil2 import Class2Group, Class2Hom, abelian_as_class2, free_nil, nilize
 from .tracks import HopfTrack, TwoMorphism, boundary_map
 from .words import PointedSet, Word
@@ -565,12 +564,8 @@ def _build(block, doc: Document):
             if th.source is not ngrp or th.target is not m:
                 raise ValueError("omega endpoints do not match N and M")
             images = th.images
-        omega = OmegaPairing(coords, m, images)
-        if block.n == 2:
-            out = ReducedQuadraticModule(m, ngrp, bnd, omega)
-        else:
-            out = StableQuadraticModule(m, ngrp, bnd, omega, level=block.n)
-        return out
+        return quadratic_module(m, ngrp, bnd, OmegaPairing(coords, m, images),
+                                block.n)
 
     if isinstance(block, MorBlock):
         src = _resolve(doc, block.src, "object")

@@ -21,8 +21,10 @@ and returns the kernel of the level boundary, under which the set of tracks
 is a torsor generator by generator.
 
 `TwoMorphism` is the corresponding notion for morphisms of crossed (level
-one) or quadratic (level two and up) modules, evaluated by the crossed or
-quadratic derivation rule respectively.
+one) or quadratic (level two and up) modules.  It is evaluated by one
+derivation rule under the target's action on M, which a quadratic module
+takes from its pairing; that the pairing values are central, as the
+quadratic-module axioms require, is what makes the rule the quadratic one.
 """
 
 from __future__ import annotations
@@ -169,10 +171,11 @@ class TwoMorphism:
     """A 2-morphism f => g between morphisms x -> y of the same level,
     given by its values on the base generators of x.
 
-    Level one obeys the crossed derivation rule
-        alpha(a b) = alpha(a) ^ f0(b) * alpha(b),
-    level two and up the quadratic rule
-        alpha(a b) = alpha(a) * alpha(b) * omega'({d' alpha(a)} (x) {f0 b}).
+    Every level obeys the derivation rule
+        alpha(a b) = alpha(a) ^ f0(b) * alpha(b)
+    under the action of y.  At level two and up that action is
+    m ^ n = m * omega'({d' m} (x) {n}); omega' is central, so the rule
+    reads alpha(a b) = alpha(a) * alpha(b) * omega'({d' alpha(a)} (x) {f0 b}).
     The companion morphism g, with g0 = f0 * (d' alpha) and
     g1 = f1 * (alpha d), is derived and validated on construction.
 
@@ -184,7 +187,6 @@ class TwoMorphism:
         self.f = f
         self.x = f.src
         self.y = f.tgt
-        self.level = self.x.level
         self.values = list(values)
         base = self.x.base
         if base.wedge_index is None:
@@ -206,12 +208,8 @@ class TwoMorphism:
         if exp == 1:
             return v
         letter = Word([(self.x.base.gen_names[i], 1)])
-        if self.level == 1:
-            # from 1 = alpha(e)^{f0(e^-1)} alpha(e^-1)
-            return self.y.act(v, self._f0(letter).inverse()).inverse()
-        # from 1 = alpha(e) alpha(e^-1) omega'({d' alpha(e)} (x) -{f0 e})
-        corr = self.y.omega.pair_elems(self.y.bnd.eval(v), self._f0(letter))
-        return v.inverse() * corr
+        # from 1 = alpha(e)^{f0(e^-1)} alpha(e^-1)
+        return self.y.act(v, self._f0(letter).inverse()).inverse()
 
     def eval_word(self, word: Word) -> Class2Elem:
         index = {s: i for i, s in enumerate(self.x.base.gen_names)}
@@ -221,12 +219,7 @@ class TwoMorphism:
             for _ in range(abs(e)):
                 letter = Word([(sym, step)])
                 val = self._letter_value(index[sym], step)
-                if self.level == 1:
-                    out = self.y.act(out, self._f0(letter)) * val
-                else:
-                    corr = self.y.omega.pair_elems(
-                        self.y.bnd.eval(out), self._f0(letter))
-                    out = out * val * corr
+                out = self.y.act(out, self._f0(letter)) * val
         return out
 
     def eval(self, elem: Class2Elem) -> Class2Elem:
@@ -263,12 +256,7 @@ class TwoMorphism:
         for a in gens:
             for b in gens:
                 lhs = self.eval(a * b)
-                if self.level == 1:
-                    rhs = y.act(self.eval(a), self.f.f0.eval(b)) * self.eval(b)
-                else:
-                    corr = y.omega.pair_elems(y.bnd.eval(self.eval(a)),
-                                              self.f.f0.eval(b))
-                    rhs = self.eval(a) * self.eval(b) * corr
+                rhs = y.act(self.eval(a), self.f.f0.eval(b)) * self.eval(b)
                 if not lhs == rhs:
                     raise ValueError(
                         "derivation rule fails on a generator pair")

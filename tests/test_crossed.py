@@ -12,6 +12,7 @@ from secgroups.crossed import (
     FreeGroupBase, WordHom, AbCoords, GroupAction, OmegaPairing,
     PointedGroupoid, CrossedModule, ReducedQuadraticModule,
     StableQuadraticModule, CrossMorphism, check_axioms, H0Undecidable,
+    quadratic_module,
 )
 from secgroups.functors import ad2
 from secgroups.models import abelian_as_class2, wedge_model
@@ -139,8 +140,22 @@ def test_reduced_quadratic_module_axioms():
 
 
 def test_stable_quadratic_module_needs_symmetry():
-    sq = _finite_rqm(2, 2, 1, stable=True, level=3)
+    sq = _finite_rqm(2, 2, 1, level=3)
     assert check_axioms(sq) == []
+
+
+def test_quadratic_module_picks_the_class_from_the_level():
+    x = _finite_rqm(2, 2, 1)
+    parts = (x.m, x.n, x.bnd, x.omega)
+    assert type(quadratic_module(*parts, 2)) is ReducedQuadraticModule
+    for n in (3, 4):
+        y = quadratic_module(*parts, n)
+        assert type(y) is StableQuadraticModule and y.level == n
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            quadratic_module(*parts, n)
+    with pytest.raises(ValueError):
+        StableQuadraticModule(*parts, level=2)
 
 
 def test_wedge_model_axioms():

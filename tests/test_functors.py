@@ -50,7 +50,7 @@ def test_fiber_rejects_level1():
 
 
 def test_phi_tower_preserves_homotopy_groups():
-    sq = _finite_rqm(2, 2, 1, stable=True, level=3)
+    sq = _finite_rqm(2, 2, 1, level=3)
     rq = phi3(sq)
     assert check_axioms(rq) == []
     assert rq.h1().is_isomorphic_to(sq.h1())
@@ -106,7 +106,7 @@ def test_adjunction_bijection(n):
         y = _finite_rqm(2, 2, 1)
     else:
         x = wedge_model(2, PointedSet(["a"]))
-        y = _finite_rqm(2, 2, 1, stable=True, level=3)
+        y = _finite_rqm(2, 2, 1, level=3)
     rep = adjunction_check(n, x, y)
     assert rep["counts_equal"] and rep["bijection"], rep
 

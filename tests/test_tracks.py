@@ -8,8 +8,10 @@ import pytest
 from secgroups.words import PointedSet
 from secgroups.abelian import FinAbGroup, AbMap, gamma, tensor_z2
 from secgroups import intlinalg as la
-from secgroups.nil2 import free_nil, boundary_map, identity_hom
+from secgroups.nil2 import (free_nil, boundary_map, identity_hom,
+                            element_to_word, nilize)
 from secgroups.crossed import CrossMorphism
+from secgroups.functors import phi2
 from secgroups.models import wedge_model
 from secgroups.tracks import (
     HopfTrack, hopf, nil_track, tracks_between, vcomp,
@@ -18,8 +20,10 @@ from secgroups.tracks import (
 )
 from secgroups.selftest import (
     _random_hom, _random_track, _conjugation_module, _rand_m_elem,
-    _induced_wedge_morphism, _points,
+    _induced_wedge_morphism, _points, _rand_group_elem, _random_word,
+    _random_quotient_wedge,
 )
+from secgroups.words import Word
 
 
 G1 = free_nil(PointedSet(["a"]))
@@ -165,10 +169,134 @@ def test_interchange_crossed():
     cm = _conjugation_module(_points(2))
     ident = CrossMorphism(cm, cm, identity_hom(cm.m), identity_hom(cm.base),
                           check=False)
-    from secgroups.selftest import _rand_group_elem
     for _ in range(5):
         a1 = TwoMorphism(ident, [_rand_group_elem(rng, cm.m)
                                  for _ in range(2)], check=False)
         a2 = TwoMorphism(a1.g, [_rand_group_elem(rng, cm.m)
                                 for _ in range(2)], check=False)
         assert interchange_holds(a1, a2)
+
+
+# --- one derivation rule against the crossed/quadratic split ----------------
+#
+# The oracle below is the two-branch evaluation a 2-morphism had before the
+# quadratic rule was read as the crossed rule under the module action:
+# crossed at level one, an explicit omega correction at level two and up.
+
+def _oracle_f0(alpha, word):
+    return alpha.f.f0.eval(nilize(word, alpha.x.base))
+
+
+def _oracle_letter_value(alpha, i, exp):
+    v = alpha.values[i]
+    if exp == 1:
+        return v
+    y = alpha.y
+    letter = Word([(alpha.x.base.gen_names[i], 1)])
+    if alpha.x.level == 1:
+        return y.act(v, _oracle_f0(alpha, letter).inverse()).inverse()
+    corr = y.omega.pair_elems(y.bnd.eval(v), _oracle_f0(alpha, letter))
+    return v.inverse() * corr
+
+
+def _oracle_eval(alpha, elem):
+    y = alpha.y
+    index = {s: i for i, s in enumerate(alpha.x.base.gen_names)}
+    out = y.m.identity()
+    for sym, e in element_to_word(elem).letters:
+        step = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            letter = Word([(sym, step)])
+            val = _oracle_letter_value(alpha, index[sym], step)
+            if alpha.x.level == 1:
+                out = y.act(out, _oracle_f0(alpha, letter)) * val
+            else:
+                corr = y.omega.pair_elems(y.bnd.eval(out),
+                                          _oracle_f0(alpha, letter))
+                out = out * val * corr
+    return out
+
+
+def _oracle_validates(alpha):
+    x, y = alpha.x, alpha.y
+    gens = [x.base.generator(i) for i in range(x.base.q.ngens)]
+    for a in gens:
+        for b in gens:
+            lhs = _oracle_eval(alpha, a * b)
+            if x.level == 1:
+                rhs = (y.act(_oracle_eval(alpha, a), alpha.f.f0.eval(b))
+                       * _oracle_eval(alpha, b))
+            else:
+                corr = y.omega.pair_elems(y.bnd.eval(_oracle_eval(alpha, a)),
+                                          alpha.f.f0.eval(b))
+                rhs = (_oracle_eval(alpha, a) * _oracle_eval(alpha, b)
+                       * corr)
+            if not lhs == rhs:
+                return False
+    return True
+
+
+def _validates(alpha):
+    try:
+        alpha.validate()
+    except ValueError:
+        return False
+    return True
+
+
+def _random_base_elem(rng, base):
+    return nilize(_random_word(rng, base.gen_names, 6), base)
+
+
+def _random_two_morphisms(rng):
+    """2-morphisms of random quadratic squares on wedge models (levels 2
+    and 3) and of random crossed squares on a conjugation module."""
+    out = []
+    for n in (2, 3):
+        x = wedge_model(n, _points(2))
+        y = wedge_model(n, _points(rng.randint(1, 2)))
+        f = _induced_wedge_morphism(rng, x, y)
+        out.append(TwoMorphism(f, [_rand_m_elem(rng, y)
+                                   for _ in range(x.n.q.ngens)], check=False))
+    cm = _conjugation_module(_points(2))
+    ident = CrossMorphism(cm, cm, identity_hom(cm.m), identity_hom(cm.base),
+                          check=False)
+    out.append(TwoMorphism(ident, [_rand_group_elem(rng, cm.m)
+                                   for _ in range(2)], check=False))
+    return out
+
+
+def test_one_derivation_rule_matches_the_two_branch_oracle():
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(8):
+        for alpha in _random_two_morphisms(rng):
+            for _ in range(4):
+                e = _random_base_elem(rng, alpha.x.base)
+                assert alpha.eval(e) == _oracle_eval(alpha, e)
+            valid = _validates(alpha)
+            assert valid == _oracle_validates(alpha)
+            outcomes.add((alpha.x.level, valid))
+            companion = alpha.g
+            for i in range(alpha.x.m.q.ngens):
+                mg = alpha.x.m.generator(i)
+                want = alpha.f.f1.eval(mg) * _oracle_eval(
+                    alpha, alpha.x.bnd.eval(mg))
+                assert companion.f1.eval(mg) == want
+    assert {level for level, _ in outcomes} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadratic_action_is_the_phi2_action(n):
+    rng = random.Random(21 + n)
+    for k in (1, 2):
+        for x in (wedge_model(n, _points(k)),
+                  _random_quotient_wedge(rng, n, _points(k))):
+            crossed = phi2(x)
+            for _ in range(10):
+                m = x.m.element([rng.randint(-2, 2)
+                                 for _ in range(x.m.q.ngens)],
+                                [rng.randint(-2, 2)
+                                 for _ in range(x.m.c.ngens)])
+                b = _random_base_elem(rng, x.n)
+                assert x.act(m, b) == crossed.act(m, b)
