@@ -70,6 +70,8 @@ CROSSED = _Need("a crossed module", _LEVELED)
 LEVEL_1 = _Need("a level-1 crossed module", _LEVELED, range(1, 2))
 LEVEL_2_UP = _Need("a crossed module of level 2 or more", _LEVELED,
                    range(2, sys.maxsize))
+LEVEL_3_UP = _Need("a crossed module of level 3 or more", _LEVELED,
+                   range(3, sys.maxsize))
 MORPHISM = _Need("a morphism", (CrossMorphism,))
 TRACK = _Need("a track", (HopfTrack,))
 CHECKABLE = _Need("a crossed module, a hom of class-2 groups, a hom into "
@@ -187,7 +189,7 @@ def cmd_six_term(args) -> int:
 
 def cmd_phi(args) -> int:
     doc = _load(args.file)
-    need = LEVEL_1 if args.level == 1 else LEVEL_2_UP
+    need = {1: LEVEL_1, 3: LEVEL_3_UP}.get(args.level, LEVEL_2_UP)
     obj = _get(doc, args.name, "phi %d" % args.level, need)
     if args.level == 3:
         out = phi3(obj)

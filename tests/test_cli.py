@@ -145,6 +145,9 @@ def test_adjoint_check(capsys, tmp_path):
      "crossed module"),
     (["h0", "abelian_groups.sg", "B"],
      "block B is a group; h0 needs a crossed module"),
+    (["phi", "3", "wedge_level2.sg", "W"],
+     "block W is a level-2 crossed module; phi 3 needs a crossed module of "
+     "level 3 or more"),
 ])
 def test_wrong_block_kind_is_an_error_not_a_crash(argv, message, capsys):
     argv = [_path(a) if a.endswith(".sg") else a for a in argv]
