@@ -604,7 +604,7 @@ class StableQuadraticModule(ReducedQuadraticModule):
 
     def __init__(self, m, n, bnd, omega, level: int = 3):
         if level < 3:
-            raise ValueError("a stable quadratic module has level >= 3, "
+            raise ValueError("a stable quadratic module needs level >= 3, "
                              "not %d" % level)
         super().__init__(m, n, bnd, omega)
         self.level = level
@@ -625,9 +625,7 @@ class StableQuadraticModule(ReducedQuadraticModule):
 def quadratic_module(m: Class2Group, n: Class2Group, bnd: Class2Hom,
                      omega: OmegaPairing, level: int):
     """The quadratic module of a level >= 2: reduced at level two, stable
-    above."""
-    if level < 2:
-        raise ValueError("a quadratic module has level >= 2, not %d" % level)
+    above; a level below 2 is refused by the stable class."""
     if level == 2:
         return ReducedQuadraticModule(m, n, bnd, omega)
     return StableQuadraticModule(m, n, bnd, omega, level=level)
