@@ -14,7 +14,8 @@ The commands are:
 
 - per block of every `corpus/*.sg`: check, h0, h1, homotopy-groups, fiber,
   six-term, k-invariant, phi 1-3, ad 2 and ad 3;
-- per ordered pair of blocks of one document: paste and adjoint-check 2;
+- per ordered pair of blocks of one document: paste and adjoint-check 2
+  and 3;
 - canon of every document;
 - wedge at levels 1-3 on 1-4 letters, and suspend-compare on 1-3 letters.
 """
@@ -35,7 +36,7 @@ LETTERS = ["a", "b", "c", "d"]
 _PER_BLOCK = [["check"], ["h0"], ["h1"], ["homotopy-groups"], ["fiber"],
               ["six-term"], ["k-invariant"], ["phi", "1"], ["phi", "2"],
               ["phi", "3"], ["ad", "2"], ["ad", "3"]]
-_PER_PAIR = [["paste"], ["adjoint-check", "2"]]
+_PER_PAIR = [["paste"], ["adjoint-check", "2"], ["adjoint-check", "3"]]
 
 
 def commands():
