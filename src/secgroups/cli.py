@@ -187,10 +187,14 @@ def cmd_six_term(args) -> int:
         else EXIT_NEGATIVE
 
 
+def _phi_need(level: int) -> _Need:
+    """What phi at a level takes: a stable module at level 3."""
+    return {1: LEVEL_1, 3: LEVEL_3_UP}.get(level, LEVEL_2_UP)
+
+
 def cmd_phi(args) -> int:
     doc = _load(args.file)
-    need = {1: LEVEL_1, 3: LEVEL_3_UP}.get(args.level, LEVEL_2_UP)
-    obj = _get(doc, args.name, "phi %d" % args.level, need)
+    obj = _get(doc, args.name, "phi %d" % args.level, _phi_need(args.level))
     if args.level == 3:
         out = phi3(obj)
     elif args.level == 2:
@@ -228,7 +232,7 @@ def cmd_adjoint_check(args) -> int:
     command = "adjoint-check %d" % args.level
     x = _get(doc, args.x, command,
              LEVEL_1 if args.level == 2 else LEVEL_2_UP)
-    y = _get(doc, args.y, command, LEVEL_2_UP)
+    y = _get(doc, args.y, command, _phi_need(args.level))
     rep = adjunction_check(args.level, x, y)
     print("hom(ad%d x, y) = %d, hom(x, phi%d y) = %d, bijection: %s" % (
         args.level, rep["hom_adj"], args.level, rep["hom_phi"],

@@ -148,6 +148,9 @@ def test_adjoint_check(capsys, tmp_path):
     (["phi", "3", "wedge_level2.sg", "W"],
      "block W is a level-2 crossed module; phi 3 needs a crossed module of "
      "level 3 or more"),
+    (["adjoint-check", "3", "omega_table.sg", "Q", "Q"],
+     "block Q is a level-2 crossed module; adjoint-check 3 needs a crossed "
+     "module of level 3 or more"),
 ])
 def test_wrong_block_kind_is_an_error_not_a_crash(argv, message, capsys):
     argv = [_path(a) if a.endswith(".sg") else a for a in argv]
