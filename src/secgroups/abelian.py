@@ -44,7 +44,7 @@ class FinAbGroup:
         # so coordinate i of U v is taken modulo moduli[i] (0 = exactly).
         # R^T has the same invariant factors as R.
         u, d, _, ui, _ = la.smith_normal_form(la.transpose(rels, ngens),
-                                              len(rels))
+                                              len(rels), keep=("u", "uinv"))
         diag = la.diagonal(d, len(rels))
         rank = sum(1 for x in diag if x)
         self.free_rank = ngens - rank

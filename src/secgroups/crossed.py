@@ -506,16 +506,16 @@ class CrossedModule:
         out = []
         m_gens = self.m.generators()
         base_gens = self.base.generators()
+        dm = [self.bnd.eval(mg) for mg in m_gens]
         for i, mg in enumerate(m_gens):
-            dm = self.bnd.eval(mg)
             for j, ng in enumerate(base_gens):
                 lhs = self.bnd.eval(self.act(mg, ng))
-                rhs = dm.conjugate_by(ng)
+                rhs = dm[i].conjugate_by(ng)
                 if not lhs == rhs:
                     out.append("CM1 fails at m gen %d, base gen %d" % (i, j))
         for i, mg in enumerate(m_gens):
             for j, mg2 in enumerate(m_gens):
-                lhs = self.act(mg, self.bnd.eval(mg2))
+                lhs = self.act(mg, dm[j])
                 rhs = mg2.inverse() * mg * mg2
                 if not lhs == rhs:
                     out.append("CM2 fails at m gens %d,%d" % (i, j))
@@ -563,34 +563,40 @@ class ReducedQuadraticModule:
         out = list(self.omega.centrality_violations())
         n_gens = self.n.generators()
         m_gens = self.m.generators()
+        # one boundary table: bnd of each generator of M and the coordinates
+        # of those images and of the base generators, each taken once; a
+        # pairing with a zero coordinate vector is the identity and is not
+        # evaluated
+        dm = [self.bnd.eval(a) for a in m_gens]
+        dm_ab = [self.coords.of(d) for d in dm]
+        n_ab = [self.coords.of(x) for x in n_gens]
         for i, x in enumerate(n_gens):
             for j, y in enumerate(n_gens):
-                lhs = self.bnd.eval(self.omega.pair_elems(x, y))
-                rhs = x.commutator(y)
-                if not lhs == rhs:
+                if any(n_ab[i]) and any(n_ab[j]):
+                    lhs = self.bnd.eval(self.omega.pair(n_ab[i], n_ab[j]))
+                else:
+                    lhs = self.n.identity()
+                if not lhs == x.commutator(y):
                     out.append("RQ1 fails at base gens %d,%d" % (i, j))
         for i, a in enumerate(m_gens):
-            da = self.bnd.eval(a)
             for j, b in enumerate(m_gens):
-                db = self.bnd.eval(b)
-                lhs = self.omega.pair_elems(da, db)
-                rhs = a.commutator(b)
-                if not lhs == rhs:
+                if any(dm_ab[i]) and any(dm_ab[j]):
+                    lhs = self.omega.pair(dm_ab[i], dm_ab[j])
+                else:
+                    lhs = self.m.identity()
+                if not lhs == a.commutator(b):
                     out.append("RQ2 fails at m gens %d,%d" % (i, j))
-        for i, a in enumerate(m_gens):
-            da = self.coords.of(self.bnd.eval(a))
-            for j, x in enumerate(n_gens):
-                xv = self.coords.of(x)
+        for i, da in enumerate(dm_ab):
+            for j, xv in enumerate(n_ab):
+                if not (any(da) and any(xv)):
+                    continue
                 val = self.omega.eval_vec(
                     la.vec_add(la.kron(da, xv), la.kron(xv, da)))
                 if not val.is_identity():
                     out.append("RQ3 fails at m gen %d, base gen %d" % (i, j))
-        if not self._boundary_central():
+        if not all(d.is_central() for d in dm):
             out.append("boundary image is not central in the base")
         return out
-
-    def _boundary_central(self) -> bool:
-        return all(self.bnd.eval(g).is_central() for g in self.m.generators())
 
     def h0(self) -> Class2Group:
         return self.base.h0_of(self.bnd)

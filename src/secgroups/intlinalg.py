@@ -12,6 +12,8 @@ together with the unimodular transforms and their inverses:
     U * A * V == D      and      Uinv * D * Vinv == A
 
 with D diagonal, each diagonal entry nonnegative and dividing the next.
+Its `keep` names the transforms a caller reads, and only those are built
+and updated: a kernel needs V, a row basis Vinv, a solver U and V.
 Integer solving, kernels and preimages are small wrappers around it.
 A `Solver` keeps the certificate of one system a @ x == b modulo a lattice,
 so repeated solves against one map (preimages, kernel and subgroup
@@ -98,45 +100,63 @@ def kron_matrix(a: list[list[int]], arows: int, acols: int,
     return out
 
 
-def smith_normal_form(a: list[list[int]], ncols: int):
-    """Return (U, D, V, Uinv, Vinv) with U*a*V == D in Smith normal form."""
+TRANSFORMS = ("u", "v", "uinv", "vinv")
+
+
+def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
+    """Return (U, D, V, Uinv, Vinv) with U*a*V == D in Smith normal form.
+
+    Only the transforms named in `keep` (of "u", "v", "uinv", "vinv") are
+    built and updated; each one left out is returned as None.  Pivots are
+    chosen by looking at D alone, so D and every kept transform are the same
+    whichever others are kept.
+    """
     m = len(a)
     n = ncols
     d = mat_copy(a)
-    u, ui = identity(m), identity(m)
-    v, vi = identity(n), identity(n)
+    u = identity(m) if "u" in keep else None
+    v = identity(n) if "v" in keep else None
+    ui = identity(m) if "uinv" in keep else None
+    vi = identity(n) if "vinv" in keep else None
+    # a row operation acts on the rows of D and U and on the columns of
+    # Uinv; a column operation on the columns of D and V and the rows of Vinv
+    row_held = [x for x in (d, u) if x is not None]
+    col_held = [x for x in (d, v) if x is not None]
 
     def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
+        for x in row_held:
+            x[i], x[j] = x[j], x[i]
+        if ui is not None:
+            for r in ui:
+                r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, k):  # row i += k * row j
-        d[i] = [x + k * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-        for r in ui:
-            r[j] -= k * r[i]
+        for x in row_held:
+            x[i] = [p + k * q for p, q in zip(x[i], x[j])]
+        if ui is not None:
+            for r in ui:
+                r[j] -= k * r[i]
 
     def row_neg(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
+        for x in row_held:
+            x[i] = [-p for p in x[i]]
+        if ui is not None:
+            for r in ui:
+                r[i] = -r[i]
 
     def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
+        for x in col_held:
+            for r in x:
+                r[i], r[j] = r[j], r[i]
+        if vi is not None:
+            vi[i], vi[j] = vi[j], vi[i]
 
     def col_add(i, j, k):  # col i += k * col j
-        for r in d:
-            r[i] += k * r[j]
-        for r in v:
-            r[i] += k * r[j]
-        vi[j] = [x - k * y for x, y in zip(vi[j], vi[i])]
+        for x in col_held:
+            for r in x:
+                r[i] += k * r[j]
+        if vi is not None:
+            vi[j] = [p - k * q for p, q in zip(vi[j], vi[i])]
 
     t = 0
     while True:
@@ -221,7 +241,8 @@ class Solver:
         self.nrows = len(a)
         ext = [a[i][:] + [r[i] for r in lattice_rows]
                for i in range(self.nrows)]
-        u, d, v, _, _ = smith_normal_form(ext, ncols + len(lattice_rows))
+        u, d, v, _, _ = smith_normal_form(ext, ncols + len(lattice_rows),
+                                          keep=("u", "v"))
         diag = diagonal(d, ncols + len(lattice_rows))
         rank = sum(1 for x in diag if x)  # nonzero entries come first
         self._pivots = list(zip(u[:rank], diag[:rank]))
@@ -252,7 +273,7 @@ def solve(a: list[list[int]], ncols: int, b: list[int]):
 
 def kernel_basis(a: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis (as column vectors, returned as lists) of {x : a @ x == 0}."""
-    _, d, v, _, _ = smith_normal_form(a, ncols)
+    _, d, v, _, _ = smith_normal_form(a, ncols, keep=("v",))
     diag = diagonal(d, ncols)
     basis = []
     for j in range(ncols):
@@ -266,7 +287,7 @@ def row_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Independent rows spanning the same lattice (via SNF row reduction)."""
     if not rows:
         return []
-    u, d, v, _, vi = smith_normal_form(rows, ncols)
+    _, d, _, _, vi = smith_normal_form(rows, ncols, keep=("vinv",))
     diag = diagonal(d, ncols)
     out = []
     for i, di in enumerate(diag):

@@ -681,7 +681,8 @@ def _projection_twist(qparts, cparts, nq: int, cq: FinAbGroup):
     column j (d_j = 0 past the rank of G), and T = S U.
     """
     nc, ng = cq.ngens, len(qparts)
-    u, d, v, _, _ = la.smith_normal_form(la.transpose(qparts, nq), ng)
+    u, d, v, _, _ = la.smith_normal_form(la.transpose(qparts, nq), ng,
+                                         keep=("u", "v"))
     diag = la.diagonal(d, ng)
     cv = la.mat_mul(la.transpose(cparts, nc), v)
     s = la.zeros(nc, nq)

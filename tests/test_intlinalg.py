@@ -1,5 +1,6 @@
 """Exact integer linear algebra, cross-checked against sympy."""
 
+import itertools
 import random
 
 import pytest
@@ -101,6 +102,28 @@ def test_kron_matches_definition():
     u = [1, -2]
     v = [3, 0, 1]
     assert la.kron(u, v) == [3, 0, 1, -6, 0, -2]
+
+
+_KEEPS = [keep for r in range(len(la.TRANSFORMS) + 1)
+          for keep in itertools.combinations(la.TRANSFORMS, r)]
+
+
+@pytest.mark.parametrize("keep", _KEEPS, ids=lambda k: "+".join(k) or "none")
+def test_smith_normal_form_builds_only_the_kept_transforms(keep):
+    """D and every kept transform equal the full call's; the others are
+    None."""
+    rng = random.Random(300)
+    cases = [([], 0), ([], 3), ([[], []], 0), ([[0, 0], [0, 0]], 2)]
+    for _ in range(30):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        cases.append((_random_matrix(rng, m, n), n))
+    for a, n in cases:
+        u, d, v, ui, vi = la.smith_normal_form(a, n)
+        full = dict(zip(la.TRANSFORMS, (u, v, ui, vi)))
+        pu, pd, pv, pui, pvi = la.smith_normal_form(a, n, keep=keep)
+        assert pd == d
+        for name, got in zip(la.TRANSFORMS, (pu, pv, pui, pvi)):
+            assert got == (full[name] if name in keep else None)
 
 
 def test_empty_dimensions():
