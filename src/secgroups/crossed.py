@@ -13,7 +13,11 @@ on both.
 Axiom checking is done on generators.  That is sufficient: every axiom
 defect is (bi)linear in its arguments in a class-2 setting, so vanishing on
 generators forces vanishing everywhere.  `check_axioms` returns a list of
-human-readable violations instead of raising, so callers can report.
+human-readable violations instead of raising, so callers can report.  Each
+check builds one boundary table, the boundary of every generator of M and
+(in a quadratic module) the coordinates of those images and of the base
+generators, and every axiom reads it; a pairing with a zero coordinate
+vector is the identity and is not evaluated.
 
 Every object of level one and up acts on M through its base by `act(x,
 n)`: a crossed module through its automorphisms, a quadratic module
@@ -563,10 +567,7 @@ class ReducedQuadraticModule:
         out = list(self.omega.centrality_violations())
         n_gens = self.n.generators()
         m_gens = self.m.generators()
-        # one boundary table: bnd of each generator of M and the coordinates
-        # of those images and of the base generators, each taken once; a
-        # pairing with a zero coordinate vector is the identity and is not
-        # evaluated
+        # the boundary table; a zero coordinate vector pairs to the identity
         dm = [self.bnd.eval(a) for a in m_gens]
         dm_ab = [self.coords.of(d) for d in dm]
         n_ab = [self.coords.of(x) for x in n_gens]

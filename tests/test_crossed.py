@@ -269,13 +269,12 @@ def test_crossed_check_axioms_matches_former_body(data):
     draw = data.draw
     m = _unchecked_class2(draw, draw(st.integers(0, 3)),
                           draw(st.integers(0, 2)))
-    points = PointedSet(["*"] + ["a", "b"][:draw(st.integers(0, 2))])
     if draw(st.booleans()):
-        base = FreeGroupBase(points)
-        words = st.lists(st.tuples(st.sampled_from(base.gen_names or ["a"]),
+        base = FreeGroupBase(PointedSet(["*", "a", "b"][:draw(
+            st.integers(2, 3))]))
+        words = st.lists(st.tuples(st.sampled_from(base.gen_names),
                                    st.sampled_from([1, -1, 2])), max_size=3)
-        bnd = WordHom(m, base, [Word(draw(words) if base.gen_names else [])
-                                for _ in range(m.q.ngens)],
+        bnd = WordHom(m, base, [Word(draw(words)) for _ in range(m.q.ngens)],
                       [Word() for _ in range(m.c.ngens)], check=False)
     else:
         base = _base_of_mode(draw, "q")
