@@ -109,11 +109,21 @@ def _relations(draw, ngens):
     return _matrix(draw, draw(st.integers(0, 2)), ngens, st.integers(-4, 4))
 
 
-def _unchecked_class2(draw, nq, nc, lam=None):
+def _generator_multiples(draw, ngens):
+    """At most two relations, each a multiple k e_i of one generator."""
+    out = []
+    for _ in range(draw(st.integers(0, min(2, ngens)))):
+        row = [0] * ngens
+        row[draw(st.integers(0, ngens - 1))] = draw(st.integers(2, 4))
+        out.append(row)
+    return out
+
+
+def _unchecked_class2(draw, nq, nc, lam=None, relations=_relations):
     """Class2Group(check=False) with at most two Q and two C relations and
     a small beta; lam is beta itself or beta - beta o swap unless given."""
-    q, c = FinAbGroup(nq, _relations(draw, nq)), \
-        FinAbGroup(nc, _relations(draw, nc))
+    q, c = FinAbGroup(nq, relations(draw, nq)), \
+        FinAbGroup(nc, relations(draw, nc))
     beta = _matrix(draw, nc, nq * nq)
     if lam is None:
         lam = beta if draw(st.booleans()) else [
@@ -216,17 +226,21 @@ def _unchecked_hom(draw, s, t):
 def _base_of_mode(draw, mode):
     """A Class2Group(check=False) whose `AbCoords` takes the Q layer
     (its central layer is the wedge of a free class-2 group) or the full
-    pair presentation (lam = 0 and at least one central generator)."""
+    pair presentation (lam = 0 and at least one central generator).
+
+    Its relations are generator multiples and it has at most three
+    coordinates: on the tensor square of a presented group with general
+    relations the dense SNF can grow its entries for minutes."""
     if mode == "q":
         free = free_nil(PointedSet(["*"] + ["a", "b", "c"][
             :draw(st.integers(0, 3))]))
         nq, nc = free.q.ngens, free.c.ngens
-        return _unchecked_class2(draw, nq, nc, lam=free.lam)
-    # at most three coordinates: the dense SNF of the tensor square of a
-    # presented group on four can grow its entries for minutes
+        return _unchecked_class2(draw, nq, nc, lam=free.lam,
+                                 relations=_generator_multiples)
     nc = draw(st.integers(1, 2))
     nq = draw(st.integers(0, 3 - nc))
-    return _unchecked_class2(draw, nq, nc, lam=la.zeros(nc, nq * nq))
+    return _unchecked_class2(draw, nq, nc, lam=la.zeros(nc, nq * nq),
+                             relations=_generator_multiples)
 
 
 @pytest.mark.parametrize("level", [2, 3])
