@@ -37,10 +37,23 @@ EXIT_INTERNAL = 3
 
 
 def _coset_cap(args) -> int:
+    """`--coset-cap`, else `SECGROUPS_COSET_CAP`, else the default; a value
+    that is not a positive integer is an error naming where it came from."""
     if args.coset_cap is not None:
-        return args.coset_cap
-    env = os.environ.get("SECGROUPS_COSET_CAP")
-    return int(env) if env else DEFAULT_CAP
+        source, text = "--coset-cap", str(args.coset_cap)
+    else:
+        text = os.environ.get("SECGROUPS_COSET_CAP")
+        if not text:
+            return DEFAULT_CAP
+        source = "SECGROUPS_COSET_CAP"
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError("%s must be a positive integer, got %r"
+                         % (source, text))
+    return cap
 
 
 def _load(path: str) -> Document:
@@ -301,16 +314,23 @@ def cmd_selftest(args) -> int:
     return EXIT_NEGATIVE if failed else EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common_options(seed, coset_cap) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=int, default=seed,
                         help="seed for randomized property checks")
-    common.add_argument("--coset-cap", type=int, default=None,
+    common.add_argument("--coset-cap", type=int, default=coset_cap,
                         help="enumeration cap for presented-group orders "
                              "(default from SECGROUPS_COSET_CAP)")
+    return common
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # the command's copies have no defaults, so that they do not overwrite
+    # an option given before the command
+    common = _common_options(argparse.SUPPRESS, argparse.SUPPRESS)
     p = argparse.ArgumentParser(
         prog="secgroups",
-        parents=[common],
+        parents=[_common_options(0, None)],
         description="Algebra of level-n group models: normal forms, "
                     "homotopy groups, tracks, fibers and adjunctions.")
     sub = p.add_subparsers(dest="command", required=True)

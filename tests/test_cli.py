@@ -71,6 +71,53 @@ def test_h0_finite_order(capsys):
 def test_coset_cap_before_subcommand(capsys):
     assert main(["--coset-cap", "50", "h0",
                  _path("free_base.sg"), "Y"]) == EXIT_OK
+    # the cap given before the command is the one enumeration uses
+    assert main(["--coset-cap", "3", "h0",
+                 _path("free_base.sg"), "Y"]) == EXIT_ERROR
+    assert main(["--coset-cap", "3", "h0",
+                 _path("free_base.sg"), "Y", "--coset-cap", "50"]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "undecidable within cap: coset cap 3 exceeded\n")
+
+
+def test_options_before_and_after_the_command():
+    parse = cli._build_parser().parse_args
+    args = parse(["--seed", "7", "--coset-cap", "9", "canon", "f.sg"])
+    assert (args.seed, args.coset_cap) == (7, 9)
+    args = parse(["--seed", "7", "canon", "f.sg", "--seed", "8"])
+    assert (args.seed, args.coset_cap) == (8, None)
+    args = parse(["canon", "f.sg"])
+    assert (args.seed, args.coset_cap) == (0, None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["h0", _path("free_base.sg"), "Y", "--coset-cap", "-3"],
+    ["h0", _path("free_base.sg"), "Y", "--coset-cap", "0"],
+    ["--coset-cap", "-3", "h0", _path("free_base.sg"), "Y"],
+])
+def test_coset_cap_flag_must_be_positive(capsys, argv):
+    assert main(argv) == EXIT_ERROR
+    cap = argv[argv.index("--coset-cap") + 1]
+    assert capsys.readouterr().err == (
+        "error: --coset-cap must be a positive integer, got '%s'\n" % cap)
+
+
+@pytest.mark.parametrize("cap", ["abc", "-3", "0", "2.5"])
+def test_coset_cap_variable_must_be_positive(capsys, monkeypatch, cap):
+    monkeypatch.setenv("SECGROUPS_COSET_CAP", cap)
+    assert main(["h0", _path("free_base.sg"), "Y"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: SECGROUPS_COSET_CAP must be a positive integer, "
+        "got '%s'\n" % cap)
+
+
+def test_coset_cap_variable_sets_the_cap(capsys, monkeypatch):
+    monkeypatch.setenv("SECGROUPS_COSET_CAP", "50")
+    assert main(["h0", _path("free_base.sg"), "Y"]) == EXIT_OK
+    monkeypatch.setenv("SECGROUPS_COSET_CAP", "3")
+    assert main(["h0", _path("free_base.sg"), "Y"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "undecidable within cap: coset cap 3 exceeded\n")
 
 
 def test_fiber_and_six_term(capsys):
