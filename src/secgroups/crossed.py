@@ -33,7 +33,10 @@ element acts by, elements, freeness, free homs, nilization, and the
 homotopy groups of a boundary into them), and `AbCoords` gives either one
 abelianized coordinates with a basis of base elements, so nothing below
 asks which kind of base it holds.  A map fed by words of a free base is a
-`FreeBaseHom`; a boundary into a free base is a `WordHom`.
+`FreeBaseHom`; a boundary into a free base is a `WordHom`.  Every product
+of powers in a class-2 group (a `FreeBaseHom` on a word, an omega pairing on
+a tensor vector, an element from its coordinates in a subgroup) is
+collected by the one closed form `nil2.Class2Group.power_product`.
 
 Over a free-group base (level one) the exact identity problem for h0 is
 undecidable in general; `h0` then returns a finite presentation and exact
@@ -147,10 +150,9 @@ class FreeBaseHom:
         self.gen_images = list(gen_images)
 
     def eval(self, word: Word) -> Class2Elem:
-        out = self.target.identity()
-        for i, e in self.source.letters(word):
-            out = out * (self.gen_images[i] ** e)
-        return out
+        letters = self.source.letters(word)
+        return self.target.power_product(
+            [self.gen_images[i] for i, _ in letters], [e for _, e in letters])
 
     __call__ = eval
 
@@ -160,7 +162,11 @@ class FreeBaseHom:
                            [outer.eval(img) for img in self.gen_images])
 
     def __eq__(self, other):
-        return all(a == b for a, b in zip(self.gen_images, other.gen_images))
+        if not isinstance(other, FreeBaseHom):
+            return NotImplemented
+        return (self.source.gen_names == other.source.gen_names
+                and self.target is other.target
+                and self.gen_images == other.gen_images)
 
 
 class WordHom:
@@ -371,11 +377,7 @@ class OmegaPairing:
                 raise ValueError("omega not defined modulo relations")
 
     def eval_vec(self, vec) -> Class2Elem:
-        out = self.m.identity()
-        for img, a in zip(self.images, vec):
-            if a:
-                out = out * (img ** a)
-        return out
+        return self.m.power_product(self.images, vec)
 
     def pair(self, a_vec, b_vec) -> Class2Elem:
         return self.eval_vec(la.kron(a_vec, b_vec))
@@ -734,10 +736,7 @@ def _subgroup_coords(elem: Class2Elem, incl: Class2Hom):
     m = incl.q_map().preimage(elem.qvec)
     if m is None:
         raise ValueError("element not in subgroup (Q layer)")
-    prod = amb.identity()
-    for g, k in zip(incl.gen_images, m.vec):
-        if k:
-            prod = prod * (g ** k)
+    prod = amb.power_product(incl.gen_images, m.vec)
     resid = la.vec_sub(elem.cvec, prod.cvec)
     cc = incl.cmap.preimage(resid)
     if cc is None:

@@ -437,7 +437,7 @@ class PresentedCrossedModule:
 
     def h1_certificate(self):
         """Closed form as a FinAbGroup when the group-ring factor is finite
-        rank; otherwise None (see h1_symbolic)."""
+        rank; otherwise None."""
         g = self.groupoid
         classes = g.iso_classes()
         base_cls = next(c for c in classes if g.base in c)
@@ -448,14 +448,6 @@ class PresentedCrossedModule:
         if all(a.is_trivial() for a in auts.values()):
             return FinAbGroup(0)
         return None
-
-    def h1_symbolic(self) -> str:
-        g = self.groupoid
-        classes = g.iso_classes()
-        parts = []
-        for c in classes:
-            parts.append("(%r)_ab (x) Z[<Iso>]" % (g.aut_ab(c[0]),))
-        return " + ".join(parts)
 
 
 def ad1(g: PointedGroupoid) -> PresentedCrossedModule:

@@ -10,6 +10,12 @@ lam = beta - beta o swap.  Elements are pairs (q, c) multiplied by
 so all word problems reduce to exact integer linear algebra.  Commutators
 are written additively in the group-theory convention [x, y] = -x-y+x+y.
 
+Every ordered product of powers of x_k = (q_k, c_k) is collected by one
+closed form, `Class2Group.power_product`, with p_k = sum_{j<k} a_j q_j:
+
+    prod_k x_k^a_k = (sum a_k q_k, sum [a_k c_k + binom(a_k, 2)
+                      beta(q_k (x) q_k) + beta(p_k (x) a_k q_k)]).
+
 `lam` and `beta` are stored dense, one row per central generator and one
 column per pair (i, j) of Q generators, and that is the form every reader
 of the matrices sees.  They are evaluated through their nonzeros only,
@@ -76,6 +82,7 @@ class Class2Group:
             "x%d" % i for i in range(nq)]
         self._lam_terms = _nonzero_terms(self.lam, nq)
         self._beta_terms = _nonzero_terms(self.beta, nq)
+        self._gens = [self.generator(i) for i in range(nq)]
         if check:
             self._validate()
 
@@ -103,10 +110,10 @@ class Class2Group:
     # -- evaluation ----------------------------------------------------------
 
     def beta_eval(self, qu, qv) -> list[int]:
-        return _pairing(self._beta_terms, self.c.ngens, qu, qv)
+        return _pairing(self._beta_terms, [0] * self.c.ngens, qu, qv)
 
     def lam_eval(self, qu, qv) -> list[int]:
-        return _pairing(self._lam_terms, self.c.ngens, qu, qv)
+        return _pairing(self._lam_terms, [0] * self.c.ngens, qu, qv)
 
     # -- element constructors -------------------------------------------------
 
@@ -138,24 +145,29 @@ class Class2Group:
 
     # -- structure -------------------------------------------------------------
 
-    def collect_central(self, qvec) -> list[int]:
-        """Central part of the ordered product of generator powers for qvec."""
+    def power_product(self, elems, exps) -> "Class2Elem":
+        """The ordered product of powers x_1^a_1 ... x_m^a_m, collected by
+        the closed form of the module docstring with one running prefix."""
+        beta = self._beta_terms
+        prefix = [0] * self.q.ngens
         out = [0] * self.c.ngens
-        nq = self.q.ngens
-        prefix = [0] * nq
-        for i in range(nq):
-            a = qvec[i]
+        for x, a in zip(elems, exps):
             if a:
-                ei = [0] * nq
-                ei[i] = 1
-                # (e_i)^a contributes binom(a,2) beta(e_i (x) e_i)
-                out = la.vec_add(out, la.vec_scale(_binom2(a), self.beta_eval(ei, ei)))
-                out = la.vec_add(out, self.beta_eval(prefix, la.vec_scale(a, ei)))
-                prefix[i] += a
-        return out
+                aq = [a * v for v in x.qvec]
+                for r, v in enumerate(x.cvec):
+                    out[r] += a * v
+                _pairing(beta, out, x.qvec, x.qvec, _binom2(a))
+                _pairing(beta, out, prefix, aq)
+                prefix = la.vec_add(prefix, aq)
+        return Class2Elem(self, prefix, out)
 
     def ordered_product_element(self, qvec) -> "Class2Elem":
-        return self.element(list(qvec), self.collect_central(qvec))
+        """The ordered product of generator powers e_1^q_1 ... e_n^q_n."""
+        return self.power_product(self._gens, qvec)
+
+    def collect_central(self, qvec) -> list[int]:
+        """Central part of the ordered product of generator powers for qvec."""
+        return self.ordered_product_element(qvec).cvec
 
     def is_abelian(self) -> bool:
         nq = self.q.ngens
@@ -306,14 +318,15 @@ def _nonzero_terms(mat, nq: int):
     return sorted(by_i.items())
 
 
-def _pairing(terms, nc: int, qu, qv) -> list[int]:
-    """sum coeff * qu[i] * qv[j] over the nonzero terms, into C."""
-    out = [0] * nc
-    for i, row in terms:
-        a = qu[i]
-        if a:
-            for j, r, coeff in row:
-                out[r] += coeff * a * qv[j]
+def _pairing(terms, out: list[int], qu, qv, scale: int = 1) -> list[int]:
+    """Add scale * coeff * qu[i] * qv[j] over the nonzero terms to out."""
+    if scale:
+        for i, row in terms:
+            a = qu[i]
+            if a:
+                a *= scale
+                for j, r, coeff in row:
+                    out[r] += coeff * a * qv[j]
     return out
 
 
@@ -464,14 +477,10 @@ class Class2Hom:
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, elem: Class2Elem) -> Class2Elem:
-        g, t = self.source, self.target
-        out = t.identity()
-        for i, a in enumerate(elem.qvec):
-            if a:
-                out = out * (self.gen_images[i] ** a)
-        c0 = g.collect_central(elem.qvec)
-        resid = la.vec_sub(elem.cvec, c0)
-        return out * t.central(la.mat_vec(self.cmap.matrix, resid))
+        out = self.target.power_product(self.gen_images, elem.qvec)
+        resid = la.vec_sub(elem.cvec, self.source.collect_central(elem.qvec))
+        return Class2Elem(self.target, out.qvec, la.vec_add(
+            out.cvec, la.mat_vec(self.cmap.matrix, resid)))
 
     __call__ = eval
 
@@ -619,11 +628,7 @@ class Subgroup:
             qmat = la.transpose(qparts, nq)  # nq x ngen
             combos = la.preimage_lattice(qmat, len(self.gens), g.q.relations)
             for m in combos:
-                prod = g.identity()
-                for e, k in zip(self.gens, m):
-                    if k:
-                        prod = prod * (e ** k)
-                central.append(prod.cvec)
+                central.append(g.power_product(self.gens, m).cvec)
         self.c_rows = la.row_basis(central, nc)
 
     def contains(self, elem: Class2Elem) -> bool:
@@ -634,10 +639,7 @@ class Subgroup:
         m = la.solve_mod(qmat, len(self.gens), elem.qvec, g.q.relations)
         if m is None:
             return False
-        prod = g.identity()
-        for e, k in zip(self.gens, m):
-            if k:
-                prod = prod * (e ** k)
+        prod = g.power_product(self.gens, m)
         resid = la.vec_sub(elem.cvec, prod.cvec)
         return la.in_lattice(self.c_rows, g.c.ngens, resid)
 
@@ -809,11 +811,9 @@ def free_nil(points: PointedSet) -> Class2Group:
 def nilize(word: Word, group: Class2Group) -> Class2Elem:
     """Collect a free word left-to-right into its (q, c) normal form."""
     name_to_idx = {n: i for i, n in enumerate(group.gen_names)}
-    out = group.identity()
-    for sym, exp in word.letters:
-        i = name_to_idx[sym]
-        out = out * (group.generator(i) ** exp)
-    return out
+    return group.power_product(
+        [group._gens[name_to_idx[sym]] for sym, _ in word.letters],
+        [exp for _, exp in word.letters])
 
 
 def element_to_word(elem: Class2Elem) -> Word:

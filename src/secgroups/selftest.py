@@ -91,11 +91,16 @@ def oracle_normal_form(word: Word, group: Class2Group):
 
 
 def oracle_element(word: Word, group: Class2Group):
+    """The element of the sorted word: over free_nil the sorted product
+    e_1^s_1 ... e_k^s_k carries s_i s_j on the wedge generator of (i, j),
+    i < j, and each commutator token adds its count there."""
     sums, tokens = oracle_normal_form(word, group)
     cvec = [0] * group.c.ngens
+    for (i, j), p in group.wedge_index.items():
+        cvec[p] += sums[i] * sums[j]
     for (i, j), e in tokens.items():
         cvec[group.wedge_index[(i, j)]] += e
-    return group.ordered_product_element(sums) * group.central(cvec)
+    return group.element(sums, cvec)
 
 
 def _random_word(rng, syms, max_len):

@@ -5,8 +5,7 @@ import importlib.resources
 import pytest
 
 from secgroups import cli
-from secgroups.cli import main, EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR, \
-    EXIT_INTERNAL
+from secgroups.cli import main, EXIT_OK, EXIT_ERROR, EXIT_INTERNAL
 
 
 CORPUS = importlib.resources.files("secgroups") / "corpus"

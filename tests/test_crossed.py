@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from secgroups.words import PointedSet, Word
-from secgroups.abelian import FinAbGroup, AbMap, identity_map
+from secgroups.abelian import FinAbGroup, AbMap
 from secgroups import intlinalg as la
 from secgroups.nil2 import Class2Group, Class2Hom, free_nil, identity_hom
 from secgroups.crossed import (
-    FreeGroupBase, WordHom, AbCoords, GroupAction, OmegaPairing,
-    PointedGroupoid, CrossedModule, ReducedQuadraticModule,
+    FreeBaseHom, FreeGroupBase, WordHom, AbCoords, GroupAction, OmegaPairing,
+    CrossedModule, ReducedQuadraticModule,
     StableQuadraticModule, CrossMorphism, check_axioms, H0Undecidable,
     quadratic_module,
 )
@@ -50,6 +50,20 @@ def test_word_hom_validation():
     f.validate()
     x = g.generator(0) * g.generator(1)
     assert f.eval(x) == Word.parse("a b a")
+
+
+def test_free_base_hom_equality_compares_source_target_and_images():
+    ab = FreeGroupBase(PointedSet(["a", "b"]))
+    g, to_nil = ab.nilization()
+    x, y = g.generator(0), g.generator(1)
+    assert to_nil == FreeBaseHom(ab, g, [x, y])
+    assert to_nil != FreeBaseHom(ab, g, [x, x])
+    # a map out of the free group on {a} is not the one out of {a, b}
+    assert FreeBaseHom(FreeGroupBase(PointedSet(["a"])), g, [x]) != to_nil
+    assert to_nil != FreeBaseHom(ab, free_nil(PointedSet(["a", "b"])),
+                                 [x, y])
+    # nor is a class-2 hom, either way round
+    assert to_nil != identity_hom(g) and identity_hom(g) != to_nil
 
 
 def test_ab_coords_free_mode():

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secgroups.words import PointedSet, Word
-from secgroups.abelian import FinAbGroup
 from secgroups.nil2 import free_nil, hom_from_words, identity_hom, nilize
 from secgroups.crossed import (AbCoords, CrossMorphism, FreeBaseHom,
                                FreeGroupBase, check_axioms)
 from secgroups.models import wedge_model
 from secgroups.functors import (
-    fiber, six_term, phi1, phi2, phi3, ad1, ad2, ad3,
+    fiber, six_term, phi1, phi2, phi3, ad1, ad3,
     adjunction_check, enumerate_morphisms, morphisms_equal,
 )
 from secgroups.selftest import (

@@ -1,9 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
-The scan reads each `src/secgroups/*.py` with the standard `ast` module:
-every name an import statement binds must be read somewhere in that
-module, as a bare name or as the head of an attribute chain.  The package
-`__init__.py` is exempt: its imports are the public re-exports.
+The scan reads each `src/secgroups/*.py` and `tests/*.py` with the standard
+`ast` module: every name an import statement binds must be read somewhere
+in that module, as a bare name or as the head of an attribute chain.  The
+package `__init__.py` is exempt: its imports are the public re-exports.
 """
 
 import ast
@@ -11,8 +11,10 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "secgroups"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "secgroups"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,4 +45,9 @@ def test_the_scan_sees_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secgroups import intlinalg as la
-from secgroups.words import PointedSet, Word, commutator_word
+from secgroups.words import PointedSet, Word
 from secgroups.abelian import AbMap, FinAbGroup
+from secgroups.crossed import (AbCoords, FreeBaseHom, FreeGroupBase,
+                               OmegaPairing)
 from secgroups.models import wedge_model
 from secgroups.nil2 import (
-    Class2Group, Class2Hom, QuotientError, Subgroup,
+    Class2Group, Class2Hom, Subgroup,
     free_nil, nilize, element_to_word, hom_from_words,
     hom_kernel, hom_cokernel, identity_hom, trivial_hom, product_group,
     boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
@@ -224,6 +226,99 @@ def test_cocycle_evaluation_matches_dense_oracle(data):
         la.vec_add(la.vec_scale(a, cx),
                    la.vec_scale(a * (a - 1) // 2, _dense(g.beta, qx, qx))))
     assert g.collect_central(qx) == _dense_collect_central(g, qx)
+
+
+def _replay(g: Class2Group, elems, exps):
+    """The letter-by-letter product of powers that `power_product`
+    replaced, kept as its oracle."""
+    out = g.identity()
+    for x, a in zip(elems, exps):
+        if a:
+            out = out * (x ** a)
+    return out
+
+
+def _raw(x):
+    return x.qvec, x.cvec
+
+
+_EXPS = st.integers(-5, 5)
+
+
+def _elements(draw, g, count):
+    return [g.element(draw(_vectors(g.q.ngens, _EXPS)),
+                      draw(_vectors(g.c.ngens, _EXPS))) for _ in range(count)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_power_product_matches_replay(data):
+    g = data.draw(_unchecked_class2_groups(entry=st.integers(-3, 3)))
+    # factors drawn from a pool of at most three, so they repeat; the
+    # list may be empty and its exponents zero
+    pool = _elements(data.draw, g, data.draw(st.integers(1, 3)))
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))),
+                               max_size=6))
+    elems = [pool[i] for i in picks]
+    exps = data.draw(_vectors(len(elems), _EXPS))
+    assert _raw(g.power_product(elems, exps)) == _raw(_replay(g, elems, exps))
+    qvec = data.draw(_vectors(g.q.ngens, _EXPS))
+    gens = [g.generator(i) for i in range(g.q.ngens)]
+    assert _raw(g.ordered_product_element(qvec)) == _raw(
+        _replay(g, gens, qvec))
+
+
+def _former_hom_eval(f: Class2Hom, elem):
+    t = f.target
+    out = _replay(t, f.gen_images, elem.qvec)
+    resid = la.vec_sub(elem.cvec, _dense_collect_central(f.source, elem.qvec))
+    return out * t.central(la.mat_vec(f.cmap.matrix, resid))
+
+
+def _former_nilize(word: Word, group: Class2Group):
+    name_to_idx = {n: i for i, n in enumerate(group.gen_names)}
+    out = group.identity()
+    for sym, exp in word.letters:
+        out = out * (group.generator(name_to_idx[sym]) ** exp)
+    return out
+
+
+def _former_free_base_eval(f: FreeBaseHom, word: Word):
+    out = f.target.identity()
+    for i, e in f.source.letters(word):
+        out = out * (f.gen_images[i] ** e)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_collecting_callers_match_their_former_bodies(data):
+    s = data.draw(_unchecked_class2_groups())
+    t = data.draw(_unchecked_class2_groups(entry=st.integers(-3, 3)))
+    images = _elements(data.draw, t, s.q.ngens)
+    cmap = AbMap(s.c, t.c, _matrix(data.draw, t.c.ngens, s.c.ngens),
+                 check=False)
+    f = Class2Hom(s, t, images, cmap, check=False)
+    x = _elements(data.draw, s, 1)[0]
+    assert _raw(f.eval(x)) == _raw(_former_hom_eval(f, x))
+
+    if t.q.ngens:
+        letters = st.tuples(st.sampled_from(t.gen_names), _EXPS)
+        w = Word(data.draw(st.lists(letters, max_size=6)))
+        assert _raw(nilize(w, t)) == _raw(_former_nilize(w, t))
+
+    k = data.draw(st.integers(1, 2))
+    base = FreeGroupBase(PointedSet(["a", "b"][:k]))
+    h = FreeBaseHom(base, t, _elements(data.draw, t, k))
+    w = Word(data.draw(st.lists(st.tuples(st.sampled_from(base.gen_names),
+                                          _EXPS), max_size=6)))
+    assert _raw(h.eval(w)) == _raw(_former_free_base_eval(h, w))
+
+    omega = OmegaPairing(AbCoords(base), t, _elements(data.draw, t, k * k),
+                         check=False)
+    vec = data.draw(_vectors(k * k, _EXPS))
+    assert _raw(omega.eval_vec(vec)) == _raw(
+        _replay(t, omega.images, vec))
 
 
 @given(st.data())

@@ -7,7 +7,6 @@ import pytest
 
 from secgroups.words import PointedSet
 from secgroups.abelian import FinAbGroup, AbMap, gamma, tensor_z2
-from secgroups import intlinalg as la
 from secgroups.nil2 import (free_nil, boundary_map, identity_hom,
                             element_to_word, nilize)
 from secgroups.crossed import CrossMorphism
@@ -16,7 +15,7 @@ from secgroups.models import wedge_model
 from secgroups.tracks import (
     HopfTrack, hopf, nil_track, tracks_between, vcomp,
     whisker_right, whisker_left, suspend_track, CLASSICAL_HOPF_SIGN,
-    TwoMorphism, vcomp2, whisker_right2, whisker_left2, interchange_holds,
+    TwoMorphism, vcomp2, interchange_holds,
 )
 from secgroups.selftest import (
     _random_hom, _random_track, _conjugation_module, _rand_m_elem,
