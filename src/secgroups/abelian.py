@@ -194,6 +194,9 @@ class AbMap:
     def __eq__(self, other):
         if not isinstance(other, AbMap):
             return NotImplemented
+        if (self.source.ngens != other.source.ngens
+                or self.target.ngens != other.target.ngens):
+            return False
         for j in range(self.source.ngens):
             col = [self.matrix[i][j] - other.matrix[i][j]
                    for i in range(self.target.ngens)]

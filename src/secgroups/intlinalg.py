@@ -14,6 +14,14 @@ together with the unimodular transforms and their inverses:
 with D diagonal, each diagonal entry nonnegative and dividing the next.
 Its `keep` names the transforms a caller reads, and only those are built
 and updated: a kernel needs V, a row basis Vinv, a solver U and V.
+The pivot is the first entry of least absolute value in row-major order of
+the remaining submatrix; the search stops at the first unit, since nothing
+beats it, and the divisibility check of the rest against the pivot is
+skipped when the pivot is 1.  The relation matrices here are sparse with
+mostly unit entries, so a step usually costs one short search and the row
+and column operations that clear the pivot's row and column.  A column
+operation touches D only in the rows from the pivot down, and only where
+the multiplier is nonzero, as do the updates of V and U^-1.
 Integer solving, kernels and preimages are small wrappers around it.
 A `Solver` keeps the certificate of one system a @ x == b modulo a lattice,
 so repeated solves against one map (preimages, kernel and subgroup
@@ -35,7 +43,10 @@ def zeros(rows: int, cols: int) -> list[list[int]]:
 
 
 def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = zeros(n, n)
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def mat_copy(a: list[list[int]]) -> list[list[int]]:
@@ -106,11 +117,19 @@ TRANSFORMS = ("u", "v", "uinv", "vinv")
 def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
     """Return (U, D, V, Uinv, Vinv) with U*a*V == D in Smith normal form.
 
-    Only the transforms named in `keep` (of "u", "v", "uinv", "vinv") are
-    built and updated; each one left out is returned as None.  Pivots are
-    chosen by looking at D alone, so D and every kept transform are the same
-    whichever others are kept.
+    Only the transforms named in `keep` (some of "u", "v", "uinv", "vinv")
+    are built and updated; each one left out is returned as None, and any
+    other entry, or a bare string, is a ValueError.  Pivots are chosen by
+    looking at D alone, so D and every kept transform are the same whichever
+    others are kept.
     """
+    if isinstance(keep, str):
+        raise ValueError("keep must be a collection of transform names, "
+                         "not the string %r" % keep)
+    unknown = [k for k in keep if k not in TRANSFORMS]
+    if unknown:
+        raise ValueError("unknown transform(s) %s in keep; expected some of "
+                         "%s" % (", ".join(map(repr, unknown)), TRANSFORMS))
     m = len(a)
     n = ncols
     d = mat_copy(a)
@@ -118,10 +137,13 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
     v = identity(n) if "v" in keep else None
     ui = identity(m) if "uinv" in keep else None
     vi = identity(n) if "vinv" in keep else None
+    if not m or not n:
+        return u, d, v, ui, vi
     # a row operation acts on the rows of D and U and on the columns of
-    # Uinv; a column operation on the columns of D and V and the rows of Vinv
+    # Uinv; a column operation on the columns of D and V and the rows of
+    # Vinv.  Rows of D above the pivot t are zero in every column >= t, so
+    # column operations on D touch rows t.. only.
     row_held = [x for x in (d, u) if x is not None]
-    col_held = [x for x in (d, v) if x is not None]
 
     def row_swap(i, j):
         for x in row_held:
@@ -135,7 +157,8 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
             x[i] = [p + k * q for p, q in zip(x[i], x[j])]
         if ui is not None:
             for r in ui:
-                r[j] -= k * r[i]
+                if r[i]:
+                    r[j] -= k * r[i]
 
     def row_neg(i):
         for x in row_held:
@@ -145,31 +168,46 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
                 r[i] = -r[i]
 
     def col_swap(i, j):
-        for x in col_held:
-            for r in x:
+        for r in d[t:]:
+            r[i], r[j] = r[j], r[i]
+        if v is not None:
+            for r in v:
                 r[i], r[j] = r[j], r[i]
         if vi is not None:
             vi[i], vi[j] = vi[j], vi[i]
 
     def col_add(i, j, k):  # col i += k * col j
-        for x in col_held:
-            for r in x:
+        for r in d[t:]:
+            if r[j]:
                 r[i] += k * r[j]
+        if v is not None:
+            for r in v:
+                if r[j]:
+                    r[i] += k * r[j]
         if vi is not None:
             vi[j] = [p - k * q for p, q in zip(vi[j], vi[i])]
 
     t = 0
     while True:
-        # find a pivot in the submatrix d[t:, t:]
-        pivot = None
+        # pivot: the first entry of least |x| in d[t:, t:], row-major.  Rows
+        # t.. are zero left of column t, so a whole row can be searched for
+        # a unit, and the first unit ends the search: nothing can beat it.
+        pi = pj = best = 0
         for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j]:
-                    if pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
+            row = d[i]
+            if 1 in row or -1 in row:
+                pi, best = i, 1
+                for pj in range(t, n):
+                    if row[pj] == 1 or row[pj] == -1:
+                        break
+                break
+            if any(row):
+                for j in range(t, n):
+                    x = row[j]
+                    if x and (not best or abs(x) < best):
+                        pi, pj, best = i, j, abs(x)
+        if not best:
             break
-        pi, pj = pivot
         row_swap(t, pi)
         col_swap(t, pj)
         # clear row and column t
@@ -193,18 +231,19 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
         if d[t][t] < 0:
             row_neg(t)
         # enforce divisibility of the rest of the submatrix by d[t][t]
+        # (nothing to check when it is 1); rows t+1.. are now zero in
+        # columns ..t
+        p = d[t][t]
         offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t]:
+        if p != 1:
+            for i in range(t + 1, m):
+                if any(x % p for x in d[i]):
                     offender = i
                     break
-            if offender is not None:
-                break
-        if offender is not None:
+        if offender is None:
+            t += 1
+        else:
             row_add(t, offender, 1)
-            continue
-        t += 1
     return u, d, v, ui, vi
 
 

@@ -538,6 +538,12 @@ class Class2Hom:
     def __eq__(self, other):
         if not isinstance(other, Class2Hom):
             return NotImplemented
+        # shapes, not group identity: equal homs may land in equal but
+        # distinct group objects
+        if any((x.q.ngens, x.c.ngens) != (y.q.ngens, y.c.ngens)
+               for x, y in ((self.source, other.source),
+                            (self.target, other.target))):
+            return False
         return (all(a == b for a, b in zip(self.gen_images, other.gen_images))
                 and self.cmap == other.cmap)
 

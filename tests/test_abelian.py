@@ -199,3 +199,12 @@ def test_preimage_is_the_same_on_repeated_calls_and_equal_maps():
         assert first.vec == again.vec == other.vec == fresh
         assert f(first) == y
     assert 0 < answered < 24
+
+
+def test_map_equality_compares_shapes():
+    two, one = FinAbGroup(2), FinAbGroup(1)
+    into_two = AbMap(one, two, [[1], [0]])
+    assert identity_map(two) != into_two and into_two != identity_map(two)
+    assert zero_map(two, one) != zero_map(two, two)
+    assert identity_map(two) == identity_map(FinAbGroup(2))
+    assert identity_map(two) != "map"

@@ -1,10 +1,13 @@
 """Exact integer linear algebra, cross-checked against sympy."""
 
+import contextlib
 import itertools
 import random
+import re
+import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -124,6 +127,203 @@ def test_smith_normal_form_builds_only_the_kept_transforms(keep):
         assert pd == d
         for name, got in zip(la.TRANSFORMS, (pu, pv, pui, pvi)):
             assert got == (full[name] if name in keep else None)
+
+
+def _dense_snf_oracle(a, ncols, keep=la.TRANSFORMS):
+    """The dense Smith normal form that the kernel replaced, as the oracle:
+    it rescans d[t:, t:] for every pivot and for divisibility and walks
+    every row of D in a column operation.  The kernel must make the same
+    operations in the same order."""
+    m = len(a)
+    n = ncols
+    d = la.mat_copy(a)
+    u = la.identity(m) if "u" in keep else None
+    v = la.identity(n) if "v" in keep else None
+    ui = la.identity(m) if "uinv" in keep else None
+    vi = la.identity(n) if "vinv" in keep else None
+    row_held = [x for x in (d, u) if x is not None]
+    col_held = [x for x in (d, v) if x is not None]
+
+    def row_swap(i, j):
+        for x in row_held:
+            x[i], x[j] = x[j], x[i]
+        if ui is not None:
+            for r in ui:
+                r[i], r[j] = r[j], r[i]
+
+    def row_add(i, j, k):  # row i += k * row j
+        for x in row_held:
+            x[i] = [p + k * q for p, q in zip(x[i], x[j])]
+        if ui is not None:
+            for r in ui:
+                r[j] -= k * r[i]
+
+    def row_neg(i):
+        for x in row_held:
+            x[i] = [-p for p in x[i]]
+        if ui is not None:
+            for r in ui:
+                r[i] = -r[i]
+
+    def col_swap(i, j):
+        for x in col_held:
+            for r in x:
+                r[i], r[j] = r[j], r[i]
+        if vi is not None:
+            vi[i], vi[j] = vi[j], vi[i]
+
+    def col_add(i, j, k):  # col i += k * col j
+        for x in col_held:
+            for r in x:
+                r[i] += k * r[j]
+        if vi is not None:
+            vi[j] = [p - k * q for p, q in zip(vi[j], vi[i])]
+
+    t = 0
+    while True:
+        # find a pivot in the submatrix d[t:, t:]
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j]:
+                    if pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]]):
+                        pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        row_swap(t, pi)
+        col_swap(t, pj)
+        # clear row and column t
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    row_add(i, t, -q)
+                    if d[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    col_add(j, t, -q)
+                    if d[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+        if d[t][t] < 0:
+            row_neg(t)
+        # enforce divisibility of the rest of the submatrix by d[t][t]
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if d[i][j] % d[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        t += 1
+    return u, d, v, ui, vi
+
+
+def _sparse_matrix(draw, m, n, values, max_nonzeros):
+    a = la.zeros(m, n)
+    if m and n:
+        for i, j, x in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                               st.integers(0, n - 1),
+                                               st.sampled_from(values)),
+                                     max_size=max_nonzeros)):
+            a[i][j] = x
+    return a
+
+
+_SIGNED = [x for x in range(-6, 7) if x]
+_UNIT_FREE = [2, -2, 3, -3, 4, -4, 6, -6]
+
+
+@st.composite
+def _snf_inputs(draw):
+    """(a, ncols) with 0-8 rows and columns, zero rows and columns
+    included: sparse with entries -6..6; dense with entries -6..6; or
+    unit-free with entries 0, ±2, ±3, ±4, ±6, so that pivots above 1, the
+    divisibility scan and its restart run.  Dense draws keep to 25 cells and
+    sparse ones to a quarter of the cells: beyond that the floor-quotient
+    reduction, in the kernel as in the oracle, lets entries grow until a
+    single 8x8 input takes seconds (ROADMAP item 5)."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["sparse", "dense", "unit-free"]))
+    if kind == "dense":
+        n = min(n, 25 // max(m, 1))
+        return [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+                for _ in range(m)], n
+    values = _SIGNED if kind == "sparse" else _UNIT_FREE
+    return _sparse_matrix(draw, m, n, values, m * n // 4 + 1), n
+
+
+class _NoResult(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail a call that has not returned after `seconds`: a kernel that
+    loses track of an entry can swap the same columns forever."""
+    def stop(signum, frame):
+        raise _NoResult("no result after %s s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_kernel_matches_oracle(a, ncols):
+    for keep in _KEEPS:
+        expected = _dense_snf_oracle(a, ncols, keep)
+        with _time_limit(5):
+            got = la.smith_normal_form(a, ncols, keep)
+        assert got == expected, keep
+
+
+@given(_snf_inputs())
+@example(([[1, 1]], 2))
+@example(([[3, 2, 1], [0, 2, 0]], 3))
+@example(([[2, 0], [0, 3]], 2))
+@example(([[0, 0, 0], [0, 4, 6], [0, 6, 4]], 3))
+@settings(max_examples=300, deadline=None)
+def test_smith_normal_form_matches_dense_oracle(case):
+    """The same U, D, V, Uinv and Vinv as the dense oracle for every keep
+    subset."""
+    _assert_kernel_matches_oracle(*case)
+
+
+@st.composite
+def _workload_sized(draw):
+    """30x40, at most 40 entries of ±1 or ±2, like the sparse relation
+    matrices of module invariants."""
+    return _sparse_matrix(draw, 30, 40, [1, -1, 2, -2], 40), 40
+
+
+@given(_workload_sized())
+@settings(max_examples=25, deadline=None)
+def test_smith_normal_form_matches_dense_oracle_at_workload_size(case):
+    _assert_kernel_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("keep,named", [
+    ("vinv", "string 'vinv'"), ("v", "string 'v'"), (("v", "w"), "'w' in"),
+    (["vinv", "U"], "'U' in"), (("u", "uinv", "vinverse"), "'vinverse' in")])
+def test_smith_normal_form_refuses_unknown_keep(keep, named):
+    """A bare string would be read letter by letter ("vinv" would also
+    build V), and an unknown name would leave its transform None."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        la.smith_normal_form([[1]], 1, keep=keep)
 
 
 def test_empty_dimensions():

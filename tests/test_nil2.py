@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word
-from secgroups.abelian import AbMap, FinAbGroup
+from secgroups.abelian import AbMap, FinAbGroup, zero_map
 from secgroups.crossed import (AbCoords, FreeBaseHom, FreeGroupBase,
                                OmegaPairing)
 from secgroups.models import wedge_model
 from secgroups.nil2 import (
-    Class2Group, Class2Hom, Subgroup,
+    Class2Group, Class2Hom, Subgroup, abelian_as_class2,
     free_nil, nilize, element_to_word, hom_from_words,
     hom_kernel, hom_cokernel, identity_hom, trivial_hom, product_group,
     boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
@@ -477,3 +477,21 @@ def test_level_gamma_and_tensor_shapes():
 def test_exact_sequence(n, k):
     rep = exact_sequence_report(n, PointedSet([chr(97 + i) for i in range(k)]))
     assert rep["exact"], rep
+
+
+def test_hom_equality_compares_source_and_target_shapes():
+    """Homs out of groups with different generator counts are unequal
+    both ways, never compared generator by generator; homs between equal
+    but distinct group objects are equal."""
+    z2 = abelian_as_class2(FinAbGroup(2))
+    z1 = abelian_as_class2(FinAbGroup(1))
+    from_z1 = Class2Hom(z1, z2, [z2.generator(0)], zero_map(z1.c, z2.c),
+                        check=False)
+    assert identity_hom(z2) != from_z1 and from_z1 != identity_hom(z2)
+    fab = free_nil(PointedSet(["a", "b"]))
+    fa = free_nil(PointedSet(["a"]))
+    from_fa = Class2Hom(fa, fab, [fab.generator(0)], zero_map(fa.c, fab.c),
+                        check=False)
+    assert identity_hom(fab) != from_fa and from_fa != identity_hom(fab)
+    assert identity_hom(fab) == identity_hom(free_nil(PointedSet(["a", "b"])))
+    assert identity_hom(fab) != "hom"
