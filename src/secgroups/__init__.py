@@ -32,7 +32,7 @@ from .functors import (Fiber, ad1, ad2, ad3, adjunction_check, fiber, phi1,
 from .models import (KInvariant, homotopy_groups, k_invariant,
                      suspension_comparison, wedge_model)
 from .nil2 import (Class2Elem, Class2Group, Class2Hom, QuotientError,
-                   Subgroup, abelian_as_class2, boundary_map, element_to_word,
+                   Subgroup, abelian_as_class2, boundary_map,
                    exact_sequence_report, free_nil, hom_cokernel,
                    hom_from_words, hom_kernel, identity_hom, nilize,
                    trivial_hom)

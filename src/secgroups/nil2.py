@@ -30,7 +30,10 @@ class two because every obstruction term is bilinear.
 The free objects here are `free_nil` (free class-2 group on a pointed set,
 with the strictly upper triangular cocycle convention fixing the orientation
 a ^ b = lam(a (x) b) for generator indices i < j) and `nilize`, which
-collects an arbitrary free word into its normal form.
+collects an arbitrary free word into its normal form.  The way back, an
+element spelled as letters, is `Class2Group.letters` and nothing else: it
+solves the central residue against `lam` through a solver the group builds
+once.
 
 Subgroups, normal closures, quotients, and kernels/cokernels of
 homomorphisms are computed lattice-by-lattice; a quotient whose cocycle
@@ -66,6 +69,8 @@ class Class2Group:
     # set by free_nil: the central generator of each commutator [e_i, e_j]
     # for i < j, keyed (i, j) in the order of the central generators
     wedge_index = None
+    # set by letters on first use: the held solver of lam modulo C
+    _lam_solver = None
 
     def __init__(self, q: FinAbGroup, c: FinAbGroup,
                  lam_matrix, beta_matrix, gen_names=None, check: bool = True):
@@ -224,21 +229,23 @@ class Class2Group:
 
     def letters(self, elem) -> list[tuple[int, int]]:
         """The (generator index, exponent) letters of a word for elem: its
-        Q part, then the commutators that make up its central residue."""
+        Q part, then the commutators that make up its central residue,
+        solved against `lam` through one solver held on the group."""
         out = [(i, a) for i, a in enumerate(elem.qvec) if a]
         resid = la.vec_sub(elem.cvec, self.collect_central(elem.qvec))
-        if any(resid):
-            nq = self.q.ngens
-            coeffs = la.solve_mod(self.lam, nq ** 2, resid, self.c.relations)
-            if coeffs is None:
-                raise ValueError("central base element outside commutators")
-            for p, a in enumerate(coeffs):
-                if a:
-                    i, j = divmod(p, nq)
-                    seq = [(i, -1), (j, -1), (i, 1), (j, 1)]
-                    for _ in range(abs(a)):
-                        out.extend(seq if a > 0 else
-                                   [(s, -e) for s, e in reversed(seq)])
+        if not any(resid):
+            return out
+        nq = self.q.ngens
+        if self._lam_solver is None:
+            self._lam_solver = la.Solver(self.lam, nq ** 2, self.c.relations)
+        sol = self._lam_solver.solve(resid)
+        if sol is None:
+            raise ValueError("central base element outside commutators")
+        for p, a in enumerate(sol):
+            i, j = divmod(p, nq)
+            seq = [(i, -1), (j, -1), (i, 1), (j, 1)] if a > 0 else \
+                [(j, -1), (i, -1), (j, 1), (i, 1)]
+            out.extend(seq * abs(a))
         return out
 
     def is_free(self) -> bool:
@@ -409,8 +416,11 @@ class Class2Elem:
     def __eq__(self, other):
         if not isinstance(other, Class2Elem):
             return NotImplemented
-        return (self.group.q.contains_in_lattice(la.vec_sub(self.qvec, other.qvec))
-                and self.group.c.contains_in_lattice(la.vec_sub(self.cvec, other.cvec)))
+        g, h = self.group, other.group
+        if (g.q.ngens, g.c.ngens) != (h.q.ngens, h.c.ngens):
+            return False
+        return (g.q.contains_in_lattice(la.vec_sub(self.qvec, other.qvec))
+                and g.c.contains_in_lattice(la.vec_sub(self.cvec, other.cvec)))
 
     def __hash__(self):
         raise TypeError("Class2Elem is unhashable; equality is modulo relations")
@@ -820,27 +830,6 @@ def nilize(word: Word, group: Class2Group) -> Class2Elem:
     return group.power_product(
         [group._gens[name_to_idx[sym]] for sym, _ in word.letters],
         [exp for _, exp in word.letters])
-
-
-def element_to_word(elem: Class2Elem) -> Word:
-    """A word mapping to the element under nilize; needs a free_nil group."""
-    g = elem.group
-    letters = []
-    for i, a in enumerate(elem.qvec):
-        if a:
-            letters.append((g.gen_names[i], a))
-    resid = la.vec_sub(elem.cvec, g.collect_central(elem.qvec))
-    for (i, j), p in g.wedge_index.items():
-        k = resid[p]
-        if k:
-            for _ in range(abs(k)):
-                if k > 0:
-                    letters += [(g.gen_names[i], -1), (g.gen_names[j], -1),
-                                (g.gen_names[i], 1), (g.gen_names[j], 1)]
-                else:
-                    letters += [(g.gen_names[j], -1), (g.gen_names[i], -1),
-                                (g.gen_names[j], 1), (g.gen_names[i], 1)]
-    return Word(letters).reduced()
 
 
 def hom_from_words(source: Class2Group, target: Class2Group,

@@ -33,8 +33,7 @@ from . import intlinalg as la
 from .abelian import (AbMap, FinAbGroup, tensor_square, tensor_square_map,
                       zero_map)
 from .crossed import CrossMorphism
-from .nil2 import Class2Elem, Class2Hom, boundary_map, element_to_word, \
-    nilize
+from .nil2 import Class2Elem, Class2Hom, boundary_map
 from .words import Word
 
 CLASSICAL_HOPF_SIGN = -1
@@ -179,8 +178,13 @@ class TwoMorphism:
     The companion morphism g, with g0 = f0 * (d' alpha) and
     g1 = f1 * (alpha d), is derived and validated on construction.
 
-    The base of x must be a free class-2 group so that elements can be
-    rewritten as words for evaluation.
+    Evaluation spells a base element as letters through the base's
+    `letters` and folds over a table held per 2-morphism: for each base
+    generator e, the pairs (f0(e), alpha(e)) and (f0(e^-1), alpha(e^-1)),
+    where alpha(e^-1) = (alpha(e)^{f0(e)^-1})^-1.
+
+    The base of x must be a free class-2 group: the companion's g0 is
+    forced on the commutators through `free_hom`, which needs one.
     """
 
     def __init__(self, f: CrossMorphism, values, check: bool = True):
@@ -191,46 +195,41 @@ class TwoMorphism:
         base = self.x.base
         if base.wedge_index is None:
             raise NotImplementedError(
-                "2-morphisms need a free class-2 base for word evaluation")
+                "2-morphisms need a free class-2 base to force the "
+                "companion's base map")
         if len(self.values) != base.q.ngens:
             raise ValueError("need one value per base generator")
+        self._table = {}
+        for i, v in enumerate(self.values):
+            e = base.generator(i)
+            up, down = f.f0.eval(e), f.f0.eval(e ** -1)
+            # from 1 = alpha(e)^{f0(e^-1)} alpha(e^-1)
+            inv = self.y.act(v, up.inverse()).inverse()
+            self._table[base.gen_names[i]] = ((up, v), (down, inv))
         self.g = self._derive_companion()
         if check:
             self.validate()
 
     # -- evaluation ---------------------------------------------------------
 
-    def _f0(self, word: Word):
-        return self.f.f0.eval(nilize(word, self.x.base))
-
-    def _letter_value(self, i: int, exp: int) -> Class2Elem:
-        v = self.values[i]
-        if exp == 1:
-            return v
-        letter = Word([(self.x.base.gen_names[i], 1)])
-        # from 1 = alpha(e)^{f0(e^-1)} alpha(e^-1)
-        return self.y.act(v, self._f0(letter).inverse()).inverse()
-
     def eval_word(self, word: Word) -> Class2Elem:
-        index = {s: i for i, s in enumerate(self.x.base.gen_names)}
         out = self.y.m.identity()
         for sym, e in word.letters:
-            step = 1 if e > 0 else -1
+            img, val = self._table[sym][e < 0]
             for _ in range(abs(e)):
-                letter = Word([(sym, step)])
-                val = self._letter_value(index[sym], step)
-                out = self.y.act(out, self._f0(letter)) * val
+                out = self.y.act(out, img) * val
         return out
 
     def eval(self, elem: Class2Elem) -> Class2Elem:
-        return self.eval_word(element_to_word(elem))
+        names = self.x.base.gen_names
+        return self.eval_word(Word([(names[i], e) for i, e in
+                                    self.x.base.letters(elem)]).reduced())
 
     # -- the companion morphism ----------------------------------------------
 
     def _derive_companion(self) -> CrossMorphism:
         x, y, f = self.x, self.y, self.f
-        g0_imgs = [f.f0.eval(x.base.generator(i)) * y.bnd.eval(v)
-                   for i, v in enumerate(self.values)]
+        g0_imgs = [up * y.bnd.eval(v) for (up, v), _ in self._table.values()]
         g0 = x.base.free_hom(y.base, g0_imgs)
         g1_imgs = []
         for i in range(x.m.q.ngens):
@@ -279,6 +278,8 @@ class TwoMorphism:
 
 def vcomp2(second: TwoMorphism, first: TwoMorphism) -> TwoMorphism:
     """Vertical pasting (f => g) then (g => h); values multiply."""
+    if not (second.f.f0 == first.g.f0 and second.f.f1 == first.g.f1):
+        raise ValueError("2-morphisms are not pasteable")
     vals = [a * b for a, b in zip(first.values, second.values)]
     return TwoMorphism(first.f, vals)
 

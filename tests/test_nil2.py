@@ -12,8 +12,8 @@ from secgroups.crossed import (AbCoords, FreeBaseHom, FreeGroupBase,
                                OmegaPairing)
 from secgroups.models import wedge_model
 from secgroups.nil2 import (
-    Class2Group, Class2Hom, Subgroup, abelian_as_class2,
-    free_nil, nilize, element_to_word, hom_from_words,
+    Class2Group, Class2Hom, QuotientError, Subgroup, abelian_as_class2,
+    free_nil, nilize, hom_from_words,
     hom_kernel, hom_cokernel, identity_hom, trivial_hom, product_group,
     boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
     _projection_twist,
@@ -66,12 +66,107 @@ def test_nilize_matches_transposition_oracle():
         assert nilize(w, g) == oracle_element(w, g)
 
 
-def test_element_to_word_is_a_section():
-    g = free_nil(POINTS)
-    rng = random.Random(3)
-    for _ in range(50):
-        x = nilize(_random_word(rng, POINTS.nonbase(), 6), g)
-        assert nilize(element_to_word(x), g) == x
+def _former_letters(g: Class2Group, elem):
+    """The body `Class2Group.letters` had before it held a solver: a fresh
+    solve on every call."""
+    out = [(i, a) for i, a in enumerate(elem.qvec) if a]
+    resid = la.vec_sub(elem.cvec, g.collect_central(elem.qvec))
+    if any(resid):
+        nq = g.q.ngens
+        coeffs = la.solve_mod(g.lam, nq ** 2, resid, g.c.relations)
+        if coeffs is None:
+            raise ValueError("central base element outside commutators")
+        for p, a in enumerate(coeffs):
+            if a:
+                i, j = divmod(p, nq)
+                seq = [(i, -1), (j, -1), (i, 1), (j, 1)]
+                for _ in range(abs(a)):
+                    out.extend(seq if a > 0 else
+                               [(s, -e) for s, e in reversed(seq)])
+    return out
+
+
+def _spelled(g: Class2Group, elem) -> Word:
+    return Word([(g.gen_names[i], e) for i, e in g.letters(elem)])
+
+
+def _letters_or_error(spell, g, elem):
+    try:
+        return spell(g, elem)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_letters_of_free_groups_match_a_fresh_solve(k):
+    g = free_nil(PointedSet(list("abcd"[:k])))
+    rng = random.Random(30 + k)
+    for _ in range(300):
+        x = g.element([rng.randint(-4, 4) for _ in range(k)],
+                      [rng.randint(-4, 4) for _ in range(g.c.ngens)])
+        assert g.letters(x) == _former_letters(g, x)
+        assert nilize(_spelled(g, x), g) == x
+
+
+def _random_free_quotients(rng):
+    """Quotients of free class-2 groups on 2 and 3 letters by the normal
+    closure of random elements: groups with Q and C relations that are not
+    free, with the commutators still spanning C."""
+    out = []
+    for k in (2, 3):
+        g = free_nil(PointedSet(list("abc"[:k])))
+        found = 0
+        while found < 5:
+            gens = [g.element([rng.randint(-3, 3) for _ in range(k)],
+                              [rng.randint(-3, 3) for _ in range(g.c.ngens)])
+                    for _ in range(rng.randint(1, 2))]
+            try:
+                quot, _ = Subgroup(g, gens, normal=True).quotient()
+            except QuotientError:
+                continue
+            if quot.q.relations and quot.c.relations:
+                out.append(quot)
+                found += 1
+    return out
+
+
+def test_letters_of_quotients_match_a_fresh_solve_and_spell_the_element():
+    rng = random.Random(34)
+    for g in _random_free_quotients(rng):
+        assert g.wedge_index is None
+        for _ in range(20):
+            x = g.element([rng.randint(-4, 4) for _ in range(g.q.ngens)],
+                          [rng.randint(-4, 4) for _ in range(g.c.ngens)])
+            assert g.letters(x) == _former_letters(g, x)
+            assert nilize(_spelled(g, x), g) == x
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_letters_match_a_fresh_solve_on_unchecked_groups(data):
+    g = data.draw(_unchecked_class2_groups(entry=st.integers(-3, 3)))
+    nq = g.q.ngens
+    # several elements per group, so the held solver answers more than once
+    for x in _elements(data.draw, g, 3):
+        # the solution vector is not reduced, and on these groups the sum
+        # of its entries passes 10^7: spell only words of at most 4000
+        # letters
+        resid = la.vec_sub(x.cvec, g.collect_central(x.qvec))
+        coeffs = la.solve_mod(g.lam, nq ** 2, resid, g.c.relations)
+        if coeffs and sum(map(abs, coeffs)) > 1000:
+            continue
+        assert _letters_or_error(Class2Group.letters, g, x) == \
+            _letters_or_error(_former_letters, g, x)
+
+
+def test_letters_refuse_a_residue_outside_the_commutators():
+    g = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]], [[0]])
+    x = g.central([1])
+    with pytest.raises(ValueError, match="outside commutators"):
+        g.letters(x)
+    assert _letters_or_error(Class2Group.letters, g, x) == \
+        _letters_or_error(_former_letters, g, x)
+    assert g.letters(g.generator(0) ** 3) == [(0, 3)]
 
 
 def test_hom_from_words_respects_multiplication():
@@ -495,3 +590,20 @@ def test_hom_equality_compares_source_and_target_shapes():
     assert identity_hom(fab) != from_fa and from_fa != identity_hom(fab)
     assert identity_hom(fab) == identity_hom(free_nil(PointedSet(["a", "b"])))
     assert identity_hom(fab) != "hom"
+
+
+def test_element_equality_compares_group_shapes():
+    """Elements of groups with different generator counts are unequal both
+    ways; elements of equal but distinct groups compare modulo relations."""
+    z2 = abelian_as_class2(FinAbGroup(2))
+    z1 = abelian_as_class2(FinAbGroup(1))
+    assert z2.generator(0) != z1.generator(0)
+    assert z1.generator(0) != z2.generator(0)
+    fab = free_nil(PointedSet(["a", "b"]))
+    fab2 = free_nil(PointedSet(["a", "b"]))
+    x = fab.generator(0) * fab.generator(1)
+    assert x == fab2.generator(0) * fab2.generator(1)
+    assert x != fab2.generator(1) * fab2.generator(0)
+    z4 = abelian_as_class2(FinAbGroup(1, [[4]]))
+    assert z4.generator(0) ** 5 == abelian_as_class2(
+        FinAbGroup(1, [[4]])).generator(0)

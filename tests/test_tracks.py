@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from secgroups.words import PointedSet
+from secgroups import intlinalg as la
+from secgroups.words import PointedSet, Word
 from secgroups.abelian import FinAbGroup, AbMap, gamma, tensor_z2
-from secgroups.nil2 import (free_nil, boundary_map, identity_hom,
-                            element_to_word, nilize)
+from secgroups.nil2 import free_nil, boundary_map, identity_hom, nilize
 from secgroups.crossed import CrossMorphism
 from secgroups.functors import phi2
 from secgroups.models import wedge_model
@@ -22,7 +22,6 @@ from secgroups.selftest import (
     _induced_wedge_morphism, _points, _rand_group_elem, _random_word,
     _random_quotient_wedge,
 )
-from secgroups.words import Word
 
 
 G1 = free_nil(PointedSet(["a"]))
@@ -139,6 +138,27 @@ def test_two_morphism_companion_is_valid():
     alpha.g.validate()
 
 
+def test_vcomp2_rejects_non_pasteable():
+    rng = random.Random(24)
+    x = wedge_model(2, _points(2))
+    y = wedge_model(2, _points(2))
+    f = _induced_wedge_morphism(rng, x, y)
+    # the boundary of this value is a commutator, so g0 != f0
+    alpha = TwoMorphism(f, [y.m.generator(1), y.m.identity()])
+    assert not alpha.g.f0 == alpha.f.f0
+    with pytest.raises(ValueError, match="not pasteable"):
+        vcomp2(alpha, alpha)
+    vcomp2(alpha.inverse(), alpha)
+    cm = _conjugation_module(_points(2))
+    ident = CrossMorphism(cm, cm, identity_hom(cm.m), identity_hom(cm.base),
+                          check=False)
+    a1 = TwoMorphism(ident, [cm.m.generator(0), cm.m.generator(1)])
+    assert not a1.g.f1 == ident.f1
+    with pytest.raises(ValueError, match="not pasteable"):
+        vcomp2(a1, a1)
+    vcomp2(a1.inverse(), a1)
+
+
 def test_two_morphism_inverse_and_vcomp():
     rng = random.Random(17)
     _, _, alpha = _quadratic_pair(rng)
@@ -202,7 +222,7 @@ def _oracle_eval(alpha, elem):
     y = alpha.y
     index = {s: i for i, s in enumerate(alpha.x.base.gen_names)}
     out = y.m.identity()
-    for sym, e in element_to_word(elem).letters:
+    for sym, e in _former_element_to_word(elem).letters:
         step = 1 if e > 0 else -1
         for _ in range(abs(e)):
             letter = Word([(sym, step)])
@@ -299,3 +319,84 @@ def test_quadratic_action_is_the_phi2_action(n):
                                  for _ in range(x.m.c.ngens)])
                 b = _random_base_elem(rng, x.n)
                 assert x.act(m, b) == crossed.act(m, b)
+
+
+# --- evaluation from the per-generator table against the former one --------
+
+def _former_element_to_word(elem) -> Word:
+    """The speller 2-morphism evaluation used before `Class2Group.letters`,
+    for free_nil groups only: it read the commutators off `wedge_index`."""
+    g = elem.group
+    letters = []
+    for i, a in enumerate(elem.qvec):
+        if a:
+            letters.append((g.gen_names[i], a))
+    resid = la.vec_sub(elem.cvec, g.collect_central(elem.qvec))
+    for (i, j), p in g.wedge_index.items():
+        k = resid[p]
+        if k:
+            for _ in range(abs(k)):
+                if k > 0:
+                    letters += [(g.gen_names[i], -1), (g.gen_names[j], -1),
+                                (g.gen_names[i], 1), (g.gen_names[j], 1)]
+                else:
+                    letters += [(g.gen_names[j], -1), (g.gen_names[i], -1),
+                                (g.gen_names[j], 1), (g.gen_names[i], 1)]
+    return Word(letters).reduced()
+
+
+
+def _raw(x):
+    return x.qvec, x.cvec
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_letters_of_free_groups_match_the_former_speller(k):
+    g = free_nil(PointedSet(list("abcd"[:k])))
+    rng = random.Random(30 + k)
+    for _ in range(300):
+        x = g.element([rng.randint(-4, 4) for _ in range(k)],
+                      [rng.randint(-4, 4) for _ in range(g.c.ngens)])
+        spelled = Word([(g.gen_names[i], e) for i, e in g.letters(x)])
+        assert spelled.reduced().letters == _former_element_to_word(x).letters
+
+
+def _former_eval(alpha, elem):
+    """The evaluation a 2-morphism had before its per-generator table: a
+    word from the second speller, and per letter its f0 image nilized
+    afresh and, for an inverse letter, its value re-derived."""
+    y, base = alpha.y, alpha.x.base
+    index = {s: i for i, s in enumerate(base.gen_names)}
+
+    def f0(word):
+        return alpha.f.f0.eval(nilize(word, base))
+
+    out = y.m.identity()
+    for sym, e in _former_element_to_word(elem).letters:
+        step = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            val = alpha.values[index[sym]]
+            if step < 0:
+                val = y.act(val, f0(Word([(sym, 1)])).inverse()).inverse()
+            out = y.act(out, f0(Word([(sym, step)]))) * val
+    return out
+
+
+def test_eval_is_raw_equal_to_the_former_evaluation():
+    rng = random.Random(25)
+    levels = set()
+    for _ in range(6):
+        for alpha in _random_two_morphisms(rng):
+            levels.add(alpha.x.level)
+            base = alpha.x.base
+            elems = [_random_base_elem(rng, base) for _ in range(6)]
+            elems += [a * b ** -1 for a in base.generators()
+                      for b in base.generators()]
+            for e in elems:
+                assert _raw(alpha.eval(e)) == _raw(_former_eval(alpha, e))
+            for i in range(alpha.x.m.q.ngens):
+                mg = alpha.x.m.generator(i)
+                want = alpha.f.f1.eval(mg) * _former_eval(
+                    alpha, alpha.x.bnd.eval(mg))
+                assert _raw(alpha.g.f1.eval(mg)) == _raw(want)
+    assert levels == {1, 2, 3}
