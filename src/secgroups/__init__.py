@@ -19,7 +19,7 @@ Layers:
 
 from .abelian import AbElem, AbMap, FinAbGroup, GammaGroup, TensorSquare, \
     gamma, gamma_map, reduced_tensor_square, tensor_square, \
-    tensor_square_map, tensor_z2
+    tensor_square_map, tensor_square_relations, tensor_z2
 from .coset import DEFAULT_CAP, EnumerationCapExceeded, \
     FinitelyPresentedGroup
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeBaseHom,

@@ -302,20 +302,27 @@ def direct_sum(a: FinAbGroup, b: FinAbGroup):
 # tensor square and friends
 # ---------------------------------------------------------------------------
 
+def tensor_square_relations(a: FinAbGroup) -> list[list[int]]:
+    """Relation rows of the tensor square of a: u (x) e_j and e_j (x) u for
+    every relation u of a and every generator j, in that order."""
+    n = a.ngens
+    rows = []
+    for r in a.relations:
+        for j in range(n):
+            ej = [0] * n
+            ej[j] = 1
+            rows.append(la.kron(r, ej))
+            rows.append(la.kron(ej, r))
+    return rows
+
+
 class TensorSquare:
     """Tensor square of a presented group, basis (i, j) lexicographic."""
 
     def __init__(self, base: FinAbGroup):
         n = base.ngens
         self.base = base
-        rels = []
-        for r in base.relations:
-            for j in range(n):
-                ej = [0] * n
-                ej[j] = 1
-                rels.append(la.kron(r, ej))
-                rels.append(la.kron(ej, r))
-        self.group = FinAbGroup(n * n, rels)
+        self.group = FinAbGroup(n * n, tensor_square_relations(base))
         swap = la.zeros(n * n, n * n)
         for i in range(n):
             for j in range(n):

@@ -47,7 +47,7 @@ queries raise `H0Undecidable` unless a bounded coset enumeration
 from __future__ import annotations
 
 from . import intlinalg as la
-from .abelian import AbMap, FinAbGroup, tensor_square
+from .abelian import AbMap, FinAbGroup, tensor_square_relations
 from .coset import (DEFAULT_CAP, EnumerationCapExceeded,
                     FinitelyPresentedGroup, todd_coxeter)
 from .nil2 import (Class2Elem, Class2Group, Class2Hom, free_nil,
@@ -126,10 +126,10 @@ class FreeGroupBase:
         if not m.is_abelian():
             raise NotImplementedError("nonabelian kernel over a free base")
         amb = m.underlying_ab()
+        solver = la.Solver(la.transpose(ker, nm), len(ker), amb.relations)
         rels = []
         for r in amb.relations:
-            coeffs = la.solve_mod(la.transpose(ker, nm), len(ker), r,
-                                  amb.relations)
+            coeffs = solver.solve(r)
             if coeffs is not None:
                 rels.append(coeffs)
         return FinAbGroup(len(ker), rels)
@@ -350,7 +350,12 @@ class GroupAction:
 # ---------------------------------------------------------------------------
 
 class OmegaPairing:
-    """The quadratic pairing: images in M for the tensor-square basis of N_ab."""
+    """The quadratic pairing: images in M for the tensor-square basis of N_ab.
+
+    No tensor-square group is built: `validate` reads the relation rows of
+    the tensor square off the coordinate group's relations, and evaluation
+    needs only the images.
+    """
 
     def __init__(self, coords: AbCoords, m: Class2Group, images, check=True):
         self.coords = coords
@@ -359,7 +364,6 @@ class OmegaPairing:
         na = coords.group.ngens
         if len(self.images) != na * na:
             raise ValueError("need one image per tensor basis element")
-        self.ts = tensor_square(coords.group)
         if check:
             self.validate()
 
@@ -372,7 +376,7 @@ class OmegaPairing:
                                   self.m.beta_eval(qs[j], qs[i]))
                 if not self.m.c.contains_in_lattice(comm):
                     raise ValueError("omega images do not commute")
-        for rel in self.ts.group.relations:
+        for rel in tensor_square_relations(self.coords.group):
             if not self.eval_vec(rel).is_identity():
                 raise ValueError("omega not defined modulo relations")
 
@@ -651,6 +655,8 @@ def check_axioms(x) -> list[str]:
 
 class CrossMorphism:
     """A morphism (f1 on M, f0 on the base) of same-level objects."""
+
+    _fiber = None  # set by functors.fiber on first use
 
     def __init__(self, src, tgt, f1: Class2Hom, f0, check: bool = True):
         self.src = src

@@ -11,7 +11,9 @@ instances, with a hard cap on the search space.
 pairs (n, m') agreeing in the target base, the one level is the source M,
 and the pairing is pulled back along the base projection.  `six_term`
 produces the connecting sequence of a morphism and certifies exactness at
-the four interior spots.
+the four interior spots.  A morphism holds its fiber once built, and each
+hom holds its kernel and cokernel (see `nil2`), so `fiber` followed by
+`six_term` on one morphism builds each of them once.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ class Fiber:
 
 
 def fiber(f: CrossMorphism) -> Fiber:
+    """The fiber of f, built on the first call and held on f."""
+    if f._fiber is not None:
+        return f._fiber
     x, y = f.src, f.tgt
     if x.level < 2:
         raise NotImplementedError("fibers are computed at level >= 2")
@@ -99,7 +104,8 @@ def fiber(f: CrossMorphism) -> Fiber:
 
     fib_obj = quadratic_module(x.m, fib0, bnd_fib, omega_fib, x.level)
     jmor = CrossMorphism(fib_obj, x, identity_hom(x.m), proj)
-    return Fiber(fib_obj, jmor, incl0)
+    f._fiber = Fiber(fib_obj, jmor, incl0)
+    return f._fiber
 
 
 def _coords_pair(elem: Class2Elem, sub: Class2Group, incl: Class2Hom):

@@ -38,6 +38,8 @@ once.
 Subgroups, normal closures, quotients, and kernels/cokernels of
 homomorphisms are computed lattice-by-lattice; a quotient whose cocycle
 fails to descend raises `QuotientError` instead of silently answering.
+`hom_kernel` and `hom_cokernel` build their pair on the first call for a
+hom and hold it there, so every later call for the same hom returns it.
 """
 
 from __future__ import annotations
@@ -475,6 +477,8 @@ class Class2Hom:
         self.gen_images = list(gen_images)
         self.cmap = cmap
         self._q_map = None  # built by the first q_map()
+        self._kernel = None  # held by the first hom_kernel
+        self._cokernel = None  # held by the first hom_cokernel
         if len(self.gen_images) != source.q.ngens:
             raise ValueError("need one image per Q generator")
         if cmap.source is not source.c or cmap.target is not target.c:
@@ -716,15 +720,21 @@ def _projection_twist(qparts, cparts, nq: int, cq: FinAbGroup):
 
 
 def hom_cokernel(f: Class2Hom):
-    """(coker group, projection hom): quotient by the image's normal closure."""
-    t = f.target
-    gens = [f.eval(img_src) for img_src in f.source.generators()]
-    sub = Subgroup(t, gens, normal=True)
-    return sub.quotient()
+    """(coker group, projection hom): quotient by the image's normal closure,
+    built on the first call and held on f."""
+    if f._cokernel is None:
+        t = f.target
+        gens = [f.eval(img_src) for img_src in f.source.generators()]
+        sub = Subgroup(t, gens, normal=True)
+        f._cokernel = sub.quotient()
+    return f._cokernel
 
 
 def hom_kernel(f: Class2Hom):
-    """(kernel group, inclusion hom), computed layer by layer."""
+    """(kernel group, inclusion hom), computed layer by layer on the first
+    call and held on f."""
+    if f._kernel is not None:
+        return f._kernel
     s, t = f.source, f.target
     nqs, ncs = s.q.ngens, s.c.ngens
     a = f.q_matrix()
@@ -787,7 +797,8 @@ def hom_kernel(f: Class2Hom):
                     betak[r][i * nk + j] = lc[r]
     kgroup = Class2Group(qk, ck, lamk, betak, check=False)
     incl = Class2Hom(kgroup, s, kelems, AbMap(ck, s.c, cincl.matrix, check=False))
-    return kgroup, incl
+    f._kernel = kgroup, incl
+    return f._kernel
 
 
 # ---------------------------------------------------------------------------
@@ -911,9 +922,10 @@ def exact_sequence_report(n: int, points: PointedSet) -> dict:
     kb, kb_incl = bnd.kernel()
     # middle exactness: the induced map gamma -> ker(boundary) is onto
     lift_cols = []
+    solver = la.Solver(kb_incl.matrix, kb.ngens, lts.relations)
     for j in range(gam.ngens):
         col = [inc.matrix[r][j] for r in range(lts.ngens)]
-        coeffs = la.solve_mod(kb_incl.matrix, kb.ngens, col, lts.relations)
+        coeffs = solver.solve(col)
         if coeffs is None:
             report["middle_exact"] = False
             break

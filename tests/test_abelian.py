@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from secgroups import intlinalg as la
 from secgroups.abelian import (AbMap, FinAbGroup, direct_sum, gamma,
                                gamma_map, identity_map, reduced_tensor_square,
-                               tensor_square, tensor_square_map, tensor_z2,
-                               zero_map)
+                               tensor_square, tensor_square_map,
+                               tensor_square_relations, tensor_z2, zero_map)
 
 
 def test_invariant_factors_and_rank():
@@ -67,6 +67,16 @@ def test_tensor_square_swap_is_involution():
     a = FinAbGroup(2, [[2, 0]])
     ts = tensor_square(a)
     assert ts.swap.compose(ts.swap) == identity_map(ts.group)
+
+
+def test_tensor_square_relations_are_the_group_relations_in_order():
+    # u (x) e_j then e_j (x) u, for each relation u, for j = 0, 1
+    a = FinAbGroup(2, [[2, 0]])
+    assert tensor_square_relations(a) == [[2, 0, 0, 0], [2, 0, 0, 0],
+                                          [0, 2, 0, 0], [0, 0, 2, 0]]
+    b = FinAbGroup(3, [[1, 2, 0], [0, 3, -1]])
+    assert tensor_square(b).group.relations == tensor_square_relations(b)
+    assert tensor_square_relations(FinAbGroup(2)) == []
 
 
 def test_tensor_square_functorial():

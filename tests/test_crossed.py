@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from secgroups.words import PointedSet, Word
-from secgroups.abelian import FinAbGroup, AbMap
+from secgroups.abelian import FinAbGroup, AbMap, tensor_square_relations
 from secgroups import intlinalg as la
 from secgroups.nil2 import Class2Group, Class2Hom, free_nil, identity_hom
 from secgroups.crossed import (
@@ -95,7 +95,7 @@ def _all_pairs_validate(om: OmegaPairing):
         for y in om.images:
             if not (x * y == y * x):
                 raise ValueError("omega images do not commute")
-    for rel in om.ts.group.relations:
+    for rel in tensor_square_relations(om.coords.group):
         if not om.eval_vec(rel).is_identity():
             raise ValueError("omega not defined modulo relations")
 
@@ -123,27 +123,44 @@ def _relations(draw, ngens):
     return _matrix(draw, draw(st.integers(0, 2)), ngens, st.integers(-4, 4))
 
 
-def _generator_multiples(draw, ngens):
-    """At most two relations, each a multiple k e_i of one generator."""
-    out = []
-    for _ in range(draw(st.integers(0, min(2, ngens)))):
-        row = [0] * ngens
-        row[draw(st.integers(0, ngens - 1))] = draw(st.integers(2, 4))
-        out.append(row)
-    return out
-
-
-def _unchecked_class2(draw, nq, nc, lam=None, relations=_relations):
+def _unchecked_class2(draw, nq, nc, lam=None):
     """Class2Group(check=False) with at most two Q and two C relations and
     a small beta; lam is beta itself or beta - beta o swap unless given."""
-    q, c = FinAbGroup(nq, relations(draw, nq)), \
-        FinAbGroup(nc, relations(draw, nc))
+    q, c = FinAbGroup(nq, _relations(draw, nq)), \
+        FinAbGroup(nc, _relations(draw, nc))
     beta = _matrix(draw, nc, nq * nq)
     if lam is None:
         lam = beta if draw(st.booleans()) else [
             [row[i * nq + j] - row[j * nq + i]
              for i in range(nq) for j in range(nq)] for row in beta]
     return Class2Group(q, c, lam, beta, check=False)
+
+
+def test_omega_pairing_runs_no_smith_normal_form(monkeypatch):
+    """Building a pairing builds no tensor-square group, so it runs no SNF,
+    also over a group with general relations whose tensor square's SNF
+    grows its entries for minutes.  The group is Z through phi."""
+    g = FinAbGroup(4, [[2, 2, -2, 1], [4, 1, -3, 3], [4, -3, -2, 4]])
+    coords = AbCoords(abelian_as_class2(g))
+    phi, = la.kernel_basis(g.relations, 4)
+    m = abelian_as_class2(FinAbGroup(1))
+    good = [m.element([a * b]) for a in phi for b in phi]
+    bad = [m.generator(0)] + [m.identity()] * 15
+    calls = []
+
+    def counted(*args, **kwargs):
+        # stop at the first call: the SNF of that tensor square runs for
+        # minutes
+        calls.append(args)
+        raise AssertionError("building a pairing ran an SNF")
+
+    monkeypatch.setattr(la, "smith_normal_form", counted)
+    for images in (good, bad):
+        OmegaPairing(coords, m, images, check=False)
+    OmegaPairing(coords, m, good, check=True)
+    with pytest.raises(ValueError, match="not defined modulo relations"):
+        OmegaPairing(coords, m, bad, check=True)
+    assert calls == []
 
 
 @given(st.data())
@@ -238,23 +255,18 @@ def _unchecked_hom(draw, s, t):
 
 
 def _base_of_mode(draw, mode):
-    """A Class2Group(check=False) whose `AbCoords` takes the Q layer
-    (its central layer is the wedge of a free class-2 group) or the full
-    pair presentation (lam = 0 and at least one central generator).
-
-    Its relations are generator multiples and it has at most three
-    coordinates: on the tensor square of a presented group with general
-    relations the dense SNF can grow its entries for minutes."""
+    """A Class2Group(check=False) with general relations and at most four
+    coordinates, whose `AbCoords` takes the Q layer (its central layer is
+    the wedge of a free class-2 group on up to four letters) or the full
+    pair presentation (lam = 0 and at least one central generator)."""
     if mode == "q":
-        free = free_nil(PointedSet(["*"] + ["a", "b", "c"][
-            :draw(st.integers(0, 3))]))
-        nq, nc = free.q.ngens, free.c.ngens
-        return _unchecked_class2(draw, nq, nc, lam=free.lam,
-                                 relations=_generator_multiples)
+        free = free_nil(PointedSet(["*"] + ["a", "b", "c", "d"][
+            :draw(st.integers(0, 4))]))
+        return _unchecked_class2(draw, free.q.ngens, free.c.ngens,
+                                 lam=free.lam)
     nc = draw(st.integers(1, 2))
-    nq = draw(st.integers(0, 3 - nc))
-    return _unchecked_class2(draw, nq, nc, lam=la.zeros(nc, nq * nq),
-                             relations=_generator_multiples)
+    nq = draw(st.integers(0, 4 - nc))
+    return _unchecked_class2(draw, nq, nc, lam=la.zeros(nc, nq * nq))
 
 
 @pytest.mark.parametrize("level", [2, 3])

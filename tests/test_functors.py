@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secgroups.words import PointedSet, Word
+from secgroups.abelian import AbMap
 from secgroups.nil2 import free_nil, hom_from_words, identity_hom, nilize
 from secgroups.crossed import (AbCoords, CrossMorphism, FreeBaseHom,
                                FreeGroupBase, check_axioms)
@@ -39,6 +40,39 @@ def test_six_term_on_random_morphisms():
         rep = six_term(f)
         assert rep["exact"], {k: v for k, v in rep.items()
                               if isinstance(v, bool)}
+
+
+def _crit5_morphism(seed):
+    """A random level-2 morphism drawn as the fiber criterion draws them."""
+    rng = random.Random(seed)
+    x = wedge_model(2, _points(rng.randint(1, 2)))
+    y = _random_quotient_wedge(rng, 2, _points(rng.randint(1, 2)))
+    return _induced_wedge_morphism(rng, x, y)
+
+
+def _raw_map(f):
+    """Matrices of an AbMap, or generator images and central matrix of a
+    Class2Hom, with the relations of its groups, as plain lists."""
+    if isinstance(f, AbMap):
+        return f.matrix, f.source.relations, f.target.relations
+    groups = [(g.q.relations, g.c.relations) for g in (f.source, f.target)]
+    return ([(e.qvec, e.cvec) for e in f.gen_images], f.cmap.matrix, groups)
+
+
+def test_six_term_after_fiber_matches_six_term_alone():
+    """The fiber, kernels and cokernels held by fiber() and reused by
+    six_term give the report and maps a fresh six_term gives."""
+    for seed in range(30):
+        held, fresh = _crit5_morphism(seed), _crit5_morphism(seed)
+        fib = fiber(held)
+        assert fiber(held) is fib
+        rep_held, rep_fresh = six_term(held), six_term(fresh)
+        assert rep_held["fiber"] is fib
+        assert rep_fresh["fiber"] is fiber(fresh)
+        assert {k: v for k, v in rep_held.items() if isinstance(v, bool)} \
+            == {k: v for k, v in rep_fresh.items() if isinstance(v, bool)}
+        for a, b in zip(rep_held["maps"], rep_fresh["maps"]):
+            assert _raw_map(a) == _raw_map(b)
 
 
 def test_fiber_rejects_level1():

@@ -204,6 +204,17 @@ def test_kernel_of_collapse_hom():
     assert k.abelianization().free_rank >= 2
 
 
+def test_kernel_and_cokernel_are_held_on_the_hom():
+    g = free_nil(POINTS)
+    h = free_nil(PointedSet(["a"]))
+    words = {"a": Word.parse("a"), "b": Word.parse("a^2"), "c": Word()}
+    f = hom_from_words(g, h, words)
+    assert hom_kernel(f) is hom_kernel(f)
+    assert hom_cokernel(f) is hom_cokernel(f)
+    # held per hom: an equal hom builds its own pair
+    assert hom_kernel(hom_from_words(g, h, words)) is not hom_kernel(f)
+
+
 def test_cokernel_of_doubling():
     g = free_nil(PointedSet(["a"]))
     f = hom_from_words(g, g, {"a": Word.parse("a^2")})
