@@ -51,7 +51,7 @@ from .abelian import AbMap, FinAbGroup, tensor_square_relations
 from .coset import (DEFAULT_CAP, EnumerationCapExceeded,
                     FinitelyPresentedGroup, todd_coxeter)
 from .nil2 import (Class2Elem, Class2Group, Class2Hom, free_nil,
-                   hom_cokernel, hom_kernel, identity_hom)
+                   hom_cokernel, hom_from_values, hom_kernel, identity_hom)
 from .words import PointedSet, Word, commutator_word
 
 
@@ -724,11 +724,8 @@ class CrossMorphism:
             raise H0Undecidable("induced h0 over a free base is a "
                                 "presentation-level statement only")
         ct, pt = hom_cokernel(t.bnd)
-        imgs = [pt.eval(self.f0.eval(s.base.generator(i)))
-                for i in range(s.base.q.ngens)]
-        cmatrix = la.mat_mul(pt.cmap.matrix, self.f0.cmap.matrix)
-        cmap = AbMap(cs.c, ct.c, cmatrix)
-        return Class2Hom(cs, ct, imgs, cmap)
+        return hom_from_values(cs, ct, [pt.eval(self.f0.eval(g))
+                                        for g in s.base.generators()])
 
     def is_weak_equivalence(self) -> bool:
         if not self.induced_h1().is_isomorphism():

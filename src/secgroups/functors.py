@@ -14,6 +14,11 @@ produces the connecting sequence of a morphism and certifies exactness at
 the four interior spots.  A morphism holds its fiber once built, and each
 hom holds its kernel and cokernel (see `nil2`), so `fiber` followed by
 `six_term` on one morphism builds each of them once.
+
+Every hom built here (the fiber's boundary and base projection, phi2's
+automorphisms, the boundaries and units of ad2 and ad3, the connecting map
+and each enumerated hom) is given by its values on the source generators
+through `nil2.hom_from_values`, which tests the central ones.
 """
 
 from __future__ import annotations
@@ -21,14 +26,14 @@ from __future__ import annotations
 import itertools
 
 from . import intlinalg as la
-from .abelian import AbMap, FinAbGroup, tensor_square, zero_map
+from .abelian import AbMap, FinAbGroup, tensor_square
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
                       GroupAction, OmegaPairing, PointedGroupoid,
                       ReducedQuadraticModule, StableQuadraticModule,
                       _subgroup_coords, quadratic_module)
 from .nil2 import (Class2Elem, Class2Group, Class2Hom, Subgroup,
-                   abelian_as_class2, hom_cokernel, hom_kernel, identity_hom,
-                   product_group)
+                   abelian_as_class2, hom_from_values, hom_cokernel,
+                   hom_kernel, identity_hom, product_group)
 from .words import PointedSet, Word
 
 
@@ -69,31 +74,16 @@ def fiber(f: CrossMorphism) -> Fiber:
     fib0, incl0 = hom_kernel(combined)
 
     # boundary M_x -> Fib0 : m |-> (bnd m, f1 m)
-    bgen = []
-    for i in range(x.m.q.ngens):
-        mg = x.m.generator(i)
-        pe = embed(x.bnd.eval(mg), f.f1.eval(mg))
-        bgen.append(fib0.element(*_coords_pair(pe, fib0, incl0)))
-    ccols = []
-    for j in range(x.m.c.ngens):
-        cg = x.m.central_generator(j)
-        pe = embed(x.bnd.eval(cg), f.f1.eval(cg))
-        qc, cc = _coords_pair(pe, fib0, incl0)
-        if not fib0.q.contains_in_lattice(qc):
-            raise ValueError("central boundary image escapes the central layer")
-        ccols.append(cc)
-    cmap = AbMap(x.m.c, fib0.c,
-                 la.transpose(ccols, fib0.c.ngens), check=False)
-    bnd_fib = Class2Hom(x.m, fib0, bgen, cmap)
+    bnd_fib = hom_from_values(x.m, fib0, [
+        fib0.element(*_coords_pair(embed(x.bnd.eval(g), f.f1.eval(g)),
+                                   fib0, incl0))
+        for g in x.m.generators()])
 
     # base projection Fib0 -> N_x
     nq, nc = n_x.q.ngens, n_x.c.ngens
-    proj_imgs = [n_x.element(g.qvec[:nq], g.cvec[:nc])
-                 for g in incl0.gen_images]
-    proj_cm = [[incl0.cmap.matrix[r][j] for j in range(fib0.c.ngens)]
-               for r in range(nc)]
-    proj = Class2Hom(fib0, n_x, proj_imgs,
-                     AbMap(fib0.c, n_x.c, proj_cm, check=False))
+    proj = hom_from_values(fib0, n_x, [
+        n_x.element(v.qvec[:nq], v.cvec[:nc])
+        for v in map(incl0.eval, fib0.generators())])
 
     # pairing pulled back along the projection
     coords_fib = AbCoords(fib0)
@@ -126,24 +116,23 @@ def six_term(f: CrossMorphism) -> dict:
     fib = fiber(f)
     m1 = fib.incl.induced_h1()          # h1 Fib -> h1 x
     m2 = f.induced_h1()                 # h1 x -> h1 y
-    h0fib, p_fib = hom_cokernel(fib.obj.bnd)
+    _, p_fib = hom_cokernel(fib.obj.bnd)
     m4 = fib.incl.induced_h0()          # h0 Fib -> h0 x
     m5 = f.induced_h0()                 # h0 x -> h0 y
 
-    # delta: a kernel element m' of the target boundary gives (0, m') in Fib0
+    # delta: a kernel element m' of the target boundary gives (0, m') in
+    # Fib0, which lies in the product N_x x M_y the fiber's kernel embeds in
     ky, kyi = hom_kernel(y.bnd)
     h1y_ab = ky.underlying_ab()
-    n_x, m_y = x.n, y.m
-    _, embed = product_group(n_x, m_y)
+    zero = x.n.identity()
     delta_imgs = []
     for g in ky.generators():
         elem_my = kyi.eval(g)
-        pe = embed(n_x.identity(), elem_my)
+        pe = fib.zero_incl.target.element(zero.qvec + elem_my.qvec,
+                                          zero.cvec + elem_my.cvec)
         qc, cc = _coords_pair(pe, fib.obj.n, fib.zero_incl)
         delta_imgs.append(p_fib.eval(fib.obj.n.element(qc, cc)))
-    h1y_c2 = abelian_as_class2(h1y_ab)
-    delta = Class2Hom(h1y_c2, m4.source, delta_imgs,
-                      zero_map(h1y_c2.c, m4.source.c))
+    delta = hom_from_values(abelian_as_class2(h1y_ab), m4.source, delta_imgs)
 
     report = {}
     report["h1_head_injective"] = m1.is_injective()
@@ -199,20 +188,9 @@ def phi2(x: ReducedQuadraticModule) -> CrossedModule:
     """A reduced quadratic module as a crossed module: its action
     m^n = m + omega({bnd m} (x) {n}), one automorphism per base generator."""
     n = x.n
-    autos = []
-    for i in range(n.q.ngens):
-        ng = n.generator(i)
-        gen_images = [x.act(x.m.generator(g), ng)
-                      for g in range(x.m.q.ngens)]
-        ccols = []
-        for j in range(x.m.c.ngens):
-            moved = x.act(x.m.central_generator(j), ng)
-            if not x.m.q.contains_in_lattice(moved.qvec):
-                raise ValueError("action does not preserve the central layer")
-            ccols.append(moved.cvec)
-        cmap = AbMap(x.m.c, x.m.c, la.transpose(ccols, x.m.c.ngens),
-                     check=False)
-        autos.append(Class2Hom(x.m, x.m, gen_images, cmap))
+    autos = [hom_from_values(x.m, x.m, [x.act(g, n.generator(i))
+                                        for g in x.m.generators()])
+             for i in range(n.q.ngens)]
     action = GroupAction(n, x.m, autos)
     return CrossedModule(x.m, n, x.bnd, action)
 
@@ -312,10 +290,8 @@ def ad3(x: ReducedQuadraticModule):
             killed.append(val)
     sub = Subgroup(x.m, killed, normal=True)
     m_stab, proj = sub.quotient()
-    bnd_imgs = [x.bnd.eval(x.m.generator(i)) for i in range(x.m.q.ngens)]
-    bnd_cm = AbMap(m_stab.c, x.n.c, x.bnd.cmap.matrix, check=True)
-    bnd_stab = Class2Hom(m_stab, x.n,
-                         [bnd_imgs[i] for i in range(x.m.q.ngens)], bnd_cm)
+    bnd_stab = hom_from_values(m_stab, x.n,
+                               [x.bnd.eval(g) for g in x.m.generators()])
     om_imgs = [proj.eval(img) for img in x.omega.images]
     om_stab = OmegaPairing(coords, m_stab, om_imgs)
     stab = StableQuadraticModule(m_stab, x.n, bnd_stab, om_stab, level=3)
@@ -359,24 +335,15 @@ def ad2(x: CrossedModule):
     sub = Subgroup(prod, rel_elems, normal=True)
     m_til, proj = sub.quotient()
 
-    # boundary: delta(m, t) = bnd(m) + commutators of t
-    bnd_imgs = []
-    for i in range(x.m.q.ngens):
-        bnd_imgs.append(to_nil.eval(x.bnd.eval(x.m.generator(i))))
-    # the abelianization must be the Q layer, with the generators as basis
+    # boundary: delta(m, t) = bnd(m) + commutators of t; the abelianization
+    # must be the Q layer, with the generators as basis
     if len(coords.basis) > n_nil.q.ngens:
         raise NotImplementedError("nilization needs q-mode coords")
-    bnd_imgs += [gi.commutator(gj) for gi in coords.basis
-                 for gj in coords.basis]
-    ccols = []
-    for j in range(x.m.c.ngens):
-        img = to_nil.eval(x.bnd.eval(x.m.central_generator(j)))
-        if not n_nil.q.contains_in_lattice(img.qvec):
-            raise ValueError("central boundary image is not central")
-        ccols.append(img.cvec)
-    bnd_cm = AbMap(m_til.c, n_nil.c,
-                   la.transpose(ccols, n_nil.c.ngens), check=False)
-    bnd_til = Class2Hom(m_til, n_nil, bnd_imgs, bnd_cm)
+    bnd_imgs = [to_nil.eval(x.bnd.eval(g)) for g in m_gens]
+    nq = x.m.q.ngens
+    bnd_til = hom_from_values(m_til, n_nil, bnd_imgs[:nq] + [
+        gi.commutator(gj) for gi in coords.basis
+        for gj in coords.basis] + bnd_imgs[nq:])
 
     om_imgs = []
     for i in range(na):
@@ -388,25 +355,10 @@ def ad2(x: CrossedModule):
     rqm = ReducedQuadraticModule(m_til, n_nil, bnd_til, om)
 
     # unit morphism into phi2(rqm)
-    unit_f1 = Class2Hom(
-        x.m, m_til,
-        [proj.eval(embed(x.m.generator(i), t_c2.identity()))
-         for i in range(x.m.q.ngens)],
-        _compose_cmap(proj, x.m, t_c2, prod))
+    unit_f1 = hom_from_values(x.m, m_til, [
+        proj.eval(embed(g, t_c2.identity())) for g in m_gens])
     unit = CrossMorphism(x, phi2(rqm), unit_f1, to_nil)
     return rqm, unit
-
-
-def _compose_cmap(proj: Class2Hom, m: Class2Group, t_c2: Class2Group,
-                  prod: Class2Group) -> AbMap:
-    """cmap of (embed into the product, then project to the quotient)."""
-    cols = []
-    for j in range(m.c.ngens):
-        vec = [0] * prod.c.ngens
-        vec[j] = 1
-        cols.append(la.mat_vec(proj.cmap.matrix, vec))
-    return AbMap(m.c, proj.target.c,
-                 la.transpose(cols, proj.target.c.ngens), check=False)
 
 
 class PresentedCrossedModule:
@@ -484,11 +436,8 @@ def _enumerate_homs(s, t, cap: int):
         raise RuntimeError("enumeration cap exceeded")
     for imgs in itertools.product(telems, repeat=s.q.ngens):
         for cimgs in itertools.product(centrals, repeat=s.c.ngens):
-            ccols = [ci.cvec for ci in cimgs]
-            cmap = AbMap(s.c, t.c, la.transpose(ccols, t.c.ngens),
-                         check=False)
             try:
-                yield Class2Hom(s, t, list(imgs), cmap, check=True)
+                yield hom_from_values(s, t, list(imgs + cimgs))
             except ValueError:
                 continue
 

@@ -21,7 +21,8 @@ from .crossed import (AbCoords, CrossedModule, FreeGroupBase, GroupAction,
                       OmegaPairing, WordHom, _subgroup_coords,
                       quadratic_module)
 from .nil2 import (Class2Hom, abelian_as_class2, boundary_map, free_nil,
-                   hom_cokernel, hom_kernel, level_gamma, level_gamma_map)
+                   hom_cokernel, hom_from_values, hom_kernel, level_gamma,
+                   level_gamma_map)
 from .words import PointedSet
 
 
@@ -144,10 +145,9 @@ def suspension_comparison(points: PointedSet):
     w3 = wedge_model(3, points)
     stab, stab_proj = ad3(w2)
     # canonical comparison: identity on the base, tensor classes match up
-    f1 = Class2Hom(stab.m, w3.m,
-                   [w3.m.generator(p) for p in range(stab.m.q.ngens)],
-                   AbMap(stab.m.c, w3.m.c,
-                         la.zeros(w3.m.c.ngens, stab.m.c.ngens), check=False))
+    f1 = hom_from_values(stab.m, w3.m,
+                         [w3.m.generator(p) for p in range(stab.m.q.ngens)]
+                         + [w3.m.identity()] * stab.m.c.ngens)
     f0 = identity_hom(w3.n)
     morphism = CrossMorphism(stab, w3, f1, f0)
     return morphism, morphism.is_weak_equivalence()

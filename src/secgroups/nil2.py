@@ -23,9 +23,13 @@ indexed once per group by first index: a free class-2 group has one nonzero
 per central generator, an abelian group viewed as class two has none.
 
 Homomorphisms are stored as generator images plus a map on the central
-layer; construction checks commutator compatibility on generator pairs
-i > j and representative independence on relations, which suffices in
-class two because every obstruction term is bilinear.
+layer; construction checks that map on the C relations, commutator
+compatibility on generator pairs i > j and representative independence on
+the Q relations, which suffices in class two because every obstruction term
+is bilinear.  A hom given by its values on `generators()` is built by
+`hom_from_values` and nothing else: a C generator's value must be central
+(its Q part in the target's relation lattice), and its central part is that
+generator's column of the central-layer map.
 
 The free objects here are `free_nil` (free class-2 group on a pointed set,
 with the strictly upper triangular cocycle convention fixing the orientation
@@ -73,6 +77,8 @@ class Class2Group:
     wedge_index = None
     # set by letters on first use: the held solver of lam modulo C
     _lam_solver = None
+    # set by underlying_ab on first use
+    _underlying_ab = None
 
     def __init__(self, q: FinAbGroup, c: FinAbGroup,
                  lam_matrix, beta_matrix, gen_names=None, check: bool = True):
@@ -204,15 +210,18 @@ class Class2Group:
 
         Generators: the Q generators followed by the C generators.  Each Q
         relation r picks up the central defect of the ordered product for r.
+        Built on the first call and held on the group.
         """
-        if not self.is_abelian():
-            raise ValueError("underlying_ab needs an abelian group")
-        nq, nc = self.q.ngens, self.c.ngens
-        rels = [[0] * nq + r for r in self.c.relations]
-        for r in self.q.relations:
-            c0 = self.collect_central(r)
-            rels.append(list(r) + [-x for x in c0])
-        return FinAbGroup(nq + nc, rels)
+        if self._underlying_ab is None:
+            if not self.is_abelian():
+                raise ValueError("underlying_ab needs an abelian group")
+            nq, nc = self.q.ngens, self.c.ngens
+            rels = [[0] * nq + r for r in self.c.relations]
+            for r in self.q.relations:
+                c0 = self.collect_central(r)
+                rels.append(list(r) + [-x for x in c0])
+            self._underlying_ab = FinAbGroup(nq + nc, rels)
+        return self._underlying_ab
 
     def abelianization(self):
         """(G_ab as FinAbGroup, pair-to-vector coordinate map).
@@ -264,11 +273,9 @@ class Class2Group:
         if len(pairs) != self.c.ngens:
             raise ValueError("generator images do not force the central "
                              "layer of a group that is not free")
-        cols = [gen_images[i].commutator(gen_images[j]).cvec
-                for i, j in pairs]
-        cmap = AbMap(self.c, target.c, la.transpose(cols, target.c.ngens),
-                     check=False)
-        return Class2Hom(self, target, gen_images, cmap, check=check)
+        return hom_from_values(self, target, list(gen_images) + [
+            gen_images[i].commutator(gen_images[j]) for i, j in pairs],
+            check=check)
 
     def nilization(self):
         """(class-2 group, map from this base): the identity here."""
@@ -513,6 +520,9 @@ class Class2Hom:
 
     def validate(self):
         s, t = self.source, self.target
+        for rel in s.c.relations:
+            if not t.c.contains_in_lattice(la.mat_vec(self.cmap.matrix, rel)):
+                raise ValueError("map not well defined: relation %r" % (rel,))
         # eval is multiplicative on x*y by construction unless x = e_i and
         # y = e_j with i > j: there it collects e_j e_i and corrects by
         # cmap(beta_s(e_i, e_j) - beta_s(e_j, e_i)), which must be the
@@ -588,21 +598,35 @@ class Class2Hom:
             if cfix is None:
                 raise ValueError("central layer not surjective")
             gen_images.append(s.element(qpre.vec, cfix.vec))
-        cm_cols = []
-        for j in range(t.c.ngens):
-            ej = [0] * t.c.ngens
-            ej[j] = 1
-            pre = self.cmap.preimage(ej)
+        for g in t.generators()[t.q.ngens:]:
+            pre = self.cmap.preimage(g.cvec)
             if pre is None:
                 raise ValueError("central layer not surjective")
-            cm_cols.append(pre.vec)
-        cmap = AbMap(t.c, s.c, la.transpose(cm_cols, s.c.ngens), check=False)
-        inv = Class2Hom(t, s, gen_images, cmap)
+            gen_images.append(s.central(pre.vec))
+        inv = hom_from_values(t, s, gen_images)
         assert inv.compose(self) == identity_hom(s), "inverse failed"
         return inv
 
     def __repr__(self):
         return "Class2Hom(%r -> %r)" % (self.source, self.target)
+
+
+def hom_from_values(source: Class2Group, target: Class2Group, values,
+                    check: bool = True) -> Class2Hom:
+    """The hom with these values on `source.generators()`: the Q generators'
+    values are its generator images, and each C generator's value, which
+    must be central (its Q part in the target's relation lattice), gives
+    its column of the central-layer map."""
+    nq = source.q.ngens
+    cols = []
+    for j, v in enumerate(values[nq:]):
+        if not target.q.contains_in_lattice(v.qvec):
+            raise ValueError("value of central generator %d is not central"
+                             % j)
+        cols.append(v.cvec)
+    cmap = AbMap(source.c, target.c, la.transpose(cols, target.c.ngens),
+                 check=False)
+    return Class2Hom(source, target, values[:nq], cmap, check=check)
 
 
 def identity_hom(g: Class2Group) -> Class2Hom:

@@ -353,15 +353,7 @@ def crit_5(rng=None, count=100):
         ky = rng.randint(1, 2)
         x = wedge_model(2, _points(kx))
         y = _random_quotient_wedge(rng, 2, _points(ky))
-        f0 = _random_hom(rng, x.n, y.n, max_len=2)
-        tmap = tensor_square_map(f0.q_map(), tensor_square(x.n.q),
-                                 tensor_square(y.n.q))
-        f1 = Class2Hom(
-            x.m, y.m,
-            [y.m.element([tmap.matrix[r][j] for r in range(y.m.q.ngens)],
-                         []) for j in range(x.m.q.ngens)],
-            AbMap(x.m.c, y.m.c, la.zeros(0, 0), check=False), check=False)
-        f = CrossMorphism(x, y, f1, f0, check=False)
+        f = _induced_wedge_morphism(rng, x, y)
         fib = fiber(f)
         if fib.obj.check_axioms():
             bad_axioms += 1

@@ -33,7 +33,7 @@ from . import intlinalg as la
 from .abelian import (AbMap, FinAbGroup, tensor_square, tensor_square_map,
                       zero_map)
 from .crossed import CrossMorphism
-from .nil2 import Class2Elem, Class2Hom, boundary_map
+from .nil2 import Class2Elem, Class2Hom, boundary_map, hom_from_values
 from .words import Word
 
 CLASSICAL_HOPF_SIGN = -1
@@ -176,7 +176,9 @@ class TwoMorphism:
     m ^ n = m * omega'({d' m} (x) {n}); omega' is central, so the rule
     reads alpha(a b) = alpha(a) * alpha(b) * omega'({d' alpha(a)} (x) {f0 b}).
     The companion morphism g, with g0 = f0 * (d' alpha) and
-    g1 = f1 * (alpha d), is derived and validated on construction.
+    g1 = f1 * (alpha d), is derived and validated on construction; g1 is
+    built from its values on the generators of M by `hom_from_values`,
+    which refuses a central generator whose value is not central.
 
     Evaluation spells a base element as letters through the base's
     `letters` and folds over a table held per 2-morphism: for each base
@@ -231,20 +233,8 @@ class TwoMorphism:
         x, y, f = self.x, self.y, self.f
         g0_imgs = [up * y.bnd.eval(v) for (up, v), _ in self._table.values()]
         g0 = x.base.free_hom(y.base, g0_imgs)
-        g1_imgs = []
-        for i in range(x.m.q.ngens):
-            mg = x.m.generator(i)
-            g1_imgs.append(f.f1.eval(mg) * self.eval(x.bnd.eval(mg)))
-        ccols = []
-        for j in range(x.m.c.ngens):
-            cg = x.m.central_generator(j)
-            img = f.f1.eval(cg) * self.eval(x.bnd.eval(cg))
-            if any(img.qvec):
-                raise ValueError("companion breaks the central layer")
-            ccols.append(img.cvec)
-        g1 = Class2Hom(x.m, y.m, g1_imgs,
-                       AbMap(x.m.c, y.m.c,
-                             la.transpose(ccols, y.m.c.ngens), check=False))
+        g1 = hom_from_values(x.m, y.m, [f.f1.eval(g) * self.eval(x.bnd.eval(g))
+                                        for g in x.m.generators()])
         return CrossMorphism(x, y, g1, g0)
 
     # -- validation -----------------------------------------------------------

@@ -1,9 +1,14 @@
-"""No module of the package or of its tests imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses,
+and no private helper of the package outlives its last caller.
 
 The scan reads each `src/secgroups/*.py` and `tests/*.py` with the standard
 `ast` module: every name an import statement binds must be read somewhere
 in that module, as a bare name or as the head of an attribute chain.  The
 package `__init__.py` is exempt: its imports are the public re-exports.
+
+A module-level function or class of the package whose name starts with one
+underscore must be named, as a bare name, an attribute or an imported name,
+by some top-level statement of the package other than its own definition.
 """
 
 import ast
@@ -13,7 +18,8 @@ import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "secgroups"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in PACKAGE_MODULES if p.name != "__init__.py"]
 TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
@@ -51,3 +57,46 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def orphaned_helpers(sources: dict) -> list[str]:
+    """The private module-level functions and classes (`module._name`) of
+    the modules in `sources` (module name -> text) that no top-level
+    statement of any of them names, their own definitions excepted."""
+    helpers = {}
+    named = []
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                helpers["%s.%s" % (module, stmt.name)] = (stmt, stmt.name)
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            named.append((stmt, names))
+    return sorted(key for key, (own, name) in helpers.items()
+                  if not any(name in names
+                             for stmt, names in named if stmt is not own))
+
+
+def test_the_scan_sees_an_orphaned_helper():
+    sources = {
+        "a": ("def _local():\n    return 1\n"
+              "def _shared():\n    return 2\n"
+              "class _Orphan:\n    pass\n"
+              "def _recursive():\n    return _recursive()\n"
+              "def f():\n    return _local()\n"),
+        "b": "from .a import _shared\n",
+    }
+    assert orphaned_helpers(sources) == ["a._Orphan", "a._recursive"]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_MODULES}
+    assert orphaned_helpers(sources) == []

@@ -13,7 +13,7 @@ from secgroups.crossed import (AbCoords, FreeBaseHom, FreeGroupBase,
 from secgroups.models import wedge_model
 from secgroups.nil2 import (
     Class2Group, Class2Hom, QuotientError, Subgroup, abelian_as_class2,
-    free_nil, nilize, hom_from_words,
+    free_nil, nilize, hom_from_values, hom_from_words,
     hom_kernel, hom_cokernel, identity_hom, trivial_hom, product_group,
     boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
     _projection_twist,
@@ -231,10 +231,35 @@ def test_subgroup_quotient():
     assert not proj.eval(g.generator(0)).is_identity()
 
 
+def test_validate_rejects_a_central_map_ill_defined_on_relations():
+    s = Class2Group(FinAbGroup(1), FinAbGroup(1, [[2]]), [[0]], [[0]])
+    t = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]], [[0]])
+    cmap = AbMap(s.c, t.c, [[1]], check=False)
+    with pytest.raises(ValueError, match="map not well defined"):
+        Class2Hom(s, t, [t.generator(0)], cmap)
+    # unchecked, it sends the identity (0, 2) of s to (0, 2), not the identity
+    f = Class2Hom(s, t, [t.generator(0)], cmap, check=False)
+    assert s.central([2]).is_identity()
+    assert not f.eval(s.central([2])).is_identity()
+
+
+def test_hom_from_values_takes_a_relation_vector_as_central():
+    s = Class2Group(FinAbGroup(0), FinAbGroup(1), [[]], [[]])
+    t = abelian_as_class2(FinAbGroup(1, [[2]]))
+    f = hom_from_values(s, t, [t.element([2])])
+    assert f.cmap.matrix == [] and f.eval(s.central_generator(0)).is_identity()
+    with pytest.raises(ValueError, match="not central"):
+        hom_from_values(s, t, [t.element([1])])
+
+
 def _all_pairs_validate(f: Class2Hom):
-    """The former `Class2Hom.validate`: eval on every product of two
-    generators, central ones included, then the relation representatives."""
+    """The former `Class2Hom.validate`: the central-layer map on the C
+    relations, then eval on every product of two generators, central ones
+    included, then the relation representatives."""
     s = f.source
+    for rel in s.c.relations:
+        if not f.target.c.contains_in_lattice(la.mat_vec(f.cmap.matrix, rel)):
+            raise ValueError("map not well defined: relation %r" % (rel,))
     gens = s.generators()
     imgs = [f.eval(x) for x in gens]
     for i, x in enumerate(gens):
@@ -354,6 +379,28 @@ _EXPS = st.integers(-5, 5)
 def _elements(draw, g, count):
     return [g.element(draw(_vectors(g.q.ngens, _EXPS)),
                       draw(_vectors(g.c.ngens, _EXPS))) for _ in range(count)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_hom_from_values_matches_evaluation_on_generators(data):
+    s = data.draw(_unchecked_class2_groups())
+    t = data.draw(_unchecked_class2_groups(entry=st.integers(-3, 3)))
+    cmap = AbMap(s.c, t.c, _matrix(data.draw, t.c.ngens, s.c.ngens, _EXPS),
+                 check=False)
+    f = Class2Hom(s, t, _elements(data.draw, t, s.q.ngens), cmap,
+                  check=False)
+    values = [f.eval(e) for e in s.generators()]
+    g = hom_from_values(s, t, values, check=False)
+    assert [_raw(e) for e in g.gen_images] == [_raw(e) for e in f.gen_images]
+    assert g.cmap.matrix == f.cmap.matrix
+    # a C generator's value whose Q part leaves the relation lattice
+    qv = data.draw(_vectors(t.q.ngens, _EXPS))
+    if s.c.ngens and not t.q.contains_in_lattice(qv):
+        j = s.q.ngens + data.draw(st.integers(0, s.c.ngens - 1))
+        values[j] = t.element(qv, values[j].cvec)
+        with pytest.raises(ValueError, match="not central"):
+            hom_from_values(s, t, values, check=False)
 
 
 @given(st.data())
@@ -553,6 +600,19 @@ def test_abelianization_and_underlying():
     assert ab.free_rank == 3
     flat = free_nil(PointedSet(["a"]))  # no commutators, so abelian
     assert flat.underlying_ab().free_rank == 1
+
+
+def test_underlying_ab_is_held_on_the_group():
+    flat = free_nil(PointedSet(["a"]))
+    assert flat.underlying_ab() is flat.underlying_ab()
+    # the held kernel group of a boundary answers every caller with one group
+    w = wedge_model(2, PointedSet(["a", "b"]))
+    k, _ = hom_kernel(w.bnd)
+    assert hom_kernel(w.bnd)[0].underlying_ab() is k.underlying_ab()
+    g = free_nil(POINTS)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="needs an abelian group"):
+            g.underlying_ab()
 
 
 def test_boundary_map_levels():
