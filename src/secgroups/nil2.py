@@ -100,17 +100,19 @@ class Class2Group:
             self._validate()
 
     def _validate(self):
-        nq = self.q.ngens
-        for i in range(nq):
-            for j in range(nq):
-                anti = [self.lam[r][i * nq + j] + self.lam[r][j * nq + i]
-                        for r in range(self.c.ngens)]
-                if not self.c.contains_in_lattice(anti):
-                    raise ValueError("lam not alternating at (%d,%d)" % (i, j))
-                delta = [self.beta[r][i * nq + j] - self.beta[r][j * nq + i]
-                         - self.lam[r][i * nq + j] for r in range(self.c.ngens)]
-                if not self.c.contains_in_lattice(delta):
-                    raise ValueError("beta - beta o swap != lam at (%d,%d)" % (i, j))
+        nq, nc = self.q.ngens, self.c.ngens
+        # a pair (i, j) where lam and beta vanish at (i, j) and (j, i) tests
+        # two zero vectors, which lie in every lattice, so it is skipped
+        support = _support(self._lam_terms) | _support(self._beta_terms)
+        for i, j in sorted(support | {(j, i) for i, j in support}):
+            anti = [self.lam[r][i * nq + j] + self.lam[r][j * nq + i]
+                    for r in range(nc)]
+            if not self.c.contains_in_lattice(anti):
+                raise ValueError("lam not alternating at (%d,%d)" % (i, j))
+            delta = [self.beta[r][i * nq + j] - self.beta[r][j * nq + i]
+                     - self.lam[r][i * nq + j] for r in range(nc)]
+            if not self.c.contains_in_lattice(delta):
+                raise ValueError("beta - beta o swap != lam at (%d,%d)" % (i, j))
         # the pairing must descend through the Q relations
         for rel in self.q.relations:
             for j in range(self.q.ngens):
@@ -182,14 +184,19 @@ class Class2Group:
         """Central part of the ordered product of generator powers for qvec."""
         return self.ordered_product_element(qvec).cvec
 
+    def commutator_support(self) -> set[tuple[int, int]]:
+        """The pairs (i, j) of Q generators whose commutator, the column
+        (i, j) of lam, is not the zero vector."""
+        return _support(self._lam_terms)
+
     def is_abelian(self) -> bool:
-        nq = self.q.ngens
-        for i in range(nq):
-            for j in range(nq):
-                col = [self.lam[r][i * nq + j] for r in range(self.c.ngens)]
-                if not self.c.contains_in_lattice(col):
-                    return False
-        return True
+        """Whether every column of lam lies in the C relation lattice; only
+        the nonzero columns are tested, as a zero one lies in every lattice."""
+        cols = {}
+        for i, row in self._lam_terms:
+            for j, r, coeff in row:
+                cols.setdefault((i, j), [0] * self.c.ngens)[r] = coeff
+        return all(self.c.contains_in_lattice(col) for col in cols.values())
 
     def is_trivial(self) -> bool:
         return self.q.is_trivial() and self.c.is_trivial()
@@ -334,6 +341,11 @@ def _nonzero_terms(mat, nq: int):
     return sorted(by_i.items())
 
 
+def _support(terms) -> set[tuple[int, int]]:
+    """The pairs (i, j) whose column of the pairing matrix is nonzero."""
+    return {(i, j) for i, row in terms for j, _, _ in row}
+
+
 def _pairing(terms, out: list[int], qu, qv, scale: int = 1) -> list[int]:
     """Add scale * coeff * qu[i] * qv[j] over the nonzero terms to out."""
     if scale:
@@ -412,15 +424,20 @@ class Class2Elem:
                 and self.group.c.contains_in_lattice(self.cvec))
 
     def is_central(self) -> bool:
-        if self.group.q.contains_in_lattice(self.qvec):
+        """Whether every commutator lam(q, e_j) with a Q generator lies in
+        the C relation lattice.  The columns lam(q, e_j) are built in one
+        pass over the nonzeros of lam, and only the nonzero ones are
+        tested: a zero column lies in every lattice."""
+        g = self.group
+        if g.q.contains_in_lattice(self.qvec):
             return True
-        for i in range(self.group.q.ngens):
-            ei = [0] * self.group.q.ngens
-            ei[i] = 1
-            if not self.group.c.contains_in_lattice(
-                    self.group.lam_eval(self.qvec, ei)):
-                return False
-        return True
+        cols = {}
+        for i, row in g._lam_terms:
+            a = self.qvec[i]
+            if a:
+                for j, r, coeff in row:
+                    cols.setdefault(j, [0] * g.c.ngens)[r] += coeff * a
+        return all(g.c.contains_in_lattice(col) for col in cols.values())
 
     def __eq__(self, other):
         if not isinstance(other, Class2Elem):
@@ -504,6 +521,15 @@ class Class2Hom:
             out.cvec, la.mat_vec(self.cmap.matrix, resid)))
 
     __call__ = eval
+
+    def values(self) -> list["Class2Elem"]:
+        """The values on `source.generators()`, the inverse of
+        `hom_from_values`: the Q generators' images, then each C
+        generator's column of the central-layer map as a central element.
+        `eval` returns these exact vectors on the generators."""
+        return list(self.gen_images) + [
+            self.target.central([row[j] for row in self.cmap.matrix])
+            for j in range(self.source.c.ngens)]
 
     def q_matrix(self) -> list[list[int]]:
         cols = [img.qvec for img in self.gen_images]
@@ -747,16 +773,19 @@ def hom_cokernel(f: Class2Hom):
     """(coker group, projection hom): quotient by the image's normal closure,
     built on the first call and held on f."""
     if f._cokernel is None:
-        t = f.target
-        gens = [f.eval(img_src) for img_src in f.source.generators()]
-        sub = Subgroup(t, gens, normal=True)
+        sub = Subgroup(f.target, f.values(), normal=True)
         f._cokernel = sub.quotient()
     return f._cokernel
 
 
 def hom_kernel(f: Class2Hom):
     """(kernel group, inclusion hom), computed layer by layer on the first
-    call and held on f."""
+    call and held on f.
+
+    The kernel's cocycle table sends only the nonzero commutators of the
+    kernel basis to central coordinates: a zero commutator has the zero
+    coordinates the table starts with, as `la.Solver` solves 0 by 0, so the
+    preimage solver is not built when every commutator vanishes."""
     if f._kernel is not None:
         return f._kernel
     s, t = f.source, f.target
@@ -812,6 +841,8 @@ def hom_kernel(f: Class2Hom):
     for i in range(nk):
         for j in range(nk):
             lv = s.lam_eval(kelems[i].qvec, kelems[j].qvec)
+            if not any(lv):
+                continue
             lc = central_coords(lv)
             for r in range(ck.ngens):
                 lamk[r][i * nk + j] = lc[r]

@@ -391,6 +391,7 @@ def test_hom_from_values_matches_evaluation_on_generators(data):
     f = Class2Hom(s, t, _elements(data.draw, t, s.q.ngens), cmap,
                   check=False)
     values = [f.eval(e) for e in s.generators()]
+    assert [_raw(e) for e in f.values()] == [_raw(e) for e in values]
     g = hom_from_values(s, t, values, check=False)
     assert [_raw(e) for e in g.gen_images] == [_raw(e) for e in f.gen_images]
     assert g.cmap.matrix == f.cmap.matrix
@@ -485,6 +486,159 @@ def test_validate_matches_all_pairs_oracle(data):
     cmap = AbMap(s.c, t.c, _matrix(data.draw, nct, s.c.ngens), check=False)
     f = Class2Hom(s, t, images, cmap, check=False)
     assert _error(f.validate) == _error(lambda: _all_pairs_validate(f))
+
+
+def _former_validate(g: Class2Group):
+    """The former `Class2Group._validate`: its pair loop visits every pair
+    (i, j)."""
+    nq = g.q.ngens
+    for i in range(nq):
+        for j in range(nq):
+            anti = [g.lam[r][i * nq + j] + g.lam[r][j * nq + i]
+                    for r in range(g.c.ngens)]
+            if not g.c.contains_in_lattice(anti):
+                raise ValueError("lam not alternating at (%d,%d)" % (i, j))
+            delta = [g.beta[r][i * nq + j] - g.beta[r][j * nq + i]
+                     - g.lam[r][i * nq + j] for r in range(g.c.ngens)]
+            if not g.c.contains_in_lattice(delta):
+                raise ValueError("beta - beta o swap != lam at (%d,%d)"
+                                 % (i, j))
+    for rel in g.q.relations:
+        for j in range(g.q.ngens):
+            ej = [0] * g.q.ngens
+            ej[j] = 1
+            for u, v in ((rel, ej), (ej, rel)):
+                if not g.c.contains_in_lattice(g.beta_eval(u, v)):
+                    raise ValueError("cocycle not defined modulo relations")
+
+
+def _former_is_abelian(g: Class2Group) -> bool:
+    nq = g.q.ngens
+    for i in range(nq):
+        for j in range(nq):
+            col = [g.lam[r][i * nq + j] for r in range(g.c.ngens)]
+            if not g.c.contains_in_lattice(col):
+                return False
+    return True
+
+
+def _former_is_central(x) -> bool:
+    g = x.group
+    if g.q.contains_in_lattice(x.qvec):
+        return True
+    for i in range(g.q.ngens):
+        ei = [0] * g.q.ngens
+        ei[i] = 1
+        if not g.c.contains_in_lattice(g.lam_eval(x.qvec, ei)):
+            return False
+    return True
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_support_readings_match_their_former_bodies(data):
+    """`is_central`, `is_abelian` and the pair loop of `_validate` read
+    only the nonzero columns of lam and beta: same answers, and the same
+    first message, as the all-pairs bodies they replaced."""
+    g = data.draw(_unchecked_class2_groups())
+    assert g.is_abelian() == _former_is_abelian(g)
+    assert _error(g._validate) == _error(lambda: _former_validate(g))
+    for x in _elements(data.draw, g, 3) + g.generators():
+        assert x.is_central() == _former_is_central(x)
+
+
+def test_validate_visits_the_mirror_of_a_one_sided_lam_entry():
+    """lam nonzero at (1, 0) alone: the pair (0, 1), where lam and beta are
+    zero, comes first and fails, as in the all-pairs loop."""
+    with pytest.raises(ValueError, match=r"lam not alternating at \(0,1\)"):
+        Class2Group(FinAbGroup(2), FinAbGroup(1), [[0, 0, 1, 0]],
+                    [[0, 0, 0, 0]])
+
+
+def _former_hom_kernel(f: Class2Hom):
+    """The former `hom_kernel`, not held on f: every commutator of the
+    kernel basis sent to central coordinates, zero ones included.  Its
+    asserts raise explicitly, so their messages are not rewritten."""
+    s, t = f.source, f.target
+    nqs, ncs = s.q.ngens, s.c.ngens
+    a = f.q_matrix()
+    ckern, cincl = f.cmap.kernel()
+    s_lat = la.preimage_lattice(a, nqs, t.q.relations)
+    zvals = [f.eval(s.ordered_product_element(u)).cvec for u in s_lat]
+    ct_mod = FinAbGroup(t.c.ngens, t.c.relations
+                        + la.transpose(f.cmap.matrix, ncs))
+    zmap = AbMap(FinAbGroup(len(s_lat)), ct_mod,
+                 la.transpose(zvals, t.c.ngens), check=False)
+    zker, zincl = zmap.kernel()
+    s_mat = la.transpose(s_lat, nqs) if s_lat else la.zeros(nqs, 0)
+    u_vectors = [la.mat_vec(s_mat, [zincl.matrix[r][j]
+                                    for r in range(len(s_lat))])
+                 for j in range(zker.ngens)]
+    kelems = []
+    for u in u_vectors:
+        img = f.eval(s.ordered_product_element(u))
+        cfix = f.cmap.preimage([-x for x in img.cvec])
+        if cfix is None:
+            raise AssertionError("killable defect has no lift")
+        kelems.append(s.element(u, la.vec_add(s.collect_central(u),
+                                              cfix.vec)))
+    nk = len(kelems)
+    u_mat = la.transpose(u_vectors, nqs) if u_vectors else la.zeros(nqs, 0)
+    qk_rels = []
+    if s.q.relations:
+        solver = la.Solver(u_mat, nk, s.q.relations)
+        for rel in s.q.relations:
+            coeffs = solver.solve(rel)
+            if coeffs is None:
+                raise AssertionError("source relation escapes kernel lattice")
+            qk_rels.append(coeffs)
+    lamk = la.zeros(ckern.ngens, nk * nk)
+    betak = la.zeros(ckern.ngens, nk * nk)
+    for i in range(nk):
+        for j in range(nk):
+            lc = cincl.preimage(s.lam_eval(kelems[i].qvec, kelems[j].qvec))
+            if lc is None:
+                raise AssertionError("central value outside kernel layer")
+            for r in range(ckern.ngens):
+                lamk[r][i * nk + j] = lc.vec[r]
+                if i > j:
+                    betak[r][i * nk + j] = lc.vec[r]
+    kgroup = Class2Group(FinAbGroup(nk, qk_rels), ckern, lamk, betak,
+                         check=False)
+    return kgroup, Class2Hom(kgroup, s, kelems,
+                             AbMap(ckern, s.c, cincl.matrix, check=False))
+
+
+def _kernel_entries(check):
+    """The kernel's relations, cocycle matrices and inclusion, raw; or the
+    error of a random hom whose kernel is not built."""
+    try:
+        k, incl = check()
+    except (ValueError, AssertionError) as e:
+        return type(e).__name__, str(e)
+    return (k.q.relations, k.c.relations, k.lam, k.beta,
+            [_raw(x) for x in incl.gen_images], incl.cmap.matrix)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_hom_kernel_matches_former_body(data):
+    s = data.draw(_unchecked_class2_groups())
+    t = data.draw(_unchecked_class2_groups())
+    images = _elements(data.draw, t, s.q.ngens)
+    cmap = AbMap(s.c, t.c, _matrix(data.draw, t.c.ngens, s.c.ngens),
+                 check=False)
+    f = Class2Hom(s, t, images, cmap, check=False)
+    assert _kernel_entries(lambda: hom_kernel(f)) == _kernel_entries(
+        lambda: _former_hom_kernel(f))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_hom_kernel_matches_former_body_on_wedges(n, k):
+    w = wedge_model(n, PointedSet(["*"] + ["a", "b", "c", "d"][:k]))
+    assert _kernel_entries(lambda: hom_kernel(w.bnd)) == _kernel_entries(
+        lambda: _former_hom_kernel(w.bnd))
 
 
 def _solve_blockwise(rows, rhs, nc, nq, cq: FinAbGroup):
