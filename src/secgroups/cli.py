@@ -16,17 +16,15 @@ import random
 import sys
 
 from .coset import DEFAULT_CAP, EnumerationCapExceeded
-from .crossed import (CrossedModule, CrossMorphism, FreeGroupBase,
-                      H0Undecidable, ReducedQuadraticModule, WordHom,
-                      check_axioms)
+from .crossed import CrossMorphism, H0Undecidable, WordHom, check_axioms
 from .functors import ad2, ad3, adjunction_check, fiber, phi1, phi2, phi3, \
     six_term
 from .models import homotopy_groups, k_invariant, suspension_comparison, \
     wedge_model
 from .nil2 import Class2Group, Class2Hom
-from .serialization import (Document, ParseError, TensorHom, TrackBlock,
-                            ValidationError, describe_ab, parse,
-                            print_document, _print_block)
+from .serialization import (CROSSED, MORPHISM, Document, Need, ParseError,
+                            TrackBlock, ValidationError, describe_ab, parse,
+                            print_document)
 from .tracks import HopfTrack, TwoMorphism, vcomp
 from .words import PointedSet
 
@@ -61,62 +59,16 @@ def _load(path: str) -> Document:
         return parse(fh.read())
 
 
-# the level-n objects a `cross` block builds
-_LEVELED = (CrossedModule, ReducedQuadraticModule)
-_ANY_LEVEL = range(1, sys.maxsize)
-
-
-class _Need:
-    """The block kind a command argument needs, as said in its errors."""
-
-    def __init__(self, text: str, types, levels=_ANY_LEVEL):
-        self.text = text
-        self.types = types
-        self.levels = levels
-
-    def admits(self, obj) -> bool:
-        return (isinstance(obj, self.types)
-                and (not isinstance(obj, _LEVELED) or obj.level in self.levels))
-
-
-CROSSED = _Need("a crossed module", _LEVELED)
-LEVEL_1 = _Need("a level-1 crossed module", _LEVELED, range(1, 2))
-LEVEL_2_UP = _Need("a crossed module of level 2 or more", _LEVELED,
-                   range(2, sys.maxsize))
-LEVEL_3_UP = _Need("a crossed module of level 3 or more", _LEVELED,
-                   range(3, sys.maxsize))
-MORPHISM = _Need("a morphism", (CrossMorphism,))
-TRACK = _Need("a track", (HopfTrack,))
-CHECKABLE = _Need("a crossed module, a hom of class-2 groups, a hom into "
-                  "a free group, a morphism, a track or a 2-morphism",
-                  _LEVELED + (Class2Hom, WordHom, CrossMorphism, HopfTrack,
-                              TwoMorphism))
-
-
-_KINDS = [(Class2Group, "a group"), (FreeGroupBase, "a free group"),
-          (Class2Hom, "a hom"), (WordHom, "a hom into a free group"),
-          (TensorHom, "a tensor hom"), (CrossMorphism, "a morphism"),
-          (HopfTrack, "a track"), (TwoMorphism, "a 2-morphism")]
-
-
-def _kind(obj) -> str:
-    """What a document block built, in the words of the document format."""
-    if isinstance(obj, _LEVELED):
-        return "a level-%d crossed module" % obj.level
-    for cls, text in _KINDS:
-        if isinstance(obj, cls):
-            return text
-    return "a %s" % type(obj).__name__
-
-
-def _get(doc: Document, name: str, command: str, need: _Need):
-    if name not in doc:
-        raise KeyError("no block named %r in the document" % name)
-    obj = doc[name]
-    if not need.admits(obj):
-        raise ValueError("block %s is %s; %s needs %s"
-                         % (name, _kind(obj), command, need.text))
-    return obj
+LEVEL_1 = Need("a level-1 crossed module", CROSSED.types, range(1, 2))
+LEVEL_2_UP = Need("a crossed module of level 2 or more", CROSSED.types,
+                  range(2, sys.maxsize))
+LEVEL_3_UP = Need("a crossed module of level 3 or more", CROSSED.types,
+                  range(3, sys.maxsize))
+TRACK = Need("a track", (HopfTrack,))
+CHECKABLE = Need("a crossed module, a hom of class-2 groups, a hom into "
+                 "a free group, a morphism, a track or a 2-morphism",
+                 CROSSED.types + (Class2Hom, WordHom, CrossMorphism,
+                                  HopfTrack, TwoMorphism))
 
 
 def _describe_group(g) -> str:
@@ -130,9 +82,8 @@ def _describe_group(g) -> str:
 
 def cmd_check(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name, "check", CHECKABLE)
-    if isinstance(obj, (CrossMorphism, Class2Hom, WordHom, HopfTrack,
-                        TwoMorphism)):
+    obj = doc.get(args.name, "check", CHECKABLE)
+    if not CROSSED.admits(obj):
         obj.validate()
         print("check %s: ok" % args.name)
         return EXIT_OK
@@ -147,7 +98,7 @@ def cmd_check(args) -> int:
 
 def cmd_h0(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name, "h0", CROSSED)
+    obj = doc.get(args.name, "h0", CROSSED)
     h0 = obj.h0()
     if isinstance(h0, Class2Group):
         print("h0 %s = %s" % (args.name, _describe_group(h0)))
@@ -160,14 +111,14 @@ def cmd_h0(args) -> int:
 
 def cmd_h1(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name, "h1", CROSSED)
+    obj = doc.get(args.name, "h1", CROSSED)
     print("h1 %s = %s" % (args.name, describe_ab(obj.h1())))
     return EXIT_OK
 
 
 def cmd_homotopy_groups(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name, "homotopy-groups", CROSSED)
+    obj = doc.get(args.name, "homotopy-groups", CROSSED)
     h0, h1 = homotopy_groups(obj)
     print("h0 = %s" % _describe_group(h0))
     print("h1 = %s" % describe_ab(h1))
@@ -176,7 +127,7 @@ def cmd_homotopy_groups(args) -> int:
 
 def cmd_fiber(args) -> int:
     doc = _load(args.file)
-    f = _get(doc, args.name, "fiber", MORPHISM)
+    f = doc.get(args.name, "fiber", MORPHISM)
     fib = fiber(f)
     violations = fib.obj.check_axioms()
     print("fiber of %s: M rank %d, N rank %d" % (
@@ -191,7 +142,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_six_term(args) -> int:
     doc = _load(args.file)
-    f = _get(doc, args.name, "six-term", MORPHISM)
+    f = doc.get(args.name, "six-term", MORPHISM)
     rep = six_term(f)
     for key in ("h1_head_injective", "exact_at_h1x", "exact_at_h1y",
                 "exact_at_h0fib", "exact_at_h0x"):
@@ -200,14 +151,14 @@ def cmd_six_term(args) -> int:
         else EXIT_NEGATIVE
 
 
-def _phi_need(level: int) -> _Need:
+def _phi_need(level: int) -> Need:
     """What phi at a level takes: a stable module at level 3."""
     return {1: LEVEL_1, 3: LEVEL_3_UP}.get(level, LEVEL_2_UP)
 
 
 def cmd_phi(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name, "phi %d" % args.level, _phi_need(args.level))
+    obj = doc.get(args.name, "phi %d" % args.level, _phi_need(args.level))
     if args.level == 3:
         out = phi3(obj)
     elif args.level == 2:
@@ -226,7 +177,7 @@ def cmd_phi(args) -> int:
 def cmd_ad(args) -> int:
     doc = _load(args.file)
     need = LEVEL_1 if args.level == 2 else LEVEL_2_UP
-    obj = _get(doc, args.name, "ad %d" % args.level, need)
+    obj = doc.get(args.name, "ad %d" % args.level, need)
     if args.level == 3:
         out, _ = ad3(obj)
     elif args.level == 2:
@@ -243,9 +194,8 @@ def cmd_ad(args) -> int:
 def cmd_adjoint_check(args) -> int:
     doc = _load(args.file)
     command = "adjoint-check %d" % args.level
-    x = _get(doc, args.x, command,
-             LEVEL_1 if args.level == 2 else LEVEL_2_UP)
-    y = _get(doc, args.y, command, _phi_need(args.level))
+    x = doc.get(args.x, command, LEVEL_1 if args.level == 2 else LEVEL_2_UP)
+    y = doc.get(args.y, command, _phi_need(args.level))
     rep = adjunction_check(args.level, x, y)
     print("hom(ad%d x, y) = %d, hom(x, phi%d y) = %d, bijection: %s" % (
         args.level, rep["hom_adj"], args.level, rep["hom_phi"],
@@ -267,7 +217,7 @@ def cmd_wedge(args) -> int:
 
 def cmd_k_invariant(args) -> int:
     doc = _load(args.file)
-    obj = _get(doc, args.name, "k-invariant", CROSSED)
+    obj = doc.get(args.name, "k-invariant", CROSSED)
     ki = k_invariant(obj)
     print("k-invariant: isomorphism=%s zero=%s certificate=%s" % (
         ki.is_isomorphism(), ki.is_zero(), ki.certificate))
@@ -285,14 +235,14 @@ def cmd_suspend_compare(args) -> int:
 
 def cmd_paste(args) -> int:
     doc = _load(args.file)
-    first = _get(doc, args.first, "paste", TRACK)
-    second = _get(doc, args.second, "paste", TRACK)
+    first = doc.get(args.first, "paste", TRACK)
+    second = doc.get(args.second, "paste", TRACK)
     out = vcomp(second, first)
     b1 = doc.blocks[args.first]
     block = TrackBlock("%s_%s" % (args.second, args.first), out.n,
                        b1.f, doc.blocks[args.second].g,
                        [row[:] for row in out.alpha.matrix])
-    print(_print_block(block))
+    print(block)
     return EXIT_OK
 
 
@@ -401,8 +351,7 @@ def main(argv=None) -> int:
     except (H0Undecidable, EnumerationCapExceeded) as e:
         print("undecidable within cap: %s" % (e,), file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, KeyError, ValueError, RuntimeError,
-            NotImplementedError) as e:
+    except (OSError, ValueError, RuntimeError, NotImplementedError) as e:
         print("error: %s" % (e,), file=sys.stderr)
         return EXIT_ERROR
     except Exception as e:  # noqa: BLE001 - the exit-code contract

@@ -641,16 +641,20 @@ class StableQuadraticModule(ReducedQuadraticModule):
         out = super().check_axioms()
         na = self.coords.group.ngens
         images = self.omega.images
+        # (i, j) and (j, i) test one element: each unordered pair once
+        fails = set()
         for i in range(na):
-            for j in range(na):
-                p, q = sorted((i * na + j, j * na + i))
+            for j in range(i, na):
+                p, q = i * na + j, j * na + i
                 if p == q:
                     val = self.omega.m.power_product([images[p]], [2])
                 else:
                     val = self.omega.m.power_product(
                         [images[p], images[q]], [1, 1])
                 if not val.is_identity():
-                    out.append("stability fails at (%d,%d)" % (i, j))
+                    fails.add((i, j))
+        out += ["stability fails at (%d,%d)" % (i, j) for i in range(na)
+                for j in range(na) if (min(i, j), max(i, j)) in fails]
         return out
 
 

@@ -15,16 +15,29 @@ Grammar (one block per line, `#` starts a comment, blank lines ignored):
 
 Every block is named; later blocks may reference earlier ones by name.
 `omega` is `id` (the tensor basis itself, for wedge-shaped M), `zero`, or
-the name of a `tensor` hom.  Parsing is position-annotated; printing is
-canonical (fixed spacing, images in source-generator order), so
-parse-print-parse is the identity on canonical documents.
+the name of a `tensor` hom.
+
+Each block kind is declared once, as one class: its keyword, its parser,
+the live object it builds, its canonical line and the words for what it
+built ("a group", "a level-2 crossed module", ...).  The table `KINDS`
+maps each keyword to its class.  Every reference, in a document or on the
+command line, resolves through `Document.get`, which checks the kind of
+the block it names against a `Need`.  A reference to a missing block or to
+a block of the wrong kind is therefore a positioned error.  A map also
+has its ends checked: a `mor` block takes f1 from the M of its source to
+the M of its target, f0 between their bases, and sides of one level.
+
+Parsing is position-annotated; printing is canonical (fixed spacing, images
+in the order given), so parse-print-parse is the identity on canonical
+documents.
 """
 
 from __future__ import annotations
 
 from .abelian import AbMap, FinAbGroup
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
-                      GroupAction, OmegaPairing, WordHom, quadratic_module)
+                      GroupAction, OmegaPairing, ReducedQuadraticModule,
+                      WordHom, quadratic_module)
 from .nil2 import Class2Group, Class2Hom, abelian_as_class2, free_nil, nilize
 from .tracks import HopfTrack, TwoMorphism, boundary_map
 from .words import PointedSet, Word
@@ -41,7 +54,8 @@ class ParseError(ValueError):
 
 class ValidationError(ParseError):
     """A well-formed block that does not build a valid object (a hom that
-    is not well defined, a mismatched module, ...), with its position."""
+    is not well defined, a mismatched module, a reference to a block of
+    the wrong kind, ...), with its position."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,84 +110,71 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 # ---------------------------------------------------------------------------
-# block forms (the canonical abstract syntax)
+# references: what a block built, and what a reference needs
 # ---------------------------------------------------------------------------
 
-class GroupBlock:
-    def __init__(self, name: str, kind: str, k: int = 0, rels=None,
-                 basis=None):
-        self.name = name
-        self.kind = kind                # "ab" | "nil2"
-        self.k = k
-        self.rels = rels if rels is not None else []
-        self.basis = basis if basis is not None else []
+class TensorHom:
+    """Images in a class-2 group for the tensor-square basis of another
+    group's abelianization, used as an omega table."""
+
+    def __init__(self, source: Class2Group, target: Class2Group, images):
+        self.source = source
+        self.target = target
+        self.images = images        # row-major over source.gen_names pairs
 
 
-class HomBlock:
-    def __init__(self, name: str, src: str, tgt: str, tensor: bool, images):
-        self.name = name
-        self.src = src
-        self.tgt = tgt
-        self.tensor = tensor
-        self.images = images            # [(label, word-string)]
+class Need:
+    """The kind of block a reference needs, as said in its errors: an
+    object of one of `types`, and of a level in `levels` when given."""
+
+    def __init__(self, text: str, types, levels=None):
+        self.text = text
+        self.types = types
+        self.levels = levels
+
+    def admits(self, obj) -> bool:
+        return isinstance(obj, self.types) and (
+            self.levels is None or obj.level in self.levels)
 
 
-class CrossBlock:
-    def __init__(self, name: str, n: int, m: str, ngrp: str, delname: str):
-        self.name = name
-        self.n = n
-        self.m = m
-        self.ngrp = ngrp
-        self.delname = delname
-        self.omega = ""     # tensor-hom name, "id" or "zero" (n >= 2)
-        self.act = []       # ["trivial"] or hom names
-
-
-class MorBlock:
-    def __init__(self, name: str, src: str, tgt: str, f1: str, f0: str):
-        self.name = name
-        self.src = src
-        self.tgt = tgt
-        self.f1 = f1
-        self.f0 = f0
-
-
-class TrackBlock:
-    def __init__(self, name: str, n: int, f: str, g: str, alpha):
-        self.name = name
-        self.n = n
-        self.f = f
-        self.g = g
-        self.alpha = alpha
-
-
-class TwoBlock:
-    def __init__(self, name: str, mor: str, values):
-        self.name = name
-        self.mor = mor
-        self.values = values            # [(label, word-string)]
+GROUP = Need("a group", (Class2Group,))
+BASE = Need("a group or a free group", (Class2Group, FreeGroupBase))
+HOM = Need("a hom of class-2 groups", (Class2Hom,))
+ANY_HOM = Need("a hom", (Class2Hom, WordHom))
+TENSOR_HOM = Need("a tensor hom, id or zero", (TensorHom,))
+CROSSED = Need("a crossed module", (CrossedModule, ReducedQuadraticModule))
+MORPHISM = Need("a morphism", (CrossMorphism,))
 
 
 class Document:
-    """Named blocks in order, with the live objects they build."""
+    """Named blocks in order, each holding the live object it built."""
 
     def __init__(self):
-        self.order: list[str] = []
-        self.blocks: dict[str, object] = {}
-        self.objects: dict[str, object] = {}
-
-    def add(self, block, obj):
-        if block.name in self.blocks:
-            raise ValueError("duplicate name %r" % block.name)
-        self.order.append(block.name)
-        self.blocks[block.name] = block
-        self.objects[block.name] = obj
-
-    def __contains__(self, name):
-        return name in self.blocks
+        self.blocks: dict[str, Block] = {}
 
     def __getitem__(self, name):
-        return self.objects[name]
+        return self.blocks[name].obj
+
+    def get(self, name: str, user: str, need: Need):
+        """The object block `name` built, when `need` admits it; `user`
+        (a command, a field of a block) names who needs it in errors."""
+        if name not in self.blocks:
+            raise ValueError("no block named %r" % name)
+        block = self.blocks[name]
+        if not need.admits(block.obj):
+            raise ValueError("block %s is %s; %s needs %s"
+                             % (name, block.built(), user, need.text))
+        return block.obj
+
+
+def _map(doc: Document, name: str, user: str, need: Need, source, target,
+         ends: str):
+    """The map block `name` built, when `need` admits it and it goes from
+    `source` to `target` (said as `ends` in errors)."""
+    f = doc.get(name, user, need)
+    if f.source is not source or f.target is not target:
+        raise ValueError("%s must go from %s" % (user, ends))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,8 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
 
-    def _err(self, msg):
+    def error(self, msg):
+        """Raise a ParseError at the next token, or at the end of input."""
         if self.i < len(self.toks):
             t = self.toks[self.i]
             raise ParseError(msg, t.line, t.col)
@@ -198,7 +200,7 @@ class _Parser:
 
     def next(self):
         if self.i >= len(self.toks):
-            self._err("unexpected end of input")
+            self.error("unexpected end of input")
         t = self.toks[self.i]
         self.i += 1
         return t
@@ -217,15 +219,18 @@ class _Parser:
                              t.line, t.col)
         return t
 
-    def integer(self, what="integer"):
+    def integer(self, what="integer", least=None):
+        """An integer token; one below `least` is refused."""
         t = self.next()
         try:
-            return int(t.text)
+            value = int(t.text)
         except ValueError:
             raise ParseError("expected %s, found %r" % (what, t.text),
                              t.line, t.col)
-
-    # -- words ------------------------------------------------------------
+        if least is not None and value < least:
+            raise ParseError("expected %s of at least %d, found %r"
+                             % (what, least, t.text), t.line, t.col)
+        return value
 
     def word_tokens(self, stop=(";", "}")):
         """Collect word tokens up to a stop mark, validating exponents."""
@@ -245,89 +250,19 @@ class _Parser:
                         t.col + len(sym) + 1)
             parts.append(t.text)
         if not parts:
-            self._err("expected a word")
+            self.error("expected a word")
         return " ".join(parts)
 
-    def _level(self) -> int:
+    def level(self, least: int) -> int:
         ntok = self.next()
         if ntok.text != "n":
             raise ParseError("expected n=<level>, found %r" % ntok.text,
                              ntok.line, ntok.col)
         self.expect("=")
-        return self.integer("level")
+        return self.integer("level", least)
 
-    # -- blocks -------------------------------------------------------------
-
-    def parse_document(self) -> Document:
-        doc = Document()
-        while self.peek() is not None:
-            t = self.toks[self.i]
-            kind = t.text
-            if kind == "group":
-                block = self.group_block()
-            elif kind == "hom":
-                block = self.hom_block()
-            elif kind == "cross":
-                block = self.cross_block()
-            elif kind == "mor":
-                block = self.mor_block()
-            elif kind == "track":
-                block = self.track_block()
-            elif kind == "twomorphism":
-                block = self.two_block()
-            else:
-                raise ParseError("unknown block kind %r" % kind, t.line,
-                                 t.col)
-            try:
-                obj = _build(block, doc)
-            except (ValueError, NotImplementedError) as e:
-                raise ValidationError("in block %r: %s" % (block.name, e),
-                                      t.line, t.col)
-            try:
-                doc.add(block, obj)
-            except ValueError as e:
-                raise ParseError(str(e), t.line, t.col)
-        return doc
-
-    def group_block(self) -> GroupBlock:
-        self.expect("group")
-        name = self.ident().text
-        kind_tok = self.next()
-        if kind_tok.text == "ab":
-            k = self.integer("rank")
-            rels = []
-            while self.peek() == "rel":
-                self.next()
-                row = [self.integer("relation entry") for _ in range(k)]
-                rels.append(row)
-            return GroupBlock(name, "ab", k=k, rels=rels)
-        if kind_tok.text in ("nil2", "free"):
-            self.expect("basis")
-            basis = []
-            while self.peek() is not None and self.peek() not in (
-                    "group", "hom", "cross", "mor", "track", "twomorphism"):
-                basis.append(self.ident("basis symbol").text)
-            if not basis:
-                self._err("empty basis")
-            return GroupBlock(name, kind_tok.text, basis=basis)
-        raise ParseError("expected 'ab', 'nil2' or 'free', found %r"
-                         % kind_tok.text, kind_tok.line, kind_tok.col)
-
-    def hom_block(self) -> HomBlock:
-        self.expect("hom")
-        name = self.ident().text
-        self.expect(":")
-        tensor = False
-        if self.peek() == "tensor":
-            tensor = True
-            self.next()
-        src = self.ident("source group").text
-        self.expect("->")
-        tgt = self.ident("target group").text
-        images = self._image_list()
-        return HomBlock(name, src, tgt, tensor, images)
-
-    def _image_list(self):
+    def images(self):
+        """`{ label -> word ; ... }` as (label, word-string) pairs."""
         self.expect("{")
         images = []
         if self.peek() == "}":
@@ -343,74 +278,34 @@ class _Parser:
             self.expect("}")
             return images
 
-    def cross_block(self) -> CrossBlock:
-        self.expect("cross")
-        name = self.ident().text
-        n = self._level()
+    def fields(self, keyword: str, required, single: bool):
+        """`{ key = value ... ; ... }` as a dict of value lists, with every
+        `required` key; a `single` field takes one hom name."""
         self.expect("{")
         fields = {}
         while True:
             key = self.ident("field").text
             self.expect("=")
-            vals = []
-            while self.peek() not in (";", "}"):
-                vals.append(self.ident("value").text)
-            if not vals:
-                self._err("empty field %r" % key)
+            if single:
+                vals = [self.ident("hom name").text]
+            else:
+                vals = []
+                while self.peek() not in (";", "}"):
+                    vals.append(self.ident("value").text)
+                if not vals:
+                    self.error("empty field %r" % key)
             fields[key] = vals
             if self.peek() == ";":
                 self.next()
                 continue
             self.expect("}")
             break
-        for req in ("M", "N", "del"):
+        for req in required:
             if req not in fields:
-                self._err("cross block missing field %r" % req)
-        block = CrossBlock(name, n, fields["M"][0], fields["N"][0],
-                           fields["del"][0])
-        if n >= 2:
-            if "omega" not in fields:
-                self._err("cross block missing field 'omega'")
-            block.omega = fields["omega"][0]
-        else:
-            block.act = fields.get("act", ["trivial"])
-        return block
+                self.error("%s block missing field %r" % (keyword, req))
+        return fields
 
-    def mor_block(self) -> MorBlock:
-        self.expect("mor")
-        name = self.ident().text
-        self.expect(":")
-        src = self.ident("source object").text
-        self.expect("->")
-        tgt = self.ident("target object").text
-        self.expect("{")
-        fields = {}
-        while True:
-            key = self.ident("field").text
-            self.expect("=")
-            fields[key] = self.ident("hom name").text
-            if self.peek() == ";":
-                self.next()
-                continue
-            self.expect("}")
-            break
-        for req in ("f1", "f0"):
-            if req not in fields:
-                self._err("mor block missing field %r" % req)
-        return MorBlock(name, src, tgt, fields["f1"], fields["f0"])
-
-    def track_block(self) -> TrackBlock:
-        self.expect("track")
-        name = self.ident().text
-        n = self._level()
-        f = self.ident("source hom").text
-        self.expect("=>")
-        g = self.ident("target hom").text
-        self.expect("alpha")
-        alpha = self._matrix()
-        return TrackBlock(name, n, f, g, alpha)
-
-    def _matrix(self):
+    def matrix(self):
         self.expect("[")
         rows = []
         if self.peek() == "]":
@@ -435,220 +330,358 @@ class _Parser:
         self.expect("]")
         return rows
 
-    def two_block(self) -> TwoBlock:
-        self.expect("twomorphism")
-        name = self.ident().text
-        self.expect(":")
-        mor = self.ident("morphism name").text
-        values = self._image_list()
-        return TwoBlock(name, mor, values)
+    def parse_document(self) -> Document:
+        doc = Document()
+        while self.peek() is not None:
+            t = self.next()
+            kind = KINDS.get(t.text)
+            if kind is None:
+                raise ParseError("unknown block kind %r" % t.text, t.line,
+                                 t.col)
+            block = kind.parse(self, self.ident().text)
+            if block.name in doc.blocks:
+                raise ParseError("duplicate name %r" % block.name, t.line,
+                                 t.col)
+            try:
+                block.obj = block.build(doc)
+            except (ValueError, NotImplementedError) as e:
+                raise ValidationError("in block %r: %s" % (block.name, e),
+                                      t.line, t.col)
+            doc.blocks[block.name] = block
+        return doc
 
 
 # ---------------------------------------------------------------------------
-# building live objects
+# block kinds
 # ---------------------------------------------------------------------------
 
-def _resolve(doc: Document, name: str, want: str):
-    if name not in doc:
-        raise ValueError("reference to undefined %s %r" % (want, name))
-    return doc[name]
-
-
-def _group_elem(group: Class2Group, word_text: str):
-    w = Word.parse(word_text)
+def _word(names, text: str) -> Word:
+    w = Word.parse(text)
     for sym, _ in w.letters:
-        if sym not in group.gen_names:
+        if sym not in names:
             raise ValueError("unknown generator %r" % sym)
-    return nilize(w, group)
+    return w
 
 
-def _ordered_images(group: Class2Group, images, what):
-    by_name = dict(images)
-    if len(by_name) != len(images):
-        raise ValueError("duplicate %s image" % what)
-    out = []
-    for name in group.gen_names:
-        if name not in by_name:
-            raise ValueError("missing image for generator %r" % name)
-        out.append(by_name.pop(name))
-    if by_name:
-        raise ValueError("unknown generator %r" % next(iter(by_name)))
-    return out
+def _group_elem(group: Class2Group, text: str):
+    return nilize(_word(group.gen_names, text), group)
 
 
-class TensorHom:
-    """Images in a class-2 group for the tensor-square basis of another
-    group's abelianization, used as an omega table."""
+def _ordered_images(labels, images) -> list[str]:
+    """The word-strings of (label, word-string) pairs in the order of
+    `labels`, one for each label."""
+    by_label = {}
+    for label, text in images:
+        if label in by_label:
+            raise ValueError("two images for %r" % label)
+        if label not in labels:
+            raise ValueError("unknown generator %r" % label)
+        by_label[label] = text
+    for label in labels:
+        if label not in by_label:
+            raise ValueError("missing image for %r" % label)
+    return [by_label[label] for label in labels]
 
-    def __init__(self, source: Class2Group, target: Class2Group, images):
-        self.source = source
-        self.target = target
-        self.images = images        # row-major over source.gen_names pairs
 
-    def labels(self):
-        names = self.source.gen_names
-        return ["%s*%s" % (a, b) for a in names for b in names]
+def _image_body(images) -> str:
+    return " ; ".join("%s -> %s" % (label, Word.parse(text))
+                      for label, text in images)
 
 
-def _build(block, doc: Document):
-    if isinstance(block, GroupBlock):
-        if block.kind == "ab":
-            for row in block.rels:
-                if len(row) != block.k:
-                    raise ValueError("relation arity != rank")
-            names = ["x%d" % i for i in range(block.k)]
-            return abelian_as_class2(FinAbGroup(block.k, block.rels), names)
-        if block.kind == "free":
-            return FreeGroupBase(PointedSet(["*"] + block.basis))
-        return free_nil(PointedSet(["*"] + block.basis))
+class Block:
+    """A named block of a document.  A kind declares its `keyword`, parses
+    the rest of its line (`parse`), builds its live object from the blocks
+    above it (`build`), prints its canonical line (`__str__`) and says
+    what it built in the words of the format (`built`)."""
 
-    if isinstance(block, HomBlock):
-        src = _resolve(doc, block.src, "group")
-        tgt = _resolve(doc, block.tgt, "group")
-        if isinstance(tgt, FreeGroupBase):
-            if block.tensor or not isinstance(src, Class2Group):
-                raise ValueError("a hom into a free group needs a plain "
-                                 "group source")
-            imgs = _ordered_images(src, block.images, "generator")
-            for text in imgs:
-                w = Word.parse(text)
-                for sym, _ in w.letters:
-                    if sym not in tgt.points:
-                        raise ValueError("unknown generator %r" % sym)
-            return WordHom(src, tgt, [Word.parse(t) for t in imgs])
-        if not isinstance(src, Class2Group) or not isinstance(
-                tgt, Class2Group):
-            raise ValueError("hom endpoints must be groups")
-        if block.tensor:
+    keyword = ""
+    noun = ""
+    obj = None          # the live object, once built
+
+    def built(self) -> str:
+        return self.noun
+
+
+class GroupBlock(Block):
+    keyword = "group"
+
+    def __init__(self, name: str, kind: str, k: int = 0, rels=None,
+                 basis=None):
+        self.name = name
+        self.kind = kind                # "ab" | "nil2" | "free"
+        self.k = k
+        self.rels = rels if rels is not None else []
+        self.basis = basis if basis is not None else []
+
+    @classmethod
+    def parse(cls, p, name):
+        kind_tok = p.next()
+        if kind_tok.text == "ab":
+            k = p.integer("rank", 0)
+            rels = []
+            while p.peek() == "rel":
+                p.next()
+                rels.append([p.integer("relation entry") for _ in range(k)])
+            return cls(name, "ab", k=k, rels=rels)
+        if kind_tok.text in ("nil2", "free"):
+            p.expect("basis")
+            basis = []
+            while p.peek() is not None and p.peek() not in KINDS:
+                basis.append(p.ident("basis symbol").text)
+            if not basis:
+                p.error("empty basis")
+            return cls(name, kind_tok.text, basis=basis)
+        raise ParseError("expected 'ab', 'nil2' or 'free', found %r"
+                         % kind_tok.text, kind_tok.line, kind_tok.col)
+
+    def build(self, doc):
+        if self.kind == "ab":
+            names = ["x%d" % i for i in range(self.k)]
+            return abelian_as_class2(FinAbGroup(self.k, self.rels), names)
+        if self.kind == "free":
+            return FreeGroupBase(PointedSet(["*"] + self.basis))
+        return free_nil(PointedSet(["*"] + self.basis))
+
+    def built(self):
+        return "a free group" if self.kind == "free" else "a group"
+
+    def __str__(self):
+        if self.kind == "ab":
+            out = "group %s ab %d" % (self.name, self.k)
+            for row in self.rels:
+                out += " rel " + " ".join(str(v) for v in row)
+            return out
+        return "group %s %s basis %s" % (self.name, self.kind,
+                                         " ".join(self.basis))
+
+
+class HomBlock(Block):
+    keyword = "hom"
+
+    def __init__(self, name: str, src: str, tgt: str, tensor: bool, images):
+        self.name = name
+        self.src = src
+        self.tgt = tgt
+        self.tensor = tensor
+        self.images = images            # [(label, word-string)]
+
+    @classmethod
+    def parse(cls, p, name):
+        p.expect(":")
+        tensor = p.peek() == "tensor"
+        if tensor:
+            p.next()
+        src = p.ident("source group").text
+        p.expect("->")
+        tgt = p.ident("target group").text
+        return cls(name, src, tgt, tensor, p.images())
+
+    def build(self, doc):
+        src = doc.get(self.src, "the source", GROUP)
+        if self.tensor:
+            tgt = doc.get(self.tgt, "the target", GROUP)
             labels = ["%s*%s" % (a, b) for a in src.gen_names
                       for b in src.gen_names]
-            by_name = dict(block.images)
-            images = []
-            for lab in labels:
-                if lab not in by_name:
-                    raise ValueError("missing omega image for %r" % lab)
-                images.append(_group_elem(tgt, by_name[lab]))
-            return TensorHom(src, tgt, images)
-        imgs = _ordered_images(src, block.images, "generator")
+            return TensorHom(src, tgt, [
+                _group_elem(tgt, w)
+                for w in _ordered_images(labels, self.images)])
+        tgt = doc.get(self.tgt, "the target", BASE)
+        imgs = _ordered_images(src.gen_names, self.images)
+        if isinstance(tgt, FreeGroupBase):
+            return WordHom(src, tgt, [_word(tgt.gen_names, w) for w in imgs])
         return src.free_hom(tgt, [_group_elem(tgt, w) for w in imgs])
 
-    if isinstance(block, CrossBlock):
-        m = _resolve(doc, block.m, "group")
-        ngrp = _resolve(doc, block.ngrp, "group")
-        bnd = _resolve(doc, block.delname, "hom")
-        if not isinstance(bnd, (Class2Hom, WordHom)):
-            raise ValueError("'del' must be a hom")
-        if not (bnd.source is m and bnd.target is ngrp):
-            raise ValueError("'del' endpoints do not match M and N")
-        if isinstance(ngrp, FreeGroupBase) and block.n != 1:
-            raise ValueError("a free-group base needs level 1")
-        if block.n == 1:
-            if block.act == ["trivial"]:
+    def built(self):
+        if self.tensor:
+            return "a tensor hom"
+        if isinstance(self.obj, WordHom):
+            return "a hom into a free group"
+        return "a hom"
+
+    def __str__(self):
+        arrow = "%s -> %s" % (self.src, self.tgt)
+        if self.tensor:
+            arrow = "tensor " + arrow
+        if not self.images:
+            return "hom %s : %s { }" % (self.name, arrow)
+        return "hom %s : %s { %s }" % (self.name, arrow,
+                                       _image_body(self.images))
+
+
+class CrossBlock(Block):
+    keyword = "cross"
+
+    def __init__(self, name: str, n: int, m: str, ngrp: str, delname: str):
+        self.name = name
+        self.n = n
+        self.m = m
+        self.ngrp = ngrp
+        self.delname = delname
+        self.omega = ""     # tensor-hom name, "id" or "zero" (n >= 2)
+        self.act = []       # ["trivial"] or hom names
+
+    @classmethod
+    def parse(cls, p, name):
+        n = p.level(1)
+        fields = p.fields(cls.keyword, ("M", "N", "del"), single=False)
+        block = cls(name, n, fields["M"][0], fields["N"][0],
+                    fields["del"][0])
+        if n >= 2:
+            if "omega" not in fields:
+                p.error("cross block missing field 'omega'")
+            block.omega = fields["omega"][0]
+        else:
+            block.act = fields.get("act", ["trivial"])
+        return block
+
+    def build(self, doc):
+        m = doc.get(self.m, "'M'", GROUP)
+        ngrp = doc.get(self.ngrp, "'N' at level %d" % self.n,
+                       BASE if self.n == 1 else GROUP)
+        bnd = _map(doc, self.delname, "'del'", ANY_HOM, m, ngrp,
+                   "%s to %s" % (self.m, self.ngrp))
+        if self.n == 1:
+            if self.act == ["trivial"]:
                 action = GroupAction.trivial(ngrp, m)
             else:
-                autos = [_resolve(doc, a, "hom") for a in block.act]
-                action = GroupAction(ngrp, m, autos)
+                action = GroupAction(ngrp, m, [
+                    _map(doc, a, "'act'", HOM, m, m,
+                         "%s to %s" % (self.m, self.m)) for a in self.act])
             return CrossedModule(m, ngrp, bnd, action)
-        coords = AbCoords(ngrp)
         nq = ngrp.q.ngens
-        if block.omega == "id":
+        if self.omega == "id":
             if m.q.ngens != nq * nq:
                 raise ValueError("omega=id needs M of tensor-square size")
             images = [m.generator(p) for p in range(nq * nq)]
-        elif block.omega == "zero":
+        elif self.omega == "zero":
             images = [m.identity() for _ in range(nq * nq)]
         else:
-            th = _resolve(doc, block.omega, "tensor hom")
-            if not isinstance(th, TensorHom):
-                raise ValueError("'omega' must be a tensor hom, id or zero")
-            if th.source is not ngrp or th.target is not m:
-                raise ValueError("omega endpoints do not match N and M")
-            images = th.images
-        return quadratic_module(m, ngrp, bnd, OmegaPairing(coords, m, images),
-                                block.n)
+            images = _map(doc, self.omega, "'omega'", TENSOR_HOM, ngrp, m,
+                          "tensor %s to %s" % (self.ngrp, self.m)).images
+        return quadratic_module(
+            m, ngrp, bnd, OmegaPairing(AbCoords(ngrp), m, images), self.n)
 
-    if isinstance(block, MorBlock):
-        src = _resolve(doc, block.src, "object")
-        tgt = _resolve(doc, block.tgt, "object")
-        f1 = _resolve(doc, block.f1, "hom")
-        f0 = _resolve(doc, block.f0, "hom")
+    def built(self):
+        return "a level-%d crossed module" % self.n
+
+    def __str__(self):
+        fields = ["M = %s" % self.m, "N = %s" % self.ngrp,
+                  "del = %s" % self.delname]
+        if self.n >= 2:
+            fields.append("omega = %s" % self.omega)
+        else:
+            fields.append("act = %s" % " ".join(self.act))
+        return "cross %s n=%d { %s }" % (self.name, self.n,
+                                         " ; ".join(fields))
+
+
+class MorBlock(Block):
+    keyword = "mor"
+    noun = "a morphism"
+
+    def __init__(self, name: str, src: str, tgt: str, f1: str, f0: str):
+        self.name = name
+        self.src = src
+        self.tgt = tgt
+        self.f1 = f1
+        self.f0 = f0
+
+    @classmethod
+    def parse(cls, p, name):
+        p.expect(":")
+        src = p.ident("source object").text
+        p.expect("->")
+        tgt = p.ident("target object").text
+        fields = p.fields(cls.keyword, ("f1", "f0"), single=True)
+        return cls(name, src, tgt, fields["f1"][0], fields["f0"][0])
+
+    def build(self, doc):
+        src = doc.get(self.src, "the source", CROSSED)
+        tgt = doc.get(self.tgt, "the target", CROSSED)
+        if src.level != tgt.level:
+            raise ValueError("a mor needs one level on both sides, not %d "
+                             "and %d" % (src.level, tgt.level))
+        f1 = _map(doc, self.f1, "'f1'", HOM, src.m, tgt.m,
+                  "the M of %s to the M of %s" % (self.src, self.tgt))
+        f0 = _map(doc, self.f0, "'f0'", ANY_HOM, src.base, tgt.base,
+                  "the base of %s to the base of %s" % (self.src, self.tgt))
         return CrossMorphism(src, tgt, f1, f0)
 
-    if isinstance(block, TrackBlock):
-        f = _resolve(doc, block.f, "hom")
-        g = _resolve(doc, block.g, "hom")
-        lts, _, _, _ = boundary_map(block.n, f.target)
-        alpha = AbMap(FinAbGroup(f.source.q.ngens), lts,
-                      [row[:] for row in block.alpha], check=False)
-        return HopfTrack(block.n, f, g, alpha)
+    def __str__(self):
+        return "mor %s : %s -> %s { f1 = %s ; f0 = %s }" % (
+            self.name, self.src, self.tgt, self.f1, self.f0)
 
-    if isinstance(block, TwoBlock):
-        mor = _resolve(doc, block.mor, "mor")
-        if not isinstance(mor, CrossMorphism):
-            raise ValueError("twomorphism needs a mor block")
-        imgs = _ordered_images(mor.src.base, block.values, "base")
-        values = [_group_elem(mor.tgt.m, w) for w in imgs]
-        return TwoMorphism(mor, values)
 
-    raise TypeError("unknown block type %r" % type(block).__name__)
+class TrackBlock(Block):
+    keyword = "track"
+    noun = "a track"
+
+    def __init__(self, name: str, n: int, f: str, g: str, alpha):
+        self.name = name
+        self.n = n
+        self.f = f
+        self.g = g
+        self.alpha = alpha
+
+    @classmethod
+    def parse(cls, p, name):
+        n = p.level(2)
+        f = p.ident("source hom").text
+        p.expect("=>")
+        g = p.ident("target hom").text
+        p.expect("alpha")
+        return cls(name, n, f, g, p.matrix())
+
+    def build(self, doc):
+        f = doc.get(self.f, "the source", HOM)
+        g = doc.get(self.g, "the target", HOM)
+        lts, _, _, _ = boundary_map(self.n, f.target)
+        alpha = AbMap(FinAbGroup(f.source.q.ngens), lts, self.alpha,
+                      check=False)
+        return HopfTrack(self.n, f, g, alpha)
+
+    def __str__(self):
+        rows = ", ".join("[%s]" % ", ".join(str(v) for v in row)
+                         for row in self.alpha)
+        return "track %s n=%d %s => %s alpha [%s]" % (
+            self.name, self.n, self.f, self.g, rows)
+
+
+class TwoBlock(Block):
+    keyword = "twomorphism"
+    noun = "a 2-morphism"
+
+    def __init__(self, name: str, mor: str, values):
+        self.name = name
+        self.mor = mor
+        self.values = values            # [(label, word-string)]
+
+    @classmethod
+    def parse(cls, p, name):
+        p.expect(":")
+        mor = p.ident("morphism name").text
+        return cls(name, mor, p.images())
+
+    def build(self, doc):
+        mor = doc.get(self.mor, "the morphism", MORPHISM)
+        imgs = _ordered_images(mor.src.base.gen_names, self.values)
+        return TwoMorphism(mor, [_group_elem(mor.tgt.m, w) for w in imgs])
+
+    def __str__(self):
+        return "twomorphism %s : %s { %s }" % (self.name, self.mor,
+                                               _image_body(self.values))
+
+
+KINDS = {kind.keyword: kind for kind in (GroupBlock, HomBlock, CrossBlock,
+                                         MorBlock, TrackBlock, TwoBlock)}
 
 
 def parse(text: str) -> Document:
     return _Parser(text).parse_document()
 
 
-# ---------------------------------------------------------------------------
-# canonical printer
-# ---------------------------------------------------------------------------
-
-def _canon_word(text: str) -> str:
-    return str(Word.parse(text))
-
-
-def _print_block(block) -> str:
-    if isinstance(block, GroupBlock):
-        if block.kind == "ab":
-            out = "group %s ab %d" % (block.name, block.k)
-            for row in block.rels:
-                out += " rel " + " ".join(str(v) for v in row)
-            return out
-        return "group %s %s basis %s" % (block.name, block.kind,
-                                         " ".join(block.basis))
-    if isinstance(block, HomBlock):
-        arrow = "tensor %s -> %s" % (block.src, block.tgt) if block.tensor \
-            else "%s -> %s" % (block.src, block.tgt)
-        body = " ; ".join("%s -> %s" % (lab, _canon_word(w))
-                          for lab, w in block.images)
-        if not body:
-            return "hom %s : %s { }" % (block.name, arrow)
-        return "hom %s : %s { %s }" % (block.name, arrow, body)
-    if isinstance(block, CrossBlock):
-        fields = ["M = %s" % block.m, "N = %s" % block.ngrp,
-                  "del = %s" % block.delname]
-        if block.n >= 2:
-            fields.append("omega = %s" % block.omega)
-        else:
-            fields.append("act = %s" % " ".join(block.act))
-        return "cross %s n=%d { %s }" % (block.name, block.n,
-                                         " ; ".join(fields))
-    if isinstance(block, MorBlock):
-        return "mor %s : %s -> %s { f1 = %s ; f0 = %s }" % (
-            block.name, block.src, block.tgt, block.f1, block.f0)
-    if isinstance(block, TrackBlock):
-        rows = ", ".join("[%s]" % ", ".join(str(v) for v in row)
-                         for row in block.alpha)
-        return "track %s n=%d %s => %s alpha [%s]" % (
-            block.name, block.n, block.f, block.g, rows)
-    if isinstance(block, TwoBlock):
-        body = " ; ".join("%s -> %s" % (lab, _canon_word(w))
-                          for lab, w in block.values)
-        return "twomorphism %s : %s { %s }" % (block.name, block.mor, body)
-    raise TypeError("unknown block type %r" % type(block).__name__)
-
-
 def print_document(doc: Document) -> str:
-    lines = [_print_block(doc.blocks[name]) for name in doc.order]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join("%s\n" % block for block in doc.blocks.values())
 
 
 def canonicalize(text: str) -> str:

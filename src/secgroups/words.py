@@ -75,12 +75,10 @@ class Word:
         return Word(self.letters + other.letters).reduced()
 
     def __pow__(self, k: int) -> "Word":
+        """The reduced k-th power: one free reduction of k copies."""
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word(self.letters * k).reduced()
 
     def conjugate_by(self, other: "Word") -> "Word":
         """other^-1 * self * other."""

@@ -235,7 +235,59 @@ def test_slip_while_building_a_block_is_an_internal_error(monkeypatch,
     def broken(block, doc):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(serialization, "_build", broken)
+    monkeypatch.setattr(serialization.TrackBlock, "build", broken)
     assert main(["canon", _path("track.sg")]) == EXIT_INTERNAL
     assert capsys.readouterr().err == \
         "internal error: TypeError: unsupported operand\n"
+
+
+_TRACK = (CORPUS / "track.sg").read_text()
+_FREE = (CORPUS / "free_base.sg").read_text()
+_WEDGE = (CORPUS / "wedge_level2.sg").read_text()
+_ONE_LETTER = ("group M ab 1\n"
+               "group N nil2 basis a\n"
+               "hom del : M -> N { x0 -> 1 }\n"
+               "cross X n=1 { M = M ; N = N ; del = del ; act = trivial }\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (_TRACK + "mor m : f -> f { f1 = f ; f0 = f }\n",
+     "invalid document: line 7, col 1: in block 'm': block f is a hom; the "
+     "source needs a crossed module"),
+    (_TRACK + "track U n=2 f => A alpha [[0, 0], [1, 0], [0, 0], [0, 0]]\n",
+     "invalid document: line 7, col 1: in block 'U': block A is a group; the "
+     "target needs a hom of class-2 groups"),
+    (_ONE_LETTER.replace("act = trivial", "act = N"),
+     "invalid document: line 4, col 1: in block 'X': block N is a group; "
+     "'act' needs a hom of class-2 groups"),
+    (_FREE + "mor m : Y -> Y { f1 = del1 ; f0 = del1 }\n",
+     "invalid document: line 9, col 1: in block 'm': block del1 is a hom "
+     "into a free group; 'f1' needs a hom of class-2 groups"),
+    (_FREE + "hom i : M1 -> M1 { x0 -> x0 }\n"
+     "mor m : Y -> Y { f1 = i ; f0 = del1 }\n",
+     "invalid document: line 10, col 1: in block 'm': 'f0' must go from the "
+     "base of Y to the base of Y"),
+    (_WEDGE + "cross Y n=1 { M = M ; N = N ; del = del ; act = trivial }\n"
+     "hom i1 : M -> M { x0 -> x0 ; x1 -> x1 ; x2 -> x2 ; x3 -> x3 }\n"
+     "hom i0 : N -> N { a -> a ; b -> b }\n"
+     "mor m : W -> Y { f1 = i1 ; f0 = i0 }\n",
+     "invalid document: line 8, col 1: in block 'm': a mor needs one level "
+     "on both sides, not 2 and 1"),
+    (_ONE_LETTER + "hom i : M -> M { x0 -> x0 }\n"
+     "hom e : N -> N { a -> a }\n"
+     "mor m : X -> X { f1 = e ; f0 = i }\n",
+     "invalid document: line 7, col 1: in block 'm': 'f1' must go from the "
+     "M of X to the M of X"),
+    ("group G ab -1\n",
+     "parse error: line 1, col 12: expected rank of at least 0, found '-1'"),
+    (_ONE_LETTER.replace("n=1", "n=0"),
+     "parse error: line 4, col 11: expected level of at least 1, found '0'"),
+])
+def test_malformed_document_is_a_positioned_error(text, message, tmp_path,
+                                                  capsys):
+    doc = tmp_path / "bad.sg"
+    doc.write_text(text)
+    assert main(["canon", str(doc)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"

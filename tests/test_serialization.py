@@ -1,11 +1,15 @@
 """Text format: tokenizing, parsing, building, and canonical printing."""
 
 import importlib.resources
+import re
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secgroups.serialization import (
-    ParseError, parse, print_document, canonicalize, describe_ab,
+    ParseError, ValidationError, parse, print_document, canonicalize,
+    describe_ab,
 )
 from secgroups.abelian import FinAbGroup
 from secgroups.crossed import CrossedModule, ReducedQuadraticModule
@@ -45,8 +49,7 @@ def test_parse_wedge_cross_block():
 def test_parse_level1_cross_block():
     text = (_corpus()[0].parent / "crossed_level1.sg").read_text()
     doc = parse(text)
-    names = [n for n in doc.order]
-    assert any(isinstance(doc[n], CrossedModule) for n in names)
+    assert any(isinstance(doc[n], CrossedModule) for n in doc.blocks)
 
 
 def test_comments_and_whitespace_are_canonicalized_away():
@@ -83,6 +86,17 @@ def test_parse_error_duplicate_name():
         parse("group G ab 1\ngroup G ab 2\n")
 
 
+def test_a_long_relation_into_a_free_group_is_refused_quickly():
+    text = ("group M ab 1 rel 4000\n"
+            "group F free basis a b\n"
+            "hom d : M -> F { x0 -> a b }\n")
+    start = time.perf_counter()
+    with pytest.raises(ValidationError,
+                       match="Q relation \\[4000\\] survives"):
+        parse(text)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_describe_ab():
     assert describe_ab(FinAbGroup(0)) == "0"
     assert describe_ab(FinAbGroup(2)) == "Z^2"
@@ -92,3 +106,53 @@ def test_describe_ab():
 def test_empty_document():
     doc = parse("")
     assert print_document(doc) == ""
+
+
+# the tokens of a canonical line: punctuation, or a run of anything else
+_TOKEN = re.compile(r"->|=>|[{};:=\[\],]|[^\s{};:=\[\],]+")
+_MUTATIONS = ("reference", "delete", "duplicate", "integer")
+_DOCUMENTS = [text for text in (p.read_text() for p in _corpus()) if text]
+
+
+@st.composite
+def _mutants(draw):
+    """A corpus document with a reference set to another block's name, and
+    up to two more mutations: the same, a token deleted or duplicated, or
+    an integer set to -3..9."""
+    text = draw(st.sampled_from(_DOCUMENTS))
+    lines = [_TOKEN.findall(line) for line in text.splitlines()]
+    names = [line[1] for line in lines]
+    # a reference first: the mutation that reaches the builders most
+    for how in ["reference"] + draw(st.lists(st.sampled_from(_MUTATIONS),
+                                             max_size=2)):
+        spots = [(i, j) for i, line in enumerate(lines)
+                 for j, tok in enumerate(line)
+                 if how == "reference" and j > 1 and tok in names
+                 or how == "integer" and re.fullmatch(r"-?[0-9]+", tok)
+                 or how in ("delete", "duplicate")]
+        if not spots:
+            continue
+        i, j = draw(st.sampled_from(spots))
+        if how == "reference":
+            lines[i][j] = draw(st.sampled_from(names))
+        elif how == "integer":
+            lines[i][j] = str(draw(st.integers(-3, 9)))
+        elif how == "delete":
+            del lines[i][j]
+        else:
+            lines[i].insert(j, lines[i][j])
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@given(text=_mutants())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_round_trip_or_fail_with_a_position(text):
+    """Malformed input yields a document that prints canonically or a
+    ParseError inside the input; never another exception."""
+    try:
+        doc = parse(text)
+    except ParseError as e:
+        assert 1 <= e.line <= len(text.splitlines()) and e.col >= 1
+        return
+    out = print_document(doc)
+    assert canonicalize(out) == out

@@ -1,6 +1,9 @@
 """Free-group words and pointed sets."""
 
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secgroups.words import PointedSet, Word, commutator_word, BASEPOINT
 
@@ -42,6 +45,32 @@ def test_powers():
     assert u ** 0 == Word()
     assert u ** 2 == Word.parse("a b a b")
     assert u ** -1 == u.inverse()
+
+
+def _power_by_products(w, k):
+    """The former definition of `Word.__pow__`: k products, each reduced."""
+    if k < 0:
+        return _power_by_products(w.inverse(), -k)
+    out = Word()
+    for _ in range(k):
+        out = out * w
+    return out
+
+
+@given(letters=st.lists(st.tuples(st.sampled_from("abc"),
+                                  st.integers(-2, 2)), max_size=6),
+       k=st.integers(-5, 6))
+@settings(max_examples=300, deadline=None)
+def test_power_matches_repeated_products(letters, k):
+    w = Word(letters)
+    assert (w ** k).letters == _power_by_products(w, k).letters
+
+
+def test_large_power_is_one_reduction():
+    start = time.perf_counter()
+    w = Word.parse("a b") ** 4000
+    assert time.perf_counter() - start < 1.0
+    assert w.letters == [("a", 1), ("b", 1)] * 4000
 
 
 def test_exponent_sums():
