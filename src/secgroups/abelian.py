@@ -4,9 +4,10 @@ A `FinAbGroup` is Z^n modulo the row lattice of a relation matrix.  Nothing
 is ever reduced to a "nicer" presentation behind the caller's back: elements
 keep their coefficient vectors.  Construction runs one Smith normal form on
 the transposed relations and keeps its certificate (U, U^-1 and the
-diagonal); every later membership test (element equality, well-definedness
-of maps) is a mat-vec by U plus one divisibility test per diagonal entry,
-with no further SNF.
+diagonal), U and U^-1 as sparse columns; every later membership test
+(element equality, well-definedness of maps) adds the columns of U at the
+vector's nonzero entries and tests each nonzero coordinate against its
+diagonal entry, with no further SNF.
 
 `AbMap` is a homomorphism given by its matrix on generators (columns are
 images).  Construction checks well-definedness: every source relation must
@@ -22,7 +23,6 @@ square), and the mod-2 variants used at levels three and up.
 from __future__ import annotations
 
 import itertools
-from operator import mul
 
 from . import intlinalg as la
 
@@ -42,17 +42,17 @@ class FinAbGroup:
         # Smith certificate of the relation lattice L, the column span of
         # R^T: with U R^T V = D, a vector v lies in L iff U v lies in D Z^n,
         # so coordinate i of U v is taken modulo moduli[i] (0 = exactly).
-        # R^T has the same invariant factors as R.
+        # R^T has the same invariant factors as R.  U and U^-1 are held as
+        # sparse columns; a coordinate of modulus 1 never refuses.
         u, d, _, ui, _ = la.smith_normal_form(la.transpose(rels, ngens),
                                               len(rels), keep=("u", "uinv"))
         diag = la.diagonal(d, len(rels))
         rank = sum(1 for x in diag if x)
         self.free_rank = ngens - rank
         self.invariant_factors = tuple(x for x in diag if x > 1)
-        self._u, self._uinv = u, ui
         self._moduli = diag[:rank] + [0] * (ngens - rank)
-        self._checks = [(u[i], m) for i, m in enumerate(self._moduli)
-                        if m != 1]
+        self._u = la.sparse_columns(u, ngens)
+        self._uinv = la.sparse_columns(ui, ngens)
 
     # -- structure ---------------------------------------------------------
 
@@ -93,28 +93,31 @@ class FinAbGroup:
             return True
         if not self.relations:
             return False
-        for row, m in self._checks:
-            y = sum(map(mul, row, vec))
-            if y % m if m else y:
+        y = la.column_combination(self._u, vec, self.ngens)
+        for i in itertools.compress(range(self.ngens), y):
+            m = self._moduli[i]
+            if not m or y[i] % m:
                 return False
         return True
 
     def divide(self, d: int, vec):
-        """One s with d*s == vec modulo the relations, or None."""
-        z = []
-        for y, m in zip(la.mat_vec(self._u, list(vec)), self._moduli):
-            zi = la.divide_mod(d, y, m)
-            if zi is None:
+        """One s with d*s == vec modulo the relations, or None.  A zero
+        coordinate of U vec divides as 0, so only the nonzero ones are
+        divided."""
+        z = la.column_combination(self._u, list(vec), self.ngens)
+        for i in itertools.compress(range(self.ngens), z):
+            z[i] = la.divide_mod(d, z[i], self._moduli[i])
+            if z[i] is None:
                 return None
-            z.append(zi)
-        return la.mat_vec(self._uinv, z)
+        return la.column_combination(self._uinv, z, self.ngens)
 
     def elements(self):
         """Iterate over all elements (requires the group to be finite)."""
         if self.free_rank:
             raise ValueError("infinite group")
         for ys in itertools.product(*[range(m) for m in self._moduli]):
-            yield AbElem(self, la.mat_vec(self._uinv, list(ys)))
+            yield AbElem(self, la.column_combination(self._uinv, ys,
+                                                     self.ngens))
 
 
 class AbElem:

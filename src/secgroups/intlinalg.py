@@ -30,12 +30,19 @@ around it.  `in_lattice` answers membership for an ad-hoc set of rows with a
 fresh SNF; a `FinAbGroup` instead keeps the Smith certificate of its
 relation lattice, computed once at construction, and reduces membership and
 division there to `divide_mod` on each diagonal coordinate.
+
+The held transforms are nearly permutations on these inputs (at 16 letters
+the largest are 256 x 256 with under 1% nonzeros), so they are held as
+sparse columns (`sparse_columns`), and a transform is applied to a vector by
+adding the columns of its nonzero entries (`column_combination`); `mat_vec`
+likewise sums over the nonzeros of its vector only.  The integers are the
+ones the dense products give.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from itertools import compress
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -73,7 +80,31 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    """a @ v, summed over the nonzero entries of v only."""
+    nz = [(j, v[j]) for j in compress(range(len(v)), v)]
+    return [sum([row[j] * x for j, x in nz]) for row in a]
+
+
+def sparse_columns(a: list[list[int]], ncols: int):
+    """The nonzeros of the first ncols columns of a, one list of
+    (row, entry) pairs per column."""
+    cols = [[] for _ in range(ncols)]
+    js = range(ncols)
+    for i, row in enumerate(a):
+        for j in compress(js, row):
+            cols[j].append((i, row[j]))
+    return cols
+
+
+def column_combination(cols, coeffs, nrows: int) -> list[int]:
+    """sum_k coeffs[k] * column k for columns held by `sparse_columns`,
+    summed over the nonzero coeffs only."""
+    out = [0] * nrows
+    for k in compress(range(len(coeffs)), coeffs):
+        c = coeffs[k]
+        for i, x in cols[k]:
+            out[i] += c * x
+    return out
 
 
 def transpose(a: list[list[int]], ncols: int) -> list[list[int]]:
@@ -269,40 +300,41 @@ class Solver:
     for many right-hand sides b against one fixed system.
 
     Construction runs one SNF of the extended matrix E = [a | lattice_rows^T]
-    and keeps its certificate U E V = D: the rows of U, the diagonal and the
-    first ncols rows of V.  `solve(b)` is then U b, one divisibility test per
-    diagonal entry and V y truncated to the a-columns, with no further SNF.
-    This is the vector the extended system's SNF solution gives, so a held
-    solver and a fresh one agree exactly.
+    and keeps its certificate U E V = D: U and the first ncols rows of V as
+    sparse columns (`sparse_columns`), and the diagonal.  `solve(b)` adds
+    b_j U[:, j] over the nonzero b_j, tests the rows past the rank for zero,
+    divides once per pivot, and adds y_k V[:, k] over the nonzero y_k, with
+    no further SNF; a unit right-hand side costs one column of U.  This is
+    the vector the extended system's SNF solution gives, so a held solver
+    and a fresh one agree exactly.
     """
 
     def __init__(self, a: list[list[int]], ncols: int, lattice_rows=()):
-        self.nrows = len(a)
+        self.nrows, self.ncols = len(a), ncols
         ext = [a[i][:] + [r[i] for r in lattice_rows]
                for i in range(self.nrows)]
         u, d, v, _, _ = smith_normal_form(ext, ncols + len(lattice_rows),
                                           keep=("u", "v"))
-        diag = diagonal(d, ncols + len(lattice_rows))
-        rank = sum(1 for x in diag if x)  # nonzero entries come first
-        self._pivots = list(zip(u[:rank], diag[:rank]))
-        self._zero_rows = u[rank:]
-        self._v = [row[:rank] for row in v[:ncols]]
+        self._diag = diagonal(d, ncols + len(lattice_rows))
+        self._rank = sum(1 for x in self._diag if x)  # nonzeros come first
+        self._u = sparse_columns(u, self.nrows)
+        self._v = sparse_columns(v[:ncols], self._rank)
 
     def solve(self, b: list[int]):
         """One x with a @ x == b modulo the lattice, or None."""
         if len(b) != self.nrows:
             raise ValueError("right-hand side has %d entries, system has %d "
                              "rows" % (len(b), self.nrows))
-        for row in self._zero_rows:
-            if sum(map(mul, row, b)):
-                return None
-        ys = []
-        for row, di in self._pivots:
-            y, r = divmod(sum(map(mul, row, b)), di)
+        rank = self._rank
+        y = column_combination(self._u, b, self.nrows)
+        if any(y[rank:]):
+            return None
+        del y[rank:]
+        for k in compress(range(rank), y):
+            y[k], r = divmod(y[k], self._diag[k])
             if r:
                 return None
-            ys.append(y)
-        return [sum(map(mul, row, ys)) for row in self._v]
+        return column_combination(self._v, y, self.ncols)
 
 
 def solve(a: list[list[int]], ncols: int, b: list[int]):

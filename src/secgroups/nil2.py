@@ -16,6 +16,12 @@ closed form, `Class2Group.power_product`, with p_k = sum_{j<k} a_j q_j:
     prod_k x_k^a_k = (sum a_k q_k, sum [a_k c_k + binom(a_k, 2)
                       beta(q_k (x) q_k) + beta(p_k (x) a_k q_k)]).
 
+Its generator case, the ordered product e_1^q_1 ... e_n^q_n of a normal
+form, is `collect_central`: one pass over the nonzeros of beta,
+
+    sum_i binom(q_i, 2) beta(e_i (x) e_i)
+        + sum_{i<j} q_i q_j beta(e_i (x) e_j).
+
 `lam` and `beta` are stored dense, one row per central generator and one
 column per pair (i, j) of Q generators, and that is the form every reader
 of the matrices sees.  They are evaluated through their nonzeros only,
@@ -178,11 +184,23 @@ class Class2Group:
 
     def ordered_product_element(self, qvec) -> "Class2Elem":
         """The ordered product of generator powers e_1^q_1 ... e_n^q_n."""
-        return self.power_product(self._gens, qvec)
+        return Class2Elem(self, qvec, self.collect_central(qvec))
 
     def collect_central(self, qvec) -> list[int]:
-        """Central part of the ordered product of generator powers for qvec."""
-        return self.ordered_product_element(qvec).cvec
+        """Central part of the ordered product of generator powers for qvec:
+        sum_i binom(q_i, 2) beta(e_i, e_i) + sum_{i<j} q_i q_j beta(e_i, e_j),
+        the generator case of `power_product`, in one pass over the
+        nonzeros of beta."""
+        out = [0] * self.c.ngens
+        for i, row in self._beta_terms:
+            a = qvec[i]
+            if a:
+                for j, r, coeff in row:
+                    if j > i:
+                        out[r] += coeff * a * qvec[j]
+                    elif j == i:
+                        out[r] += coeff * _binom2(a)
+        return out
 
     def commutator_support(self) -> set[tuple[int, int]]:
         """The pairs (i, j) of Q generators whose commutator, the column
@@ -797,8 +815,7 @@ def hom_kernel(f: Class2Hom):
     s_lat = la.preimage_lattice(a, nqs, t.q.relations)
     zvals = []
     for u in s_lat:
-        img = f.eval(s.ordered_product_element(u))
-        zvals.append(img.cvec)
+        zvals.append(t.power_product(f.gen_images, u).cvec)
     # z is linear modulo (im cmap + target C relations)
     ct_mod = FinAbGroup(t.c.ngens, t.c.relations
                         + la.transpose(f.cmap.matrix, ncs))
@@ -813,7 +830,7 @@ def hom_kernel(f: Class2Hom):
     # central lifts
     kelems = []
     for u in u_vectors:
-        img = f.eval(s.ordered_product_element(u))
+        img = t.power_product(f.gen_images, u)
         cfix = f.cmap.preimage([-x for x in img.cvec])
         assert cfix is not None, "killable defect has no lift"
         kelems.append(s.element(u, la.vec_add(s.collect_central(u),

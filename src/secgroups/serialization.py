@@ -15,7 +15,10 @@ Grammar (one block per line, `#` starts a comment, blank lines ignored):
 
 Every block is named; later blocks may reference earlier ones by name.
 `omega` is `id` (the tensor basis itself, for wedge-shaped M), `zero`, or
-the name of a `tensor` hom.
+the name of a `tensor` hom.  A `cross` block takes `omega` at n >= 2 and
+`act` (several hom names, or `trivial`) at n = 1; every other field names
+one block.  A field a block does not take, a repeated field and a second
+name in a one-name field are positioned errors, never dropped.
 
 Each block kind is declared once, as one class: its keyword, its parser,
 the live object it builds, its canonical line and the words for what it
@@ -278,23 +281,34 @@ class _Parser:
             self.expect("}")
             return images
 
-    def fields(self, keyword: str, required, single: bool):
+    def fields(self, keyword: str, names, required):
         """`{ key = value ... ; ... }` as a dict of value lists, with every
-        `required` key; a `single` field takes one hom name."""
+        `required` key.  `names` maps each key the block takes to whether
+        it takes several names; a key it does not take, a repeated key and
+        a second name in a one-name field are errors at their token."""
         self.expect("{")
         fields = {}
         while True:
-            key = self.ident("field").text
+            key = self.ident("field")
+            if key.text not in names:
+                raise ParseError("%s block has no field %r (it takes %s)"
+                                 % (keyword, key.text, ", ".join(names)),
+                                 key.line, key.col)
+            if key.text in fields:
+                raise ParseError("repeated field %r in %s block"
+                                 % (key.text, keyword), key.line, key.col)
             self.expect("=")
-            if single:
-                vals = [self.ident("hom name").text]
-            else:
-                vals = []
-                while self.peek() not in (";", "}"):
-                    vals.append(self.ident("value").text)
-                if not vals:
-                    self.error("empty field %r" % key)
-            fields[key] = vals
+            vals = []
+            while self.peek() not in (";", "}"):
+                t = self.ident("value")
+                if vals and not names[key.text]:
+                    raise ParseError("field %r takes one name, found a "
+                                     "second: %r" % (key.text, t.text),
+                                     t.line, t.col)
+                vals.append(t.text)
+            if not vals:
+                self.error("empty field %r" % key.text)
+            fields[key.text] = vals
             if self.peek() == ";":
                 self.next()
                 continue
@@ -523,12 +537,14 @@ class CrossBlock(Block):
     @classmethod
     def parse(cls, p, name):
         n = p.level(1)
-        fields = p.fields(cls.keyword, ("M", "N", "del"), single=False)
+        # one name in each field but act, which lists the action's homs
+        last = "omega" if n >= 2 else "act"
+        fields = p.fields(cls.keyword,
+                          {"M": False, "N": False, "del": False, last: n == 1},
+                          ("M", "N", "del") + (("omega",) if n >= 2 else ()))
         block = cls(name, n, fields["M"][0], fields["N"][0],
                     fields["del"][0])
         if n >= 2:
-            if "omega" not in fields:
-                p.error("cross block missing field 'omega'")
             block.omega = fields["omega"][0]
         else:
             block.act = fields.get("act", ["trivial"])
@@ -592,7 +608,8 @@ class MorBlock(Block):
         src = p.ident("source object").text
         p.expect("->")
         tgt = p.ident("target object").text
-        fields = p.fields(cls.keyword, ("f1", "f0"), single=True)
+        fields = p.fields(cls.keyword, {"f1": False, "f0": False},
+                          ("f1", "f0"))
         return cls(name, src, tgt, fields["f1"][0], fields["f0"][0])
 
     def build(self, doc):

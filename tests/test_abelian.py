@@ -1,6 +1,8 @@
 """Finitely generated abelian groups, maps and the quadratic functors."""
 
+import itertools
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,3 +220,68 @@ def test_map_equality_compares_shapes():
     assert zero_map(two, one) != zero_map(two, two)
     assert identity_map(two) == identity_map(FinAbGroup(2))
     assert identity_map(two) != "map"
+
+
+class _DenseCertificate:
+    """The former dense bodies of `FinAbGroup.contains_in_lattice`,
+    `divide` and `elements`, reading dense rows of U and U^-1 built by the
+    same SNF call, kept as their oracle."""
+
+    def __init__(self, n, rows):
+        u, d, _, ui, _ = la.smith_normal_form(la.transpose(rows, n),
+                                              len(rows), keep=("u", "uinv"))
+        diag = la.diagonal(d, len(rows))
+        rank = sum(1 for x in diag if x)
+        self.n, self.rows, self.u, self.uinv = n, rows, u, ui
+        self.moduli = diag[:rank] + [0] * (n - rank)
+        self.checks = [(u[i], m) for i, m in enumerate(self.moduli) if m != 1]
+
+    def contains_in_lattice(self, vec):
+        if not any(vec):
+            return True
+        if not self.rows:
+            return False
+        for row, m in self.checks:
+            y = sum(map(mul, row, vec))
+            if y % m if m else y:
+                return False
+        return True
+
+    def divide(self, d, vec):
+        z = []
+        for y, m in zip(_dense_mat_vec(self.u, vec), self.moduli):
+            zi = la.divide_mod(d, y, m)
+            if zi is None:
+                return None
+            z.append(zi)
+        return _dense_mat_vec(self.uinv, z)
+
+    def elements(self):
+        for ys in itertools.product(*[range(m) for m in self.moduli]):
+            yield _dense_mat_vec(self.uinv, list(ys))
+
+
+def _dense_mat_vec(a, v):
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+
+
+@given(_lattice_and_vector(), st.integers(-4, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sparse_certificate_matches_dense_bodies(case, d, data):
+    """Membership, the raw vector `divide` returns (or None) and the raw
+    vectors `elements` lists, in order, equal the dense bodies' on the
+    vector, on zero and unit vectors and on sparse ones.  Mutations of the
+    code this catches: passing a nonzero coordinate of modulus 0, dividing
+    only the first nonzero coordinate, and dropping the column of U^-1 at
+    the last coordinate."""
+    n, rows, vec = case
+    g, oracle = FinAbGroup(n, rows), _DenseCertificate(n, rows)
+    vecs = [vec, [0] * n] + [[int(i == j) for i in range(n)]
+                             for j in range(n)]
+    vecs.append(data.draw(st.lists(st.sampled_from([0, 0, 0, 2, -3]),
+                                   min_size=n, max_size=n)))
+    for v in vecs:
+        assert g.contains_in_lattice(v) == oracle.contains_in_lattice(v)
+        assert g.divide(d, v) == oracle.divide(d, v)
+    if g.order() is not None and g.order() <= 64:
+        assert [e.vec for e in g.elements()] == list(oracle.elements())

@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 import signal
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -402,3 +403,101 @@ def test_held_solver_matches_fresh_solve_mod(system):
 def test_solver_rejects_a_wrong_length_right_hand_side():
     with pytest.raises(ValueError):
         la.Solver([[1, 0], [0, 1]], 2).solve([1])
+
+
+def _dense_mat_vec(a, v):
+    """The mat-vec over every column that `la.mat_vec` replaced."""
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+
+
+class _DenseSolver:
+    """The former body of `la.Solver`, kept as its oracle: the rows of U,
+    the diagonal and the first ncols rows of V, every product summed over
+    every entry."""
+
+    def __init__(self, a, ncols, lattice_rows=()):
+        ext = [a[i][:] + [r[i] for r in lattice_rows] for i in range(len(a))]
+        u, d, v, _, _ = la.smith_normal_form(ext, ncols + len(lattice_rows),
+                                             keep=("u", "v"))
+        diag = la.diagonal(d, ncols + len(lattice_rows))
+        rank = sum(1 for x in diag if x)
+        self._pivots = list(zip(u[:rank], diag[:rank]))
+        self._zero_rows = u[rank:]
+        self._v = [row[:rank] for row in v[:ncols]]
+
+    def solve(self, b):
+        for row in self._zero_rows:
+            if sum(map(mul, row, b)):
+                return None
+        ys = []
+        for row, di in self._pivots:
+            y, r = divmod(sum(map(mul, row, b)), di)
+            if r:
+                return None
+            ys.append(y)
+        return [sum(map(mul, row, ys)) for row in self._v]
+
+
+_RHS_ENTRY = st.integers(-5, 5)
+
+
+@st.composite
+def _sparse_systems(draw):
+    """(a, ncols, lattice rows, right-hand sides) shaped like the relation
+    systems the library solves: 0-8 rows and columns and 0-3 lattice rows,
+    a quarter of the cells or fewer nonzero, entries ±1 and ±2 (the bounds
+    of `_snf_inputs`, for the same reason).  The
+    right-hand sides are the zero vector, every unit vector, sparse ones
+    with one or two nonzeros, dense ones, and images a x + lattice z, which
+    are solvable."""
+    m, n, nlat = (draw(st.integers(0, 8)), draw(st.integers(0, 8)),
+                  draw(st.integers(0, 3)))
+    a = _sparse_matrix(draw, m, n, [1, -1, 2, -2], m * n // 4 + 1)
+    lat = _sparse_matrix(draw, nlat, m, [1, -1, 2, -2], nlat * m // 4 + 1)
+    rhs = [[0] * m]
+    rhs += [[int(i == j) for i in range(m)] for j in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        b = [0] * m
+        for _ in range(draw(st.integers(1, 2))):
+            if m:
+                b[draw(st.integers(0, m - 1))] = draw(_RHS_ENTRY)
+        rhs.append(b)
+        rhs.append(draw(st.lists(_RHS_ENTRY, min_size=m, max_size=m)))
+        x = draw(st.lists(_RHS_ENTRY, min_size=n, max_size=n))
+        z = draw(st.lists(_RHS_ENTRY, min_size=nlat, max_size=nlat))
+        rhs.append([_dense_mat_vec(a, x)[i]
+                    + sum(lat[k][i] * z[k] for k in range(nlat))
+                    for i in range(m)])
+    return a, n, lat, rhs
+
+
+@given(st.one_of(_systems(), _sparse_systems()))
+@settings(max_examples=400, deadline=None)
+def test_sparse_solver_matches_dense_body(system):
+    """The same vector, or None, as the dense body for unit, zero, sparse
+    and dense right-hand sides.  Mutations of the code this catches:
+    dropping the zero test of the rows past the rank (a vector where the
+    oracle has None), and skipping the division by a pivot."""
+    a, ncols, lat, rhs = system
+    m = len(a)
+    rhs = rhs + [[0] * m] + [[int(i == j) for i in range(m)]
+                             for j in range(m)]
+    sparse, dense = la.Solver(a, ncols, lat), _DenseSolver(a, ncols, lat)
+    for b in rhs:
+        assert sparse.solve(b) == dense.solve(b)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mat_vec_matches_dense_body(data):
+    """Equal integer vectors, zero and unit vectors included.  A mutation
+    that drops the last nonzero entry of the vector fails it."""
+    m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    a = [data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+         for _ in range(m)]
+    v = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 3, -7]),
+                           min_size=n, max_size=n))
+    assert la.mat_vec(a, v) == _dense_mat_vec(a, v)
+    for j in range(n):
+        unit = [int(i == j) for i in range(n)]
+        assert la.mat_vec(a, unit) == _dense_mat_vec(a, unit)

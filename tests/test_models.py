@@ -55,6 +55,15 @@ def test_k_invariant_of_wedge_is_iso(n):
     assert ki.certificate["kernel_generators_vanish"]
 
 
+def test_level2_k_invariant_of_a_six_letter_wedge_is_iso():
+    # the quadratic functor here has 231 generators, one preimage each:
+    # the size where those solves, summed over zeros, took seconds
+    w = wedge_model(2, PointedSet([chr(97 + i) for i in range(6)]))
+    ki = k_invariant(w)
+    assert ki.is_isomorphism()
+    assert ki.certificate["kernel_generators_vanish"]
+
+
 def test_k_invariant_zero_pairing():
     x = omega_zero_module()
     assert k_invariant(x).is_zero()

@@ -416,10 +416,17 @@ def test_power_product_matches_replay(data):
     elems = [pool[i] for i in picks]
     exps = data.draw(_vectors(len(elems), _EXPS))
     assert _raw(g.power_product(elems, exps)) == _raw(_replay(g, elems, exps))
-    qvec = data.draw(_vectors(g.q.ngens, _EXPS))
+    # the generator case: the one-pass closed form of collect_central, and
+    # the element ordered_product_element builds from it, on a normal form
+    # and on one rich in zeros.  Mutations of the code this catches:
+    # dropping the diagonal binom(q_i, 2) term, j >= i in place of j > i,
+    # and summing the pairs j < i instead
     gens = [g.generator(i) for i in range(g.q.ngens)]
-    assert _raw(g.ordered_product_element(qvec)) == _raw(
-        _replay(g, gens, qvec))
+    for entry in (_EXPS, st.sampled_from([0, 0, 0, 1, -1, 5, -5])):
+        qvec = data.draw(_vectors(g.q.ngens, entry))
+        replay = _replay(g, gens, qvec)
+        assert g.collect_central(qvec) == replay.cvec
+        assert _raw(g.ordered_product_element(qvec)) == _raw(replay)
 
 
 def _former_hom_eval(f: Class2Hom, elem):

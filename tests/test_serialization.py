@@ -86,6 +86,66 @@ def test_parse_error_duplicate_name():
         parse("group G ab 1\ngroup G ab 2\n")
 
 
+_HEAD = ("group N nil2 basis a\n"
+         "group M ab 1 rel 2\n"
+         "hom del : M -> N { x0 -> 1 }\n")
+
+
+@pytest.mark.parametrize("line, token, message", [
+    # a second name in a one-name field
+    ("cross W n=3 { M = M N ; N = N ; del = del ; omega = id }", "N ; N",
+     "field 'M' takes one name, found a second: 'N'"),
+    ("cross W n=3 { M = M ; N = N M ; del = del ; omega = id }", "M ; del",
+     "field 'N' takes one name, found a second: 'M'"),
+    ("cross W n=3 { M = M ; N = N ; del = del del ; omega = id }",
+     "del ; omega", "field 'del' takes one name, found a second: 'del'"),
+    ("cross W n=3 { M = M ; N = N ; del = del ; omega = id zero }", "zero",
+     "field 'omega' takes one name, found a second: 'zero'"),
+    ("cross W n=1 { M = M ; N = N ; del = del del ; act = trivial }",
+     "del ; act", "field 'del' takes one name, found a second: 'del'"),
+    # a repeated field
+    ("cross W n=3 { M = M ; N = N ; del = del ; omega = id ; M = M }",
+     "M = M }", "repeated field 'M' in cross block"),
+    ("cross W n=1 { M = M ; N = N ; del = del ; act = trivial ; "
+     "act = trivial }", "act = trivial }",
+     "repeated field 'act' in cross block"),
+    # a field the block does not take
+    ("cross W n=3 { M = M ; N = N ; del = del ; omega = id ; act = x }",
+     "act", "cross block has no field 'act' (it takes M, N, del, omega)"),
+    ("cross W n=1 { M = M ; N = N ; del = del ; omega = id }", "omega",
+     "cross block has no field 'omega' (it takes M, N, del, act)"),
+    ("cross W n=2 { M = M ; N = N ; bnd = del ; omega = id }", "bnd",
+     "cross block has no field 'bnd'"),
+])
+def test_cross_fields_are_refused_not_dropped(line, token, message):
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse(_HEAD + line + "\n")
+    assert (exc.value.line, exc.value.col) == (4, line.index(token) + 1)
+
+
+def test_mor_fields_are_refused_not_dropped():
+    head = (_HEAD + "group N2 nil2 basis a\n"
+            "hom h : M -> M { x0 -> x0 }\nhom g : N -> N { a -> a }\n"
+            "cross X n=2 { M = M ; N = N ; del = del ; omega = zero }\n")
+    for fields, message in [
+            ("f1 = h h ; f0 = g", "field 'f1' takes one name"),
+            ("f1 = h ; f0 = g ; f1 = h", "repeated field 'f1' in mor block"),
+            ("f1 = h ; f0 = g ; f2 = h", "mor block has no field 'f2'")]:
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse(head + "mor m : X -> X { %s }\n" % fields)
+        assert exc.value.line == 8
+    parse(head + "mor m : X -> X { f1 = h ; f0 = g }\n")
+
+
+def test_the_dropped_fields_example_is_refused():
+    """The example that canon once printed with a field dropped and the
+    rest of the M field lost, exit 0."""
+    with pytest.raises(ParseError) as exc:
+        parse(_HEAD + "cross W n=3 { M = M N del ; N = N ; del = del ; "
+              "omega = id ; act = nonsense ; M = M }\n")
+    assert (exc.value.line, exc.value.col) == (4, 21)
+
+
 def test_a_long_relation_into_a_free_group_is_refused_quickly():
     text = ("group M ab 1 rel 4000\n"
             "group F free basis a b\n"
