@@ -223,15 +223,7 @@ class AbMap:
         basis = la.row_basis(pre, src.ngens)
         k = len(basis)
         bt = la.transpose(basis, src.ngens)  # src.ngens x k, columns = basis
-        rel_rows = []
-        if src.relations:
-            solver = la.Solver(bt, k)
-            for rel in src.relations:
-                coeffs = solver.solve(rel)
-                assert coeffs is not None, \
-                    "source relation escapes kernel lattice"
-                rel_rows.append(coeffs)
-        kgroup = FinAbGroup(k, rel_rows)
+        kgroup = FinAbGroup(k, la.sub_basis_coordinates(bt, k, src.relations))
         incl = AbMap(kgroup, src, bt, check=False)
         return kgroup, incl
 
@@ -277,6 +269,16 @@ def identity_map(g: FinAbGroup) -> AbMap:
 
 def zero_map(source: FinAbGroup, target: FinAbGroup) -> AbMap:
     return AbMap(source, target, la.zeros(target.ngens, source.ngens), check=False)
+
+
+def exact(f_in: AbMap, f_out: AbMap) -> bool:
+    """Exactness at the middle group of f_in, f_out: the image of f_in and
+    the kernel of f_out span one lattice modulo the middle's relations."""
+    mid = f_in.target
+    ker, ki = f_out.kernel()
+    ker_rows = la.transpose(ki.matrix, ker.ngens) + mid.relations
+    return la.lattices_equal(f_in.image_lattice(),
+                             la.row_basis(ker_rows, mid.ngens), mid.ngens)
 
 
 def direct_sum(a: FinAbGroup, b: FinAbGroup):

@@ -41,6 +41,10 @@ of powers in a class-2 group (a `FreeBaseHom` on a word, an omega pairing on
 a tensor vector, an element from its coordinates in a subgroup) is
 collected by the one closed form `nil2.Class2Group.power_product`.
 
+Over a free-group base, h1 is the kernel of an abelian M whose boundary
+images are powers w^e_i of one word w: the `AbMap.kernel` of M -> Z,
+x_i -> e_i, and nothing else.
+
 Over a free-group base (level one) the exact identity problem for h0 is
 undecidable in general; `h0` then returns a finite presentation and exact
 queries raise `H0Undecidable` unless a bounded coset enumeration
@@ -111,31 +115,17 @@ class FreeGroupBase:
 
     def h1_of(self, bnd: "WordHom") -> FinAbGroup:
         """h1 of a boundary into this base: its kernel, when the boundary
-        images commute and the source is abelian."""
+        images commute and the source is abelian.  The images are powers
+        w^e_i of one root w, so the kernel is that of M -> Z, x_i -> e_i."""
         m = bnd.source
         rooted = _common_root(bnd.q_images + bnd.c_images)
         if rooted is None:
             raise NotImplementedError(
                 "kernel over a free base needs commuting boundary images")
-        _, exps = rooted
-        if all(e == 0 for e in exps):
-            if not m.is_abelian():
-                raise NotImplementedError("nonabelian full kernel")
-            return m.underlying_ab()
-        # kernel of the induced map (m -> Z given by exps), then underlying_ab
-        nm = m.q.ngens + m.c.ngens
-        ker = la.kernel_basis([exps], nm)
-        # present the kernel with the pair relations of M restricted
         if not m.is_abelian():
             raise NotImplementedError("nonabelian kernel over a free base")
-        amb = m.underlying_ab()
-        solver = la.Solver(la.transpose(ker, nm), len(ker), amb.relations)
-        rels = []
-        for r in amb.relations:
-            coeffs = solver.solve(r)
-            if coeffs is not None:
-                rels.append(coeffs)
-        return FinAbGroup(len(ker), rels)
+        return AbMap(m.underlying_ab(), FinAbGroup(1), [rooted[1]],
+                     check=False).kernel()[0]
 
     def __repr__(self):
         return "FreeGroupBase(%r)" % (self.gen_names,)

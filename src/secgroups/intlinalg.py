@@ -30,6 +30,10 @@ around it.  `in_lattice` answers membership for an ad-hoc set of rows with a
 fresh SNF; a `FinAbGroup` instead keeps the Smith certificate of its
 relation lattice, computed once at construction, and reduces membership and
 division there to `divide_mod` on each diagonal coordinate.
+`sub_basis_coordinates` is the one step that rewrites relation rows in a
+basis of a sub-lattice containing them (a kernel, a commutator subgroup):
+each row is solved exactly against the basis, never modulo the relations
+themselves, where any vector of the lattice, 0 among them, would do.
 
 The held transforms are nearly permutations on these inputs (at 16 letters
 the largest are 256 x 256 with under 1% nonzeros), so they are held as
@@ -340,6 +344,23 @@ class Solver:
 def solve(a: list[list[int]], ncols: int, b: list[int]):
     """One integer solution x of a @ x == b, or None."""
     return Solver(a, ncols).solve(b)
+
+
+def sub_basis_coordinates(basis_cols: list[list[int]], k: int,
+                          rows: list[list[int]]) -> list[list[int]]:
+    """Each row as the integer coefficients of the k independent columns
+    of basis_cols: the one x with basis_cols @ x == row, solved exactly
+    (not modulo any lattice).  Every row must lie in their span.  No
+    solver is built when there are no rows."""
+    if not rows:
+        return []
+    solver = Solver(basis_cols, k)
+    out = []
+    for row in rows:
+        coeffs = solver.solve(row)
+        assert coeffs is not None, "row outside the span of the columns"
+        out.append(coeffs)
+    return out
 
 
 def kernel_basis(a: list[list[int]], ncols: int) -> list[list[int]]:

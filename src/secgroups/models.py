@@ -103,7 +103,7 @@ def k_invariant(x) -> KInvariant:
     qmatrix = la.transpose(cols, h_ab.ngens)
     gq = level_gamma_map(n, AbMap(coords.group, h_ab, qmatrix))
     # the level tensor square keeps the plain basis the pairing reads
-    _, inc, _ = level_gamma(n, coords.group)
+    _, inc = level_gamma(n, coords.group)
     src_group, gamma_h = gq.source, gq.target
 
     def push(vec) -> list[int]:

@@ -56,6 +56,20 @@ def test_h1_output(capsys):
     assert "Z" in capsys.readouterr().out
 
 
+def test_h1_over_a_free_base(tmp_path, capsys):
+    """M has rank one and torsion Z/38, and its boundary into F(a) is not
+    zero, so its kernel h1 is Z/38 (it printed Z x Z/38 when M's relations
+    were rewritten modulo themselves)."""
+    doc = tmp_path / "level1.sg"
+    doc.write_text(
+        "group F free basis a\n"
+        "group M ab 4 rel 6 -2 -6 2 rel 1 -4 -3 -1 rel -18 2 21 -4\n"
+        "hom del : M -> F { x0 -> a^-3 ; x1 -> 1 ; x2 -> a^-2 ; x3 -> a^3 }\n"
+        "cross X n=1 { M = M ; N = F ; del = del ; act = trivial }\n")
+    assert main(["h1", str(doc), "X"]) == EXIT_OK
+    assert capsys.readouterr().out == "h1 X = Z/38\n"
+
+
 def test_h0_undecidable_exit_2():
     assert main(["h0", _path("free_base.sg"), "X",
                  "--coset-cap", "100"]) == EXIT_ERROR

@@ -471,6 +471,48 @@ def test_h0_undecidable_on_free_base():
         cm.h0_order(cap=100)
 
 
+def _h1_over_one_letter(m_ab: FinAbGroup, exps):
+    """h1 of M -> F(a), x_i -> a^e_i, checked against the abelian kernel
+    of M -> Z and against the splitting M = ker + Z when some e_i is not
+    zero (the image is free), and returned."""
+    base = FreeGroupBase(PointedSet(["a"]))
+    m = abelian_as_class2(m_ab)
+    h1 = base.h1_of(WordHom(m, base, [Word([("a", e)]) if e else Word()
+                                      for e in exps]))
+    assert h1.is_isomorphic_to(
+        AbMap(m_ab, FinAbGroup(1), [list(exps)]).kernel()[0])
+    drop = 1 if any(exps) else 0
+    assert (h1.free_rank, h1.invariant_factors) == (
+        m_ab.free_rank - drop, m_ab.invariant_factors)
+    return h1
+
+
+def test_h1_over_a_free_base_relates_exactly():
+    """The kernel's relations are M's relations in the kernel basis,
+    solved exactly.  Solved modulo those same relations, this h1 read
+    Z x Z/38."""
+    h1 = _h1_over_one_letter(
+        FinAbGroup(4, [[6, -2, -6, 2], [1, -4, -3, -1], [-18, 2, 21, -4]]),
+        [-3, 0, -2, 3])
+    assert (h1.free_rank, h1.invariant_factors) == (0, (38,))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_h1_over_a_free_base_matches_the_abelian_kernel(data):
+    """Random boundaries into one letter; M's relations are drawn from
+    the vectors the exponents send to 0, so the boundary is defined."""
+    nm = data.draw(st.integers(1, 4))
+    coeff = st.integers(-3, 3)
+    exps = data.draw(st.lists(coeff, min_size=nm, max_size=nm))
+    ker = la.kernel_basis([exps], nm)
+    rels = [la.mat_vec(la.transpose(ker, nm),
+                       data.draw(st.lists(coeff, min_size=len(ker),
+                                          max_size=len(ker))))
+            for _ in range(data.draw(st.integers(0, 3)))]
+    _h1_over_one_letter(FinAbGroup(nm, rels), exps)
+
+
 def test_h0_order_finite_on_free_base():
     # Z --(x -> a^5)--> F(a) presents Z/5
     points = PointedSet(["a"])

@@ -6,17 +6,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word
-from secgroups.abelian import AbMap, identity_map
-from secgroups.nil2 import (Class2Hom, free_nil, hom_from_words, identity_hom,
-                            nilize)
+from secgroups.abelian import AbMap, exact, identity_map, zero_map
+from secgroups.nil2 import (Class2Hom, Subgroup, free_nil, hom_from_words,
+                            hom_kernel, identity_hom, nilize, trivial_hom)
 from secgroups.crossed import (AbCoords, CrossedModule, CrossMorphism,
                                FreeBaseHom, FreeGroupBase, GroupAction,
                                check_axioms)
 from secgroups.models import wedge_model
 from secgroups.functors import (
     fiber, six_term, phi1, phi2, phi3, ad1, ad2, ad3,
-    adjunction_check, enumerate_morphisms, morphisms_equal,
+    adjunction_check, enumerate_morphisms, morphisms_equal, _exact_at,
 )
 from secgroups.selftest import (
     _induced_wedge_morphism, _random_quotient_wedge, _points,
@@ -75,6 +76,67 @@ def test_six_term_after_fiber_matches_six_term_alone():
             == {k: v for k, v in rep_fresh.items() if isinstance(v, bool)}
         for a, b in zip(rep_held["maps"], rep_fresh["maps"]):
             assert _raw_map(a) == _raw_map(b)
+
+
+def _former_exact_at_h1y(m2: AbMap, delta: Class2Hom) -> bool:
+    """The former h1 y block of six_term: the image of m2 and the kernel
+    of delta, both as lattices of h1 y, are equal."""
+    h1y = m2.target
+    dk, dki = hom_kernel(delta)
+    ker_rows = [dki.eval(g).qvec for g in dk.generators()]
+    im_rows = la.transpose(m2.matrix, m2.source.ngens) + h1y.relations
+    ker_lat = la.row_basis(ker_rows + h1y.relations, h1y.ngens)
+    return la.lattices_equal(la.row_basis(im_rows, h1y.ngens), ker_lat,
+                             h1y.ngens)
+
+
+def _former_exact_at_h0(f_in: Class2Hom, g: Class2Hom) -> bool:
+    """The former h0 Fib and h0 x blocks of six_term: f_in's values on
+    the generators die under g, and g's kernel generators lie in the
+    subgroup they generate; both sides are always evaluated."""
+    imgs = [f_in.eval(x) for x in f_in.source.generators()]
+    im = Subgroup(g.source, imgs)
+    k, ki = hom_kernel(g)
+    fwd = all(g.eval(x).is_identity() for x in imgs)
+    bwd = all(im.contains(ki.eval(x)) for x in k.generators())
+    return fwd and bwd
+
+
+def test_six_term_spots_match_their_former_bodies():
+    """On crit-5 morphisms (every spot exact) and on non-exact pairs built
+    from their maps: a zero outgoing map, and an incoming map that is zero
+    or the identity, so its image misses the kernel or does not die.
+
+    Mutations of `_exact_at` this catches: dropping the forward
+    check (the identity into a nonzero map reads exact) and skipping the
+    first kernel generator (a zero incoming map reads exact)."""
+    seen = set()
+    for seed in range(12):
+        rep = six_term(_crit5_morphism(seed))
+        m1, m2, delta, m4, m5 = rep["maps"]
+        assert rep["exact_at_h1x"] == exact(m1, m2)
+        assert rep["exact_at_h1y"] == _former_exact_at_h1y(m2, delta)
+        assert rep["exact_at_h0fib"] == _former_exact_at_h0(delta, m4)
+        assert rep["exact_at_h0x"] == _former_exact_at_h0(m4, m5)
+        h1y, h0fib = m2.target, m4.source
+        killed = trivial_hom(delta.source, delta.target)
+        for f_in, g in ((m2, killed),
+                        (zero_map(m2.source, h1y), delta),
+                        (AbMap(h1y, h1y, la.identity(h1y.ngens)), delta)):
+            got = _exact_at([g.source.element(col) for col in
+                             la.transpose(f_in.matrix, f_in.source.ngens)], g)
+            assert got == _former_exact_at_h1y(f_in, g)
+            seen.add(got)
+        for f_in, g in ((delta, trivial_hom(h0fib, m4.target)),
+                        (trivial_hom(delta.source, h0fib), m4),
+                        (identity_hom(h0fib), m4),
+                        (trivial_hom(m4.source, m5.source), m5),
+                        (identity_hom(m5.source), m5)):
+            got = _exact_at([f_in.eval(x) for x in f_in.source.generators()],
+                            g)
+            assert got == _former_exact_at_h0(f_in, g)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_fiber_rejects_level1():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word
-from secgroups.abelian import AbMap, FinAbGroup, zero_map
+from secgroups.abelian import (AbMap, FinAbGroup, exact, identity_map,
+                               tensor_square, zero_map)
 from secgroups.crossed import (AbCoords, FreeBaseHom, FreeGroupBase,
                                OmegaPairing)
 from secgroups.models import wedge_model
@@ -565,7 +566,9 @@ def test_validate_visits_the_mirror_of_a_one_sided_lam_entry():
 def _former_hom_kernel(f: Class2Hom):
     """The former `hom_kernel`, not held on f: every commutator of the
     kernel basis sent to central coordinates, zero ones included.  Its
-    asserts raise explicitly, so their messages are not rewritten."""
+    relation step solves exactly, as the library's does, not modulo the
+    source relations.  Its asserts raise explicitly, so their messages
+    are not rewritten."""
     s, t = f.source, f.target
     nqs, ncs = s.q.ngens, s.c.ngens
     a = f.q_matrix()
@@ -593,11 +596,11 @@ def _former_hom_kernel(f: Class2Hom):
     u_mat = la.transpose(u_vectors, nqs) if u_vectors else la.zeros(nqs, 0)
     qk_rels = []
     if s.q.relations:
-        solver = la.Solver(u_mat, nk, s.q.relations)
+        solver = la.Solver(u_mat, nk)  # exact: not modulo the relations
         for rel in s.q.relations:
             coeffs = solver.solve(rel)
             if coeffs is None:
-                raise AssertionError("source relation escapes kernel lattice")
+                raise AssertionError("row outside the span of the columns")
             qk_rels.append(coeffs)
     lamk = la.zeros(ckern.ngens, nk * nk)
     betak = la.zeros(ckern.ngens, nk * nk)
@@ -646,6 +649,47 @@ def test_hom_kernel_matches_former_body_on_wedges(n, k):
     w = wedge_model(n, PointedSet(["*"] + ["a", "b", "c", "d"][:k]))
     assert _kernel_entries(lambda: hom_kernel(w.bnd)) == _kernel_entries(
         lambda: _former_hom_kernel(w.bnd))
+
+
+def _abelian_hom_kernel(src: FinAbGroup, tgt: FinAbGroup, a):
+    """hom_kernel of the hom between abelian groups viewed as class two
+    whose Q map is a, checked against the abelian kernel of a: the same
+    invariants, a trivial central layer and an injective inclusion."""
+    s, t = abelian_as_class2(src), abelian_as_class2(tgt)
+    f = Class2Hom(s, t, [t.element([row[j] for row in a])
+                         for j in range(src.ngens)], zero_map(s.c, t.c))
+    k, incl = hom_kernel(f)
+    assert k.q.is_isomorphic_to(AbMap(src, tgt, a).kernel()[0])
+    assert k.c.is_trivial()
+    assert AbMap(k.q, src, incl.q_matrix()).is_injective()
+    return k
+
+
+def test_hom_kernel_of_abelian_groups_relates_exactly():
+    """The kernel's relations are the source relations in the kernel
+    basis, solved exactly.  Solved modulo those same relations, this
+    kernel read Z/2 + Z/1650, with an inclusion not injective on Q."""
+    k = _abelian_hom_kernel(FinAbGroup(3, [[-24, 24, 26], [-51, 54, 57]]),
+                            FinAbGroup(3, [[-1, -2, 2], [2, -3, -1]]),
+                            [[2, 0, 2], [-1, 0, 1], [-1, -1, -1]])
+    assert (k.q.free_rank, k.q.invariant_factors) == (0, (6,))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_hom_kernel_of_abelian_groups_matches_the_abelian_kernel(data):
+    """Random well-defined homs: the source relations are drawn from the
+    lattice of vectors the Q map sends into the target relations."""
+    ns, nt = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    coeff = st.integers(-3, 3)
+    tgt = FinAbGroup(nt, _matrix(data.draw, data.draw(st.integers(0, 2)),
+                                 nt, coeff))
+    a = _matrix(data.draw, nt, ns, coeff)
+    pre = la.preimage_lattice(a, ns, tgt.relations)
+    rels = [la.mat_vec(la.transpose(pre, ns), data.draw(_vectors(len(pre),
+                                                                 coeff)))
+            for _ in range(data.draw(st.integers(0, 2)))] if pre else []
+    _abelian_hom_kernel(FinAbGroup(ns, rels), tgt, a)
 
 
 def _solve_blockwise(rows, rhs, nc, nq, cq: FinAbGroup):
@@ -755,6 +799,48 @@ def test_product_group_embeddings_commute():
     assert x * y == y * x
 
 
+def _former_commutator_subgroup(g: Class2Group) -> FinAbGroup:
+    """The image of lam in C, presented on a basis of lam's columns plus
+    the C relations."""
+    nc = g.c.ngens
+    lat = la.row_basis(la.transpose(g.lam, g.q.ngens ** 2) + g.c.relations,
+                       nc)
+    solver = la.Solver(la.transpose(lat, nc), len(lat))
+    return FinAbGroup(len(lat), [solver.solve(r) for r in g.c.relations])
+
+
+def _former_is_isomorphic_abstract(g: Class2Group, h: Class2Group) -> bool:
+    """The former body: C modulo commutators as the cokernel of lam out of
+    the tensor square of Q, whose relations it never read."""
+    if not g.abelianization().is_isomorphic_to(h.abelianization()):
+        return False
+    mods = [AbMap(tensor_square(x.q).group, FinAbGroup(x.c.ngens,
+                                                       x.c.relations),
+                  x.lam, check=False).cokernel()[0] for x in (g, h)]
+    coms = [_former_commutator_subgroup(x) for x in (g, h)]
+    return (mods[0].is_isomorphic_to(mods[1])
+            and coms[0].is_isomorphic_to(coms[1]))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_isomorphic_abstract_matches_former_body(data):
+    """Two groups drawn apart, and a group against a copy whose central
+    layer has one more relation.  Q has at most two generators, so the
+    former body's tensor squares stay small.
+
+    Mutations this catches: comparing only the abelianizations,
+    and dropping the comparison of C modulo commutators."""
+    g = data.draw(_unchecked_class2_groups(2, 3))
+    h = data.draw(_unchecked_class2_groups(2, 3))
+    extra = data.draw(_vectors(g.c.ngens, st.integers(-3, 3)))
+    g2 = Class2Group(g.q, FinAbGroup(g.c.ngens, g.c.relations + [extra]),
+                     g.lam, g.beta, check=False)
+    for x, y in ((g, h), (g, g2), (g2, g), (g, g)):
+        assert x.is_isomorphic_abstract(y) \
+            == _former_is_isomorphic_abstract(x, y)
+
+
 def test_abelianization_and_underlying():
     g = free_nil(POINTS)
     ab = g.abelianization()
@@ -793,17 +879,77 @@ def test_boundary_map_levels():
 def test_level_gamma_and_tensor_shapes():
     a = FinAbGroup(2)
     for n in (2, 3):
-        gam, inc, _ = level_gamma(n, a)
+        gam, inc = level_gamma(n, a)
         lts, _, _ = level_tensor_square(n, a)
         kin, _ = inc.kernel()
         assert kin.is_trivial()
 
 
+def _former_middle_exact(inc: AbMap, bnd: AbMap) -> bool:
+    """The former middle step of exact_sequence_report: lift inc's columns
+    into the kernel of bnd, and ask that the lift be onto."""
+    kb, kb_incl = bnd.kernel()
+    mid = bnd.source
+    solver = la.Solver(kb_incl.matrix, kb.ngens, mid.relations)
+    lift_cols = []
+    for j in range(inc.source.ngens):
+        coeffs = solver.solve([inc.matrix[r][j] for r in range(mid.ngens)])
+        if coeffs is None:
+            return False
+        lift_cols.append(coeffs)
+    lifted = AbMap(inc.source, kb, la.transpose(lift_cols, kb.ngens),
+                   check=False)
+    return lifted.cokernel()[0].is_trivial()
+
+
+def _former_exact_sequence_report(n: int, points: PointedSet) -> dict:
+    """The former exact_sequence_report, its boundary from boundary_map."""
+    g = free_nil(points)
+    _, inc = level_gamma(n, g.q)
+    _, bnd, _, _ = boundary_map(n, g)
+    report = {"head_injective": inc.kernel()[0].is_trivial(),
+              "composite_zero": bnd.compose(inc).is_zero(),
+              "middle_exact": _former_middle_exact(inc, bnd),
+              "boundary_hits_commutators": bnd.cokernel()[0].is_trivial()}
+    report["exact"] = all(report.values())
+    return report
+
+
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_exact_sequence(n, k):
-    rep = exact_sequence_report(n, PointedSet([chr(97 + i) for i in range(k)]))
+    """Exact, with the report of the former body (crit 1's range)."""
+    points = PointedSet([chr(97 + i) for i in range(k)])
+    rep = exact_sequence_report(n, points)
     assert rep["exact"], rep
+    assert rep == _former_exact_sequence_report(n, points)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_matches_former_middle_step_on_non_exact_pairs(n):
+    """The four-term sequence's pairs are exact, so the abelian rule is
+    also compared where it must say no: a zero outgoing map, a zero
+    incoming map, an incoming map with one column dropped and the
+    identity as incoming map.
+
+    Mutations of `abelian.exact` this catches: testing only that
+    the image lies in the kernel, and testing only that the kernel lies
+    in the image."""
+    seen = set()
+    for k in (1, 2, 3):
+        g = free_nil(PointedSet(["a", "b", "c"][:k]))
+        gam, inc = level_gamma(n, g.q)
+        _, bnd, _, _ = boundary_map(n, g)
+        lts = inc.target
+        dropped = AbMap(FinAbGroup(gam.ngens - 1), lts,
+                        [row[1:] for row in inc.matrix], check=False)
+        for f_in, f_out in ((inc, bnd), (inc, zero_map(lts, g.c)),
+                            (zero_map(gam, lts), bnd), (dropped, bnd),
+                            (identity_map(lts), bnd)):
+            got = exact(f_in, f_out)
+            assert got == _former_middle_exact(f_in, f_out)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_hom_equality_compares_source_and_target_shapes():
