@@ -218,9 +218,9 @@ class AbMap:
     def kernel(self):
         """(K, incl) with incl: K -> source an injection onto the kernel."""
         src, tgt = self.source, self.target
-        pre = la.preimage_lattice(self.matrix, src.ngens, tgt.relations)
-        # pre spans {x : f(x) in relation lattice of target}; contains src rels
-        basis = la.row_basis(pre, src.ngens)
+        # a row basis of {x : f(x) in the relation lattice of the target},
+        # which contains the source relations
+        basis = la.preimage_lattice(self.matrix, src.ngens, tgt.relations)
         k = len(basis)
         bt = la.transpose(basis, src.ngens)  # src.ngens x k, columns = basis
         kgroup = FinAbGroup(k, la.sub_basis_coordinates(bt, k, src.relations))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 
 from .coset import DEFAULT_CAP, EnumerationCapExceeded
@@ -164,7 +163,7 @@ def cmd_phi(args) -> int:
     elif args.level == 2:
         out = phi2(obj)
     elif args.level == 1:
-        out = phi1(obj).to_pointed_groupoid()
+        out = phi1(obj)
     else:
         raise ValueError("phi level must be 1, 2 or 3")
     violations = check_axioms(out)
@@ -339,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.fn(args)
     except ValidationError as e:

@@ -33,9 +33,11 @@ Every object has a base group `.base` (`.n` on quadratic modules): the
 free group `FreeGroupBase` or a class-2 group at level one, a class-2 group
 above.  Both kinds of base answer one interface (generators, the letters an
 element acts by, elements, freeness, free homs, nilization, and the
-homotopy groups of a boundary into them), and `AbCoords` gives either one
-abelianized coordinates with a basis of base elements, so nothing below
-asks which kind of base it holds.  A map fed by words of a free base is a
+homotopy groups of a boundary into them).  `AbCoords` gives a class-2 base
+abelianized coordinates with a basis of base elements; only the objects of
+level two and up read coordinates, and their bases are class-2.  The kind
+of base is asked only where a free base is refused: `induced_h1`,
+`induced_h0` and `h0_order`.  A map fed by words of a free base is a
 `FreeBaseHom`; a boundary into a free base is a `WordHom`.  Every product
 of powers in a class-2 group (a `FreeBaseHom` on a word, an omega pairing on
 a tensor vector, an element from its coordinates in a subgroup) is
@@ -259,44 +261,31 @@ def _common_root(words: list[Word]):
 # ---------------------------------------------------------------------------
 
 class AbCoords:
-    """Abelianization of a base group with explicit coordinates.
+    """Abelianization of a class-2 base group with explicit coordinates.
 
-    For a class-2 base whose central layer is generated by commutators the
-    abelianization is just the Q layer; otherwise the full pair presentation
-    is used.  For a free base it is the free abelian group on the letters.
-    `basis` lists base elements whose coordinates are the unit vectors of
-    `group`.
+    When the central layer is generated by commutators the abelianization
+    is just the Q layer; otherwise the full pair presentation is used.
+    `of` gives the first `group.ngens` entries of (q, c), so the letters
+    and, in the full presentation, the central generators; `basis` lists
+    base elements whose coordinates are the unit vectors of `group`.
     """
 
-    def __init__(self, base):
+    def __init__(self, base: Class2Group):
         self.base = base
-        if isinstance(base, FreeGroupBase):
-            self.group = FinAbGroup(len(base.gen_names))
-            self.mode = "free"
-        elif isinstance(base, Class2Group):
-            lam_cols = la.transpose(base.lam, base.q.ngens ** 2)
-            full = la.row_basis(lam_cols + base.c.relations, base.c.ngens)
-            spans = all(la.in_lattice(full, base.c.ngens,
-                                      [1 if i == j else 0
-                                       for i in range(base.c.ngens)])
-                        for j in range(base.c.ngens))
-            if spans:
-                self.group = FinAbGroup(base.q.ngens, base.q.relations)
-                self.mode = "q"
-            else:
-                self.group = base.abelianization()
-                self.mode = "full"
+        lam_cols = la.transpose(base.lam, base.q.ngens ** 2)
+        full = la.row_basis(lam_cols + base.c.relations, base.c.ngens)
+        spans = all(la.in_lattice(full, base.c.ngens,
+                                  [1 if i == j else 0
+                                   for i in range(base.c.ngens)])
+                    for j in range(base.c.ngens))
+        if spans:
+            self.group = FinAbGroup(base.q.ngens, base.q.relations)
         else:
-            raise TypeError("unsupported base %r" % (base,))
-        # the letters, then the central generators in the "full" mode
+            self.group = base.abelianization()
         self.basis = base.generators()[:self.group.ngens]
 
-    def of(self, elem) -> list[int]:
-        if self.mode == "free":
-            return elem.exponent_sums(self.base.gen_names)
-        if self.mode == "q":
-            return list(elem.qvec)
-        return list(elem.qvec) + list(elem.cvec)
+    def of(self, elem: Class2Elem) -> list[int]:
+        return (list(elem.qvec) + list(elem.cvec))[:self.group.ngens]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +413,7 @@ class PointedGroupoid:
         """g after f (requires target(f) == source(g))."""
         return self.compose_table[(g, f)]
 
-    def check(self) -> list[str]:
+    def check_axioms(self) -> list[str]:
         out = []
         for (g, f), h in self.compose_table.items():
             if self.target(f) != self.source(g):
@@ -447,8 +436,6 @@ class PointedGroupoid:
                             out.append("associativity fails at (%s,%s,%s)"
                                        % (h, g, f))
         return out
-
-    check_axioms = check
 
     def iso_classes(self):
         classes = []
@@ -478,22 +465,13 @@ class PointedGroupoid:
     def automorphisms(self, obj):
         return [f for f, (s, t) in self.morphisms.items() if s == t == obj]
 
-    def h1(self):
-        """Aut(*) as a FinitelyPresentedGroup via its multiplication table."""
-        auts = self.automorphisms(self.base)
-        rels = []
-        for g in auts:
-            for f in auts:
-                h = self.compose(g, f)
-                rels.append(Word.parse("%s %s %s^-1" % (f, g, h)))
-        return FinitelyPresentedGroup(auts, rels)
-
-    def aut_ab(self, obj) -> FinAbGroup:
-        auts = self.automorphisms(obj)
-        fp = FinitelyPresentedGroup(
+    def h1(self, obj=None) -> FinitelyPresentedGroup:
+        """The automorphism group at obj (the base by default) as a
+        FinitelyPresentedGroup, by its multiplication table."""
+        auts = self.automorphisms(self.base if obj is None else obj)
+        return FinitelyPresentedGroup(
             auts, [Word.parse("%s %s %s^-1" % (f, g, self.compose(g, f)))
                    for g in auts for f in auts])
-        return fp.abelianization()
 
 
 class CrossedModule:

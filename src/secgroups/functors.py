@@ -2,8 +2,12 @@
 
 The forgetful functors phi step a level down (stable -> reduced -> crossed
 -> groupoid); their left adjoints ad step up (free crossed module on a
-groupoid, nilization, stabilization).  Each adjoint comes with the unit of
-the adjunction so naturality can be exercised, and `adjunction_check`
+groupoid, nilization, stabilization).  Each rung answers with the
+library's own objects: phi1 returns the `PointedGroupoid` of a finite
+crossed module, its composite table filled by index, and ad1 the free
+crossed module on a groupoid by its closed-form h0 and h1, refusing the h1
+it has no closed form for.  ad2 and ad3 come with the unit of the
+adjunction so naturality can be exercised, and `adjunction_check`
 verifies the hom-set bijection by brute-force enumeration on finite
 instances, with a hard cap on the search space.
 
@@ -37,7 +41,7 @@ from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
 from .nil2 import (Class2Elem, Class2Group, Class2Hom, Subgroup,
                    abelian_as_class2, hom_from_values, hom_cokernel,
                    hom_kernel, identity_hom, product_group)
-from .words import PointedSet, Word
+from .words import PointedSet
 
 
 # ---------------------------------------------------------------------------
@@ -183,75 +187,40 @@ def phi2(x: ReducedQuadraticModule) -> CrossedModule:
     return CrossedModule(x.m, n, x.bnd, action)
 
 
-class SemidirectGroupoid:
-    """The groupoid of a crossed module: objects are base elements, and a
-    morphism n -> n + bnd(m) is a pair (n, m).
+def phi1(x: CrossedModule) -> PointedGroupoid:
+    """The groupoid of a crossed module: the objects are the base elements,
+    and a pair (n, m) is a morphism n -> n * bnd(m); (n, m) followed by
+    (n * bnd(m), m') is (n, m * m').
 
-    Objects may form an infinite group, so the groupoid is presented through
-    operations rather than element lists; `to_pointed_groupoid` enumerates
-    when everything is finite.
+    Object i of `base.elements()` is named o<i>, the pair of object i and
+    element j of `m.elements()` is m<i*|M|+j>, and the base is the object
+    of the identity.  The base is enumerated before M, so an infinite free
+    base raises "infinite object set" and an infinite class-2 base or M
+    raises "infinite group".
     """
+    objs = list(x.base.elements())
+    mel = list(x.m.elements())
+    k = len(mel)
 
-    def __init__(self, x: CrossedModule):
-        self.x = x
+    def index(elems, e) -> int:
+        return next(i for i, a in enumerate(elems) if a == e)
 
-    def identity(self, n):
-        return (n, self.x.m.identity())
-
-    def source(self, mor):
-        return mor[0]
-
-    def target(self, mor):
-        n, m = mor
-        return n * self.x.bnd.eval(m)
-
-    def compose(self, second, first):
-        """second after first; target(first) must equal source(second)."""
-        n, m = first
-        n2, m2 = second
-        if not self.target(first) == n2:
-            raise ValueError("morphisms not composable")
-        return (n, m * m2)
-
-    def plus(self, a, b):
-        """Monoidal sum (n, m) + (n', m') = (n + n', m^{n'} + m')."""
-        n, m = a
-        n2, m2 = b
-        return (n * n2, self.x.act(m, n2) * m2)
-
-    def to_pointed_groupoid(self) -> PointedGroupoid:
-        objs = list(self.x.base.elements())
-        mors = {}
-        names = {}
-        morlist = []
-        for i, n in enumerate(objs):
-            for m in self.x.m.elements():
-                name = "m%d" % len(morlist)
-                tgt = self.target((n, m))
-                ti = next(k for k, o in enumerate(objs) if o == tgt)
-                mors[name] = ("o%d" % i, "o%d" % ti)
-                names[name] = (n, m)
-                morlist.append(name)
-        comp = {}
-        for g in morlist:
-            for f in morlist:
-                if mors[f][1] == mors[g][0]:
-                    res = self.compose(names[g], names[f])
-                    for h in morlist:
-                        if (mors[h] == (mors[f][0], mors[g][1])
-                                and names[h][1] == res[1]
-                                and names[h][0] == res[0]):
-                            comp[(g, f)] = h
-                            break
-        obj_names = ["o%d" % i for i in range(len(objs))]
-        base_obj = next("o%d" % i for i, o in enumerate(objs)
-                        if o.is_identity())
-        g = PointedGroupoid(obj_names, mors, comp, base=base_obj)
-        return g
-
-
-def phi1(x: CrossedModule) -> SemidirectGroupoid:
-    return SemidirectGroupoid(x)
+    bnd = [x.bnd.eval(m) for m in mel]
+    tgt = [[index(objs, n * d) for d in bnd] for n in objs]
+    prod = [[index(mel, a * b) for b in mel] for a in mel]
+    names = ["o%d" % i for i in range(len(objs))]
+    mors = {"m%d" % (i * k + j): (names[i], names[tgt[i][j]])
+            for i in range(len(objs)) for j in range(k)}
+    into = [[] for _ in objs]   # the morphisms into each object, in order
+    for i in range(len(objs)):
+        for j in range(k):
+            into[tgt[i][j]].append((i, j))
+    comp = {("m%d" % (i2 * k + j2), "m%d" % (i * k + j)):
+            "m%d" % (i * k + prod[j][j2])
+            for i2 in range(len(objs)) for j2 in range(k)
+            for i, j in into[i2]}
+    base = next(name for name, n in zip(names, objs) if n.is_identity())
+    return PointedGroupoid(names, mors, comp, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -362,38 +331,29 @@ class PresentedCrossedModule:
 
     def __init__(self, groupoid: PointedGroupoid):
         self.groupoid = groupoid
-        g = groupoid
         self.base = FreeGroupBase(PointedSet(
-            [o for o in g.objects if o != g.base]))
-        self.module_generators = list(g.morphisms)
-        self.boundary_words = {}
-        for f, (s, t) in g.morphisms.items():
-            w = Word()
-            if s != g.base:
-                w = w * Word([(s, -1)])
-            if t != g.base:
-                w = w * Word([(t, 1)])
-            self.boundary_words[f] = w.reduced()
-        self.relations = [(u, f, gmor)
-                          for (gmor, f), u in g.compose_table.items()]
+            [o for o in groupoid.objects if o != groupoid.base]))
 
     def h0_certificate(self) -> FreeGroupBase:
         """Closed form: the free group on the isomorphism classes."""
         return FreeGroupBase(self.groupoid.h0())
 
-    def h1_certificate(self):
-        """Closed form as a FinAbGroup when the group-ring factor is finite
-        rank; otherwise None."""
+    def h1_certificate(self) -> FinAbGroup:
+        """Closed form: the abelianized automorphism group at the base when
+        the groupoid is connected, and 0 when every automorphism group has
+        trivial abelianization.  Otherwise the group-ring factor over the
+        classes away from the base has infinite rank, and no closed form
+        is given: NotImplementedError."""
         g = self.groupoid
         classes = g.iso_classes()
-        base_cls = next(c for c in classes if g.base in c)
-        others = [c for c in classes if g.base not in c]
-        auts = {tuple(c): g.aut_ab(c[0]) for c in classes}
-        if not others:
-            return auts[tuple(base_cls)]
-        if all(a.is_trivial() for a in auts.values()):
+        if len(classes) == 1:
+            return g.h1().abelianization()
+        if all(g.h1(c[0]).abelianization().is_trivial() for c in classes):
             return FinAbGroup(0)
-        return None
+        raise NotImplementedError(
+            "h1 of a free crossed module on a groupoid with several classes "
+            "and a nontrivial abelianized automorphism group: the group-ring "
+            "factor over the other classes has infinite rank")
 
 
 def ad1(g: PointedGroupoid) -> PresentedCrossedModule:

@@ -256,11 +256,9 @@ class Class2Group:
         return self._underlying_ab
 
     def abelianization(self):
-        """(G_ab as FinAbGroup, pair-to-vector coordinate map).
-
-        G_ab is the quotient by the commutator subgroup, i.e. by the image
-        of lam inside the central layer.
-        """
+        """G_ab as a FinAbGroup on the Q generators then the C generators:
+        the quotient by the commutator subgroup, i.e. by the image of lam
+        inside the central layer."""
         nq, nc = self.q.ngens, self.c.ngens
         extra = la.transpose(self.lam, nq * nq)
         cq = FinAbGroup(nc, self.c.relations + extra)

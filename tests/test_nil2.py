@@ -476,8 +476,8 @@ def test_collecting_callers_match_their_former_bodies(data):
                                           _EXPS), max_size=6)))
     assert _raw(h.eval(w)) == _raw(_former_free_base_eval(h, w))
 
-    omega = OmegaPairing(AbCoords(base), t, _elements(data.draw, t, k * k),
-                         check=False)
+    omega = OmegaPairing(AbCoords(free_nil(base.points)), t,
+                         _elements(data.draw, t, k * k), check=False)
     vec = data.draw(_vectors(k * k, _EXPS))
     assert _raw(omega.eval_vec(vec)) == _raw(
         _replay(t, omega.images, vec))
