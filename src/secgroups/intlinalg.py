@@ -26,10 +26,12 @@ Integer solving, kernels and preimages are small wrappers around it.
 A `Solver` keeps the certificate of one system a @ x == b modulo a lattice,
 so repeated solves against one map (preimages, kernel and subgroup
 coordinates) reuse one SNF; `solve` and `solve_mod` are one-shot wrappers
-around it.  `in_lattice` answers membership for an ad-hoc set of rows with a
-fresh SNF; a `FinAbGroup` instead keeps the Smith certificate of its
-relation lattice, computed once at construction, and reduces membership and
-division there to `divide_mod` on each diagonal coordinate.
+around it.  `in_lattice` answers membership of any number of vectors in an
+ad-hoc set of rows from one `Solver`, so one SNF serves them all (a spans
+test, both directions of `lattices_equal`); a `FinAbGroup` instead keeps
+the Smith certificate of its relation lattice, computed once at
+construction, and reduces membership and division there to `divide_mod` on
+each diagonal coordinate.
 `sub_basis_coordinates` is the one step that rewrites relation rows in a
 basis of a sub-lattice containing them (a kernel, a commutator subgroup):
 each row is solved exactly against the basis, never modulo the relations
@@ -388,14 +390,18 @@ def row_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return out
 
 
-def in_lattice(rows: list[list[int]], ncols: int, vec: list[int]) -> bool:
-    """Is vec an integer combination of the given rows?"""
-    if all(x == 0 for x in vec):
+def in_lattice(rows: list[list[int]], ncols: int, *vecs: list[int]) -> bool:
+    """Is every vec an integer combination of the given rows?  One solver
+    answers them all; a zero vec is in at once, and no solver is built
+    when every vec is zero."""
+    vecs = [v for v in vecs if any(v)]
+    if not vecs:
         return True
     if not rows:
         return False
-    at = transpose(rows, ncols)  # columns are the lattice generators
-    return solve(at, len(rows), vec) is not None
+    # columns are the lattice generators
+    solver = Solver(transpose(rows, ncols), len(rows))
+    return all(solver.solve(v) is not None for v in vecs)
 
 
 def solve_mod(a: list[list[int]], ncols: int, b: list[int],
@@ -417,5 +423,5 @@ def preimage_lattice(a: list[list[int]], ncols: int,
 
 def lattices_equal(rows_a: list[list[int]], rows_b: list[list[int]],
                    ncols: int) -> bool:
-    return (all(in_lattice(rows_b, ncols, r) for r in rows_a)
-            and all(in_lattice(rows_a, ncols, r) for r in rows_b))
+    return (in_lattice(rows_b, ncols, *rows_a)
+            and in_lattice(rows_a, ncols, *rows_b))

@@ -32,10 +32,13 @@ Homomorphisms are stored as generator images plus a map on the central
 layer; construction checks that map on the C relations, commutator
 compatibility on generator pairs i > j and representative independence on
 the Q relations, which suffices in class two because every obstruction term
-is bilinear.  A hom given by its values on `generators()` is built by
-`hom_from_values` and nothing else: a C generator's value must be central
-(its Q part in the target's relation lattice), and its central part is that
-generator's column of the central-layer map.
+is bilinear.  Those pair checks, a cocycle's descent through the Q
+relations and the kernel's cocycle table visit only the pairs where a
+nonzero term meets both sides (`pair_support`): elsewhere the obstruction
+is 0, in every lattice.  A hom given by its values on `generators()` is
+built by `hom_from_values` and nothing else: a C generator's value must be
+central (its Q part in the target's relation lattice), and its central
+part is that generator's column of the central-layer map.
 
 The free objects here are `free_nil` (free class-2 group on a pointed set,
 with the strictly upper triangular cocycle convention fixing the orientation
@@ -60,6 +63,8 @@ zero composite, `abelian.exact`, surjective.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from . import intlinalg as la
 from .abelian import (AbMap, FinAbGroup, exact, gamma, gamma_map,
@@ -126,14 +131,16 @@ class Class2Group:
                      - self.lam[r][i * nq + j] for r in range(nc)]
             if not self.c.contains_in_lattice(delta):
                 raise ValueError("beta - beta o swap != lam at (%d,%d)" % (i, j))
-        # the pairing must descend through the Q relations
-        for rel in self.q.relations:
-            for j in range(self.q.ngens):
-                ej = [0] * self.q.ngens
-                ej[j] = 1
-                for u, v in ((rel, ej), (ej, rel)):
-                    if not self.c.contains_in_lattice(self.beta_eval(u, v)):
-                        raise ValueError("cocycle not defined modulo relations")
+        # descent through the Q relations: beta(rel, e_j) = beta(e_j, rel) = 0
+        rels = self.q.relations
+        if not rels:
+            return
+        units = la.identity(nq)
+        for us, vs in ((rels, units), (units, rels)):
+            for i, j in pair_support(self._beta_terms, us, vs):
+                if not self.c.contains_in_lattice(
+                        self.beta_eval(us[i], vs[j])):
+                    raise ValueError("cocycle not defined modulo relations")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -364,6 +371,31 @@ def _support(terms) -> set[tuple[int, int]]:
     return {(i, j) for i, row in terms for j, _, _ in row}
 
 
+def pair_support(terms, us, vs) -> set[tuple[int, int]]:
+    """The index pairs (i, j) where some nonzero term (a, b) of a pairing
+    has us[i][a] and vs[j][b] nonzero; at any other pair the pairing of
+    us[i] with vs[j] is the zero vector, which lies in every lattice."""
+    out = set()
+    hits = {}  # b -> the j with vs[j][b] nonzero
+    for a, row in terms:
+        ia = [i for i, u in enumerate(us) if u[a]]
+        if ia:
+            for b, _, _ in row:
+                if b not in hits:
+                    hits[b] = [j for j, v in enumerate(vs) if v[b]]
+                for i in ia:
+                    for j in hits[b]:
+                        out.add((i, j))
+    return out
+
+
+def below_diagonal(*pair_sets) -> list[tuple[int, int]]:
+    """The pairs (i, j) with i > j whose pair or mirror is in one of the
+    sets, in the order of the loop over i, then j < i."""
+    return sorted({(i, j) if i > j else (j, i)
+                   for pairs in pair_sets for i, j in pairs if i != j})
+
+
 def _pairing(terms, out: list[int], qu, qv, scale: int = 1) -> list[int]:
     """Add scale * coeff * qu[i] * qv[j] over the nonzero terms to out."""
     if scale:
@@ -467,28 +499,18 @@ class Class2Elem:
 
 
 def product_group(g: Class2Group, h: Class2Group):
-    """(G x H, pair embed function, projections as q/c index slices)."""
+    """(G x H, pair embed function)."""
     from .abelian import direct_sum
-    q, qig, qih, qpg, qph = direct_sum(g.q, h.q)
-    c, cig, cih, cpg, cph = direct_sum(g.c, h.c)
+    q, c = direct_sum(g.q, h.q)[0], direct_sum(g.c, h.c)[0]
     nq, nc = q.ngens, c.ngens
     lam = la.zeros(nc, nq * nq)
     beta = la.zeros(nc, nq * nq)
-    ng, nh = g.q.ngens, h.q.ngens
-
-    def fill(mat, src, block, offset_c):
-        n_side = ng if block == 0 else nh
-        off = 0 if block == 0 else ng
-        for i in range(n_side):
-            for j in range(n_side):
-                col = i * n_side + j
-                for r in range(len(src)):
-                    mat[offset_c + r][(off + i) * nq + (off + j)] = src[r][col]
-
-    fill(lam, g.lam, 0, 0)
-    fill(beta, g.beta, 0, 0)
-    fill(lam, h.lam, 1, g.c.ngens)
-    fill(beta, h.beta, 1, g.c.ngens)
+    # each factor's nonzeros in its diagonal block
+    for x, off, off_c in ((g, 0, 0), (h, g.q.ngens, g.c.ngens)):
+        for mat, terms in ((lam, x._lam_terms), (beta, x._beta_terms)):
+            for i, row in terms:
+                for j, r, coeff in row:
+                    mat[off_c + r][(off + i) * nq + off + j] = coeff
     names = [n + "'" for n in g.gen_names] + [n + "''" for n in h.gen_names]
     prod = Class2Group(q, c, lam, beta, names, check=False)
 
@@ -564,18 +586,22 @@ class Class2Hom:
         # y = e_j with i > j: there it collects e_j e_i and corrects by
         # cmap(beta_s(e_i, e_j) - beta_s(e_j, e_i)), which must be the
         # commutator of the images, beta_t(q_i, q_j) - beta_t(q_j, q_i).
+        # Both vanish unless beta_s is nonzero at (i, j) or (j, i), or beta_t
+        # pairs q_i with q_j; the latter matter if the former miss a pair.
         nq = s.q.ngens
         qs = [img.qvec for img in self.gen_images]
-        for i in range(nq):
-            for j in range(i):
-                src = [row[i * nq + j] - row[j * nq + i] for row in s.beta]
-                obstruction = la.vec_sub(
-                    la.vec_sub(t.beta_eval(qs[i], qs[j]),
-                               t.beta_eval(qs[j], qs[i])),
-                    la.mat_vec(self.cmap.matrix, src))
-                if not t.c.contains_in_lattice(obstruction):
-                    raise ValueError(
-                        "not multiplicative on generators %d,%d" % (i, j))
+        beta = t._beta_terms
+        pairs = below_diagonal(_support(s._beta_terms))
+        if len(pairs) < nq * (nq - 1) // 2:
+            pairs = below_diagonal(pairs, pair_support(beta, qs, qs))
+        for i, j in pairs:
+            src = [row[i * nq + j] - row[j * nq + i] for row in s.beta]
+            obstruction = la.vec_sub(
+                _pairing(beta, t.beta_eval(qs[i], qs[j]), qs[j], qs[i], -1),
+                la.mat_vec(self.cmap.matrix, src))
+            if not t.c.contains_in_lattice(obstruction):
+                raise ValueError(
+                    "not multiplicative on generators %d,%d" % (i, j))
         # representative independence across the Q relations
         for r in s.q.relations:
             rep = s.ordered_product_element(r)
@@ -623,9 +649,7 @@ class Class2Hom:
         s, t = self.source, self.target
         qmap = self.q_map()
         gen_images = []
-        for j in range(t.q.ngens):
-            ej = [0] * t.q.ngens
-            ej[j] = 1
+        for ej in la.identity(t.q.ngens):
             qpre = qmap.preimage(ej)
             if qpre is None:
                 raise ValueError("not surjective on Q layer")
@@ -693,16 +717,10 @@ class Subgroup:
         self.q_rows = la.row_basis(qparts + g.q.relations, nq)
         central = [e.cvec for e in self.gens if g.q.contains_in_lattice(e.qvec)]
         central += list(g.c.relations)
-        if normal:
-            for i in range(nq):
-                ei = [0] * nq
-                ei[i] = 1
-                for e in self.gens:
-                    central.append(g.lam_eval(ei, e.qvec))
-        else:
-            for e in self.gens:
-                for f in self.gens:
-                    central.append(g.lam_eval(e.qvec, f.qvec))
+        # every row, zero ones included: a row's position steers the
+        # pivot order of the row basis below
+        lefts = la.identity(nq) if normal else [e.qvec for e in self.gens]
+        central += [g.lam_eval(u, e.qvec) for u in lefts for e in self.gens]
         # kernel combinations: products of generators landing in the
         # relation lattice of Q contribute their central parts
         if self.gens:
@@ -715,9 +733,8 @@ class Subgroup:
     def contains(self, elem: Class2Elem) -> bool:
         g = self.group
         qparts = [e.qvec for e in self.gens]
-        qmat = la.transpose(qparts, g.q.ngens) if self.gens else \
-            la.zeros(g.q.ngens, 0)
-        m = la.solve_mod(qmat, len(self.gens), elem.qvec, g.q.relations)
+        m = la.solve_mod(la.transpose(qparts, g.q.ngens), len(self.gens),
+                         elem.qvec, g.q.relations)
         if m is None:
             return False
         prod = g.power_product(self.gens, m)
@@ -794,32 +811,25 @@ def hom_kernel(f: Class2Hom):
     call and held on f.
 
     The kernel's cocycle table sends only the nonzero commutators of the
-    kernel basis to central coordinates: a zero commutator has the zero
-    coordinates the table starts with, as `la.Solver` solves 0 by 0, so the
-    preimage solver is not built when every commutator vanishes."""
+    kernel basis (over `pair_support`) to central coordinates: a zero one
+    has the zero coordinates the table starts with, as `la.Solver` solves
+    0 by 0, so no preimage solver is built when every commutator vanishes."""
     if f._kernel is not None:
         return f._kernel
     s, t = f.source, f.target
     nqs, ncs = s.q.ngens, s.c.ngens
     a = f.q_matrix()
     # central layer: kernel of cmap
-    ckern, cincl = f.cmap.kernel()
-    # Q directions whose central defect is killable through cmap
+    ck, cincl = f.cmap.kernel()
+    # Q directions whose central defect is killable through cmap: z is
+    # linear modulo (im cmap + target C relations)
     s_lat = la.preimage_lattice(a, nqs, t.q.relations)
-    zvals = []
-    for u in s_lat:
-        zvals.append(t.power_product(f.gen_images, u).cvec)
-    # z is linear modulo (im cmap + target C relations)
-    ct_mod = FinAbGroup(t.c.ngens, t.c.relations
-                        + la.transpose(f.cmap.matrix, ncs))
-    free_s = FinAbGroup(len(s_lat))
-    zmap = AbMap(free_s, ct_mod, la.transpose(zvals, t.c.ngens), check=False)
-    zker, zincl = zmap.kernel()
-    u_vectors = []
-    s_mat = la.transpose(s_lat, nqs) if s_lat else la.zeros(nqs, 0)
-    for j in range(zker.ngens):
-        coeffs = [zincl.matrix[r][j] for r in range(len(s_lat))]
-        u_vectors.append(la.mat_vec(s_mat, coeffs))
+    zvals = [t.power_product(f.gen_images, u).cvec for u in s_lat]
+    zker = la.preimage_lattice(la.transpose(zvals, t.c.ngens), len(s_lat),
+                               t.c.relations
+                               + la.transpose(f.cmap.matrix, ncs))
+    s_mat = la.transpose(s_lat, nqs)
+    u_vectors = [la.mat_vec(s_mat, z) for z in zker]
     # central lifts
     kelems = []
     for u in u_vectors:
@@ -830,29 +840,22 @@ def hom_kernel(f: Class2Hom):
                                               cfix.vec)))
     nk = len(kelems)
     # Q-layer relations: source relations expressed exactly in the u basis
-    u_mat = la.transpose(u_vectors, nqs) if u_vectors else la.zeros(nqs, 0)
-    qk = FinAbGroup(nk, la.sub_basis_coordinates(u_mat, nk, s.q.relations))
-    ck = ckern
-
-    def central_coords(cvec) -> list[int]:
-        coeffs = cincl.preimage(cvec)
-        assert coeffs is not None, "central value outside kernel layer"
-        return coeffs.vec
-
+    qk = FinAbGroup(nk, la.sub_basis_coordinates(
+        la.transpose(u_vectors, nqs), nk, s.q.relations))
     lamk = la.zeros(ck.ngens, nk * nk)
     betak = la.zeros(ck.ngens, nk * nk)
-    for i in range(nk):
-        for j in range(nk):
-            lv = s.lam_eval(kelems[i].qvec, kelems[j].qvec)
-            if not any(lv):
-                continue
-            lc = central_coords(lv)
-            for r in range(ck.ngens):
-                lamk[r][i * nk + j] = lc[r]
+    kq = [x.qvec for x in kelems]
+    for i, j in pair_support(s._lam_terms, kq, kq):
+        lv = s.lam_eval(kq[i], kq[j])
+        if not any(lv):
+            continue
+        lc = cincl.preimage(lv)
+        assert lc is not None, "central value outside kernel layer"
+        for r in range(ck.ngens):
+            lamk[r][i * nk + j] = lc.vec[r]
             if i > j:
                 # ordered-product cocycle: only sorting costs survive
-                for r in range(ck.ngens):
-                    betak[r][i * nk + j] = lc[r]
+                betak[r][i * nk + j] = lc.vec[r]
     kgroup = Class2Group(qk, ck, lamk, betak, check=False)
     incl = Class2Hom(kgroup, s, kelems, AbMap(ck, s.c, cincl.matrix, check=False))
     f._kernel = kgroup, incl
@@ -875,12 +878,7 @@ def free_nil(points: PointedSet) -> Class2Group:
     q = FinAbGroup(k)
     nc = k * (k - 1) // 2
     c = FinAbGroup(nc)
-    idx = {}
-    pos = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            idx[(i, j)] = pos
-            pos += 1
+    idx = {pair: p for p, pair in enumerate(combinations(range(k), 2))}
     lam = la.zeros(nc, k * k)
     beta = la.zeros(nc, k * k)
     for (i, j), p in idx.items():

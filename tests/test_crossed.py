@@ -11,7 +11,7 @@ from secgroups.nil2 import (Class2Elem, Class2Group, Class2Hom, free_nil,
                             hom_kernel, identity_hom)
 from secgroups.crossed import (
     FreeBaseHom, FreeGroupBase, WordHom, AbCoords, GroupAction, OmegaPairing,
-    CrossedModule, ReducedQuadraticModule,
+    CrossedModule, PointedGroupoid, ReducedQuadraticModule,
     StableQuadraticModule, CrossMorphism, check_axioms, H0Undecidable,
     quadratic_module,
 )
@@ -459,6 +459,75 @@ def test_groupoid_check_and_h0_h1():
     d = discrete_groupoid(["p", "q"])
     assert len(d.h0().nonbase()) == 2
     assert d.h1().order() == 1
+
+
+def test_groupoid_check_reports_a_missing_composite():
+    """(r, r) is missing: reported, and the associativity triples that
+    need it are skipped instead of raising KeyError."""
+    g = PointedGroupoid(["*"], {"e": ("*", "*"), "r": ("*", "*")},
+                        {("e", "e"): "e", ("r", "e"): "r", ("e", "r"): "r"})
+    assert g.check_axioms() == ["missing composite (r,r)"]
+
+
+def test_groupoid_check_reports_an_unknown_morphism():
+    g = PointedGroupoid(["*"], {"e": ("*", "*")}, {("e", "e"): "x"})
+    assert g.check_axioms() == ["composite (e,e) names unknown morphism x"]
+    g = PointedGroupoid(["*"], {"e": ("*", "*")},
+                        {("e", "e"): "e", ("y", "e"): "e"})
+    assert g.check_axioms() == ["composite (y,e) names unknown morphism y"]
+
+
+def _former_groupoid_check(g: PointedGroupoid) -> list[str]:
+    """The former `PointedGroupoid.check_axioms`, which raised KeyError on
+    a missing composite or an unknown morphism."""
+    out = []
+    for (b, a), c in g.compose_table.items():
+        if g.target(a) != g.source(b):
+            out.append("composite (%s,%s) not composable" % (b, a))
+        elif g.source(c) != g.source(a) or g.target(c) != g.target(b):
+            out.append("composite (%s,%s) has wrong endpoints" % (b, a))
+    for a, (_, at) in g.morphisms.items():
+        for b, (bs, _) in g.morphisms.items():
+            if at == bs and (b, a) not in g.compose_table:
+                out.append("missing composite (%s,%s)" % (b, a))
+    for a in g.morphisms:
+        for b in g.morphisms:
+            for c in g.morphisms:
+                if g.target(a) == g.source(b) and g.target(b) == g.source(c):
+                    if g.compose(c, g.compose(b, a)) != \
+                            g.compose(g.compose(c, b), a):
+                        out.append("associativity fails at (%s,%s,%s)"
+                                   % (c, b, a))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_groupoid_check_matches_its_former_body_or_reports(data):
+    """Random tables on two objects, with entries dropped and names out of
+    the morphism set: the check never raises; where the former body
+    answered, the answers are equal, and where it raised KeyError (a
+    missing composite, an unknown morphism, or a composite with the wrong
+    endpoints that associativity then composed further), a violation of
+    the table is reported."""
+    objs = ["*", "o"]
+    names = ["f%d" % i for i in range(data.draw(st.integers(1, 4)))]
+    mors = {f: (data.draw(st.sampled_from(objs)),
+                data.draw(st.sampled_from(objs))) for f in names}
+    values = st.sampled_from(names + ["x"])
+    table = {(b, a): data.draw(values) for a in names for b in names
+             if mors[a][1] == mors[b][0] and data.draw(st.integers(0, 5))}
+    if data.draw(st.booleans()):
+        table[("x", names[0])] = names[0]
+    g = PointedGroupoid(objs, mors, table)
+    got = g.check_axioms()
+    try:
+        former = _former_groupoid_check(g)
+    except KeyError:
+        assert any(v.startswith("missing composite") or "unknown morphism" in v
+                   or "wrong endpoints" in v for v in got), got
+    else:
+        assert got == former
 
 
 def test_h0_undecidable_on_free_base():

@@ -501,3 +501,52 @@ def test_mat_vec_matches_dense_body(data):
     for j in range(n):
         unit = [int(i == j) for i in range(n)]
         assert la.mat_vec(a, unit) == _dense_mat_vec(a, unit)
+
+
+def _former_in_lattice(rows, ncols, vec):
+    """The former one-vector `in_lattice`: a fresh SNF per vector."""
+    if all(x == 0 for x in vec):
+        return True
+    if not rows:
+        return False
+    return la.solve(la.transpose(rows, ncols), len(rows), vec) is not None
+
+
+def _former_lattices_equal(rows_a, rows_b, ncols):
+    return (all(_former_in_lattice(rows_b, ncols, r) for r in rows_a)
+            and all(_former_in_lattice(rows_a, ncols, r) for r in rows_b))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_in_lattice_answers_many_vectors_as_one_at_a_time(data):
+    """One solver for every vector gives the per-vector answers of fresh
+    SNFs: with no vectors, zero vectors, no rows and no columns, and on
+    vectors drawn from the lattice, so both answers occur."""
+    n = data.draw(st.integers(0, 4))
+    entry = st.integers(-4, 4)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              max_size=3))
+    vecs = data.draw(st.lists(st.one_of(
+        st.lists(entry, min_size=n, max_size=n),
+        st.just([0] * n),
+        st.lists(st.integers(-3, 3), min_size=len(rows),
+                 max_size=len(rows)).map(
+            lambda c: la.mat_vec(la.transpose(rows, n), c))), max_size=4))
+    assert la.in_lattice(rows, n, *vecs) == all(
+        _former_in_lattice(rows, n, v) for v in vecs)
+    other = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               max_size=3))
+    for a, b in ((rows, other), (rows, rows + vecs), (vecs, rows)):
+        assert la.lattices_equal(a, b, n) == _former_lattices_equal(a, b, n)
+
+
+def test_in_lattice_edge_cases():
+    assert la.in_lattice([], 2)
+    assert la.in_lattice([], 2, [0, 0], [0, 0])
+    assert not la.in_lattice([], 2, [0, 0], [1, 0])
+    assert la.in_lattice([[2, 0], [0, 3]], 2, [4, 3], [0, 0], [2, 6])
+    assert not la.in_lattice([[2, 0], [0, 3]], 2, [4, 3], [1, 0])
+    assert la.in_lattice([[]], 0, [])
+    assert la.lattices_equal([], [[0, 0]], 2)
+    assert not la.lattices_equal([], [[1, 0]], 2)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word
 from secgroups.abelian import (AbMap, FinAbGroup, exact, identity_map,
-                               tensor_square, zero_map)
+                               tensor_square, tensor_square_relations,
+                               zero_map)
 from secgroups.crossed import (AbCoords, FreeBaseHom, FreeGroupBase,
                                OmegaPairing)
 from secgroups.models import wedge_model
@@ -17,7 +18,7 @@ from secgroups.nil2 import (
     free_nil, nilize, hom_from_values, hom_from_words,
     hom_kernel, hom_cokernel, identity_hom, trivial_hom, product_group,
     boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
-    _projection_twist,
+    pair_support, _nonzero_terms, _projection_twist,
 )
 from secgroups.selftest import oracle_element, _random_word
 
@@ -496,6 +497,192 @@ def test_validate_matches_all_pairs_oracle(data):
     assert _error(f.validate) == _error(lambda: _all_pairs_validate(f))
 
 
+def _former_hom_validate(f: Class2Hom):
+    """The former `Class2Hom.validate`: its commutation loop visits every
+    pair i > j of Q generators."""
+    s, t = f.source, f.target
+    for rel in s.c.relations:
+        if not t.c.contains_in_lattice(la.mat_vec(f.cmap.matrix, rel)):
+            raise ValueError("map not well defined: relation %r" % (rel,))
+    nq = s.q.ngens
+    qs = [img.qvec for img in f.gen_images]
+    for i in range(nq):
+        for j in range(i):
+            src = [row[i * nq + j] - row[j * nq + i] for row in s.beta]
+            obstruction = la.vec_sub(
+                la.vec_sub(t.beta_eval(qs[i], qs[j]),
+                           t.beta_eval(qs[j], qs[i])),
+                la.mat_vec(f.cmap.matrix, src))
+            if not t.c.contains_in_lattice(obstruction):
+                raise ValueError(
+                    "not multiplicative on generators %d,%d" % (i, j))
+    for r in s.q.relations:
+        rep = s.ordered_product_element(r)
+        alt = s.central(s.collect_central(r))
+        if f.eval(rep) != f.eval(alt):
+            raise ValueError("hom disagrees on relation representatives")
+
+
+def _perturbed(draw, t, images, cmap):
+    """The images and central-layer map, with one image or one entry of
+    the map moved, or neither."""
+    images = list(images)
+    kind = draw(st.sampled_from(["none", "image", "cmap"]))
+    if kind == "image" and images:
+        i = draw(st.integers(0, len(images) - 1))
+        images[i] = t.element(
+            la.vec_add(images[i].qvec, draw(_vectors(t.q.ngens))),
+            la.vec_add(images[i].cvec, draw(_vectors(t.c.ngens))))
+    elif kind == "cmap" and cmap.source.ngens and cmap.target.ngens:
+        m = [row[:] for row in cmap.matrix]
+        m[draw(st.integers(0, cmap.target.ngens - 1))][
+            draw(st.integers(0, cmap.source.ngens - 1))] += draw(
+                st.sampled_from([-1, 1]))
+        cmap = AbMap(cmap.source, cmap.target, m, check=False)
+    return images, cmap
+
+
+@st.composite
+def _homs_with_breaks(draw):
+    """Class2Hom(check=False) with small entries: random data, or a free
+    class-2 source on at most three letters with the central map its
+    commutators force (a hom when the target is a group); then one image
+    or one central-map entry perturbed, or none.  Larger entries and four
+    letters reach the dense SNF's entry blow-up (ROADMAP item 6)."""
+    t = draw(_unchecked_class2_groups())
+    if draw(st.booleans()):
+        s = draw(_unchecked_class2_groups())
+        cmap = AbMap(s.c, t.c, _matrix(draw, t.c.ngens, s.c.ngens),
+                     check=False)
+    else:
+        s = free_nil(PointedSet(["a", "b", "c"][:draw(st.integers(1, 3))]))
+    images = [t.element(draw(_vectors(t.q.ngens)), draw(_vectors(t.c.ngens)))
+              for _ in range(s.q.ngens)]
+    if s.is_free():
+        cmap = s.free_hom(t, images, check=False).cmap
+    images, cmap = _perturbed(draw, t, images, cmap)
+    return Class2Hom(s, t, images, cmap, check=False)
+
+
+@given(_homs_with_breaks())
+@settings(max_examples=400, deadline=None)
+def test_hom_validate_matches_its_former_all_pairs_loop(f):
+    """Checking commutation only on the pairs that can fail raises exactly
+    when, and with the message that, the loop over every pair did."""
+    assert _error(f.validate) == _error(lambda: _former_hom_validate(f))
+
+
+def test_hom_validate_catches_a_perturbed_central_map():
+    g = free_nil(PointedSet(["a", "b", "c"]))
+    f = identity_hom(g)
+    m = [row[:] for row in f.cmap.matrix]
+    m[2][2] = 2  # b ^ c now goes to 2 (b ^ c)
+    bad = Class2Hom(g, g, f.gen_images, AbMap(g.c, g.c, m, check=False),
+                    check=False)
+    assert _error(bad.validate) == _error(
+        lambda: _former_hom_validate(bad)) == \
+        "not multiplicative on generators 2,1"
+    assert _error(f.validate) is None
+
+
+def _former_omega_validate(omega: OmegaPairing):
+    """The former `OmegaPairing.validate`: every pair of images tested for
+    commutation."""
+    qs = [x.qvec for x in omega.images]
+    for i in range(len(qs)):
+        for j in range(i):
+            comm = la.vec_sub(omega.m.beta_eval(qs[i], qs[j]),
+                              omega.m.beta_eval(qs[j], qs[i]))
+            if not omega.m.c.contains_in_lattice(comm):
+                raise ValueError("omega images do not commute")
+    for rel in tensor_square_relations(omega.coords.group):
+        if not omega.eval_vec(rel).is_identity():
+            raise ValueError("omega not defined modulo relations")
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_omega_validate_matches_its_former_all_pairs_loop(data):
+    """Images on a free class-2 base or an abelian one with relations;
+    images sparse or all central, so that both checks are reached."""
+    k = data.draw(st.integers(1, 2))
+    if data.draw(st.booleans()):
+        base = free_nil(PointedSet(["a", "b"][:k]))
+    else:
+        base = abelian_as_class2(FinAbGroup(k, _matrix(
+            data.draw, data.draw(st.integers(0, 1)), k, st.integers(-3, 3))))
+    coords = AbCoords(base)
+    m = data.draw(_unchecked_class2_groups(entry=st.integers(-2, 2)))
+    na = coords.group.ngens
+    central = data.draw(st.booleans())
+    images = [m.element([0] * m.q.ngens if central else
+                        data.draw(_vectors(m.q.ngens)),
+                        data.draw(_vectors(m.c.ngens)))
+              for _ in range(na * na)]
+    omega = OmegaPairing(coords, m, images, check=False)
+    assert _error(omega.validate) == _error(
+        lambda: _former_omega_validate(omega))
+
+
+@st.composite
+def _groups_past_the_pair_loop(draw):
+    """Class2Group(check=False) with lam = beta - beta o swap, so that its
+    pair loop passes, and random Q relations, so that the descent check
+    decides; with a central layer killed by its relations in some."""
+    nq, nc = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    q = FinAbGroup(nq, _matrix(draw, draw(st.integers(0, 2)), nq,
+                               st.integers(-3, 3)))
+    c_rels = la.identity(nc) if draw(st.booleans()) else _matrix(
+        draw, draw(st.integers(0, 2)), nc, st.integers(-4, 4))
+    beta = _matrix(draw, nc, nq * nq, _SMALL)
+    lam = [[row[i * nq + j] - row[j * nq + i]
+            for i in range(nq) for j in range(nq)] for row in beta]
+    return Class2Group(q, FinAbGroup(nc, c_rels), lam, beta, check=False)
+
+
+@given(_groups_past_the_pair_loop())
+@settings(max_examples=300, deadline=None)
+def test_descent_check_matches_its_former_loop_over_every_generator(g):
+    assert _error(g._validate) == _error(lambda: _former_validate(g))
+
+
+def test_descent_check_catches_a_relation_the_cocycle_does_not_kill():
+    """beta(e_0, e_1) = c with 2 e_0 = 0 in Q but c of infinite order."""
+    q, c = FinAbGroup(2, [[2, 0]]), FinAbGroup(1)
+    beta = [[0, 1, 0, 0]]
+    lam = [[0, 1, -1, 0]]
+    with pytest.raises(ValueError, match="cocycle not defined modulo"):
+        Class2Group(q, c, lam, beta)
+    assert _error(lambda: _former_validate(
+        Class2Group(q, c, lam, beta, check=False))) == \
+        "cocycle not defined modulo relations"
+    Class2Group(q, FinAbGroup(1, [[2]]), lam, beta)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pair_support_is_where_a_term_meets_both_vectors(data):
+    """pair_support is the set of (i, j) with a nonzero entry of the
+    pairing matrix at (a, b), us[i][a] != 0 and vs[j][b] != 0; every pair
+    outside it pairs to the zero vector."""
+    g = data.draw(_unchecked_class2_groups(entry=st.integers(-2, 2)))
+    nq = g.q.ngens
+    us = [data.draw(_vectors(nq)) for _ in range(data.draw(
+        st.integers(0, 3)))]
+    vs = [data.draw(_vectors(nq)) for _ in range(data.draw(
+        st.integers(0, 3)))]
+    for mat in (g.beta, g.lam):
+        terms = _nonzero_terms(mat, nq)
+        cols = {divmod(p, nq) for row in mat for p, x in enumerate(row) if x}
+        assert pair_support(terms, us, vs) == {
+            (i, j) for i, u in enumerate(us) for j, v in enumerate(vs)
+            if any(u[a] and v[b] for a, b in cols)}
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                if (i, j) not in pair_support(terms, us, vs):
+                    assert not any(_dense(mat, u, v))
+
+
 def _former_validate(g: Class2Group):
     """The former `Class2Group._validate`: its pair loop visits every pair
     (i, j)."""
@@ -633,12 +820,19 @@ def _kernel_entries(check):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_hom_kernel_matches_former_body(data):
-    s = data.draw(_unchecked_class2_groups())
-    t = data.draw(_unchecked_class2_groups())
-    images = _elements(data.draw, t, s.q.ngens)
-    cmap = AbMap(s.c, t.c, _matrix(data.draw, t.c.ngens, s.c.ngens),
-                 check=False)
-    f = Class2Hom(s, t, images, cmap, check=False)
+    """The former body built two throwaway groups and a map to take one
+    kernel, and filled the cocycle table over every pair; the kernel's
+    integers are the same.  Homs out of free class-2 groups, whose
+    commutators are nonzero, fill the table's entries."""
+    if data.draw(st.booleans()):
+        f = data.draw(_homs_with_breaks())
+    else:
+        s = data.draw(_unchecked_class2_groups())
+        t = data.draw(_unchecked_class2_groups())
+        images = _elements(data.draw, t, s.q.ngens)
+        cmap = AbMap(s.c, t.c, _matrix(data.draw, t.c.ngens, s.c.ngens),
+                     check=False)
+        f = Class2Hom(s, t, images, cmap, check=False)
     assert _kernel_entries(lambda: hom_kernel(f)) == _kernel_entries(
         lambda: _former_hom_kernel(f))
 
