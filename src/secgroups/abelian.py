@@ -7,7 +7,10 @@ the transposed relations and keeps its certificate (U, U^-1 and the
 diagonal), U and U^-1 as sparse columns; every later membership test
 (element equality, well-definedness of maps) adds the columns of U at the
 vector's nonzero entries and tests each nonzero coordinate against its
-diagonal entry, with no further SNF.
+diagonal entry, with no further SNF.  The same certificate answers
+preimages into the relation lattice (`preimage_lattice`, through
+`intlinalg.certified_preimage`), as a map's held `Solver` answers
+preimages into its image plus the target relations.
 
 `AbMap` is a homomorphism given by its matrix on generators (columns are
 images).  Construction checks well-definedness: every source relation must
@@ -100,6 +103,11 @@ class FinAbGroup:
                 return False
         return True
 
+    def preimage_lattice(self, a, ncols: int) -> list[list[int]]:
+        """Basis of {x : a @ x lies in the relation lattice}, read off the
+        held certificate (`intlinalg.certified_preimage`)."""
+        return la.certified_preimage(self._u, self._moduli, a, ncols)
+
     def divide(self, d: int, vec):
         """One s with d*s == vec modulo the relations, or None.  A zero
         coordinate of U vec divides as 0, so only the nonzero ones are
@@ -165,7 +173,7 @@ class AbMap:
         self.source = source
         self.target = target
         self.matrix = [list(r) for r in matrix]
-        self._solver = None  # built by the first preimage
+        self._solver = None  # built by the first solver()
         if len(self.matrix) != target.ngens or any(
                 len(r) != source.ngens for r in self.matrix):
             raise ValueError("matrix shape must be target.ngens x source.ngens")
@@ -218,9 +226,9 @@ class AbMap:
     def kernel(self):
         """(K, incl) with incl: K -> source an injection onto the kernel."""
         src, tgt = self.source, self.target
-        # a row basis of {x : f(x) in the relation lattice of the target},
+        # a basis of {x : f(x) in the relation lattice of the target},
         # which contains the source relations
-        basis = la.preimage_lattice(self.matrix, src.ngens, tgt.relations)
+        basis = tgt.preimage_lattice(self.matrix, src.ngens)
         k = len(basis)
         bt = la.transpose(basis, src.ngens)  # src.ngens x k, columns = basis
         kgroup = FinAbGroup(k, la.sub_basis_coordinates(bt, k, src.relations))
@@ -248,13 +256,19 @@ class AbMap:
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
-    def preimage(self, y):
-        """One x with f(x) == y, or None."""
-        vec = y.vec if isinstance(y, AbElem) else list(y)
+    def solver(self) -> la.Solver:
+        """The Smith certificate of this map modulo the target relations,
+        built on first use and held: it solves preimages, and its span, the
+        image plus the relations, answers `preimage_lattice`."""
         if self._solver is None:
             self._solver = la.Solver(self.matrix, self.source.ngens,
                                      self.target.relations)
-        sol = self._solver.solve(vec)
+        return self._solver
+
+    def preimage(self, y):
+        """One x with f(x) == y, or None."""
+        vec = y.vec if isinstance(y, AbElem) else list(y)
+        sol = self.solver().solve(vec)
         if sol is None:
             return None
         return AbElem(self.source, sol)

@@ -22,11 +22,15 @@ mostly unit entries, so a step usually costs one short search and the row
 and column operations that clear the pivot's row and column.  A column
 operation touches D only in the rows from the pivot down, and only where
 the multiplier is nonzero, as do the updates of V and U^-1.
-Integer solving, kernels and preimages are small wrappers around it.
+Integer solving and kernels are small wrappers around it.
 A `Solver` keeps the certificate of one system a @ x == b modulo a lattice,
 so repeated solves against one map (preimages, kernel and subgroup
 coordinates) reuse one SNF; `solve` and `solve_mod` are one-shot wrappers
-around it.  `in_lattice` answers membership of any number of vectors in an
+around it.  A lattice preimage {x : a @ x in L} has one rule,
+`certified_preimage`, read off a Smith certificate of L that its owner
+already holds (a `FinAbGroup`'s relation lattice, a `Solver`'s span): one
+`kernel_basis`, whose vectors are already a basis, and no second SNF.
+`in_lattice` answers membership of any number of vectors in an
 ad-hoc set of rows from one `Solver`, so one SNF serves them all (a spans
 test, both directions of `lattices_equal`); a `FinAbGroup` instead keeps
 the Smith certificate of its relation lattice, computed once at
@@ -342,6 +346,13 @@ class Solver:
                 return None
         return column_combination(self._v, y, self.ncols)
 
+    def preimage_lattice(self, a: list[list[int]], ncols: int):
+        """Basis of {x : a @ x lies in the span of the system}, the image of
+        its matrix plus the lattice, read off the held certificate by
+        `certified_preimage`: past the rank, a coordinate must be 0."""
+        moduli = self._diag[:self._rank] + [0] * (self.nrows - self._rank)
+        return certified_preimage(self._u, moduli, a, ncols)
+
 
 def solve(a: list[list[int]], ncols: int, b: list[int]):
     """One integer solution x of a @ x == b, or None."""
@@ -410,15 +421,36 @@ def solve_mod(a: list[list[int]], ncols: int, b: list[int],
     return Solver(a, ncols, lattice_rows).solve(b)
 
 
-def preimage_lattice(a: list[list[int]], ncols: int,
-                     lattice_rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the lattice {x : a @ x lies in the row lattice}."""
-    nrows = len(a)
-    ext = [a[i][:] + [-lattice_rows[k][i] for k in range(len(lattice_rows))]
-           for i in range(nrows)]
-    ker = kernel_basis(ext, ncols + len(lattice_rows))
-    xs = [k[:ncols] for k in ker]
-    return row_basis(xs, ncols)
+def certified_preimage(u_cols, moduli: list[int], a: list[list[int]],
+                       ncols: int) -> list[list[int]]:
+    """Basis of the lattice {x : a @ x lies in L}, for a lattice L given by
+    a Smith certificate: U unimodular, held as sparse columns, and moduli
+    with v in L exactly when (U v)_i is 0 modulo moduli[i] (0 = exactly 0).
+
+    Rows of U a of modulus 1 never refuse and are dropped; a row of modulus
+    m > 1 gets one column m e_i, so x lies in the preimage exactly when
+    (x, y) lies in the kernel of that matrix for some y.  Its m e_i columns
+    are independent, so y is fixed by x: the kernel projects injectively
+    onto its x coordinates, and one `kernel_basis` gives a basis."""
+    if not ncols:
+        return []
+    kept = [i for i, m in enumerate(moduli) if m != 1]
+    pos = {i: p for p, i in enumerate(kept)}  # row of U a -> row here
+    mods = [(p, moduli[i]) for p, i in enumerate(kept) if moduli[i]]
+    rows = [[0] * (ncols + len(mods)) for _ in pos]
+    js = range(ncols)
+    for k, ak in enumerate(a):
+        nz = [(j, ak[j]) for j in compress(js, ak)]
+        if nz:
+            for i, x in u_cols[k]:
+                p = pos.get(i)
+                if p is not None:
+                    row = rows[p]
+                    for j, y in nz:
+                        row[j] += x * y
+    for c, (p, m) in enumerate(mods):
+        rows[p][ncols + c] = m
+    return [k[:ncols] for k in kernel_basis(rows, ncols + len(mods))]
 
 
 def lattices_equal(rows_a: list[list[int]], rows_b: list[list[int]],

@@ -54,7 +54,14 @@ fails to descend raises `QuotientError` instead of silently answering.
 `hom_kernel` and `hom_cokernel` build their pair on the first call for a
 hom and hold it there, so every later call for the same hom returns it.
 The kernel's Q relations are the source's relations written exactly in
-the kernel basis (`intlinalg.sub_basis_coordinates`).
+the kernel basis (`intlinalg.sub_basis_coordinates`).  Its lattice steps
+are preimages read off certificates already held, so the basis they give
+is whatever the certificate gives; the lifts of that basis are twisted by
+central elements until they multiply out to 1 over each of those
+relations, and a kernel whose lifts admit no such twist (it would need a
+cocycle term the ordered-product cocycle drops) is refused with
+`QuotientError`.  `underlying_ab` of a group with no central layer is its
+Q layer itself.
 
 `level_gamma` gives the level quadratic functor of a group with its
 inclusion into the level tensor square, and `exact_sequence_report`
@@ -249,8 +256,11 @@ class Class2Group:
 
         Generators: the Q generators followed by the C generators.  Each Q
         relation r picks up the central defect of the ordered product for r.
-        Built on the first call and held on the group.
+        Built on the first call and held on the group; a group with no
+        central layer is its Q layer, and that group is returned.
         """
+        if not self.c.ngens:
+            return self.q
         if self._underlying_ab is None:
             if not self.is_abelian():
                 raise ValueError("underlying_ab needs an abelian group")
@@ -602,11 +612,16 @@ class Class2Hom:
             if not t.c.contains_in_lattice(obstruction):
                 raise ValueError(
                     "not multiplicative on generators %d,%d" % (i, j))
-        # representative independence across the Q relations
+        # representative independence across the Q relations: the ordered
+        # product for r and the central element of its collected defect
+        # have one image, i.e. out = prod of the images^r is central with
+        # central part cmap(collect_s(r)) modulo the target relations
         for r in s.q.relations:
-            rep = s.ordered_product_element(r)
-            alt = s.central(s.collect_central(r))
-            if self.eval(rep) != self.eval(alt):
+            out = t.power_product(self.gen_images, r)
+            if not (t.q.contains_in_lattice(out.qvec)
+                    and t.c.contains_in_lattice(la.vec_sub(
+                        out.cvec, la.mat_vec(self.cmap.matrix,
+                                             s.collect_central(r))))):
                 raise ValueError("hom disagrees on relation representatives")
 
     # -- algebra -----------------------------------------------------------------
@@ -725,7 +740,7 @@ class Subgroup:
         # relation lattice of Q contribute their central parts
         if self.gens:
             qmat = la.transpose(qparts, nq)  # nq x ngen
-            combos = la.preimage_lattice(qmat, len(self.gens), g.q.relations)
+            combos = g.q.preimage_lattice(qmat, len(self.gens))
             for m in combos:
                 central.append(g.power_product(self.gens, m).cvec)
         self.c_rows = la.row_basis(central, nc)
@@ -810,24 +825,35 @@ def hom_kernel(f: Class2Hom):
     """(kernel group, inclusion hom), computed layer by layer on the first
     call and held on f.
 
-    The kernel's cocycle table sends only the nonzero commutators of the
-    kernel basis (over `pair_support`) to central coordinates: a zero one
-    has the zero coordinates the table starts with, as `la.Solver` solves
-    0 by 0, so no preimage solver is built when every commutator vanishes."""
+    Both lattice steps are preimages read off a Smith certificate already
+    held: the Q directions off the target's Q relations, and the killable
+    ones off the solver of the central-layer map, whose span is its image
+    plus the target's C relations.  The kernel's cocycle table sends only
+    the nonzero commutators of the kernel basis (over `pair_support`) to
+    central coordinates: a zero one has the zero coordinates the table
+    starts with, as `la.Solver` solves 0 by 0, so no preimage solver is
+    built when every commutator vanishes.
+
+    The lifts of a basis need not multiply out to 1 over a source relation
+    r written in that basis: the product of the lifts to the powers r is a
+    central element w_r of the kernel's C layer.  The lifts are twisted by
+    central elements T e_i with T r == -w_r for every r
+    (`_projection_twist`); where no T exists the kernel needs a cocycle
+    term that the ordered-product cocycle does not have, and the kernel is
+    refused with `QuotientError`."""
     if f._kernel is not None:
         return f._kernel
     s, t = f.source, f.target
-    nqs, ncs = s.q.ngens, s.c.ngens
+    nqs = s.q.ngens
     a = f.q_matrix()
     # central layer: kernel of cmap
     ck, cincl = f.cmap.kernel()
     # Q directions whose central defect is killable through cmap: z is
     # linear modulo (im cmap + target C relations)
-    s_lat = la.preimage_lattice(a, nqs, t.q.relations)
+    s_lat = t.q.preimage_lattice(a, nqs)
     zvals = [t.power_product(f.gen_images, u).cvec for u in s_lat]
-    zker = la.preimage_lattice(la.transpose(zvals, t.c.ngens), len(s_lat),
-                               t.c.relations
-                               + la.transpose(f.cmap.matrix, ncs))
+    zker = f.cmap.solver().preimage_lattice(
+        la.transpose(zvals, t.c.ngens), len(s_lat)) if s_lat else []
     s_mat = la.transpose(s_lat, nqs)
     u_vectors = [la.mat_vec(s_mat, z) for z in zker]
     # central lifts
@@ -857,9 +883,40 @@ def hom_kernel(f: Class2Hom):
                 # ordered-product cocycle: only sorting costs survive
                 betak[r][i * nk + j] = lc.vec[r]
     kgroup = Class2Group(qk, ck, lamk, betak, check=False)
+    kelems = _twist_lifts(kgroup, s, kelems, cincl)
     incl = Class2Hom(kgroup, s, kelems, AbMap(ck, s.c, cincl.matrix, check=False))
     f._kernel = kgroup, incl
     return f._kernel
+
+
+def _twist_lifts(kgroup: Class2Group, s: Class2Group, kelems, cincl: AbMap):
+    """The lifts times central elements cincl(T e_i), with T r == -w_r for
+    each Q relation r of the kernel, where cincl(w_r) is the central defect
+    of the lifts over r: the central part of their product to the powers
+    r.  (The kernel's cocycle is zero on and above the diagonal, so the
+    ordered product for r collects no central part in the kernel.)  A
+    defect in the source's C relations has w_r = 0, and the lifts are
+    returned as they are when every w_r is."""
+    ws = []
+    for r in kgroup.q.relations:
+        defect = s.power_product(kelems, r).cvec
+        if s.c.contains_in_lattice(defect):
+            ws.append([0] * kgroup.c.ngens)
+            continue
+        w = cincl.preimage(defect)
+        if w is None:
+            raise QuotientError("relation defect of the kernel lifts lies "
+                                "outside the kernel's central layer")
+        ws.append(w.vec)
+    if not any(map(any, ws)):
+        return kelems
+    tw = _projection_twist(kgroup.q.relations, ws, kgroup.q.ngens, kgroup.c)
+    if tw is None:
+        raise QuotientError("kernel lifts admit no central twist; the kernel "
+                            "needs a cocycle term the ordered-product "
+                            "cocycle drops")
+    return [s.element(x.qvec, la.vec_add(x.cvec, la.mat_vec(
+        cincl.matrix, [row[i] for row in tw]))) for i, x in enumerate(kelems)]
 
 
 # ---------------------------------------------------------------------------

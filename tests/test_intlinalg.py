@@ -14,6 +14,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from secgroups import intlinalg as la
+from secgroups.abelian import FinAbGroup
 
 
 def _random_matrix(rng, rows, cols, bound=6):
@@ -84,13 +85,91 @@ def test_lattice_membership_and_equality():
                              la.row_basis(other, 2), 2)
 
 
+def _former_preimage_lattice(a, ncols, lattice_rows):
+    """The two-SNF preimage that `certified_preimage` replaced, the oracle:
+    a kernel basis of [a | -lattice^T] cut to its x coordinates, then a row
+    basis of those."""
+    ext = [a[i][:] + [-r[i] for r in lattice_rows] for i in range(len(a))]
+    ker = la.kernel_basis(ext, ncols + len(lattice_rows))
+    return la.row_basis([k[:ncols] for k in ker], ncols)
+
+
+def _rank(rows, ncols):
+    _, d, _, _, _ = la.smith_normal_form(rows, ncols, keep=())
+    return sum(1 for x in la.diagonal(d, ncols) if x)
+
+
+def _assert_preimage_basis(pre, a, ncols, lattice_rows):
+    """pre spans the oracle's lattice, has its rank as length, and its
+    vectors are independent."""
+    oracle = _former_preimage_lattice(a, ncols, lattice_rows)
+    assert all(len(x) == ncols for x in pre)
+    assert la.lattices_equal(pre, oracle, ncols)
+    assert len(pre) == len(oracle) == _rank(pre, ncols)
+
+
 def test_preimage_lattice():
-    a = [[2, 0], [0, 1]]
-    target = [[4, 0], [0, 5]]
-    pre = la.preimage_lattice(a, 2, target)
-    for row in pre:
-        img = la.mat_vec(a, row)
-        assert la.in_lattice(target, 2, img)
+    """Moduli 0, 1 and 4 by hand (U the identity): coordinate 0 must vanish,
+    coordinate 1 is free, coordinate 2 is taken modulo 4."""
+    a = [[1, 1, 0], [5, 0, 3], [2, 0, 0]]
+    pre = la.certified_preimage(la.sparse_columns(la.identity(3), 3),
+                                [0, 1, 4], a, 3)
+    _assert_preimage_basis(pre, a, 3, [[0, 1, 0], [0, 0, 4]])
+    assert la.certified_preimage([], [], [], 2) == [[1, 0], [0, 1]]
+    assert la.certified_preimage([[(0, 1)]], [3], [[]], 0) == []
+
+
+_PRE_VALUES = [1, -1, 2, -2, 3]
+
+
+@st.composite
+def _preimage_cases(draw):
+    """(a, ncols, lattice rows): a map on 0-5 coordinates, some of its
+    columns zero, into a lattice on 0-5 coordinates: diagonal with moduli
+    0, 1 and > 1, none (a group without relations), or general rows.
+    Matrices are sparse, a quarter of the cells or fewer nonzero: on dense
+    4 x 4 draws with entries -3..3 the oracle's row basis lets entries grow
+    to hundreds of digits (the dense SNF's blow-up, ROADMAP item 6), and
+    comparing such a basis takes seconds, while the certified rule's
+    vectors stay small."""
+    n, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    a = _sparse_matrix(draw, n, ncols, _PRE_VALUES, n * ncols // 4 + 1)
+    for j in draw(st.sets(st.integers(0, ncols - 1))) if ncols else ():
+        for row in a:
+            row[j] = 0
+    kind = draw(st.sampled_from(["diagonal", "none", "general"]))
+    if kind == "diagonal":
+        mods = draw(st.lists(st.sampled_from([0, 1, 1, 2, 3, 4, 6]),
+                             min_size=n, max_size=n))
+        lat = [[m * (i == j) for j in range(n)] for i, m in enumerate(mods)]
+    elif kind == "none":
+        lat = []
+    else:
+        nlat = draw(st.integers(0, 4))
+        lat = _sparse_matrix(draw, nlat, n, _PRE_VALUES, nlat * n // 4 + 1)
+    return a, ncols, lat
+
+
+@given(_preimage_cases())
+@settings(max_examples=300, deadline=None)
+def test_group_preimage_matches_two_snf_oracle(case):
+    a, ncols, lat = case
+    g = FinAbGroup(len(a), lat)
+    _assert_preimage_basis(g.preimage_lattice(a, ncols), a, ncols, lat)
+
+
+@given(_preimage_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_solver_preimage_matches_two_snf_oracle(case, data):
+    """A solver's lattice is the span of its matrix's columns and its
+    lattice rows, the central lattice `hom_kernel` preimages into."""
+    a, ncols, lat = case
+    n = len(a)
+    m = data.draw(st.integers(0, 3))
+    b = _sparse_matrix(data.draw, n, m, _PRE_VALUES, n * m // 4 + 1)
+    solver = la.Solver(b, m, lat)
+    _assert_preimage_basis(solver.preimage_lattice(a, ncols), a, ncols,
+                           la.transpose(b, m) + lat)
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
