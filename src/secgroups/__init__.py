@@ -17,9 +17,9 @@ Layers:
 - `serialization`, `cli`: the text format and the command line.
 """
 
-from .abelian import AbElem, AbMap, FinAbGroup, GammaGroup, TensorSquare, \
-    gamma, gamma_map, reduced_tensor_square, tensor_square, \
-    tensor_square_map, tensor_square_relations, tensor_z2
+from .abelian import AbElem, AbMap, FinAbGroup, gamma, gamma_map, \
+    reduced_tensor_square, tensor_square, tensor_square_map, \
+    tensor_square_relations, tensor_z2
 from .coset import DEFAULT_CAP, EnumerationCapExceeded, \
     FinitelyPresentedGroup
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeBaseHom,

@@ -17,10 +17,13 @@ images).  Construction checks well-definedness: every source relation must
 land in the target relation lattice.  Kernels and cokernels come back as
 new groups together with the inclusion / projection map.
 
-The quadratic functors live here too: tensor square with its swap
-involution, the reduced tensor square (cokernel of 1 + swap), the quadratic
-functor built from a presentation (with its natural map into the tensor
-square), and the mod-2 variants used at levels three and up.
+The quadratic functors live here too, each a plain `FinAbGroup` on a
+documented basis: the tensor square (e_i (x) e_j at index i*n + j), the
+reduced tensor square (the tensor square modulo x (x) y + y (x) x, with its
+projection from the plain one), Whitehead's quadratic functor built from a
+presentation (gamma(e_i), then [e_i, e_j] for i < j, with the matrix of
+its natural map into the tensor square), and A (x) Z/2, used at levels
+three and up.
 """
 
 from __future__ import annotations
@@ -335,45 +338,37 @@ def tensor_square_relations(a: FinAbGroup) -> list[list[int]]:
     return rows
 
 
-class TensorSquare:
-    """Tensor square of a presented group, basis (i, j) lexicographic."""
-
-    def __init__(self, base: FinAbGroup):
-        n = base.ngens
-        self.base = base
-        self.group = FinAbGroup(n * n, tensor_square_relations(base))
-        swap = la.zeros(n * n, n * n)
-        for i in range(n):
-            for j in range(n):
-                swap[j * n + i][i * n + j] = 1
-        self.swap = AbMap(self.group, self.group, swap, check=False)
-
-    def pure(self, u, v) -> AbElem:
-        """u (x) v for coefficient vectors or AbElems of the base."""
-        uv = u.vec if isinstance(u, AbElem) else list(u)
-        vv = v.vec if isinstance(v, AbElem) else list(v)
-        return self.group.element(la.kron(uv, vv))
-
-    def index(self, i: int, j: int) -> int:
-        return i * self.base.ngens + j
+def tensor_square(a: FinAbGroup) -> FinAbGroup:
+    """The tensor square of a presented group on n generators: Z^(n*n),
+    e_i (x) e_j at index i*n + j, modulo `tensor_square_relations(a)`.
+    The swap x (x) y -> y (x) x permutes that basis, (i, j) to (j, i)."""
+    n = a.ngens
+    return FinAbGroup(n * n, tensor_square_relations(a))
 
 
-def tensor_square(a: FinAbGroup) -> TensorSquare:
-    return TensorSquare(a)
-
-
-def tensor_square_map(f: AbMap, ts_src: TensorSquare, ts_tgt: TensorSquare) -> AbMap:
+def tensor_square_map(f: AbMap, sq_src: FinAbGroup,
+                      sq_tgt: FinAbGroup) -> AbMap:
+    """f (x) f, the Kronecker square of f's matrix, between the tensor
+    squares of f's source and target, or any groups on their basis."""
     n_s, n_t = f.source.ngens, f.target.ngens
     m = la.kron_matrix(f.matrix, n_t, n_s, f.matrix, n_t, n_s)
-    return AbMap(ts_src.group, ts_tgt.group, m, check=False)
+    return AbMap(sq_src, sq_tgt, m, check=False)
 
 
 def reduced_tensor_square(a: FinAbGroup):
-    """(group, sigma: tensor square -> reduced, ts) killing x(x)y + y(x)x."""
-    ts = tensor_square(a)
-    one_plus_t = identity_map(ts.group) + ts.swap
-    grp, proj = one_plus_t.cokernel()
-    return grp, proj, ts
+    """(group, sigma) killing x (x) y + y (x) x: the tensor square's
+    relations, then e_{i*n+j} + e_{j*n+i} for every (i, j) in row-major
+    order, duplicates kept (the columns of 1 + swap); sigma is the
+    identity matrix out of the plain tensor square, `sigma.source`."""
+    sq = tensor_square(a)
+    n = a.ngens
+    sym = la.zeros(n * n, n * n)
+    for i in range(n):
+        for j in range(n):
+            sym[i * n + j][i * n + j] += 1
+            sym[i * n + j][j * n + i] += 1
+    grp = FinAbGroup(n * n, sq.relations + sym)
+    return grp, AbMap(sq, grp, la.identity(n * n), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -418,73 +413,60 @@ def _gamma_cross(u: list[int], v: list[int], k: int, idx) -> list[int]:
     return out
 
 
-class GammaGroup:
-    """Whitehead's quadratic functor computed from a presentation."""
-
-    def __init__(self, base: FinAbGroup):
-        k = base.ngens
-        idx = _gamma_pair_index(k)
-        rels = []
-        for r in base.relations:
-            rels.append(_gamma_expand(r, k, idx))
-            for j in range(k):
-                ej = [0] * k
-                ej[j] = 1
-                rels.append(_gamma_cross(r, ej, k, idx))
-        self.base = base
-        self.k = k
-        self.pair_index = idx
-        self.group = FinAbGroup(_gamma_basis_size(k), rels)
-
-    def gamma_of(self, v) -> AbElem:
-        vec = v.vec if isinstance(v, AbElem) else list(v)
-        return self.group.element(_gamma_expand(vec, self.k, self.pair_index))
-
-    def cross_of(self, u, v) -> AbElem:
-        uv = u.vec if isinstance(u, AbElem) else list(u)
-        vv = v.vec if isinstance(v, AbElem) else list(v)
-        return self.group.element(_gamma_cross(uv, vv, self.k, self.pair_index))
-
-    def into_tensor_square(self, ts: TensorSquare) -> AbMap:
-        """Natural injection-candidate gamma(x) -> x (x) x."""
-        k = self.k
-        m = la.zeros(k * k, self.group.ngens)
-        for i in range(k):
-            m[ts.index(i, i)][i] = 1
-        for (i, j), p in self.pair_index.items():
-            m[ts.index(i, j)][p] = 1
-            m[ts.index(j, i)][p] = 1
-        return AbMap(self.group, ts.group, m)
+def gamma(a: FinAbGroup) -> FinAbGroup:
+    """Whitehead's quadratic functor of a presented group on k generators,
+    on the basis of `_gamma_pair_index`: gamma(r) and [r, e_j] for every
+    relation r and generator j, in that order."""
+    k = a.ngens
+    idx = _gamma_pair_index(k)
+    rels = []
+    for r in a.relations:
+        rels.append(_gamma_expand(r, k, idx))
+        for j in range(k):
+            ej = [0] * k
+            ej[j] = 1
+            rels.append(_gamma_cross(r, ej, k, idx))
+    return FinAbGroup(_gamma_basis_size(k), rels)
 
 
-def gamma(a: FinAbGroup) -> GammaGroup:
-    return GammaGroup(a)
+def gamma_into_tensor_square(k: int) -> list[list[int]]:
+    """The matrix of gamma(x) -> x (x) x on k generators: gamma(e_i) to
+    e_i (x) e_i, [e_i, e_j] to e_i (x) e_j + e_j (x) e_i."""
+    m = la.zeros(k * k, _gamma_basis_size(k))
+    for i in range(k):
+        m[i * k + i][i] = 1
+    for (i, j), p in _gamma_pair_index(k).items():
+        m[i * k + j][p] = 1
+        m[j * k + i][p] = 1
+    return m
 
 
-def gamma_map(f: AbMap, g_src: GammaGroup, g_tgt: GammaGroup) -> AbMap:
-    """Functoriality of the quadratic functor on presented groups."""
+def gamma_map(f: AbMap, g_src: FinAbGroup, g_tgt: FinAbGroup) -> AbMap:
+    """Functoriality of the quadratic functor: gamma(f) between the groups
+    `gamma` gives f's source and target."""
+    k_s, k_t = f.source.ngens, f.target.ngens
+    idx_t = _gamma_pair_index(k_t)
     cols = []
-    for i in range(g_src.k):
-        img = [f.matrix[r][i] for r in range(g_tgt.k)]
-        cols.append(_gamma_expand(img, g_tgt.k, g_tgt.pair_index))
-    for (i, j), _ in sorted(g_src.pair_index.items(), key=lambda t: t[1]):
-        u = [f.matrix[r][i] for r in range(g_tgt.k)]
-        v = [f.matrix[r][j] for r in range(g_tgt.k)]
-        cols.append(_gamma_cross(u, v, g_tgt.k, g_tgt.pair_index))
-    m = la.transpose(cols, g_tgt.group.ngens)
-    return AbMap(g_src.group, g_tgt.group, m)
+    for i in range(k_s):
+        img = [f.matrix[r][i] for r in range(k_t)]
+        cols.append(_gamma_expand(img, k_t, idx_t))
+    for i, j in _gamma_pair_index(k_s):
+        u = [f.matrix[r][i] for r in range(k_t)]
+        v = [f.matrix[r][j] for r in range(k_t)]
+        cols.append(_gamma_cross(u, v, k_t, idx_t))
+    m = la.transpose(cols, g_tgt.ngens)
+    return AbMap(g_src, g_tgt, m)
 
 
 # ---------------------------------------------------------------------------
 # mod-2 variants used at level >= 3
 # ---------------------------------------------------------------------------
 
-def tensor_z2(a: FinAbGroup):
-    """(A tensor Z/2, natural projection from A)."""
+def tensor_z2(a: FinAbGroup) -> FinAbGroup:
+    """A (x) Z/2 on A's generators: A's relations, then 2 e_i for each i."""
     rels = list(a.relations)
     for i in range(a.ngens):
         r = [0] * a.ngens
         r[i] = 2
         rels.append(r)
-    g = FinAbGroup(a.ngens, rels)
-    return g, AbMap(a, g, la.identity(a.ngens), check=False)
+    return FinAbGroup(a.ngens, rels)

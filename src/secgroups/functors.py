@@ -264,8 +264,7 @@ def ad2(x: CrossedModule):
     n_nil, to_nil = x.base.nilization()
     base_gens = [x.base.generator(i) for i in range(len(x.base.gen_names))]
     coords = AbCoords(n_nil)
-    ts = tensor_square(coords.group)
-    t_ab = ts.group
+    t_ab = tensor_square(coords.group)
     t_c2 = abelian_as_class2(t_ab)
     prod, embed = product_group(x.m, t_c2)
     na = coords.group.ngens

@@ -25,8 +25,8 @@ the multiplier is nonzero, as do the updates of V and U^-1.
 Integer solving and kernels are small wrappers around it.
 A `Solver` keeps the certificate of one system a @ x == b modulo a lattice,
 so repeated solves against one map (preimages, kernel and subgroup
-coordinates) reuse one SNF; `solve` and `solve_mod` are one-shot wrappers
-around it.  A lattice preimage {x : a @ x in L} has one rule,
+coordinates) reuse one SNF; `solve_mod` is a one-shot wrapper around
+it.  A lattice preimage {x : a @ x in L} has one rule,
 `certified_preimage`, read off a Smith certificate of L that its owner
 already holds (a `FinAbGroup`'s relation lattice, a `Solver`'s span): one
 `kernel_basis`, whose vectors are already a basis, and no second SNF.
@@ -352,11 +352,6 @@ class Solver:
         `certified_preimage`: past the rank, a coordinate must be 0."""
         moduli = self._diag[:self._rank] + [0] * (self.nrows - self._rank)
         return certified_preimage(self._u, moduli, a, ncols)
-
-
-def solve(a: list[list[int]], ncols: int, b: list[int]):
-    """One integer solution x of a @ x == b, or None."""
-    return Solver(a, ncols).solve(b)
 
 
 def sub_basis_coordinates(basis_cols: list[list[int]], k: int,

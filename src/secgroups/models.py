@@ -37,7 +37,7 @@ def wedge_model(n: int, points: PointedSet):
         return CrossedModule(m, base, bnd, GroupAction.trivial(base, m))
     ngroup = free_nil(points)
     k = ngroup.q.ngens
-    lts, bmap, from_plain, ts = boundary_map(n, ngroup)
+    lts, bmap, _, _ = boundary_map(n, ngroup)
     names = ["%s*%s" % (ngroup.gen_names[i], ngroup.gen_names[j])
              for i in range(k) for j in range(k)]
     m = abelian_as_class2(lts, names)
@@ -80,7 +80,9 @@ def k_invariant(x) -> KInvariant:
     projection, pushed through the tensor inclusion and the pairing, and
     read off in kernel coordinates.  Well-definedness of the lift choice is
     certified: every kernel generator of the lifted functor map must land on
-    zero.  Construction fails loudly if h0 is not abelian.
+    zero.  Construction fails loudly if h0 is not abelian.  The quadratic
+    functor of the coordinate group is built once, by `level_gamma`, and
+    the functor map starts from that group.
     """
     n = x.level
     if n < 2:
@@ -101,10 +103,10 @@ def k_invariant(x) -> KInvariant:
     cols = [list(img.qvec) + list(img.cvec)
             for img in (proj.eval(b) for b in coords.basis)]
     qmatrix = la.transpose(cols, h_ab.ngens)
-    gq = level_gamma_map(n, AbMap(coords.group, h_ab, qmatrix))
     # the level tensor square keeps the plain basis the pairing reads
-    _, inc = level_gamma(n, coords.group)
-    src_group, gamma_h = gq.source, gq.target
+    src_group, inc = level_gamma(n, coords.group)
+    gq = level_gamma_map(n, AbMap(coords.group, h_ab, qmatrix), src_group)
+    gamma_h = gq.target
 
     def push(vec) -> list[int]:
         tvec = la.mat_vec(inc.matrix, vec)

@@ -74,9 +74,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import intlinalg as la
-from .abelian import (AbMap, FinAbGroup, exact, gamma, gamma_map,
-                      identity_map, reduced_tensor_square, tensor_square,
-                      tensor_z2, zero_map)
+from .abelian import (AbMap, FinAbGroup, exact, gamma,
+                      gamma_into_tensor_square, gamma_map, identity_map,
+                      reduced_tensor_square, tensor_square, tensor_z2,
+                      zero_map)
 from .words import PointedSet, Word
 
 
@@ -971,47 +972,51 @@ def hom_from_words(source: Class2Group, target: Class2Group,
 # ---------------------------------------------------------------------------
 
 def level_tensor_square(n: int, a: FinAbGroup):
-    """(group, map from the plain tensor square, ts) for level n >= 2."""
-    ts = tensor_square(a)
+    """(group, from_plain) for level n >= 2: the tensor square at level 2,
+    the reduced tensor square above, and the map from the plain tensor
+    square, which is `from_plain.source`.  Both keep the plain basis, e_i
+    (x) e_j at index i*n + j, so from_plain is the identity matrix."""
     if n == 2:
-        return ts.group, identity_map(ts.group), ts
-    grp, proj, _ = reduced_tensor_square(a)
-    return grp, proj, ts
+        sq = tensor_square(a)
+        return sq, identity_map(sq)
+    return reduced_tensor_square(a)
 
 
 def level_gamma(n: int, a: FinAbGroup):
-    """(group, inclusion-candidate into the level tensor square)."""
-    lts, _, ts = level_tensor_square(n, a)
+    """(group, inclusion-candidate into the level tensor square): gamma(a)
+    at level 2, a (x) Z/2 above, sent to the diagonal x (x) x."""
+    lts, _ = level_tensor_square(n, a)
+    m = gamma_into_tensor_square(a.ngens)
     if n == 2:
-        gm = gamma(a)
-        return gm.group, gm.into_tensor_square(ts)
-    g2, _ = tensor_z2(a)
-    m = la.zeros(lts.ngens, a.ngens)
-    for i in range(a.ngens):
-        m[ts.index(i, i)][i] = 1
-    return g2, AbMap(g2, lts, m)
+        g = gamma(a)
+        return g, AbMap(g, lts, m)
+    # e_i (x) 1 goes where gamma(e_i) goes: the first ngens columns
+    g2 = tensor_z2(a)
+    return g2, AbMap(g2, lts, [row[:a.ngens] for row in m])
 
 
-def level_gamma_map(n: int, f: AbMap) -> AbMap:
-    """The level quadratic functor on a map f: A -> B, between the groups
-    `level_gamma` gives A and B: gamma(f) at level 2, f (x) Z/2 above."""
+def level_gamma_map(n: int, f: AbMap, source: FinAbGroup) -> AbMap:
+    """The level quadratic functor on a map f: A -> B, out of `source`, the
+    group `level_gamma` gave for A, which the caller holds, into the one
+    it gives for B: gamma(f) at level 2, f (x) Z/2 above."""
     if n == 2:
-        return gamma_map(f, gamma(f.source), gamma(f.target))
-    return AbMap(tensor_z2(f.source)[0], tensor_z2(f.target)[0], f.matrix)
+        return gamma_map(f, source, gamma(f.target))
+    return AbMap(source, tensor_z2(f.target), f.matrix)
 
 
 def boundary_map(n: int, free_group: Class2Group):
     """The level-n boundary from the tensor-square group into free_nil.
 
     Returns (level tensor square group, AbMap into the central layer,
-    plain-to-level projection, plain TensorSquare).  On pure tensors the
-    composite with the central inclusion sends x (x) y to [x, y].
+    plain-to-level projection, plain tensor square group).  The fourth slot
+    is `from_plain.source`, kept so that callers unpacking four values keep
+    working.  On pure tensors the composite with the central inclusion
+    sends x (x) y to [x, y].
     """
-    a = free_group.q
-    lts, from_plain, ts = level_tensor_square(n, a)
+    lts, from_plain = level_tensor_square(n, free_group.q)
     # at n >= 3 lam kills 1 + swap, so the same matrix drives the reduced square
     bmap = AbMap(lts, free_group.c, [row[:] for row in free_group.lam])
-    return lts, bmap, from_plain, ts
+    return lts, bmap, from_plain, from_plain.source
 
 
 def exact_sequence_report(n: int, points: PointedSet) -> dict:

@@ -30,8 +30,7 @@ quadratic-module axioms require, is what makes the rule the quadratic one.
 from __future__ import annotations
 
 from . import intlinalg as la
-from .abelian import (AbMap, FinAbGroup, tensor_square, tensor_square_map,
-                      zero_map)
+from .abelian import AbMap, FinAbGroup, tensor_square_map, zero_map
 from .crossed import CrossMorphism
 from .nil2 import Class2Elem, Class2Hom, boundary_map, hom_from_values
 from .words import Word
@@ -51,8 +50,7 @@ class HopfTrack:
         self.src = src
         self.tgt = tgt
         self.alpha = alpha
-        self.lts, self.bmap, self.from_plain, self.ts = boundary_map(
-            n, src.target)
+        self.lts, self.bmap, self.from_plain, _ = boundary_map(n, src.target)
         if check:
             self.validate()
 
@@ -129,6 +127,8 @@ def vcomp(second: HopfTrack, first: HopfTrack) -> HopfTrack:
 def whisker_right(track: HopfTrack, k: Class2Hom) -> HopfTrack:
     """Precompose a track with a map k into its source letters: the measure
     is pulled back along the abelianization of k."""
+    if k.target is not track.src.source:
+        raise ValueError("the map does not land in the track's source group")
     kab = k.q_map()
     alpha = AbMap(FinAbGroup(k.source.q.ngens), track.lts,
                   la.mat_mul(track.alpha.matrix, kab.matrix), check=False)
@@ -138,13 +138,17 @@ def whisker_right(track: HopfTrack, k: Class2Hom) -> HopfTrack:
 
 def whisker_left(h: Class2Hom, track: HopfTrack) -> HopfTrack:
     """Postcompose a track with a map h out of its target letters: the
-    measure is pushed forward along the tensor square of h."""
-    hab = h.q_map()
-    tmap = tensor_square_map(hab, tensor_square(h.source.q),
-                             tensor_square(h.target.q))
+    measure is pushed forward along the tensor square of h, the Kronecker
+    square of its abelianization, from the track's level square into the
+    one on h's target letters."""
+    if h.source is not track.src.target:
+        raise ValueError("the map does not start at the track's target group")
     n = track.n
-    # the same matrix drives the symmetrized quotient at levels >= 3
-    alpha = AbMap(track.alpha.source, boundary_map(n, h.target)[0],
+    lts = boundary_map(n, h.target)[0]
+    # the level squares keep the plain basis, so the same matrix drives the
+    # symmetrized quotients at levels >= 3
+    tmap = tensor_square_map(h.q_map(), track.lts, lts)
+    alpha = AbMap(track.alpha.source, lts,
                   la.mat_mul(tmap.matrix, track.alpha.matrix), check=False)
     return HopfTrack(n, h.compose(track.src), h.compose(track.tgt), alpha)
 
@@ -276,6 +280,9 @@ def vcomp2(second: TwoMorphism, first: TwoMorphism) -> TwoMorphism:
 
 def whisker_right2(alpha: TwoMorphism, k: CrossMorphism) -> TwoMorphism:
     """alpha whiskered by k: w -> x on the source side."""
+    if k.tgt is not alpha.x:
+        raise ValueError("the morphism does not land in the 2-morphism's "
+                         "source module")
     base_w = k.src.base
     vals = [alpha.eval(k.f0.eval(base_w.generator(i)))
             for i in range(base_w.q.ngens)]
@@ -286,6 +293,9 @@ def whisker_right2(alpha: TwoMorphism, k: CrossMorphism) -> TwoMorphism:
 
 def whisker_left2(h: CrossMorphism, alpha: TwoMorphism) -> TwoMorphism:
     """alpha whiskered by h: y -> z on the target side."""
+    if h.src is not alpha.y:
+        raise ValueError("the morphism does not start at the 2-morphism's "
+                         "target module")
     vals = [h.f1.eval(v) for v in alpha.values]
     hf = CrossMorphism(alpha.x, h.tgt, h.f1.compose(alpha.f.f1),
                        h.f0.compose(alpha.f.f0), check=False)

@@ -65,10 +65,26 @@ def test_direct_sum_projections():
     assert pb(ia(x)) == b.zero()
 
 
+def _swap_matrix(n):
+    """x (x) y -> y (x) x on the basis e_i (x) e_j at index i*n + j."""
+    m = la.zeros(n * n, n * n)
+    for i in range(n):
+        for j in range(n):
+            m[j * n + i][i * n + j] = 1
+    return m
+
+
+def _pure(u, v):
+    """u (x) v in the tensor square's basis."""
+    return la.kron(u, v)
+
+
 def test_tensor_square_swap_is_involution():
     a = FinAbGroup(2, [[2, 0]])
-    ts = tensor_square(a)
-    assert ts.swap.compose(ts.swap) == identity_map(ts.group)
+    sq = tensor_square(a)
+    swap = AbMap(sq, sq, _swap_matrix(2))  # well defined on the square
+    assert swap.compose(swap) == identity_map(sq)
+    assert swap(_pure([1, 2], [3, 0])) == sq.element(_pure([3, 0], [1, 2]))
 
 
 def test_tensor_square_relations_are_the_group_relations_in_order():
@@ -77,7 +93,7 @@ def test_tensor_square_relations_are_the_group_relations_in_order():
     assert tensor_square_relations(a) == [[2, 0, 0, 0], [2, 0, 0, 0],
                                           [0, 2, 0, 0], [0, 0, 2, 0]]
     b = FinAbGroup(3, [[1, 2, 0], [0, 3, -1]])
-    assert tensor_square(b).group.relations == tensor_square_relations(b)
+    assert tensor_square(b).relations == tensor_square_relations(b)
     assert tensor_square_relations(FinAbGroup(2)) == []
 
 
@@ -86,13 +102,12 @@ def test_tensor_square_functorial():
     f = AbMap(a, b, [[1, 1], [0, 1]])
     tf = tensor_square_map(f, tensor_square(a), tensor_square(b))
     rng = random.Random(0)
-    ta = tensor_square(a)
     for _ in range(20):
         u = [rng.randint(-3, 3) for _ in range(2)]
         v = [rng.randint(-3, 3) for _ in range(2)]
-        lhs = tf(ta.pure(u, v))
-        rhs = tensor_square(b).pure(la.mat_vec(f.matrix, u),
-                                    la.mat_vec(f.matrix, v))
+        lhs = tf(_pure(u, v))
+        rhs = tf.target.element(_pure(la.mat_vec(f.matrix, u),
+                                      la.mat_vec(f.matrix, v)))
         assert lhs == rhs
 
 
@@ -104,13 +119,28 @@ def test_tensor_square_functorial():
 ])
 def test_gamma_of_cyclic_groups(n, expected):
     g = gamma(FinAbGroup(1, [[n]]))
-    assert g.group.is_isomorphic_to(FinAbGroup(1, expected))
+    assert g.is_isomorphic_to(FinAbGroup(1, expected))
 
 
 def test_gamma_of_free_group():
     # rank k free group gives rank k(k+1)/2
     g = gamma(FinAbGroup(3))
-    assert g.group.is_isomorphic_to(FinAbGroup(6))
+    assert g.is_isomorphic_to(FinAbGroup(6))
+
+
+def _gamma_of(g, vec):
+    """gamma(sum a_i e_i) in the basis gamma(e_i), then [e_i, e_j], i < j."""
+    k = len(vec)
+    cross = [vec[i] * vec[j] for i in range(k) for j in range(i + 1, k)]
+    return g.element([x * x for x in vec] + cross)
+
+
+def _cross_of(g, u, v):
+    """The cross term [u, v] in the same basis."""
+    k = len(u)
+    cross = [u[i] * v[j] + u[j] * v[i]
+             for i in range(k) for j in range(i + 1, k)]
+    return g.element([2 * x * y for x, y in zip(u, v)] + cross)
 
 
 def test_gamma_quadratic_identity():
@@ -121,8 +151,9 @@ def test_gamma_quadratic_identity():
     for _ in range(25):
         u = [rng.randint(-3, 3) for _ in range(2)]
         v = [rng.randint(-3, 3) for _ in range(2)]
-        lhs = gm.gamma_of(la.vec_add(u, v)) - gm.gamma_of(u) - gm.gamma_of(v)
-        assert lhs == gm.cross_of(u, v)
+        lhs = (_gamma_of(gm, la.vec_add(u, v)) - _gamma_of(gm, u)
+               - _gamma_of(gm, v))
+        assert lhs == _cross_of(gm, u, v)
 
 
 def test_gamma_map_functoriality():
@@ -133,22 +164,24 @@ def test_gamma_map_functoriality():
     rng = random.Random(2)
     for _ in range(25):
         u = [rng.randint(-3, 3) for _ in range(2)]
-        assert gf(gamma(a).gamma_of(u)) == gamma(b).gamma_of(
-            la.mat_vec(f.matrix, u))
+        assert gf(_gamma_of(gf.source, u)) == _gamma_of(
+            gf.target, la.mat_vec(f.matrix, u))
 
 
 def test_reduced_tensor_square_kills_symmetry():
     a = FinAbGroup(2)
-    grp, proj, ts = reduced_tensor_square(a)
-    x = ts.pure([1, 0], [0, 1])
-    y = ts.pure([0, 1], [1, 0])
+    grp, proj = reduced_tensor_square(a)
+    assert proj.source.relations == tensor_square(a).relations
+    x = proj.source.element(_pure([1, 0], [0, 1]))
+    y = proj.source.element(_pure([0, 1], [1, 0]))
+    assert not x + y == proj.source.zero()
     assert proj(x + y) == grp.zero()
     # exterior square Z plus 2-torsion coming from the diagonal classes
     assert grp.is_isomorphic_to(FinAbGroup(3, [[2, 0, 0], [0, 2, 0]]))
 
 
 def test_tensor_z2():
-    g, p = tensor_z2(FinAbGroup(2, [[3, 0]]))
+    g = tensor_z2(FinAbGroup(2, [[3, 0]]))
     # the 3-torsion part dies, the free part becomes 2-torsion
     assert g.is_isomorphic_to(FinAbGroup(1, [[2]]))
 

@@ -63,7 +63,7 @@ def test_solve_and_kernel():
         a = _random_matrix(rng, m, n)
         x = [rng.randint(-4, 4) for _ in range(n)]
         b = la.mat_vec(a, x)
-        sol = la.solve(a, n, b)
+        sol = la.Solver(a, n).solve(b)
         assert sol is not None
         assert la.mat_vec(a, sol) == b
         for k in la.kernel_basis(a, n):
@@ -72,7 +72,7 @@ def test_solve_and_kernel():
 
 def test_solve_reports_unsolvable():
     a = [[2, 0], [0, 2]]
-    assert la.solve(a, 2, [1, 0]) is None
+    assert la.Solver(a, 2).solve([1, 0]) is None
     assert la.solve_mod(a, 2, [1, 0], [[1, 0]]) is not None
 
 
@@ -588,7 +588,8 @@ def _former_in_lattice(rows, ncols, vec):
         return True
     if not rows:
         return False
-    return la.solve(la.transpose(rows, ncols), len(rows), vec) is not None
+    return la.Solver(la.transpose(rows, ncols), len(rows)).solve(vec) \
+        is not None
 
 
 def _former_lattices_equal(rows_a, rows_b, ncols):

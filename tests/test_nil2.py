@@ -982,7 +982,7 @@ def _solve_blockwise(rows, rhs, nc, nq, cq: FinAbGroup):
             col = nunk + b * nrel + k
             for r in range(nc):
                 a[b * nc + r][col] = lrow[r]
-    sol = la.solve(a, ext_cols, rhs)
+    sol = la.Solver(a, ext_cols).solve(rhs)
     if sol is None:
         return None
     t = [[sol[r * nq + k] for k in range(nq)] for r in range(nc)]
@@ -1091,7 +1091,7 @@ def _former_is_isomorphic_abstract(g: Class2Group, h: Class2Group) -> bool:
     the tensor square of Q, whose relations it never read."""
     if not g.abelianization().is_isomorphic_to(h.abelianization()):
         return False
-    mods = [AbMap(tensor_square(x.q).group, FinAbGroup(x.c.ngens,
+    mods = [AbMap(tensor_square(x.q), FinAbGroup(x.c.ngens,
                                                        x.c.relations),
                   x.lam, check=False).cokernel()[0] for x in (g, h)]
     coms = [_former_commutator_subgroup(x) for x in (g, h)]
@@ -1142,7 +1142,8 @@ def test_underlying_ab_is_held_on_the_group():
 def test_boundary_map_levels():
     g = free_nil(PointedSet(["a", "b"]))
     for n in (2, 3):
-        lts, bnd, from_plain, ts = boundary_map(n, g)
+        lts, bnd, from_plain, sq = boundary_map(n, g)
+        assert sq is from_plain.source and from_plain.target is lts
         kb, _ = bnd.kernel()
         if n == 2:
             # kernel of Z^2 tensor-square boundary has rank 3
@@ -1157,7 +1158,8 @@ def test_level_gamma_and_tensor_shapes():
     a = FinAbGroup(2)
     for n in (2, 3):
         gam, inc = level_gamma(n, a)
-        lts, _, _ = level_tensor_square(n, a)
+        lts, _ = level_tensor_square(n, a)
+        assert inc.target.relations == lts.relations
         kin, _ = inc.kernel()
         assert kin.is_trivial()
 

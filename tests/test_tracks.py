@@ -15,7 +15,7 @@ from secgroups.models import wedge_model
 from secgroups.tracks import (
     HopfTrack, hopf, nil_track, tracks_between, vcomp,
     whisker_right, whisker_left, suspend_track, CLASSICAL_HOPF_SIGN,
-    TwoMorphism, vcomp2, interchange_holds,
+    TwoMorphism, vcomp2, interchange_holds, whisker_left2, whisker_right2,
 )
 from secgroups.selftest import (
     _random_hom, _random_track, _conjugation_module, _rand_m_elem,
@@ -58,17 +58,16 @@ def test_tracks_between_none_when_targets_differ_abelianized():
     found, kernel_group = tracks_between(2, phi, psi)
     assert found is None
     # torsor structure group at level 2 on one letter is gamma(Z) = Z
-    assert kernel_group.is_isomorphic_to(gamma(FinAbGroup(1)).group)
+    assert kernel_group.is_isomorphic_to(gamma(FinAbGroup(1)))
 
 
 def test_torsor_kernel_levels():
     for k in (1, 2, 3):
         g = free_nil(_points(k))
         _, kg2 = tracks_between(2, identity_hom(g), identity_hom(g))
-        assert kg2.is_isomorphic_to(gamma(FinAbGroup(k)).group)
+        assert kg2.is_isomorphic_to(gamma(FinAbGroup(k)))
         _, kg3 = tracks_between(3, identity_hom(g), identity_hom(g))
-        t2, _ = tensor_z2(FinAbGroup(k))
-        assert kg3.is_isomorphic_to(t2)
+        assert kg3.is_isomorphic_to(tensor_z2(FinAbGroup(k)))
 
 
 def test_vcomp_adds_measures():
@@ -102,6 +101,21 @@ def test_whiskering_validates():
         h = _random_hom(rng, G2, G1)
         whisker_right(t, k).validate()
         whisker_left(h, t).validate()
+
+
+def test_whiskers_refuse_maps_whose_ends_do_not_meet():
+    """A map out of a second group on the same two letters, or out of a
+    group on three, does not meet the track: the whisker refuses it
+    (before, the first gave a track from G2 into the other group and the
+    second an IndexError)."""
+    t = nil_track(2, identity_hom(G2))
+    for other in (free_nil(PointedSet(["a", "b"])), free_nil(_points(3))):
+        with pytest.raises(ValueError, match="track's target"):
+            whisker_left(identity_hom(other), t)
+        with pytest.raises(ValueError, match="track's source"):
+            whisker_right(t, identity_hom(other))
+    whisker_left(identity_hom(G2), t).validate()
+    whisker_right(t, identity_hom(G2)).validate()
 
 
 def test_suspension_raises_level_and_projects():
@@ -194,6 +208,23 @@ def test_interchange_crossed():
         a2 = TwoMorphism(a1.g, [_rand_group_elem(rng, cm.m)
                                 for _ in range(2)], check=False)
         assert interchange_holds(a1, a2)
+
+
+def test_module_whiskers_refuse_morphisms_whose_ends_do_not_meet():
+    """A morphism of the 3-letter level-2 wedge does not land in alpha's
+    source module (before, an IndexError), and a morphism out of a
+    foreign 1-letter wedge does not start at its target module (before,
+    accepted)."""
+    rng = random.Random(26)
+    x, y, alpha = _quadratic_pair(rng)
+    three = wedge_model(2, _points(3))
+    with pytest.raises(ValueError, match="source module"):
+        whisker_right2(alpha, _induced_wedge_morphism(rng, three, three))
+    foreign = wedge_model(2, _points(1))
+    with pytest.raises(ValueError, match="target module"):
+        whisker_left2(_induced_wedge_morphism(rng, foreign, foreign), alpha)
+    whisker_right2(alpha, _induced_wedge_morphism(rng, x, x)).validate()
+    whisker_left2(_induced_wedge_morphism(rng, y, foreign), alpha).validate()
 
 
 # --- one derivation rule against the crossed/quadratic split ----------------
