@@ -49,16 +49,16 @@ class FinAbGroup:
         # R^T: with U R^T V = D, a vector v lies in L iff U v lies in D Z^n,
         # so coordinate i of U v is taken modulo moduli[i] (0 = exactly).
         # R^T has the same invariant factors as R.  U and U^-1 are held as
-        # sparse columns; a coordinate of modulus 1 never refuses.
-        u, d, _, ui, _ = la.smith_normal_form(la.transpose(rels, ngens),
-                                              len(rels), keep=("u", "uinv"))
-        diag = la.diagonal(d, len(rels))
+        # sparse columns, U's read off the sparse rows the SNF returns and
+        # U^-1's as returned; a coordinate of modulus 1 never refuses.
+        diag, u, _, ui, _ = la.smith_normal_form(
+            la.transpose(rels, ngens), len(rels), keep=("u", "uinv"))
         rank = sum(1 for x in diag if x)
         self.free_rank = ngens - rank
         self.invariant_factors = tuple(x for x in diag if x > 1)
         self._moduli = diag[:rank] + [0] * (ngens - rank)
-        self._u = la.sparse_columns(u, ngens)
-        self._uinv = la.sparse_columns(ui, ngens)
+        self._u = la.sparse_transpose(u, ngens)
+        self._uinv = ui
 
     # -- structure ---------------------------------------------------------
 
@@ -73,6 +73,13 @@ class FinAbGroup:
         for f in self.invariant_factors:
             n *= f
         return n
+
+    def same_presentation(self, other: "FinAbGroup") -> bool:
+        """Is other this group, or a group on as many generators with the
+        same relation rows in the same order?  Elements of the two are then
+        vectors modulo one lattice."""
+        return self is other or (self.ngens == other.ngens
+                                 and self.relations == other.relations)
 
     def is_isomorphic_to(self, other: "FinAbGroup") -> bool:
         return (self.free_rank == other.free_rank
@@ -140,11 +147,17 @@ class AbElem:
         self.group = group
         self.vec = list(vec)
 
+    def _check_same_group(self, other):
+        if not self.group.same_presentation(other.group):
+            raise ValueError("elements of different groups: %r and %r"
+                             % (self.group, other.group))
+
     def __add__(self, other):
-        assert self.group is other.group or self.group.relations == other.group.relations
+        self._check_same_group(other)
         return AbElem(self.group, la.vec_add(self.vec, other.vec))
 
     def __sub__(self, other):
+        self._check_same_group(other)
         return AbElem(self.group, la.vec_sub(self.vec, other.vec))
 
     def __neg__(self):
@@ -159,6 +172,8 @@ class AbElem:
     def __eq__(self, other):
         if not isinstance(other, AbElem):
             return NotImplemented
+        if not self.group.same_presentation(other.group):
+            return False
         return (self - other).is_zero()
 
     def __hash__(self):
@@ -290,8 +305,12 @@ def zero_map(source: FinAbGroup, target: FinAbGroup) -> AbMap:
 
 def exact(f_in: AbMap, f_out: AbMap) -> bool:
     """Exactness at the middle group of f_in, f_out: the image of f_in and
-    the kernel of f_out span one lattice modulo the middle's relations."""
+    the kernel of f_out span one lattice modulo the middle's relations.
+    A ValueError unless f_out starts where f_in ends (`same_presentation`)."""
     mid = f_in.target
+    if not mid.same_presentation(f_out.source):
+        raise ValueError("maps do not meet: the first ends in %r, the "
+                         "second starts in %r" % (mid, f_out.source))
     ker, ki = f_out.kernel()
     ker_rows = la.transpose(ki.matrix, ker.ngens) + mid.relations
     return la.lattices_equal(f_in.image_lattice(),

@@ -6,14 +6,22 @@ columns is legal and common (presentations of free groups, trivial groups).
 Because the number of rows cannot disambiguate an empty matrix, functions
 that need the column count take it explicitly.
 
-The workhorse is `smith_normal_form`, which returns the diagonal form
-together with the unimodular transforms and their inverses:
+The workhorse is `smith_normal_form`, which returns the diagonal of the
+Smith form together with the unimodular transforms and their inverses:
 
     U * A * V == D      and      Uinv * D * Vinv == A
 
 with D diagonal, each diagonal entry nonnegative and dividing the next.
 Its `keep` names the transforms a caller reads, and only those are built
 and updated: a kernel needs V, a row basis Vinv, a solver U and V.
+The transforms are nearly permutations on these inputs (at 16 letters the
+largest are 256 x 256 with under 1% nonzeros), so each is held sparse, one
+{index: entry} dict per vector with zero entries dropped, in the
+orientation its updates run: U and Vinv as rows, V and Uinv as columns.
+An identity starts as one entry per vector, and a row or column operation
+touches only the nonzeros of the vector it adds.  D stays a dense copy of
+the input, which the pivot search scans.  The operations, and so D and
+every entry of the transforms, are the ones the dense kernel made.
 The pivot is the first entry of least absolute value in row-major order of
 the remaining submatrix; the search stops at the first unit, since nothing
 beats it, and the divisibility check of the rest against the pivot is
@@ -21,7 +29,7 @@ skipped when the pivot is 1.  The relation matrices here are sparse with
 mostly unit entries, so a step usually costs one short search and the row
 and column operations that clear the pivot's row and column.  A column
 operation touches D only in the rows from the pivot down, and only where
-the multiplier is nonzero, as do the updates of V and U^-1.
+the multiplier is nonzero, and a pivot already in place is not swapped.
 Integer solving and kernels are small wrappers around it.
 A `Solver` keeps the certificate of one system a @ x == b modulo a lattice,
 so repeated solves against one map (preimages, kernel and subgroup
@@ -41,12 +49,12 @@ basis of a sub-lattice containing them (a kernel, a commutator subgroup):
 each row is solved exactly against the basis, never modulo the relations
 themselves, where any vector of the lattice, 0 among them, would do.
 
-The held transforms are nearly permutations on these inputs (at 16 letters
-the largest are 256 x 256 with under 1% nonzeros), so they are held as
-sparse columns (`sparse_columns`), and a transform is applied to a vector by
-adding the columns of its nonzero entries (`column_combination`); `mat_vec`
-likewise sums over the nonzeros of its vector only.  The integers are the
-ones the dense products give.
+Callers read the sparse return directly: a certificate holds sparse
+columns (U's taken from its rows in one pass by `sparse_transpose`, Uinv's
+as returned), and a transform is applied to a vector by adding the columns
+of its nonzero entries (`column_combination`); `mat_vec` likewise sums over
+the nonzeros of its vector only.  The integers are the ones the dense
+products give.
 """
 
 from __future__ import annotations
@@ -64,10 +72,6 @@ def identity(n: int) -> list[list[int]]:
     for i in range(n):
         out[i][i] = 1
     return out
-
-
-def mat_copy(a: list[list[int]]) -> list[list[int]]:
-    return [row[:] for row in a]
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -95,24 +99,23 @@ def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum([row[j] * x for j, x in nz]) for row in a]
 
 
-def sparse_columns(a: list[list[int]], ncols: int):
-    """The nonzeros of the first ncols columns of a, one list of
-    (row, entry) pairs per column."""
-    cols = [[] for _ in range(ncols)]
-    js = range(ncols)
-    for i, row in enumerate(a):
-        for j in compress(js, row):
-            cols[j].append((i, row[j]))
-    return cols
+def sparse_transpose(vecs, n: int) -> list[dict]:
+    """The n columns of a matrix held as sparse rows (one {column: entry}
+    dict per row) as sparse columns, or the other way round, in one pass."""
+    out = [{} for _ in range(n)]
+    for i, vec in enumerate(vecs):
+        for j, x in vec.items():
+            out[j][i] = x
+    return out
 
 
 def column_combination(cols, coeffs, nrows: int) -> list[int]:
-    """sum_k coeffs[k] * column k for columns held by `sparse_columns`,
-    summed over the nonzero coeffs only."""
+    """sum_k coeffs[k] * column k for columns held sparse ({row: entry}
+    dicts), summed over the nonzero coeffs only."""
     out = [0] * nrows
     for k in compress(range(len(coeffs)), coeffs):
         c = coeffs[k]
-        for i, x in cols[k]:
+        for i, x in cols[k].items():
             out[i] += c * x
     return out
 
@@ -155,14 +158,28 @@ def kron_matrix(a: list[list[int]], arows: int, acols: int,
 TRANSFORMS = ("u", "v", "uinv", "vinv")
 
 
-def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
-    """Return (U, D, V, Uinv, Vinv) with U*a*V == D in Smith normal form.
+def _add_scaled(dst: dict, src: dict, k: int) -> None:
+    """dst += k * src on sparse vectors, dropping entries that cancel."""
+    for i, x in src.items():
+        y = dst.get(i, 0) + k * x
+        if y:
+            dst[i] = y
+        else:
+            del dst[i]
 
-    Only the transforms named in `keep` (some of "u", "v", "uinv", "vinv")
-    are built and updated; each one left out is returned as None, and any
-    other entry, or a bare string, is a ValueError.  Pivots are chosen by
-    looking at D alone, so D and every kept transform are the same whichever
-    others are kept.
+
+def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
+    """Return (diag, U, V, Uinv, Vinv) with U*a*V == D in Smith normal form
+    and diag the min(rows, ncols) diagonal entries of D.
+
+    Each transform is held in the orientation its updates run, one
+    {index: entry} dict per vector, zero entries dropped: U and Vinv as
+    lists of rows, V and Uinv as lists of columns.  Only the transforms
+    named in `keep` (some of "u", "v", "uinv", "vinv") are built and
+    updated; each one left out is returned as None, and any other entry,
+    or a bare string, is a ValueError.  Pivots are chosen by looking at D
+    alone, so D and every kept transform are the same whichever others are
+    kept.
     """
     if isinstance(keep, str):
         raise ValueError("keep must be a collection of transform names, "
@@ -173,47 +190,45 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
                          "%s" % (", ".join(map(repr, unknown)), TRANSFORMS))
     m = len(a)
     n = ncols
-    d = mat_copy(a)
-    u = identity(m) if "u" in keep else None
-    v = identity(n) if "v" in keep else None
-    ui = identity(m) if "uinv" in keep else None
-    vi = identity(n) if "vinv" in keep else None
+    d = [row[:] for row in a]
+    u = [{i: 1} for i in range(m)] if "u" in keep else None
+    v = [{i: 1} for i in range(n)] if "v" in keep else None
+    ui = [{i: 1} for i in range(m)] if "uinv" in keep else None
+    vi = [{i: 1} for i in range(n)] if "vinv" in keep else None
     if not m or not n:
-        return u, d, v, ui, vi
+        return [], u, v, ui, vi
     # a row operation acts on the rows of D and U and on the columns of
     # Uinv; a column operation on the columns of D and V and the rows of
     # Vinv.  Rows of D above the pivot t are zero in every column >= t, so
     # column operations on D touch rows t.. only.
-    row_held = [x for x in (d, u) if x is not None]
 
     def row_swap(i, j):
-        for x in row_held:
-            x[i], x[j] = x[j], x[i]
+        d[i], d[j] = d[j], d[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
         if ui is not None:
-            for r in ui:
-                r[i], r[j] = r[j], r[i]
+            ui[i], ui[j] = ui[j], ui[i]
 
     def row_add(i, j, k):  # row i += k * row j
-        for x in row_held:
-            x[i] = [p + k * q for p, q in zip(x[i], x[j])]
-        if ui is not None:
-            for r in ui:
-                if r[i]:
-                    r[j] -= k * r[i]
+        d[i] = [p + k * q for p, q in zip(d[i], d[j])]
+        if k:
+            if u is not None:
+                _add_scaled(u[i], u[j], k)
+            if ui is not None:
+                _add_scaled(ui[j], ui[i], -k)
 
     def row_neg(i):
-        for x in row_held:
-            x[i] = [-p for p in x[i]]
+        d[i] = [-p for p in d[i]]
+        if u is not None:
+            u[i] = {c: -x for c, x in u[i].items()}
         if ui is not None:
-            for r in ui:
-                r[i] = -r[i]
+            ui[i] = {r: -x for r, x in ui[i].items()}
 
     def col_swap(i, j):
         for r in d[t:]:
             r[i], r[j] = r[j], r[i]
         if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
+            v[i], v[j] = v[j], v[i]
         if vi is not None:
             vi[i], vi[j] = vi[j], vi[i]
 
@@ -221,12 +236,11 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
         for r in d[t:]:
             if r[j]:
                 r[i] += k * r[j]
-        if v is not None:
-            for r in v:
-                if r[j]:
-                    r[i] += k * r[j]
-        if vi is not None:
-            vi[j] = [p - k * q for p, q in zip(vi[j], vi[i])]
+        if k:
+            if v is not None:
+                _add_scaled(v[i], v[j], k)
+            if vi is not None:
+                _add_scaled(vi[j], vi[i], -k)
 
     t = 0
     while True:
@@ -249,8 +263,10 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
                         pi, pj, best = i, j, abs(x)
         if not best:
             break
-        row_swap(t, pi)
-        col_swap(t, pj)
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
         # clear row and column t
         dirty = True
         while dirty:
@@ -285,11 +301,7 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
             t += 1
         else:
             row_add(t, offender, 1)
-    return u, d, v, ui, vi
-
-
-def diagonal(d: list[list[int]], ncols: int) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), ncols))]
+    return [d[i][i] for i in range(min(m, n))], u, v, ui, vi
 
 
 def divide_mod(d: int, b: int, m: int):
@@ -311,7 +323,8 @@ class Solver:
 
     Construction runs one SNF of the extended matrix E = [a | lattice_rows^T]
     and keeps its certificate U E V = D: U and the first ncols rows of V as
-    sparse columns (`sparse_columns`), and the diagonal.  `solve(b)` adds
+    sparse columns (U's read off its sparse rows by `sparse_transpose`, V's
+    cut from its first rank columns), and the diagonal.  `solve(b)` adds
     b_j U[:, j] over the nonzero b_j, tests the rows past the rank for zero,
     divides once per pivot, and adds y_k V[:, k] over the nonzero y_k, with
     no further SNF; a unit right-hand side costs one column of U.  This is
@@ -323,12 +336,12 @@ class Solver:
         self.nrows, self.ncols = len(a), ncols
         ext = [a[i][:] + [r[i] for r in lattice_rows]
                for i in range(self.nrows)]
-        u, d, v, _, _ = smith_normal_form(ext, ncols + len(lattice_rows),
-                                          keep=("u", "v"))
-        self._diag = diagonal(d, ncols + len(lattice_rows))
+        self._diag, u, v, _, _ = smith_normal_form(
+            ext, ncols + len(lattice_rows), keep=("u", "v"))
         self._rank = sum(1 for x in self._diag if x)  # nonzeros come first
-        self._u = sparse_columns(u, self.nrows)
-        self._v = sparse_columns(v[:ncols], self._rank)
+        self._u = sparse_transpose(u, self.nrows)
+        self._v = [{i: x for i, x in col.items() if i < ncols}
+                   for col in v[:self._rank]]
 
     def solve(self, b: list[int]):
         """One x with a @ x == b modulo the lattice, or None."""
@@ -373,13 +386,14 @@ def sub_basis_coordinates(basis_cols: list[list[int]], k: int,
 
 def kernel_basis(a: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis (as column vectors, returned as lists) of {x : a @ x == 0}."""
-    _, d, v, _, _ = smith_normal_form(a, ncols, keep=("v",))
-    diag = diagonal(d, ncols)
+    diag, _, v, _, _ = smith_normal_form(a, ncols, keep=("v",))
     basis = []
     for j in range(ncols):
-        dj = diag[j] if j < len(diag) else 0
-        if dj == 0:
-            basis.append([v[i][j] for i in range(ncols)])
+        if j >= len(diag) or not diag[j]:
+            vec = [0] * ncols
+            for i, x in v[j].items():
+                vec[i] = x
+            basis.append(vec)
     return basis
 
 
@@ -387,12 +401,14 @@ def row_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Independent rows spanning the same lattice (via SNF row reduction)."""
     if not rows:
         return []
-    _, d, _, _, vi = smith_normal_form(rows, ncols, keep=("vinv",))
-    diag = diagonal(d, ncols)
+    diag, _, _, _, vi = smith_normal_form(rows, ncols, keep=("vinv",))
     out = []
     for i, di in enumerate(diag):
         if di:
-            out.append([di * vi[i][j] for j in range(ncols)])
+            row = [0] * ncols
+            for j, x in vi[i].items():
+                row[j] = di * x
+            out.append(row)
     return out
 
 
@@ -437,7 +453,7 @@ def certified_preimage(u_cols, moduli: list[int], a: list[list[int]],
     for k, ak in enumerate(a):
         nz = [(j, ak[j]) for j in compress(js, ak)]
         if nz:
-            for i, x in u_cols[k]:
+            for i, x in u_cols[k].items():
                 p = pos.get(i)
                 if p is not None:
                     row = rows[p]

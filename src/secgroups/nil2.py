@@ -435,7 +435,9 @@ def _lattice_quotient_group(gen_rows: list[list[int]], ambient: FinAbGroup) -> F
 
 
 class Class2Elem:
-    """Group element (q, c); equality is componentwise modulo relations."""
+    """Group element (q, c); equality is componentwise modulo relations,
+    and elements of groups whose Q and C differ (`same_presentation`) are
+    never equal."""
 
     __slots__ = ("group", "qvec", "cvec")
 
@@ -497,7 +499,8 @@ class Class2Elem:
         if not isinstance(other, Class2Elem):
             return NotImplemented
         g, h = self.group, other.group
-        if (g.q.ngens, g.c.ngens) != (h.q.ngens, h.c.ngens):
+        if g is not h and not (g.q.same_presentation(h.q)
+                               and g.c.same_presentation(h.c)):
             return False
         return (g.q.contains_in_lattice(la.vec_sub(self.qvec, other.qvec))
                 and g.c.contains_in_lattice(la.vec_sub(self.cvec, other.cvec)))
@@ -794,23 +797,27 @@ def _projection_twist(qparts, cparts, nq: int, cq: FinAbGroup):
     With G the matrix whose columns are the q_e and C the one of the c_e,
     the system is T G == -C.  For the Smith form U G V = D and S = T U^-1
     it reads S D == -C V, one scalar division d_j s_j == (-C V)_j in cq per
-    column j (d_j = 0 past the rank of G), and T = S U.
+    column j (d_j = 0 past the rank of G), and T = S U.  Column j of C V
+    sums the c_e over the nonzeros of V's column j, and S U adds s_j times
+    the nonzeros of U's row j, so neither product walks a zero entry.
     """
     nc, ng = cq.ngens, len(qparts)
-    u, d, v, _, _ = la.smith_normal_form(la.transpose(qparts, nq), ng,
-                                         keep=("u", "v"))
-    diag = la.diagonal(d, ng)
-    cv = la.mat_mul(la.transpose(cparts, nc), v)
-    s = la.zeros(nc, nq)
+    diag, u, v, _, _ = la.smith_normal_form(la.transpose(qparts, nq), ng,
+                                            keep=("u", "v"))
+    t = la.zeros(nc, nq)
     for j in range(ng):
-        sj = cq.divide(diag[j] if j < len(diag) else 0,
-                       [-cv[r][j] for r in range(nc)])
+        neg_cv = [0] * nc
+        for i, x in v[j].items():
+            for r, y in enumerate(cparts[i]):
+                neg_cv[r] -= x * y
+        sj = cq.divide(diag[j] if j < len(diag) else 0, neg_cv)
         if sj is None:
             return None
         if j < nq:
-            for r in range(nc):
-                s[r][j] = sj[r]
-    return la.mat_mul(s, u)
+            for c, x in u[j].items():
+                for r in range(nc):
+                    t[r][c] += sj[r] * x
+    return t
 
 
 def hom_cokernel(f: Class2Hom):

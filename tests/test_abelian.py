@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secgroups import intlinalg as la
-from secgroups.abelian import (AbMap, FinAbGroup, direct_sum, gamma,
-                               gamma_map, identity_map, reduced_tensor_square,
+from secgroups.abelian import (AbElem, AbMap, FinAbGroup, direct_sum, exact,
+                               gamma, gamma_map, identity_map,
+                               reduced_tensor_square,
                                tensor_square, tensor_square_map,
                                tensor_square_relations, tensor_z2, zero_map)
 
@@ -255,15 +256,50 @@ def test_map_equality_compares_shapes():
     assert identity_map(two) != "map"
 
 
+def test_element_equality_and_arithmetic_refuse_other_groups():
+    """0 in Z/2 and 2 in Z are unequal both ways: the test runs in neither
+    group's lattice alone.  + and - refuse, and elements of equal but
+    distinct groups still compare and add modulo their relations."""
+    z2, z = FinAbGroup(1, [[2]]), FinAbGroup(1)
+    assert AbElem(z2, [0]) != AbElem(z, [2])
+    assert AbElem(z, [2]) != AbElem(z2, [0])
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="different groups"):
+            op(AbElem(z2, [1]), AbElem(z, [1]))
+        with pytest.raises(ValueError, match="different groups"):
+            op(AbElem(z, [1]), AbElem(z2, [1]))
+    other_z2 = FinAbGroup(1, [[2]])
+    assert AbElem(z2, [0]) == AbElem(other_z2, [2])
+    assert AbElem(other_z2, [2]) == AbElem(z2, [0])
+    assert AbElem(z2, [1]) + AbElem(other_z2, [1]) == z2.zero()
+    assert (AbElem(z2, [1]) - AbElem(other_z2, [3])).is_zero()
+    assert AbElem(FinAbGroup(1, [[4]]), [0]) != AbElem(z2, [0])
+
+
+def test_exact_refuses_maps_that_do_not_meet():
+    """f: Z -> Z^2 and g: Z -> Z have no middle group; the answer was
+    False.  Equal but distinct middle groups meet."""
+    z, z2 = FinAbGroup(1), FinAbGroup(2)
+    f = AbMap(z, z2, [[1], [0]])
+    with pytest.raises(ValueError, match="do not meet"):
+        exact(f, identity_map(z))
+    with pytest.raises(ValueError, match="do not meet"):
+        exact(identity_map(FinAbGroup(1, [[2]])), identity_map(z))
+    g = AbMap(FinAbGroup(2), z, [[0, 1]])
+    assert exact(f, g)
+    assert not exact(f, zero_map(FinAbGroup(2), z))
+
+
 class _DenseCertificate:
     """The former dense bodies of `FinAbGroup.contains_in_lattice`,
     `divide` and `elements`, reading dense rows of U and U^-1 built by the
-    same SNF call, kept as their oracle."""
+    same SNF call, densified from its sparse rows of U and sparse columns
+    of U^-1, kept as their oracle."""
 
     def __init__(self, n, rows):
-        u, d, _, ui, _ = la.smith_normal_form(la.transpose(rows, n),
-                                              len(rows), keep=("u", "uinv"))
-        diag = la.diagonal(d, len(rows))
+        diag, u, _, ui, _ = la.smith_normal_form(
+            la.transpose(rows, n), len(rows), keep=("u", "uinv"))
+        u, ui = _dense_rows(u, n), la.transpose(_dense_rows(ui, n), n)
         rank = sum(1 for x in diag if x)
         self.n, self.rows, self.u, self.uinv = n, rows, u, ui
         self.moduli = diag[:rank] + [0] * (n - rank)
@@ -292,6 +328,17 @@ class _DenseCertificate:
     def elements(self):
         for ys in itertools.product(*[range(m) for m in self.moduli]):
             yield _dense_mat_vec(self.uinv, list(ys))
+
+
+def _dense_rows(vecs, n):
+    """Sparse {index: entry} vectors as dense lists of n entries."""
+    out = []
+    for vec in vecs:
+        row = [0] * n
+        for j, x in vec.items():
+            row[j] = x
+        out.append(row)
+    return out
 
 
 def _dense_mat_vec(a, v):

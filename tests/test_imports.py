@@ -9,6 +9,11 @@ package `__init__.py` is exempt: its imports are the public re-exports.
 A module-level function or class of the package whose name starts with one
 underscore must be named, as a bare name, an attribute or an imported name,
 by some top-level statement of the package other than its own definition.
+
+A public function or class of `intlinalg` must be named the same way, or
+as a string, by some top-level statement of the package or of the
+benchmark (`perfbench/`, its tests excepted) other than its own
+definition: tests alone do not keep a kernel helper alive.
 """
 
 import ast
@@ -21,6 +26,8 @@ PACKAGE = TESTS.parent / "src" / "secgroups"
 PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in PACKAGE_MODULES if p.name != "__init__.py"]
 TEST_MODULES = sorted(TESTS.glob("*.py"))
+BENCH_MODULES = sorted(p for p in (TESTS.parent / "perfbench").glob("*.py")
+                       if not p.name.startswith("test_"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -100,3 +107,54 @@ def test_the_scan_sees_an_orphaned_helper():
 def test_no_orphaned_private_helpers():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_MODULES}
     assert orphaned_helpers(sources) == []
+
+
+def unnamed_public_functions(module: str, sources: dict) -> list[str]:
+    """The public module-level functions and classes of `module`, a key of
+    `sources` (module name -> text), that no top-level statement of any
+    source names, their own definitions excepted, as a bare name, an
+    attribute, an imported name or a string (the benchmark wraps library
+    functions by name)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    public = {stmt.name: stmt for stmt in trees[module].body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_")}
+    named = []
+    for tree in trees.values():
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    names.add(node.value)
+            named.append((stmt, names))
+    return sorted("%s.%s" % (module, name) for name, own in public.items()
+                  if not any(name in names
+                             for stmt, names in named if stmt is not own))
+
+
+def test_the_scan_sees_an_unnamed_public_function():
+    sources = {
+        "la": ("def used():\n    return 1\n"
+               "def wrapped():\n    return 2\n"
+               "def inner():\n    return 3\n"
+               "def outer():\n    return inner()\n"
+               "def dead():\n    return dead()\n"
+               "class Dead:\n    pass\n"
+               "def _private():\n    return 4\n"),
+        "user": "from . import la\nX = la.used() + la.outer()\n",
+        "bench": 'TARGETS = [("la", "wrapped")]\n',
+    }
+    assert unnamed_public_functions("la", sources) == ["la.Dead", "la.dead"]
+
+
+def test_every_public_intlinalg_function_has_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in PACKAGE_MODULES + BENCH_MODULES}
+    assert unnamed_public_functions("intlinalg", sources) == []

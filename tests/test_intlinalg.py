@@ -15,11 +15,50 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from secgroups import intlinalg as la
 from secgroups.abelian import FinAbGroup
+from secgroups.functors import fiber, six_term
+from secgroups.models import homotopy_groups, wedge_model
+from secgroups.selftest import (_induced_wedge_morphism, _points,
+                                _random_quotient_wedge)
 
 
 def _random_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)]
             for _ in range(rows)]
+
+
+def _dense_rows(vecs, n):
+    """Sparse {index: entry} vectors as dense lists of n entries."""
+    out = []
+    for vec in vecs:
+        row = [0] * n
+        for j, x in vec.items():
+            row[j] = x
+        out.append(row)
+    return out
+
+
+def _snf(a, ncols, keep=la.TRANSFORMS):
+    """The kernel's return as dense (U, D, V, Uinv, Vinv)."""
+    return _densify(la.smith_normal_form(a, ncols, keep), len(a), ncols)
+
+
+def _densify(result, m, ncols):
+    """A kernel return for an m x ncols input as dense (U, D, V, Uinv,
+    Vinv), the shape of the former dense return and of the oracle: U and
+    Vinv from their sparse rows, V and Uinv from their sparse columns, and
+    D the m x ncols matrix with the returned diagonal."""
+    diag, u, v, ui, vi = result
+    d = la.zeros(m, ncols)
+    for i, x in enumerate(diag):
+        d[i][i] = x
+
+    def rows(t, k):
+        return None if t is None else _dense_rows(t, k)
+
+    def cols(t, k):
+        return None if t is None else la.transpose(_dense_rows(t, k), k)
+
+    return rows(u, m), d, cols(v, ncols), cols(ui, m), rows(vi, ncols)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -28,7 +67,7 @@ def test_smith_normal_form_properties(seed):
     for _ in range(25):
         m, n = rng.randint(0, 4), rng.randint(0, 4)
         a = _random_matrix(rng, m, n)
-        u, d, v, ui, vi = la.smith_normal_form(a, n)
+        u, d, v, ui, vi = _snf(a, n)
         assert la.mat_mul(la.mat_mul(u, a), v) == d
         assert la.mat_mul(u, ui) == la.identity(m)
         assert la.mat_mul(v, vi) == la.identity(n)
@@ -48,8 +87,8 @@ def test_invariant_factors_match_sympy(seed):
     for _ in range(10):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = _random_matrix(rng, m, n)
-        _, d, _, _, _ = la.smith_normal_form(a, n)
-        mine = sorted(abs(d[i][i]) for i in range(min(m, n)) if d[i][i])
+        diag = la.smith_normal_form(a, n)[0]
+        mine = sorted(abs(x) for x in diag if x)
         sd = sympy_snf(sympy.Matrix(a) if a else sympy.zeros(m, n))
         theirs = sorted(abs(int(sd[i, i])) for i in range(min(m, n))
                         if sd[i, i])
@@ -95,8 +134,8 @@ def _former_preimage_lattice(a, ncols, lattice_rows):
 
 
 def _rank(rows, ncols):
-    _, d, _, _, _ = la.smith_normal_form(rows, ncols, keep=())
-    return sum(1 for x in la.diagonal(d, ncols) if x)
+    diag = la.smith_normal_form(rows, ncols, keep=())[0]
+    return sum(1 for x in diag if x)
 
 
 def _assert_preimage_basis(pre, a, ncols, lattice_rows):
@@ -112,11 +151,10 @@ def test_preimage_lattice():
     """Moduli 0, 1 and 4 by hand (U the identity): coordinate 0 must vanish,
     coordinate 1 is free, coordinate 2 is taken modulo 4."""
     a = [[1, 1, 0], [5, 0, 3], [2, 0, 0]]
-    pre = la.certified_preimage(la.sparse_columns(la.identity(3), 3),
-                                [0, 1, 4], a, 3)
+    pre = la.certified_preimage([{i: 1} for i in range(3)], [0, 1, 4], a, 3)
     _assert_preimage_basis(pre, a, 3, [[0, 1, 0], [0, 0, 4]])
     assert la.certified_preimage([], [], [], 2) == [[1, 0], [0, 1]]
-    assert la.certified_preimage([[(0, 1)]], [3], [[]], 0) == []
+    assert la.certified_preimage([{0: 1}], [3], [[]], 0) == []
 
 
 _PRE_VALUES = [1, -1, 2, -2, 3]
@@ -201,10 +239,10 @@ def test_smith_normal_form_builds_only_the_kept_transforms(keep):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
         cases.append((_random_matrix(rng, m, n), n))
     for a, n in cases:
-        u, d, v, ui, vi = la.smith_normal_form(a, n)
+        diag, u, v, ui, vi = la.smith_normal_form(a, n)
         full = dict(zip(la.TRANSFORMS, (u, v, ui, vi)))
-        pu, pd, pv, pui, pvi = la.smith_normal_form(a, n, keep=keep)
-        assert pd == d
+        pdiag, pu, pv, pui, pvi = la.smith_normal_form(a, n, keep=keep)
+        assert pdiag == diag
         for name, got in zip(la.TRANSFORMS, (pu, pv, pui, pvi)):
             assert got == (full[name] if name in keep else None)
 
@@ -216,7 +254,7 @@ def _dense_snf_oracle(a, ncols, keep=la.TRANSFORMS):
     operations in the same order."""
     m = len(a)
     n = ncols
-    d = la.mat_copy(a)
+    d = [row[:] for row in a]
     u = la.identity(m) if "u" in keep else None
     v = la.identity(n) if "v" in keep else None
     ui = la.identity(m) if "uinv" in keep else None
@@ -364,11 +402,14 @@ def _time_limit(seconds):
 
 
 def _assert_kernel_matches_oracle(a, ncols):
+    """Equal entries for every keep subset, and no zero entry held."""
     for keep in _KEEPS:
         expected = _dense_snf_oracle(a, ncols, keep)
         with _time_limit(5):
-            got = la.smith_normal_form(a, ncols, keep)
-        assert got == expected, keep
+            result = la.smith_normal_form(a, ncols, keep)
+        assert _densify(result, len(a), ncols) == expected, keep
+        assert all(x for t in result[1:] if t is not None
+                   for vec in t for x in vec.values()), keep
 
 
 @given(_snf_inputs())
@@ -396,6 +437,49 @@ def test_smith_normal_form_matches_dense_oracle_at_workload_size(case):
     _assert_kernel_matches_oracle(*case)
 
 
+def test_smith_normal_form_matches_dense_oracle_on_library_inputs(
+        monkeypatch):
+    """Every input the library hands the kernel while it builds the level-2
+    and level-3 wedge models on one to four letters with their h0 and h1,
+    and one fiber and six-term sequence drawn as the fiber criterion draws
+    them, gives the oracle's entries for every keep subset."""
+    real, seen = la.smith_normal_form, {}
+
+    def recorded(a, ncols, keep=la.TRANSFORMS):
+        seen[ncols, tuple(map(tuple, a))] = ([row[:] for row in a], ncols)
+        return real(a, ncols, keep)
+
+    monkeypatch.setattr(la, "smith_normal_form", recorded)
+    for n in (2, 3):
+        for k in range(1, 5):
+            homotopy_groups(wedge_model(n, _points(k)))
+    rng = random.Random(0)
+    x = wedge_model(2, _points(rng.randint(1, 2)))
+    y = _random_quotient_wedge(rng, 2, _points(rng.randint(1, 2)))
+    f = _induced_wedge_morphism(rng, x, y)
+    fiber(f)
+    six_term(f)
+    monkeypatch.undo()
+    assert len(seen) > 50
+    assert max(len(a) * ncols for a, ncols in seen.values()) >= 500
+    for a, ncols in seen.values():
+        _assert_kernel_matches_oracle(a, ncols)
+
+
+@pytest.mark.parametrize("a,ncols", [([], 0), ([], 4), ([[], [], []], 0),
+                                     ([[0, 0], [0, 0], [0, 0]], 2),
+                                     ([[0, 0, 0]], 3)])
+def test_smith_normal_form_of_nothing_is_single_entries(a, ncols):
+    """With no pivot, each transform is the identity held as m (U and
+    U^-1) or ncols (V and V^-1) single entries, one per vector, and the
+    diagonal has min(m, ncols) zeros."""
+    m = len(a)
+    diag, u, v, ui, vi = la.smith_normal_form(a, ncols)
+    assert diag == [0] * min(m, ncols)
+    assert u == ui == [{i: 1} for i in range(m)]
+    assert v == vi == [{i: 1} for i in range(ncols)]
+
+
 @pytest.mark.parametrize("keep,named", [
     ("vinv", "string 'vinv'"), ("v", "string 'v'"), (("v", "w"), "'w' in"),
     (["vinv", "U"], "'U' in"), (("u", "uinv", "vinverse"), "'vinverse' in")])
@@ -407,7 +491,7 @@ def test_smith_normal_form_refuses_unknown_keep(keep, named):
 
 
 def test_empty_dimensions():
-    u, d, v, ui, vi = la.smith_normal_form([], 3)
+    u, d, v, ui, vi = _snf([], 3)
     assert d == [] and v == la.identity(3)
     assert la.mat_mul([], []) == []
     assert la.row_basis([], 2) == []
@@ -419,10 +503,10 @@ def _fresh_solve_mod(a, ncols, b, lattice_rows):
     ext = [a[i][:] + [lattice_rows[k][i] for k in range(len(lattice_rows))]
            for i in range(nrows)]
     next_ = ncols + len(lattice_rows)
-    u, d, v, _, _ = la.smith_normal_form(ext, next_)
+    u, d, v, _, _ = _snf(ext, next_)
     ub = la.mat_vec(u, b)
     y = [0] * next_
-    diag = la.diagonal(d, next_)
+    diag = [d[i][i] for i in range(min(len(d), next_))]
     for i in range(len(ext)):
         di = diag[i] if i < len(diag) else 0
         if di:
@@ -496,9 +580,9 @@ class _DenseSolver:
 
     def __init__(self, a, ncols, lattice_rows=()):
         ext = [a[i][:] + [r[i] for r in lattice_rows] for i in range(len(a))]
-        u, d, v, _, _ = la.smith_normal_form(ext, ncols + len(lattice_rows),
-                                             keep=("u", "v"))
-        diag = la.diagonal(d, ncols + len(lattice_rows))
+        next_ = ncols + len(lattice_rows)
+        u, d, v, _, _ = _snf(ext, next_, keep=("u", "v"))
+        diag = [d[i][i] for i in range(min(len(d), next_))]
         rank = sum(1 for x in diag if x)
         self._pivots = list(zip(u[:rank], diag[:rank]))
         self._zero_rows = u[rank:]

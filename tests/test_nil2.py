@@ -1264,3 +1264,19 @@ def test_element_equality_compares_group_shapes():
     z4 = abelian_as_class2(FinAbGroup(1, [[4]]))
     assert z4.generator(0) ** 5 == abelian_as_class2(
         FinAbGroup(1, [[4]])).generator(0)
+
+
+def test_element_equality_is_symmetric_across_relations():
+    """0 in Z/2 and 2 in Z, as class-2 groups, are unequal both ways; the
+    answer used to depend on which side's relations ran the test.  A C
+    layer with other relations also separates them."""
+    z2 = abelian_as_class2(FinAbGroup(1, [[2]]))
+    z = abelian_as_class2(FinAbGroup(1))
+    assert z2.element([0]) != z.element([2])
+    assert z.element([2]) != z2.element([0])
+    assert z2.element([0]) == abelian_as_class2(
+        FinAbGroup(1, [[2]])).element([2])
+    c2 = Class2Group(FinAbGroup(1), FinAbGroup(1, [[2]]), [[0]], [[0]])
+    c = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]], [[0]])
+    assert c2.element([1], [0]) != c.element([1], [2])
+    assert c.element([1], [2]) != c2.element([1], [0])
