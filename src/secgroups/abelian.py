@@ -184,7 +184,9 @@ class AbElem:
 
 
 class AbMap:
-    """Homomorphism of FinAbGroups; matrix columns are generator images."""
+    """Homomorphism of FinAbGroups; matrix columns are generator images.
+    A sum or difference of maps whose sources or targets differ
+    (`same_presentation`) raises `ValueError`."""
 
     def __init__(self, source: FinAbGroup, target: FinAbGroup, matrix,
                  check: bool = True):
@@ -212,11 +214,20 @@ class AbMap:
         return AbMap(other.source, self.target,
                      la.mat_mul(self.matrix, other.matrix), check=False)
 
+    def _check_same_groups(self, other: "AbMap"):
+        if not (self.source.same_presentation(other.source)
+                and self.target.same_presentation(other.target)):
+            raise ValueError("maps between different groups: %r -> %r and "
+                             "%r -> %r" % (self.source, self.target,
+                                           other.source, other.target))
+
     def __add__(self, other: "AbMap") -> "AbMap":
+        self._check_same_groups(other)
         m = [la.vec_add(a, b) for a, b in zip(self.matrix, other.matrix)]
         return AbMap(self.source, self.target, m, check=False)
 
     def __sub__(self, other: "AbMap") -> "AbMap":
+        self._check_same_groups(other)
         m = [la.vec_sub(a, b) for a, b in zip(self.matrix, other.matrix)]
         return AbMap(self.source, self.target, m, check=False)
 

@@ -369,7 +369,18 @@ class OmegaPairing:
         return self.m.power_product(self.images, vec)
 
     def pair(self, a_vec, b_vec) -> Class2Elem:
-        return self.eval_vec(la.kron(a_vec, b_vec))
+        """eval_vec of a (x) b, collected over the nonzero (i, j) in the
+        row-major order of the tensor basis: `power_product` skips a zero
+        exponent, so no Kronecker vector is built."""
+        nb = len(b_vec)
+        live_b = [(j, y) for j, y in enumerate(b_vec) if y]
+        elems, exps = [], []
+        for i, x in enumerate(a_vec):
+            if x:
+                for j, y in live_b:
+                    elems.append(self.images[i * nb + j])
+                    exps.append(x * y)
+        return self.m.power_product(elems, exps)
 
     def pair_elems(self, x, y) -> Class2Elem:
         return self.pair(self.coords.of(x), self.coords.of(y))
@@ -681,12 +692,18 @@ class CrossMorphism:
             self.validate()
 
     def validate(self):
+        """The boundary square on the generators of M, read off the values
+        of f1 and of the source boundary; then the action (level one) or
+        the omega square (level two and up), in the row-major order of
+        the pairs (i, j) of coordinate generators.  An omega pair is
+        skipped only where its source image is the zero vector and column
+        i or j of f0's abelianized matrix is zero: both sides are then
+        exactly the identity.  A failure names its M generator or pair."""
         s, t = self.src, self.tgt
-        for g in s.m.generators():
-            lhs = t.bnd.eval(self.f1.eval(g))
-            rhs = self.f0.eval(s.bnd.eval(g))
-            if not lhs == rhs:
-                raise ValueError("boundary square does not commute")
+        for k, (m1, d) in enumerate(zip(self.f1.values(), s.bnd.values())):
+            if not t.bnd.eval(m1) == self.f0.eval(d):
+                raise ValueError("boundary square does not commute at M "
+                                 "generator %d" % k)
         if s.level == 1:
             base_gens = s.base.generators()
             for mg in s.m.generators():
@@ -697,23 +714,27 @@ class CrossMorphism:
                         raise ValueError("morphism breaks the action")
         else:
             na = s.coords.group.ngens
-            f0_ab = self._f0_ab_matrix()
+            cols = self._f0_ab_columns()
+            live = [any(c) for c in cols]
             for i in range(na):
                 for j in range(na):
-                    vec = [0] * (na * na)
-                    vec[i * na + j] = 1
-                    lhs = self.f1.eval(s.omega.eval_vec(vec))
-                    a = [f0_ab[r][i] for r in range(t.coords.group.ngens)]
-                    b = [f0_ab[r][j] for r in range(t.coords.group.ngens)]
-                    rhs = t.omega.pair(a, b)
+                    img = s.omega.images[i * na + j]
+                    if not (live[i] and live[j] or any(img.qvec)
+                            or any(img.cvec)):
+                        continue
+                    lhs = self.f1.eval(img)
+                    rhs = t.omega.pair(cols[i], cols[j])
                     if not lhs == rhs:
                         raise ValueError("morphism breaks omega at (%d,%d)"
                                          % (i, j))
 
-    def _f0_ab_matrix(self):
+    def _f0_ab_columns(self):
+        """The columns of f0 on abelianized coordinates: the coordinates of
+        f0's values on the source's coordinate basis, its first
+        generators."""
         s, t = self.src, self.tgt
-        cols = [t.coords.of(self.f0.eval(b)) for b in s.coords.basis]
-        return la.transpose(cols, t.coords.group.ngens)
+        return [t.coords.of(v)
+                for v in self.f0.values()[:len(s.coords.basis)]]
 
     # -- induced maps -----------------------------------------------------------
 
@@ -724,11 +745,7 @@ class CrossMorphism:
         ks, kis = hom_kernel(self.src.bnd)
         kt, kit = hom_kernel(self.tgt.bnd)
         h1s, h1t = ks.underlying_ab(), kt.underlying_ab()
-        cols = []
-        for g in ks.generators():
-            img = self.f1.eval(kis.eval(g))
-            coords = _subgroup_coords(img, kit)
-            cols.append(coords)
+        cols = [_subgroup_coords(self.f1.eval(v), kit) for v in kis.values()]
         return AbMap(h1s, h1t, la.transpose(cols, h1t.ngens))
 
     def induced_h0(self):
@@ -738,8 +755,7 @@ class CrossMorphism:
             raise H0Undecidable("induced h0 over a free base is a "
                                 "presentation-level statement only")
         ct, pt = hom_cokernel(t.bnd)
-        return hom_from_values(cs, ct, [pt.eval(self.f0.eval(g))
-                                        for g in s.base.generators()])
+        return hom_from_values(cs, ct, [pt.eval(v) for v in self.f0.values()])
 
     def is_weak_equivalence(self) -> bool:
         if not self.induced_h1().is_isomorphism():

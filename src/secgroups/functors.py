@@ -17,10 +17,13 @@ and the pairing is pulled back along the base projection.  `six_term`
 produces the connecting sequence of a morphism and certifies exactness at
 the four interior spots: at h1 x by the abelian rule `abelian.exact`, and
 at h1 y, h0 Fib and h0 x by one class-2 rule, `_exact_at`: the incoming
-images die under the outgoing hom, and every generator of its kernel lies
-in the subgroup they generate.  A morphism holds its fiber once built, and
-each hom holds its kernel and cokernel (see `nil2`), so `fiber` followed
-by `six_term` on one morphism builds each of them once.
+images die under the outgoing hom, and each of its kernel generators
+(`nil2.kernel_generators`, no kernel group built) lies in the subgroup
+they generate.  A morphism holds its fiber once built, and each hom holds
+its kernel stages and cokernel (see `nil2`), so `fiber` followed by
+`six_term` on one morphism builds each of them once.  A hom's values on
+the generators are read off it (`Class2Hom.values()`, the images), not
+evaluated.
 
 Every hom built here (the fiber's boundary and base projection, phi2's
 automorphisms, the boundaries and units of ad2 and ad3, the connecting map
@@ -40,7 +43,8 @@ from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
                       _subgroup_coords, quadratic_module)
 from .nil2 import (Class2Elem, Class2Group, Class2Hom, Subgroup,
                    abelian_as_class2, hom_from_values, hom_cokernel,
-                   hom_kernel, identity_hom, product_group)
+                   hom_kernel, identity_hom, kernel_generators,
+                   product_group)
 from .words import PointedSet
 
 
@@ -67,9 +71,7 @@ def fiber(f: CrossMorphism) -> Fiber:
     n_x, m_y, n_y = x.n, y.m, y.n
     prod, embed = product_group(n_x, m_y)
     # combined map (n, m') -> f0(n) - bnd'(m'); its kernel is the pullback
-    imgs = [f.f0.eval(n_x.generator(i)) for i in range(n_x.q.ngens)]
-    imgs += [y.bnd.eval(m_y.generator(j)).inverse()
-             for j in range(m_y.q.ngens)]
+    imgs = f.f0.gen_images + [v.inverse() for v in y.bnd.gen_images]
     cm = la.zeros(n_y.c.ngens, prod.c.ngens)
     for r in range(n_y.c.ngens):
         for j in range(n_x.c.ngens):
@@ -82,19 +84,20 @@ def fiber(f: CrossMorphism) -> Fiber:
 
     # boundary M_x -> Fib0 : m |-> (bnd m, f1 m)
     bnd_fib = hom_from_values(x.m, fib0, [
-        fib0.element(*_coords_pair(embed(x.bnd.eval(g), f.f1.eval(g)),
-                                   fib0, incl0))
-        for g in x.m.generators()])
+        fib0.element(*_coords_pair(embed(b, m), fib0, incl0))
+        for b, m in zip(x.bnd.values(), f.f1.values())])
 
     # base projection Fib0 -> N_x
     nq, nc = n_x.q.ngens, n_x.c.ngens
-    proj = hom_from_values(fib0, n_x, [
-        n_x.element(v.qvec[:nq], v.cvec[:nc])
-        for v in map(incl0.eval, fib0.generators())])
+    proj_values = [n_x.element(v.qvec[:nq], v.cvec[:nc])
+                   for v in incl0.values()]
+    proj = hom_from_values(fib0, n_x, proj_values)
 
-    # pairing pulled back along the projection
+    # pairing pulled back along the projection; the basis of the fiber's
+    # coordinates is its first generators
     coords_fib = AbCoords(fib0)
-    base_vectors = [x.coords.of(proj.eval(b)) for b in coords_fib.basis]
+    base_vectors = [x.coords.of(v)
+                    for v in proj_values[:len(coords_fib.basis)]]
     omega_images = [x.omega.pair(u, v)
                     for u in base_vectors for v in base_vectors]
     omega_fib = OmegaPairing(coords_fib, x.m, omega_images)
@@ -133,8 +136,7 @@ def six_term(f: CrossMorphism) -> dict:
     h1y_ab = ky.underlying_ab()
     zero = x.n.identity()
     delta_imgs = []
-    for g in ky.generators():
-        elem_my = kyi.eval(g)
+    for elem_my in kyi.values():
         pe = fib.zero_incl.target.element(zero.qvec + elem_my.qvec,
                                           zero.cvec + elem_my.cvec)
         qc, cc = _coords_pair(pe, fib.obj.n, fib.zero_incl)
@@ -159,12 +161,12 @@ def six_term(f: CrossMorphism) -> dict:
 
 def _exact_at(images, g: Class2Hom) -> bool:
     """Exactness at the source of g: the images die under g, and every
-    generator of g's kernel lies in the subgroup the images generate."""
+    kernel generator of g (`nil2.kernel_generators`) lies in the subgroup
+    the images generate; no kernel group is built."""
     if not all(g.eval(x).is_identity() for x in images):
         return False
-    k, ki = hom_kernel(g)
     im = Subgroup(g.source, images)
-    return all(im.contains(ki.eval(x)) for x in k.generators())
+    return all(im.contains(x) for x in kernel_generators(g))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +249,7 @@ def ad3(x: ReducedQuadraticModule):
             killed.append(val)
     sub = Subgroup(x.m, killed, normal=True)
     m_stab, proj = sub.quotient()
-    bnd_stab = hom_from_values(m_stab, x.n,
-                               [x.bnd.eval(g) for g in x.m.generators()])
+    bnd_stab = hom_from_values(m_stab, x.n, x.bnd.values())
     om_imgs = [proj.eval(img) for img in x.omega.images]
     om_stab = OmegaPairing(coords, m_stab, om_imgs)
     stab = StableQuadraticModule(m_stab, x.n, bnd_stab, om_stab, level=3)

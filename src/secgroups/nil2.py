@@ -53,6 +53,11 @@ homomorphisms are computed lattice-by-lattice; a quotient whose cocycle
 fails to descend raises `QuotientError` instead of silently answering.
 `hom_kernel` and `hom_cokernel` build their pair on the first call for a
 hom and hold it there, so every later call for the same hom returns it.
+The kernel is built in two stages: `_kernel_lifts` (the C-layer kernel and
+the central lifts of the Q directions, held on the hom too), then the
+assembly of the kernel group.  `kernel_generators` reads the first stage
+alone and gives the kernel as a generating set of the source, which is
+all that exactness and `Class2Hom.is_isomorphism` need.
 The kernel's Q relations are the source's relations written exactly in
 the kernel basis (`intlinalg.sub_basis_coordinates`).  Its lattice steps
 are preimages read off certificates already held, so the basis they give
@@ -435,9 +440,10 @@ def _lattice_quotient_group(gen_rows: list[list[int]], ambient: FinAbGroup) -> F
 
 
 class Class2Elem:
-    """Group element (q, c); equality is componentwise modulo relations,
-    and elements of groups whose Q and C differ (`same_presentation`) are
-    never equal."""
+    """Group element (q, c); equality is componentwise modulo relations.
+    Elements of groups whose Q and C differ (`same_presentation`) are
+    never equal, and multiplying them or taking their commutator raises
+    `ValueError`."""
 
     __slots__ = ("group", "qvec", "cvec")
 
@@ -448,8 +454,16 @@ class Class2Elem:
         if len(self.qvec) != group.q.ngens or len(self.cvec) != group.c.ngens:
             raise ValueError("bad element shape")
 
+    def _check_same_group(self, other: "Class2Elem"):
+        g, h = self.group, other.group
+        if not (g.q.same_presentation(h.q) and g.c.same_presentation(h.c)):
+            raise ValueError("elements of different groups: %r and %r"
+                             % (g, h))
+
     def __mul__(self, other: "Class2Elem") -> "Class2Elem":
         g = self.group
+        if other.group is not g:
+            self._check_same_group(other)
         q = la.vec_add(self.qvec, other.qvec)
         c = la.vec_add(la.vec_add(self.cvec, other.cvec),
                        g.beta_eval(self.qvec, other.qvec))
@@ -469,6 +483,8 @@ class Class2Elem:
 
     def commutator(self, other: "Class2Elem") -> "Class2Elem":
         g = self.group
+        if other.group is not g:
+            self._check_same_group(other)
         return g.central(g.lam_eval(self.qvec, other.qvec))
 
     def conjugate_by(self, other: "Class2Elem") -> "Class2Elem":
@@ -548,6 +564,7 @@ class Class2Hom:
         self.gen_images = list(gen_images)
         self.cmap = cmap
         self._q_map = None  # built by the first q_map()
+        self._lifts = None  # held by the first _kernel_lifts
         self._kernel = None  # held by the first hom_kernel
         self._cokernel = None  # held by the first hom_cokernel
         if len(self.gen_images) != source.q.ngens:
@@ -657,8 +674,9 @@ class Class2Hom:
         raise TypeError("Class2Hom is unhashable")
 
     def is_isomorphism(self) -> bool:
-        k, _ = hom_kernel(self)
-        if not k.is_trivial():
+        """Injective (every kernel generator is 1) and onto (a trivial
+        cokernel); no kernel group is built."""
+        if not all(x.is_identity() for x in kernel_generators(self)):
             return False
         c, _ = hom_cokernel(self)
         return c.is_trivial()
@@ -830,17 +848,13 @@ def hom_cokernel(f: Class2Hom):
 
 
 def hom_kernel(f: Class2Hom):
-    """(kernel group, inclusion hom), computed layer by layer on the first
-    call and held on f.
+    """(kernel group, inclusion hom), assembled on the first call from the
+    lifts `_kernel_lifts` holds and held on f.
 
-    Both lattice steps are preimages read off a Smith certificate already
-    held: the Q directions off the target's Q relations, and the killable
-    ones off the solver of the central-layer map, whose span is its image
-    plus the target's C relations.  The kernel's cocycle table sends only
-    the nonzero commutators of the kernel basis (over `pair_support`) to
-    central coordinates: a zero one has the zero coordinates the table
-    starts with, as `la.Solver` solves 0 by 0, so no preimage solver is
-    built when every commutator vanishes.
+    The kernel's cocycle table sends only the nonzero commutators of the
+    kernel basis (over `pair_support`) to central coordinates: a zero one
+    has the zero coordinates the table starts with, as `la.Solver` solves 0
+    by 0, so no preimage solver is built when every commutator vanishes.
 
     The lifts of a basis need not multiply out to 1 over a source relation
     r written in that basis: the product of the lifts to the powers r is a
@@ -851,27 +865,9 @@ def hom_kernel(f: Class2Hom):
     refused with `QuotientError`."""
     if f._kernel is not None:
         return f._kernel
-    s, t = f.source, f.target
+    s = f.source
     nqs = s.q.ngens
-    a = f.q_matrix()
-    # central layer: kernel of cmap
-    ck, cincl = f.cmap.kernel()
-    # Q directions whose central defect is killable through cmap: z is
-    # linear modulo (im cmap + target C relations)
-    s_lat = t.q.preimage_lattice(a, nqs)
-    zvals = [t.power_product(f.gen_images, u).cvec for u in s_lat]
-    zker = f.cmap.solver().preimage_lattice(
-        la.transpose(zvals, t.c.ngens), len(s_lat)) if s_lat else []
-    s_mat = la.transpose(s_lat, nqs)
-    u_vectors = [la.mat_vec(s_mat, z) for z in zker]
-    # central lifts
-    kelems = []
-    for u in u_vectors:
-        img = t.power_product(f.gen_images, u)
-        cfix = f.cmap.preimage([-x for x in img.cvec])
-        assert cfix is not None, "killable defect has no lift"
-        kelems.append(s.element(u, la.vec_add(s.collect_central(u),
-                                              cfix.vec)))
+    ck, cincl, u_vectors, kelems = _kernel_lifts(f)
     nk = len(kelems)
     # Q-layer relations: source relations expressed exactly in the u basis
     qk = FinAbGroup(nk, la.sub_basis_coordinates(
@@ -895,6 +891,53 @@ def hom_kernel(f: Class2Hom):
     incl = Class2Hom(kgroup, s, kelems, AbMap(ck, s.c, cincl.matrix, check=False))
     f._kernel = kgroup, incl
     return f._kernel
+
+
+def _kernel_lifts(f: Class2Hom):
+    """(C-layer kernel, its inclusion, Q directions u, central lifts), the
+    first stage of `hom_kernel`, built on the first call and held on f.
+
+    Both lattice steps are preimages read off a Smith certificate already
+    held: the Q directions off the target's Q relations, and the killable
+    ones off the solver of the central-layer map, whose span is its image
+    plus the target's C relations.  The lift of u is the ordered product
+    for u times the central element that cancels its image's central
+    part, so f sends it to 1."""
+    if f._lifts is not None:
+        return f._lifts
+    s, t = f.source, f.target
+    nqs = s.q.ngens
+    # central layer: kernel of cmap
+    ck, cincl = f.cmap.kernel()
+    # Q directions whose central defect is killable through cmap: z is
+    # linear modulo (im cmap + target C relations)
+    s_lat = t.q.preimage_lattice(f.q_matrix(), nqs)
+    zvals = [t.power_product(f.gen_images, u).cvec for u in s_lat]
+    zker = f.cmap.solver().preimage_lattice(
+        la.transpose(zvals, t.c.ngens), len(s_lat)) if s_lat else []
+    s_mat = la.transpose(s_lat, nqs)
+    u_vectors = [la.mat_vec(s_mat, z) for z in zker]
+    kelems = []
+    for u in u_vectors:
+        img = t.power_product(f.gen_images, u)
+        cfix = f.cmap.preimage([-x for x in img.cvec])
+        assert cfix is not None, "killable defect has no lift"
+        kelems.append(s.element(u, la.vec_add(s.collect_central(u),
+                                              cfix.vec)))
+    f._lifts = ck, cincl, u_vectors, kelems
+    return f._lifts
+
+
+def kernel_generators(f: Class2Hom) -> list[Class2Elem]:
+    """Generators of the kernel of f as a subgroup of its source: the
+    lifts of `_kernel_lifts`, then the columns of the C-layer kernel's
+    inclusion as central elements.  A twisted lift of `hom_kernel` differs
+    from its lift by a central kernel element, so these generate the
+    subgroup its inclusion hits, and no kernel group is built."""
+    _, cincl, _, kelems = _kernel_lifts(f)
+    s = f.source
+    return kelems + [s.central([row[j] for row in cincl.matrix])
+                     for j in range(cincl.source.ngens)]
 
 
 def _twist_lifts(kgroup: Class2Group, s: Class2Group, kelems, cincl: AbMap):

@@ -276,6 +276,23 @@ def test_element_equality_and_arithmetic_refuse_other_groups():
     assert AbElem(FinAbGroup(1, [[4]]), [0]) != AbElem(z2, [0])
 
 
+def test_map_sums_refuse_other_groups():
+    """A sum or difference of maps took the left operand's groups, so
+    Z/2 -> Z/2 plus Z -> Z read as a map of Z/2.  Both orders refuse, on
+    either end, and maps between equal but distinct groups still add."""
+    z2, z = FinAbGroup(1, [[2]]), FinAbGroup(1)
+    a, b = AbMap(z2, z2, [[1]]), AbMap(z, z, [[1]])
+    mixed = AbMap(z, z2, [[1]])
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        for x, y in ((a, b), (b, a), (a, mixed), (mixed, b)):
+            with pytest.raises(ValueError, match="different groups"):
+                op(x, y)
+    other_z2 = FinAbGroup(1, [[2]])
+    same = AbMap(other_z2, other_z2, [[1]])
+    assert (a + same).is_zero()
+    assert (same - a).is_zero()
+
+
 def test_exact_refuses_maps_that_do_not_meet():
     """f: Z -> Z^2 and g: Z -> Z have no middle group; the answer was
     False.  Equal but distinct middle groups meet."""

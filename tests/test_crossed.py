@@ -183,6 +183,33 @@ def test_omega_validate_matches_all_pairs_oracle(data):
     assert _error(om.validate) == _error(lambda: _all_pairs_validate(om))
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_omega_pair_matches_evaluation_on_the_kronecker_vector(data):
+    """`pair(a, b)` collects over the nonzero (i, j) of a (x) b; it gives
+    the vectors `eval_vec(la.kron(a, b))` gives, and `eval_vec` of a unit
+    vector gives its image's own vectors.
+
+    Mutations this catches: visiting the pairs column-major, and taking
+    the first nonzero entry of b for every j."""
+    draw = data.draw
+    m = _unchecked_class2(draw, draw(st.integers(0, 3)),
+                          draw(st.integers(0, 2)))
+    na = draw(st.integers(0, 3))
+    images = [m.element(draw(_vectors(m.q.ngens, st.integers(-2, 2))),
+                        draw(_vectors(m.c.ngens)))
+              for _ in range(na * na)]
+    om = OmegaPairing(AbCoords(abelian_as_class2(FinAbGroup(na))), m,
+                      images, check=False)
+    a, b = draw(_vectors(na, st.integers(-3, 3))), \
+        draw(_vectors(na, st.integers(-3, 3)))
+    got, want = om.pair(a, b), om.eval_vec(la.kron(a, b))
+    assert (got.qvec, got.cvec) == (want.qvec, want.cvec)
+    for p, img in enumerate(images):
+        unit = om.eval_vec([int(p == k) for k in range(na * na)])
+        assert (unit.qvec, unit.cvec) == (img.qvec, img.cvec)
+
+
 def _reduced_axioms_oracle(x) -> list[str]:
     """The former `ReducedQuadraticModule.check_axioms`: the boundary and
     the coordinates re-derived inside every generator loop, and every

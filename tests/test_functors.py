@@ -10,9 +10,10 @@ from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word
 from secgroups.abelian import (AbMap, FinAbGroup, exact, identity_map,
                                zero_map)
-from secgroups.nil2 import (Class2Hom, Subgroup, abelian_as_class2, free_nil,
-                            hom_from_values, hom_from_words, hom_kernel,
-                            identity_hom, nilize, trivial_hom)
+from secgroups.nil2 import (Class2Group, Class2Hom, Subgroup,
+                            abelian_as_class2, free_nil, hom_from_values,
+                            hom_from_words, hom_kernel, identity_hom, nilize,
+                            trivial_hom)
 from secgroups.crossed import (AbCoords, CrossedModule, CrossMorphism,
                                FreeBaseHom, FreeGroupBase, GroupAction,
                                PointedGroupoid, check_axioms)
@@ -139,6 +140,104 @@ def test_six_term_spots_match_their_former_bodies():
             assert got == _former_exact_at_h0(f_in, g)
             seen.add(got)
     assert seen == {True, False}
+
+
+def test_exact_at_answers_where_the_kernel_group_is_refused():
+    """The trivial hom of Z/4-by-Z/4 with beta(e, e) = 1 has all of g as
+    kernel, which `hom_kernel` refuses (a diagonal cocycle term); exactness
+    reads its kernel generators instead."""
+    g = Class2Group(FinAbGroup(1, [[4]]), FinAbGroup(1, [[4]]), [[0]], [[1]])
+    zero = trivial_hom(g, g)
+    assert _exact_at(list(g.generators()), zero)
+    assert not _exact_at([], zero)
+
+
+def _former_morphism_validate(mor: CrossMorphism):
+    """The former `CrossMorphism.validate` at level two and up: each
+    generator of M and each pair (i, j) evaluated, the omega square's
+    right side on the Kronecker vector.  Its boundary message names the
+    generator, as the new one does; before, it named none."""
+    s, t = mor.src, mor.tgt
+    for k, g in enumerate(s.m.generators()):
+        if not t.bnd.eval(mor.f1.eval(g)) == mor.f0.eval(s.bnd.eval(g)):
+            raise ValueError("boundary square does not commute at M "
+                             "generator %d" % k)
+    na, nt = s.coords.group.ngens, t.coords.group.ngens
+    f0_ab = la.transpose([t.coords.of(mor.f0.eval(b))
+                          for b in s.coords.basis], nt)
+    for i in range(na):
+        for j in range(na):
+            vec = [0] * (na * na)
+            vec[i * na + j] = 1
+            lhs = mor.f1.eval(s.omega.eval_vec(vec))
+            a = [f0_ab[r][i] for r in range(nt)]
+            b = [f0_ab[r][j] for r in range(nt)]
+            if not lhs == t.omega.eval_vec(la.kron(a, b)):
+                raise ValueError("morphism breaks omega at (%d,%d)" % (i, j))
+
+
+def _error(check):
+    try:
+        check()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _perturbed(rng, f: Class2Hom) -> Class2Hom:
+    """f with one generator image times a random generator of the target,
+    or set to the identity; unchecked."""
+    t = f.target
+    images = list(f.gen_images)
+    if images:
+        i = rng.randrange(len(images))
+        gens = t.generators()
+        images[i] = (t.identity() if not gens or rng.random() < 0.25
+                     else images[i] * rng.choice(gens))
+    return Class2Hom(f.source, t, images, f.cmap, check=False)
+
+
+def test_morphism_validate_matches_its_former_body():
+    """On crit-5 morphisms and their fiber inclusions (valid), and on
+    copies with one f1 or f0 generator image perturbed, the first error
+    is the former body's, or there is none in both.  The fiber inclusions
+    have zero omega images, so the skipped pairs are reached.
+
+    Mutations this catches: skipping a pair whose image is nonzero (a
+    perturbed f0 then passes), and skipping a pair on a zero image alone
+    (a perturbed f0 on a fiber inclusion then passes)."""
+    rng = random.Random(5)
+    seen = set()
+    for seed in range(30):
+        f = _crit5_morphism(seed)
+        for mor in (f, fiber(f).incl):
+            assert _error(mor.validate) is None
+            assert _former_morphism_validate(mor) is None
+            for _ in range(4):
+                f1, f0 = mor.f1, mor.f0
+                if rng.random() < 0.5:
+                    f1 = _perturbed(rng, f1)
+                else:
+                    f0 = _perturbed(rng, f0)
+                bad = CrossMorphism(mor.src, mor.tgt, f1, f0, check=False)
+                got = _error(bad.validate)
+                assert got == _error(lambda: _former_morphism_validate(bad))
+                seen.add(got and got.split(" at ")[0])
+    assert seen == {None, "boundary square does not commute",
+                    "morphism breaks omega"}
+
+
+def test_a_broken_morphism_names_its_generator():
+    """The identity of the level-2 wedge on a, b with M generator 1,
+    e_a (x) e_b, sent to 1: its boundary [a, b] is missed there, while
+    generator 0, e_a (x) e_a, has boundary 1."""
+    x = wedge_model(2, PointedSet(["a", "b"]))
+    images = [x.m.identity() if k == 1 else g
+              for k, g in enumerate(identity_hom(x.m).gen_images)]
+    f1 = Class2Hom(x.m, x.m, images, identity_map(x.m.c), check=False)
+    with pytest.raises(ValueError, match="boundary square does not commute "
+                                         "at M generator 1$"):
+        CrossMorphism(x, x, f1, identity_hom(x.n))
 
 
 def test_fiber_rejects_level1():

@@ -18,7 +18,7 @@ from secgroups.nil2 import (
     Class2Group, Class2Hom, QuotientError, Subgroup, abelian_as_class2,
     free_nil, nilize, hom_from_values, hom_from_words,
     hom_kernel, hom_cokernel, identity_hom, trivial_hom, product_group,
-    boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
+    kernel_generators, boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
     pair_support, _nonzero_terms, _projection_twist,
 )
 from secgroups.selftest import oracle_element, _random_word
@@ -926,6 +926,85 @@ def test_hom_kernel_of_a_group_needing_a_diagonal_cocycle():
     g = _z4_by_z4(1)
     k, _ = hom_kernel(trivial_hom(g, g))
     assert k.order() == 16
+
+
+def test_products_refuse_elements_of_other_groups():
+    """A product, commutator or conjugate was computed in the left
+    operand's group: 1 in Z/2 times 1 in Z was the identity, and 1 in Z
+    times 1 in Z/2 was not.  Both orders refuse now, and elements of equal
+    but distinct groups still multiply."""
+    z2 = abelian_as_class2(FinAbGroup(1, [[2]]))
+    z = abelian_as_class2(FinAbGroup(1))
+    for x, y in ((z2.element([1]), z.element([1])),
+                 (z.element([1]), z2.element([1]))):
+        for op in (lambda: x * y, lambda: x.commutator(y),
+                   lambda: x.conjugate_by(y)):
+            with pytest.raises(ValueError, match="different groups"):
+                op()
+    other_z2 = abelian_as_class2(FinAbGroup(1, [[2]]))
+    assert (z2.element([1]) * other_z2.element([1])).is_identity()
+    g, h = free_nil(POINTS), free_nil(POINTS)
+    x, y = g.generator(0), h.generator(1)
+    assert x.commutator(y) == g.central_generator(0)
+    assert x.conjugate_by(y) == x * g.central_generator(0)
+    assert (x * y).group is g
+
+
+def _key(x):
+    """An element of a Z/4-by-Z/4 group as its residues."""
+    return x.qvec[0] % 4, x.cvec[0] % 4
+
+
+def _generated(g, gens):
+    """The residues of the subgroup of the finite group g that gens
+    generate, closed under multiplication by them."""
+    seen = {_key(g.identity())}
+    todo = [g.identity()]
+    while todo:
+        x = todo.pop()
+        for y in gens:
+            z = x * y
+            if _key(z) not in seen:
+                seen.add(_key(z))
+                todo.append(z)
+    return seen
+
+
+def test_kernel_generators_on_the_z4_grid_generate_the_kernel():
+    """For every valid hom of the grid, the 72 whose `hom_kernel` is
+    refused included, the kernel generators generate the brute-force
+    kernel, and `is_isomorphism` is the brute-force answer.
+
+    Mutations this catches: dropping the central columns from
+    `kernel_generators` (the kernel of the trivial hom of Z/4-by-Z/4 with
+    beta = 0 reads as the Q directions alone), and dropping the lifts."""
+    refused = isos = 0
+    for f in _z4_grid_homs():
+        s = f.source
+        brute = {_key(x) for x in s.elements() if f.eval(x).is_identity()}
+        gens = kernel_generators(f)
+        assert all(f.eval(x).is_identity() for x in gens)
+        assert _generated(s, gens) == brute
+        image = {_key(f.eval(x)) for x in s.elements()}
+        assert f.is_isomorphism() == (len(brute) == 1 and len(image) == 16)
+        isos += f.is_isomorphism()
+        try:
+            hom_kernel(f)
+        except QuotientError:
+            refused += 1
+    # 128 isomorphisms, each a brute-force bijection
+    assert (refused, isos) == (72, 128)
+
+
+def test_is_isomorphism_answers_where_the_kernel_group_is_refused():
+    """g needs a diagonal cocycle term in the kernel of its trivial hom,
+    so `hom_kernel` refuses it (the strict xfail above); the kernel
+    generators answer without a kernel group."""
+    g = _z4_by_z4(1)
+    assert not trivial_hom(g, g).is_isomorphism()
+    assert identity_hom(g).is_isomorphism()
+    with pytest.raises(QuotientError):
+        hom_kernel(trivial_hom(g, g))
 
 
 def _abelian_hom_kernel(src: FinAbGroup, tgt: FinAbGroup, a):
