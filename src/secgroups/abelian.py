@@ -185,8 +185,8 @@ class AbElem:
 
 class AbMap:
     """Homomorphism of FinAbGroups; matrix columns are generator images.
-    A sum or difference of maps whose sources or targets differ
-    (`same_presentation`) raises `ValueError`."""
+    Maps whose sources or targets differ (`same_presentation`) are never
+    equal, and their sum or difference raises `ValueError`."""
 
     def __init__(self, source: FinAbGroup, target: FinAbGroup, matrix,
                  check: bool = True):
@@ -234,8 +234,10 @@ class AbMap:
     def __eq__(self, other):
         if not isinstance(other, AbMap):
             return NotImplemented
-        if (self.source.ngens != other.source.ngens
-                or self.target.ngens != other.target.ngens):
+        # maps between other groups are never equal, as for `AbElem`: the
+        # test below runs in self.target's lattice alone
+        if not (self.source.same_presentation(other.source)
+                and self.target.same_presentation(other.target)):
             return False
         for j in range(self.source.ngens):
             col = [self.matrix[i][j] - other.matrix[i][j]

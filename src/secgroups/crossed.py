@@ -43,6 +43,12 @@ of powers in a class-2 group (a `FreeBaseHom` on a word, an omega pairing on
 a tensor vector, an element from its coordinates in a subgroup) is
 collected by the one closed form `nil2.Class2Group.power_product`.
 
+A morphism, a pairing and a group action check themselves when built from
+input.  The maps a morphism induces on h0 and h1 are derived from valid
+objects and built unchecked, and
+`test_fiber_parts_connecting_map_and_induced_maps_pass_their_checks` in
+`tests/test_functors.py` holds them to their checks.
+
 Over a free-group base, h1 is the kernel of an abelian M whose boundary
 images are powers w^e_i of one word w: the `AbMap.kernel` of M -> Z,
 x_i -> e_i, and nothing else.
@@ -746,7 +752,7 @@ class CrossMorphism:
         kt, kit = hom_kernel(self.tgt.bnd)
         h1s, h1t = ks.underlying_ab(), kt.underlying_ab()
         cols = [_subgroup_coords(self.f1.eval(v), kit) for v in kis.values()]
-        return AbMap(h1s, h1t, la.transpose(cols, h1t.ngens))
+        return AbMap(h1s, h1t, la.transpose(cols, h1t.ngens), check=False)
 
     def induced_h0(self):
         s, t = self.src, self.tgt
@@ -755,7 +761,8 @@ class CrossMorphism:
             raise H0Undecidable("induced h0 over a free base is a "
                                 "presentation-level statement only")
         ct, pt = hom_cokernel(t.bnd)
-        return hom_from_values(cs, ct, [pt.eval(v) for v in self.f0.values()])
+        return hom_from_values(cs, ct, [pt.eval(v) for v in self.f0.values()],
+                               check=False)
 
     def is_weak_equivalence(self) -> bool:
         if not self.induced_h1().is_isomorphism():

@@ -29,6 +29,16 @@ Every hom built here (the fiber's boundary and base projection, phi2's
 automorphisms, the boundaries and units of ad2 and ad3, the connecting map
 and each enumerated hom) is given by its values on the source generators
 through `nil2.hom_from_values`, which tests the central ones.
+
+Objects derived from valid ones are built unchecked: the fiber's combined
+map, boundary, base projection, pairing and inclusion morphism, the
+connecting map, and ad3's boundary, pairing and unit.
+`tests/test_functors.py` holds them to their checks
+(`test_fiber_parts_connecting_map_and_induced_maps_pass_their_checks`,
+`test_ad3_unit_and_stable_module_pass_their_checks`).  ad2 keeps its
+checks, because they are what expose its defect on a module whose M has a
+central layer (ROADMAP item 10).  An enumerated hom or morphism is
+checked, as the check is what sorts the candidates.
 """
 
 from __future__ import annotations
@@ -79,19 +89,19 @@ def fiber(f: CrossMorphism) -> Fiber:
         for j in range(m_y.c.ngens):
             cm[r][n_x.c.ngens + j] = -y.bnd.cmap.matrix[r][j]
     combined = Class2Hom(prod, n_y, imgs,
-                         AbMap(prod.c, n_y.c, cm, check=False))
+                         AbMap(prod.c, n_y.c, cm, check=False), check=False)
     fib0, incl0 = hom_kernel(combined)
 
     # boundary M_x -> Fib0 : m |-> (bnd m, f1 m)
     bnd_fib = hom_from_values(x.m, fib0, [
         fib0.element(*_coords_pair(embed(b, m), fib0, incl0))
-        for b, m in zip(x.bnd.values(), f.f1.values())])
+        for b, m in zip(x.bnd.values(), f.f1.values())], check=False)
 
     # base projection Fib0 -> N_x
     nq, nc = n_x.q.ngens, n_x.c.ngens
     proj_values = [n_x.element(v.qvec[:nq], v.cvec[:nc])
                    for v in incl0.values()]
-    proj = hom_from_values(fib0, n_x, proj_values)
+    proj = hom_from_values(fib0, n_x, proj_values, check=False)
 
     # pairing pulled back along the projection; the basis of the fiber's
     # coordinates is its first generators
@@ -100,10 +110,10 @@ def fiber(f: CrossMorphism) -> Fiber:
                     for v in proj_values[:len(coords_fib.basis)]]
     omega_images = [x.omega.pair(u, v)
                     for u in base_vectors for v in base_vectors]
-    omega_fib = OmegaPairing(coords_fib, x.m, omega_images)
+    omega_fib = OmegaPairing(coords_fib, x.m, omega_images, check=False)
 
     fib_obj = quadratic_module(x.m, fib0, bnd_fib, omega_fib, x.level)
-    jmor = CrossMorphism(fib_obj, x, identity_hom(x.m), proj)
+    jmor = CrossMorphism(fib_obj, x, identity_hom(x.m), proj, check=False)
     f._fiber = Fiber(fib_obj, jmor, incl0)
     return f._fiber
 
@@ -141,7 +151,8 @@ def six_term(f: CrossMorphism) -> dict:
                                           zero.cvec + elem_my.cvec)
         qc, cc = _coords_pair(pe, fib.obj.n, fib.zero_incl)
         delta_imgs.append(p_fib.eval(fib.obj.n.element(qc, cc)))
-    delta = hom_from_values(abelian_as_class2(h1y_ab), m4.source, delta_imgs)
+    delta = hom_from_values(abelian_as_class2(h1y_ab), m4.source, delta_imgs,
+                            check=False)
 
     report = {}
     report["h1_head_injective"] = m1.is_injective()
@@ -249,11 +260,11 @@ def ad3(x: ReducedQuadraticModule):
             killed.append(val)
     sub = Subgroup(x.m, killed, normal=True)
     m_stab, proj = sub.quotient()
-    bnd_stab = hom_from_values(m_stab, x.n, x.bnd.values())
+    bnd_stab = hom_from_values(m_stab, x.n, x.bnd.values(), check=False)
     om_imgs = [proj.eval(img) for img in x.omega.images]
-    om_stab = OmegaPairing(coords, m_stab, om_imgs)
+    om_stab = OmegaPairing(coords, m_stab, om_imgs, check=False)
     stab = StableQuadraticModule(m_stab, x.n, bnd_stab, om_stab, level=3)
-    unit = CrossMorphism(x, phi3(stab), proj, identity_hom(x.n))
+    unit = CrossMorphism(x, phi3(stab), proj, identity_hom(x.n), check=False)
     return stab, unit
 
 

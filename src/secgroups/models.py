@@ -82,7 +82,10 @@ def k_invariant(x) -> KInvariant:
     certified: every kernel generator of the lifted functor map must land on
     zero.  Construction fails loudly if h0 is not abelian.  The quadratic
     functor of the coordinate group is built once, by `level_gamma`, and
-    the functor map starts from that group.
+    the functor map starts from that group.  The abelianized projection
+    and the k-invariant are built unchecked;
+    `tests/test_models.py::test_k_invariant_maps_are_well_defined` holds
+    them to their checks.
     """
     n = x.level
     if n < 2:
@@ -105,7 +108,8 @@ def k_invariant(x) -> KInvariant:
     qmatrix = la.transpose(cols, h_ab.ngens)
     # the level tensor square keeps the plain basis the pairing reads
     src_group, inc = level_gamma(n, coords.group)
-    gq = level_gamma_map(n, AbMap(coords.group, h_ab, qmatrix), src_group)
+    gq = level_gamma_map(n, AbMap(coords.group, h_ab, qmatrix, check=False),
+                         src_group)
     gamma_h = gq.target
 
     def push(vec) -> list[int]:
@@ -130,7 +134,7 @@ def k_invariant(x) -> KInvariant:
         if lift is None:
             raise ValueError("quadratic functor map is not surjective")
         cols.append(push(lift.vec))
-    kmap = AbMap(gamma_h, h1_ab, la.transpose(cols, h1_ab.ngens))
+    kmap = AbMap(gamma_h, h1_ab, la.transpose(cols, h1_ab.ngens), check=False)
     return KInvariant(kmap, cert)
 
 

@@ -40,6 +40,23 @@ built by `hom_from_values` and nothing else: a C generator's value must be
 central (its Q part in the target's relation lattice), and its central
 part is that generator's column of the central-layer map.
 
+Input is checked where it enters (documents, the command line, public
+constructors), and an object the library derives from valid ones is built
+unchecked: `Subgroup.quotient`'s group and projection, `hom_kernel`'s
+inclusion and `Class2Hom.q_map`.  A quotient tests only what can fail
+there: descent through the new Q rows, and the projection's central twist
+on the ambient group's own Q relations (the twist is solved on the
+subgroup's generators alone).  Alternation, the swap identity and descent
+through the old relations hold because the ambient group is valid and both
+lattices only grow.  `hom_from_values` tests its central values whatever
+`check` says.  `tests/test_nil2.py` holds the derived objects to their
+checks (`test_kernel_inclusions_pass_their_check`,
+`test_quotient_refuses_where_the_full_check_refused`), and
+`tests/test_check_sites.py` fails if a check runs again on the h0/h1,
+fiber and six-term paths.  `tracks.py` still checks every 2-morphism it
+derives: its checks go with ROADMAP item 4, after the benchmark stops
+reading a faster track-laws as a memory regression (item 1).
+
 The free objects here are `free_nil` (free class-2 group on a pointed set,
 with the strictly upper triangular cocycle convention fixing the orientation
 a ^ b = lam(a (x) b) for generator indices i < j) and `nilize`, which
@@ -144,11 +161,15 @@ class Class2Group:
                      - self.lam[r][i * nq + j] for r in range(nc)]
             if not self.c.contains_in_lattice(delta):
                 raise ValueError("beta - beta o swap != lam at (%d,%d)" % (i, j))
-        # descent through the Q relations: beta(rel, e_j) = beta(e_j, rel) = 0
-        rels = self.q.relations
+        self._check_descent(self.q.relations)
+
+    def _check_descent(self, rels):
+        """Descent through the Q rows rels: beta(rel, e_j) = beta(e_j, rel)
+        = 0 in C for every row and every Q generator, tested only on the
+        pairs `pair_support` gives; raises ValueError where it fails."""
         if not rels:
             return
-        units = la.identity(nq)
+        units = la.identity(self.q.ngens)
         for us, vs in ((rels, units), (units, rels)):
             for i, j in pair_support(self._beta_terms, us, vs):
                 if not self.c.contains_in_lattice(
@@ -603,7 +624,7 @@ class Class2Hom:
         """The map on Q layers, built once so its preimage solver is held."""
         if self._q_map is None:
             self._q_map = AbMap(self.source.q, self.target.q,
-                                self.q_matrix())
+                                self.q_matrix(), check=False)
         return self._q_map
 
     # -- validation ------------------------------------------------------------
@@ -661,11 +682,11 @@ class Class2Hom:
     def __eq__(self, other):
         if not isinstance(other, Class2Hom):
             return NotImplemented
-        # shapes, not group identity: equal homs may land in equal but
-        # distinct group objects
-        if any((x.q.ngens, x.c.ngens) != (y.q.ngens, y.c.ngens)
-               for x, y in ((self.source, other.source),
-                            (self.target, other.target))):
+        # presentations, not group identity: equal homs may land in equal
+        # but distinct group objects
+        if not all(x.q.same_presentation(y.q) and x.c.same_presentation(y.c)
+                   for x, y in ((self.source, other.source),
+                                (self.target, other.target))):
             return False
         return (all(a == b for a, b in zip(self.gen_images, other.gen_images))
                 and self.cmap == other.cmap)
@@ -786,8 +807,12 @@ class Subgroup:
         nq, nc = g.q.ngens, g.c.ngens
         qq = FinAbGroup(nq, g.q.relations + self.q_rows)
         cq = FinAbGroup(nc, list(self.c_rows))
+        # g is valid and both lattices only grow, so lam stays alternating,
+        # beta - beta o swap stays lam and beta still descends through g's
+        # own Q relations: only the new rows can fail
+        quot = Class2Group(qq, cq, g.lam, g.beta, g.gen_names, check=False)
         try:
-            quot = Class2Group(qq, cq, g.lam, g.beta, g.gen_names)
+            quot._check_descent(self.q_rows)
         except ValueError as exc:
             raise QuotientError("cocycle does not descend: %s" % exc) from exc
         # twist the projection so every subgroup generator maps to 1
@@ -796,6 +821,13 @@ class Subgroup:
         if t is None:
             raise QuotientError("projection twist has no solution; "
                                 "quotient cocycle fails to descend")
+        # the projection is then a hom except on g's own Q relations: the
+        # twist is solved on the subgroup's generators alone, and a
+        # relation r maps to the central element T r
+        for r in g.q.relations:
+            if not cq.contains_in_lattice(la.mat_vec(t, r)):
+                raise QuotientError("projection twist breaks the relation "
+                                    "%r of the group" % (r,))
         gen_images = []
         for i in range(nq):
             qv = [0] * nq
@@ -803,9 +835,7 @@ class Subgroup:
             cv = [t[r][i] for r in range(nc)]
             gen_images.append(quot.element(qv, cv))
         cmap = AbMap(g.c, cq, la.identity(nc), check=False)
-        proj = Class2Hom(g, quot, gen_images, cmap)
-        for e in self.gens:
-            assert proj.eval(e).is_identity(), "projection does not kill subgroup"
+        proj = Class2Hom(g, quot, gen_images, cmap, check=False)
         return quot, proj
 
 
@@ -888,7 +918,8 @@ def hom_kernel(f: Class2Hom):
                 betak[r][i * nk + j] = lc.vec[r]
     kgroup = Class2Group(qk, ck, lamk, betak, check=False)
     kelems = _twist_lifts(kgroup, s, kelems, cincl)
-    incl = Class2Hom(kgroup, s, kelems, AbMap(ck, s.c, cincl.matrix, check=False))
+    incl = Class2Hom(kgroup, s, kelems,
+                     AbMap(ck, s.c, cincl.matrix, check=False), check=False)
     f._kernel = kgroup, incl
     return f._kernel
 

@@ -13,6 +13,7 @@ from secgroups.abelian import (AbElem, AbMap, FinAbGroup, direct_sum, exact,
                                reduced_tensor_square,
                                tensor_square, tensor_square_map,
                                tensor_square_relations, tensor_z2, zero_map)
+from secgroups.nil2 import Class2Group, Class2Hom, abelian_as_class2
 
 
 def test_invariant_factors_and_rank():
@@ -254,6 +255,36 @@ def test_map_equality_compares_shapes():
     assert zero_map(two, one) != zero_map(two, two)
     assert identity_map(two) == identity_map(FinAbGroup(2))
     assert identity_map(two) != "map"
+
+
+def test_map_equality_refuses_other_groups_in_both_orders():
+    """2 into Z/2 and 0 into Z were equal one way and not the other: the
+    difference was tested in the left map's target alone.  Maps between
+    other groups, and class-2 homs, are unequal both ways, and maps
+    between equal but distinct groups still compare modulo the target's
+    relations."""
+    z2, z = FinAbGroup(1, [[2]]), FinAbGroup(1)
+    pairs = [(AbMap(z, z2, [[2]]), AbMap(z, z, [[0]])),
+             (AbMap(z2, z2, [[1]]), AbMap(z, z2, [[1]]))]
+    for a, b in pairs:
+        assert a != b and b != a
+    other_z2 = FinAbGroup(1, [[2]])
+    a, b = AbMap(z, z2, [[2]]), AbMap(z, other_z2, [[0]])
+    assert a == b and b == a
+    # Class2Hom compares the layers of its source and target this way: a
+    # hom out of Z and one out of Z/2 with the same image were equal
+    s = Class2Group(FinAbGroup(0), FinAbGroup(1), [[]], [[]])
+    t = Class2Group(FinAbGroup(0), FinAbGroup(1), [[]], [[]])
+    t2 = Class2Group(FinAbGroup(0), FinAbGroup(1, [[2]]), [[]], [[]])
+    f = Class2Hom(s, t2, [], AbMap(s.c, t2.c, [[2]]))
+    g = Class2Hom(s, t, [], AbMap(s.c, t.c, [[0]]))
+    assert f != g and g != f
+    z, z2 = abelian_as_class2(z), abelian_as_class2(z2)
+    f = Class2Hom(z, z2, [z2.element([1])], AbMap(z.c, z2.c, []))
+    g = Class2Hom(z2, z2, [z2.element([1])], AbMap(z2.c, z2.c, []))
+    assert f != g and g != f
+    assert f == Class2Hom(abelian_as_class2(FinAbGroup(1)), z2,
+                          [z2.element([3])], AbMap(z.c, z2.c, []))
 
 
 def test_element_equality_and_arithmetic_refuse_other_groups():

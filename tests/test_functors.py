@@ -10,10 +10,11 @@ from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word
 from secgroups.abelian import (AbMap, FinAbGroup, exact, identity_map,
                                zero_map)
+from secgroups import functors
 from secgroups.nil2 import (Class2Group, Class2Hom, Subgroup,
-                            abelian_as_class2, free_nil, hom_from_values,
-                            hom_from_words, hom_kernel, identity_hom, nilize,
-                            trivial_hom)
+                            abelian_as_class2, free_nil, hom_cokernel,
+                            hom_from_values, hom_from_words, hom_kernel,
+                            identity_hom, nilize, trivial_hom)
 from secgroups.crossed import (AbCoords, CrossedModule, CrossMorphism,
                                FreeBaseHom, FreeGroupBase, GroupAction,
                                PointedGroupoid, check_axioms)
@@ -79,6 +80,47 @@ def test_six_term_after_fiber_matches_six_term_alone():
             == {k: v for k, v in rep_fresh.items() if isinstance(v, bool)}
         for a, b in zip(rep_held["maps"], rep_fresh["maps"]):
             assert _raw_map(a) == _raw_map(b)
+
+
+def _well_defined(m: AbMap):
+    """The check an `AbMap` built unchecked skipped: every source relation
+    lands in the target's relation lattice."""
+    AbMap(m.source, m.target, m.matrix)
+
+
+def test_fiber_parts_connecting_map_and_induced_maps_pass_their_checks(
+        monkeypatch):
+    """`fiber`, `six_term` and the induced maps build their homs, pairing
+    and morphisms unchecked, from valid inputs; on crit-5 morphisms each
+    passes the check its constructor skipped, and the fiber its axioms.
+    The combined map is read off `fiber`'s call to `hom_kernel`."""
+    kerneled = []
+
+    def recording(h):
+        kerneled.append(h)
+        return hom_kernel(h)
+
+    monkeypatch.setattr(functors, "hom_kernel", recording)
+    for seed in range(12):
+        f = _crit5_morphism(seed)
+        f.validate()
+        del kerneled[:]
+        fib = fiber(f)
+        (combined,) = kerneled
+        for h in (combined, fib.zero_incl, fib.obj.bnd, fib.incl.f0):
+            h.validate()
+        fib.obj.omega.validate()
+        fib.incl.validate()
+        assert fib.obj.check_axioms() == []
+        rep = six_term(f)
+        m1, m2, delta, m4, m5 = rep["maps"]
+        h0_fib, p_fib = hom_cokernel(fib.obj.bnd)
+        for g in (fib.obj.n, h0_fib):
+            g._validate()
+        for h in (delta, m4, m5, p_fib):
+            h.validate()
+        for m in (m1, m2):
+            _well_defined(m)
 
 
 def _former_exact_at_h1y(m2: AbMap, delta: Class2Hom) -> bool:
@@ -349,6 +391,22 @@ def test_ad3_stabilization_h1():
     assert check_axioms(stab) == []
     # h1 Z (level 2) stabilizes to Z/2
     assert stab.h1().invariant_factors == (2,)
+
+
+def test_ad3_unit_and_stable_module_pass_their_checks():
+    """ad3 builds its boundary, pairing and unit unchecked from a valid
+    module; on wedges and quotient wedges of one to three letters each
+    passes its check, and the stable module its axioms."""
+    rng = random.Random(26)
+    for k in (1, 2, 3):
+        for x in (wedge_model(2, _points(k)),
+                  _random_quotient_wedge(rng, 2, _points(k))):
+            stab, unit = ad3(x)
+            for h in (stab.bnd, unit.f1):
+                h.validate()
+            stab.omega.validate()
+            unit.validate()
+            assert check_axioms(stab) == []
 
 
 @pytest.mark.parametrize("build,h1_order,h0_classes", [

@@ -2,13 +2,16 @@
 
 import pytest
 
+from secgroups import models
 from secgroups.words import PointedSet
-from secgroups.abelian import FinAbGroup
+from secgroups.abelian import AbMap, FinAbGroup
 from secgroups.models import (
     abelian_as_class2, wedge_model, homotopy_groups, k_invariant,
     suspension_comparison,
 )
-from secgroups.crossed import check_axioms
+from secgroups.crossed import (AbCoords, OmegaPairing, check_axioms,
+                               quadratic_module)
+from secgroups.nil2 import trivial_hom
 from secgroups.selftest import omega_zero_module
 
 
@@ -67,6 +70,52 @@ def test_level2_k_invariant_of_a_six_letter_wedge_is_iso():
 def test_k_invariant_zero_pairing():
     x = omega_zero_module()
     assert k_invariant(x).is_zero()
+
+
+def _cyclic_pairing_module(n, a, b, c):
+    """The level-n module with base Z/a, M = Z/b, trivial boundary and
+    omega(e (x) e) = c: h0 = Z/a and h1 = Z/b, so the quadratic functor
+    of h0 and the k-invariant's target both have relations.  Valid when
+    b divides a*c, and at level 3 and up 2c as well."""
+    base = abelian_as_class2(FinAbGroup(1, [[a]]))
+    m = abelian_as_class2(FinAbGroup(1, [[b]]))
+    omega = OmegaPairing(AbCoords(base), m, [m.element([c])])
+    return quadratic_module(m, base, trivial_hom(m, base), omega, n)
+
+
+def _well_defined(m: AbMap):
+    """The check an `AbMap` built unchecked skipped: every source relation
+    lands in the target's relation lattice."""
+    AbMap(m.source, m.target, m.matrix)
+
+
+def test_k_invariant_maps_are_well_defined(monkeypatch):
+    """`k_invariant` builds the abelianized projection of h0 and the
+    k-invariant unchecked; on wedges and on modules over cyclic bases each
+    sends every source relation into the target's lattice.  The
+    projection is read off the call to `level_gamma_map`."""
+    projections = []
+    level_gamma_map = models.level_gamma_map
+
+    def recording(n, f, source):
+        projections.append(f)
+        return level_gamma_map(n, f, source)
+
+    monkeypatch.setattr(models, "level_gamma_map", recording)
+    xs = [wedge_model(n, PointedSet(["a", "b"])) for n in (2, 3)]
+    xs += [_cyclic_pairing_module(2, a, b, c)
+           for a, b, c in ((2, 4, 2), (4, 8, 2), (6, 4, 2), (3, 9, 3))]
+    xs += [_cyclic_pairing_module(3, a, 2, 1) for a in (2, 4)]
+    kmaps = []
+    for x in xs:
+        assert check_axioms(x) == []
+        ki = k_invariant(x)
+        assert ki.certificate["kernel_generators_vanish"]
+        kmaps.append(ki.map)
+        for m in (projections[-1], ki.map):
+            _well_defined(m)
+    assert all(any(m.source.relations for m in maps)
+               for maps in (projections, kmaps))
 
 
 def test_k_invariant_rejects_level1():

@@ -144,6 +144,101 @@ def test_letters_of_quotients_match_a_fresh_solve_and_spell_the_element():
             assert nilize(_spelled(g, x), g) == x
 
 
+def _random_closures(rng, ambients, per_group):
+    """Normal closures of one or two random elements (entries -3..3) in
+    each ambient group, per_group of them."""
+    for g in ambients:
+        for _ in range(per_group):
+            gens = [g.element([rng.randint(-3, 3) for _ in range(g.q.ngens)],
+                              [rng.randint(-3, 3) for _ in range(g.c.ngens)])
+                    for _ in range(rng.randint(1, 2))]
+            yield Subgroup(g, gens, normal=True)
+
+
+def _former_quotient(sub: Subgroup):
+    """The former `Subgroup.quotient`: the quotient group under the full
+    `Class2Group` check, and the projection checked and tested on every
+    generator; or the error it raised."""
+    g = sub.group
+    nq, nc = g.q.ngens, g.c.ngens
+    qq = FinAbGroup(nq, g.q.relations + sub.q_rows)
+    cq = FinAbGroup(nc, list(sub.c_rows))
+    try:
+        quot = Class2Group(qq, cq, g.lam, g.beta, g.gen_names)
+    except ValueError as exc:
+        return "cocycle does not descend: %s" % exc
+    t = _projection_twist([e.qvec for e in sub.gens],
+                          [e.cvec for e in sub.gens], nq, cq)
+    if t is None:
+        return ("projection twist has no solution; quotient cocycle fails "
+                "to descend")
+    try:
+        proj = Class2Hom(g, quot, [quot.element(
+            [int(i == j) for j in range(nq)], [t[r][i] for r in range(nc)])
+            for i in range(nq)], AbMap(g.c, cq, la.identity(nc), check=False))
+    except ValueError as exc:
+        return "projection is not a hom: %s" % exc
+    assert all(proj.eval(e).is_identity() for e in sub.gens)
+    return quot, proj
+
+
+def _quotient_or_error(sub: Subgroup):
+    try:
+        return sub.quotient()
+    except QuotientError as exc:
+        return str(exc)
+
+
+def _raw_quotient(answer):
+    if isinstance(answer, str):
+        return answer
+    quot, proj = answer
+    return (quot.q.relations, quot.c.relations, quot.lam, quot.beta,
+            quot.gen_names, [_raw(x) for x in proj.gen_images],
+            proj.cmap.matrix)
+
+
+def test_quotient_refuses_where_the_full_check_refused():
+    """`Subgroup.quotient` builds its group and projection unchecked, and
+    tests descent through the new Q rows alone and its projection only on
+    the ambient group's Q relations.  On normal closures in free class-2
+    groups and in quotients of them it refuses exactly where the full
+    checks refused, and otherwise returns the same group and projection,
+    which pass their checks, and the projection sends every generator of
+    the subgroup to 1.  A descent refusal keeps its message; a projection
+    that breaks an ambient relation, which the projection's check refused
+    as "hom disagrees on relation representatives", is a `QuotientError`
+    that names the relation.  All three outcomes occur.
+
+    Mutations this catches: no descent test at all (a refusal is
+    answered), descent through the ambient relations alone, and no test
+    of the projection on the ambient relations."""
+    rng = random.Random(2601)
+    ambients = [free_nil(PointedSet(list("abc"[:k]))) for k in (1, 2, 3)]
+    ambients += _random_free_quotients(rng)[::2]
+    seen = {"answered": 0, "descent": 0, "relation": 0}
+    for sub in _random_closures(rng, ambients, 12):
+        answer = _quotient_or_error(sub)
+        got = _raw_quotient(answer)
+        want = _raw_quotient(_former_quotient(sub))
+        if want == ("projection is not a hom: hom disagrees on relation "
+                    "representatives"):
+            assert got.startswith("projection twist breaks the relation ")
+            seen["relation"] += 1
+            continue
+        assert got == want
+        if isinstance(answer, str):
+            seen["descent"] += 1
+            continue
+        quot, proj = answer
+        quot._validate()
+        proj.validate()
+        assert all(proj.eval(e).is_identity() for e in sub.gens)
+        seen["answered"] += 1
+    assert seen["answered"] >= 10 and seen["descent"] >= 10, seen
+    assert seen["relation"], seen
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_letters_match_a_fresh_solve_on_unchecked_groups(data):
@@ -759,7 +854,10 @@ def _former_hom_kernel(f: Class2Hom):
     `_projection_twist`, so the bases and lifts agree and the test pins
     the cocycle table.  Its relation step solves exactly, as the
     library's does, not modulo the source relations.  Its asserts raise
-    explicitly, so their messages are not rewritten."""
+    explicitly, so their messages are not rewritten.  Its inclusion is
+    built unchecked, as the library's is: on a hom that is not valid the
+    former check refused, and `test_hom_kernel_matches_former_body` holds
+    the inclusion of a valid hom to its check instead."""
     s, t = f.source, f.target
     nqs, ncs = s.q.ngens, s.c.ngens
     a = f.q_matrix()
@@ -829,7 +927,8 @@ def _former_hom_kernel(f: Class2Hom):
                                            [row[i] for row in tw]))
                   for i, x in enumerate(kelems)]
     return kgroup, Class2Hom(kgroup, s, kelems,
-                             AbMap(ckern, s.c, cincl.matrix, check=False))
+                             AbMap(ckern, s.c, cincl.matrix, check=False),
+                             check=False)
 
 
 def _kernel_entries(check):
@@ -849,7 +948,9 @@ def test_hom_kernel_matches_former_body(data):
     """The former body filled the cocycle table over every pair and
     multiplied the twist's defects out letter by letter; the kernel's
     integers, or its error, are the same.  Homs out of free class-2 groups,
-    whose commutators are nonzero, fill the table's entries."""
+    whose commutators are nonzero, fill the table's entries.  Where the
+    groups and the hom pass their checks, the inclusion, built unchecked,
+    passes its check too."""
     if data.draw(st.booleans()):
         f = data.draw(_homs_with_breaks())
     else:
@@ -861,6 +962,9 @@ def test_hom_kernel_matches_former_body(data):
         f = Class2Hom(s, t, images, cmap, check=False)
     assert _kernel_entries(lambda: hom_kernel(f)) == _kernel_entries(
         lambda: _former_hom_kernel(f))
+    if f._kernel is not None and not any(map(_error, (
+            f.source._validate, f.target._validate, f.validate))):
+        f._kernel[1].validate()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -915,6 +1019,43 @@ def test_hom_kernel_on_the_z4_grid_matches_brute_force():
         assert _kernel_entries(lambda: (k, incl)) == _kernel_entries(
             lambda: _former_hom_kernel(f))
     assert (answered, refused) == (568, 72)
+
+
+def test_kernel_inclusions_pass_their_check():
+    """`hom_kernel` builds its kernel group and inclusion unchecked.  On
+    every answered hom of the Z/4 grid, on random homs out of free class-2
+    groups into free groups and quotients of them, and on wedge
+    boundaries, both pass their checks.  With `_twist_lifts` dropped, 192
+    of the 640 grid inclusions fail `validate`."""
+    answered = 0
+    for f in _z4_grid_homs():
+        try:
+            k, incl = hom_kernel(f)
+        except QuotientError:
+            continue
+        k._validate()
+        incl.validate()
+        answered += 1
+    assert answered == 568
+    rng = random.Random(2603)
+    targets = [free_nil(PointedSet(list("abc"[:k]))) for k in (2, 3)]
+    targets += _random_free_quotients(rng)
+    kernels = []
+    for t in targets:
+        for k in (1, 2, 3):
+            s = free_nil(PointedSet(list("xyz"[:k])))
+            f = s.free_hom(t, [
+                t.element([rng.randint(-2, 2) for _ in range(t.q.ngens)],
+                          [rng.randint(-2, 2) for _ in range(t.c.ngens)])
+                for _ in range(k)])
+            kernels.append(hom_kernel(f))
+    for n in (2, 3):
+        for k in (1, 2, 3):
+            w = wedge_model(n, PointedSet(["*"] + list("abc"[:k])))
+            kernels.append(hom_kernel(w.bnd))
+    for k, incl in kernels:
+        k._validate()
+        incl.validate()
 
 
 @pytest.mark.xfail(strict=True, raises=QuotientError,
