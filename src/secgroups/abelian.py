@@ -4,18 +4,23 @@ A `FinAbGroup` is Z^n modulo the row lattice of a relation matrix.  Nothing
 is ever reduced to a "nicer" presentation behind the caller's back: elements
 keep their coefficient vectors.  Construction runs one Smith normal form on
 the transposed relations and keeps its certificate (U, U^-1 and the
-diagonal), U and U^-1 as sparse columns; every later membership test
-(element equality, well-definedness of maps) adds the columns of U at the
-vector's nonzero entries and tests each nonzero coordinate against its
-diagonal entry, with no further SNF.  The same certificate answers
-preimages into the relation lattice (`preimage_lattice`, through
-`intlinalg.certified_preimage`), as a map's held `Solver` answers
-preimages into its image plus the target relations.
+diagonal), U and U^-1 as sparse columns; a group without relations holds
+the identity certificate that SNF would give and runs none.  Every later
+membership test (element equality, well-definedness of maps) adds the
+columns of U at the vector's nonzero entries and tests each nonzero
+coordinate against its diagonal entry, with no further SNF.  The same
+certificate answers preimages into the relation lattice
+(`preimage_lattice`, through `intlinalg.certified_preimage`), as a map's
+held `Solver` answers preimages into its image plus the target relations.
 
 `AbMap` is a homomorphism given by its matrix on generators (columns are
 images).  Construction checks well-definedness: every source relation must
 land in the target relation lattice.  Kernels and cokernels come back as
-new groups together with the inclusion / projection map.
+new groups together with the inclusion / projection map.  A map holds its
+kernel basis once read (`kernel_basis`): injectivity tests it against the
+source's certificate, and `exact` against the incoming map's held
+`Solver`, so only `kernel` (and `nil2.hom_kernel` through it) builds a
+kernel group.
 
 The quadratic functors live here too, each a plain `FinAbGroup` on a
 documented basis: the tensor square (e_i (x) e_j at index i*n + j), the
@@ -51,6 +56,14 @@ class FinAbGroup:
         # R^T has the same invariant factors as R.  U and U^-1 are held as
         # sparse columns, U's read off the sparse rows the SNF returns and
         # U^-1's as returned; a coordinate of modulus 1 never refuses.
+        # Without relations L is 0 and the certificate is the identity,
+        # what the SNF of an ngens x 0 matrix returns, so none is run.
+        if not rels:
+            self.free_rank = ngens
+            self.invariant_factors = ()
+            self._moduli = [0] * ngens
+            self._u = self._uinv = [{i: 1} for i in range(ngens)]
+            return
         diag, u, _, ui, _ = la.smith_normal_form(
             la.transpose(rels, ngens), len(rels), keep=("u", "uinv"))
         rank = sum(1 for x in diag if x)
@@ -115,7 +128,11 @@ class FinAbGroup:
 
     def preimage_lattice(self, a, ncols: int) -> list[list[int]]:
         """Basis of {x : a @ x lies in the relation lattice}, read off the
-        held certificate (`intlinalg.certified_preimage`)."""
+        held certificate (`intlinalg.certified_preimage`); without
+        relations that is the kernel of a, which the rule computes when U
+        is the identity and every modulus 0."""
+        if not self.relations:
+            return la.kernel_basis(a, ncols)
         return la.certified_preimage(self._u, self._moduli, a, ncols)
 
     def divide(self, d: int, vec):
@@ -194,6 +211,7 @@ class AbMap:
         self.target = target
         self.matrix = [list(r) for r in matrix]
         self._solver = None  # built by the first solver()
+        self._kernel_basis = None  # held by the first kernel_basis()
         if len(self.matrix) != target.ngens or any(
                 len(r) != source.ngens for r in self.matrix):
             raise ValueError("matrix shape must be target.ngens x source.ngens")
@@ -254,12 +272,21 @@ class AbMap:
 
     # -- kernel / cokernel ---------------------------------------------------
 
+    def kernel_basis(self) -> list[list[int]]:
+        """A basis of {x : f(x) in the relation lattice of the target},
+        which contains the source relations, read off the target's
+        certificate on first use and held.  Injectivity, exactness and
+        `kernel` read it; only `kernel` builds a group from it."""
+        if self._kernel_basis is None:
+            self._kernel_basis = self.target.preimage_lattice(
+                self.matrix, self.source.ngens)
+        return self._kernel_basis
+
     def kernel(self):
-        """(K, incl) with incl: K -> source an injection onto the kernel."""
-        src, tgt = self.source, self.target
-        # a basis of {x : f(x) in the relation lattice of the target},
-        # which contains the source relations
-        basis = tgt.preimage_lattice(self.matrix, src.ngens)
+        """(K, incl) with incl: K -> source an injection onto the kernel;
+        the columns of incl are the vectors of `kernel_basis`."""
+        src = self.source
+        basis = self.kernel_basis()
         k = len(basis)
         bt = la.transpose(basis, src.ngens)  # src.ngens x k, columns = basis
         kgroup = FinAbGroup(k, la.sub_basis_coordinates(bt, k, src.relations))
@@ -274,12 +301,11 @@ class AbMap:
         proj = AbMap(tgt, cgroup, la.identity(tgt.ngens), check=False)
         return cgroup, proj
 
-    def image_lattice(self) -> list[list[int]]:
-        cols = la.transpose(self.matrix, self.source.ngens)
-        return la.row_basis(cols + self.target.relations, self.target.ngens)
-
     def is_injective(self) -> bool:
-        return self.kernel()[0].is_trivial()
+        """Is the kernel trivial, i.e. does every `kernel_basis` vector lie
+        in the source's relation lattice?  No kernel group is built."""
+        return all(self.source.contains_in_lattice(x)
+                   for x in self.kernel_basis())
 
     def is_surjective(self) -> bool:
         return self.cokernel()[0].is_trivial()
@@ -319,15 +345,26 @@ def zero_map(source: FinAbGroup, target: FinAbGroup) -> AbMap:
 def exact(f_in: AbMap, f_out: AbMap) -> bool:
     """Exactness at the middle group of f_in, f_out: the image of f_in and
     the kernel of f_out span one lattice modulo the middle's relations.
-    A ValueError unless f_out starts where f_in ends (`same_presentation`)."""
+    A ValueError unless f_out starts where f_in ends (`same_presentation`).
+
+    The image lies in the kernel when f_out after f_in lands in the
+    relation lattice of f_out's target (its held certificate, no SNF), and
+    the kernel in the image when every `kernel_basis` vector of f_out
+    solves against `f_in.solver()`, whose span is the image plus the
+    middle's relations: at most two SNFs.  This assumes f_out is well
+    defined, so that the middle's relations lie in its kernel, as every
+    map the library builds is; for a map built unchecked that breaks a
+    relation the answer may differ from a comparison of the lattices."""
     mid = f_in.target
     if not mid.same_presentation(f_out.source):
         raise ValueError("maps do not meet: the first ends in %r, the "
                          "second starts in %r" % (mid, f_out.source))
-    ker, ki = f_out.kernel()
-    ker_rows = la.transpose(ki.matrix, ker.ngens) + mid.relations
-    return la.lattices_equal(f_in.image_lattice(),
-                             la.row_basis(ker_rows, mid.ngens), mid.ngens)
+    tgt = f_out.target
+    if not all(tgt.contains_in_lattice(la.mat_vec(f_out.matrix, col))
+               for col in la.transpose(f_in.matrix, f_in.source.ngens)):
+        return False
+    return all(f_in.solver().solve(x) is not None
+               for x in f_out.kernel_basis())
 
 
 def direct_sum(a: FinAbGroup, b: FinAbGroup):

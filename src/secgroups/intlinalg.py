@@ -30,6 +30,8 @@ mostly unit entries, so a step usually costs one short search and the row
 and column operations that clear the pivot's row and column.  A column
 operation touches D only in the rows from the pivot down, and only where
 the multiplier is nonzero, and a pivot already in place is not swapped.
+An empty or all-zero matrix has no pivot, so the kernel returns min(m, n)
+zeros and identity transforms before its loop starts.
 Integer solving and kernels are small wrappers around it.
 A `Solver` keeps the certificate of one system a @ x == b modulo a lattice,
 so repeated solves against one map (preimages, kernel and subgroup
@@ -40,10 +42,11 @@ already holds (a `FinAbGroup`'s relation lattice, a `Solver`'s span): one
 `kernel_basis`, whose vectors are already a basis, and no second SNF.
 `in_lattice` answers membership of any number of vectors in an
 ad-hoc set of rows from one `Solver`, so one SNF serves them all (a spans
-test, both directions of `lattices_equal`); a `FinAbGroup` instead keeps
-the Smith certificate of its relation lattice, computed once at
-construction, and reduces membership and division there to `divide_mod` on
-each diagonal coordinate.
+test); a `FinAbGroup` instead keeps the Smith certificate of its relation
+lattice, computed once at construction (the identity, with no SNF, when it
+has no relations), and reduces membership and division there to
+`divide_mod` on each diagonal coordinate.  No lattices are compared:
+injectivity and exactness read a held kernel basis (`abelian`).
 `sub_basis_coordinates` is the one step that rewrites relation rows in a
 basis of a sub-lattice containing them (a kernel, a commutator subgroup):
 each row is solved exactly against the basis, never modulo the relations
@@ -190,13 +193,15 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
                          "%s" % (", ".join(map(repr, unknown)), TRANSFORMS))
     m = len(a)
     n = ncols
-    d = [row[:] for row in a]
     u = [{i: 1} for i in range(m)] if "u" in keep else None
     v = [{i: 1} for i in range(n)] if "v" in keep else None
     ui = [{i: 1} for i in range(m)] if "uinv" in keep else None
     vi = [{i: 1} for i in range(n)] if "vinv" in keep else None
-    if not m or not n:
-        return [], u, v, ui, vi
+    # an empty or all-zero matrix has no pivot: D is the input and every
+    # transform the identity, as the loop below would leave them
+    if not any(map(any, a)):
+        return [0] * min(m, n), u, v, ui, vi
+    d = [row[:] for row in a]
     # a row operation acts on the rows of D and U and on the columns of
     # Uinv; a column operation on the columns of D and V and the rows of
     # Vinv.  Rows of D above the pivot t are zero in every column >= t, so
@@ -462,9 +467,3 @@ def certified_preimage(u_cols, moduli: list[int], a: list[list[int]],
     for c, (p, m) in enumerate(mods):
         rows[p][ncols + c] = m
     return [k[:ncols] for k in kernel_basis(rows, ncols + len(mods))]
-
-
-def lattices_equal(rows_a: list[list[int]], rows_b: list[list[int]],
-                   ncols: int) -> bool:
-    return (in_lattice(rows_b, ncols, *rows_a)
-            and in_lattice(rows_a, ncols, *rows_b))

@@ -70,11 +70,13 @@ homomorphisms are computed lattice-by-lattice; a quotient whose cocycle
 fails to descend raises `QuotientError` instead of silently answering.
 `hom_kernel` and `hom_cokernel` build their pair on the first call for a
 hom and hold it there, so every later call for the same hom returns it.
-The kernel is built in two stages: `_kernel_lifts` (the C-layer kernel and
-the central lifts of the Q directions, held on the hom too), then the
-assembly of the kernel group.  `kernel_generators` reads the first stage
-alone and gives the kernel as a generating set of the source, which is
-all that exactness and `Class2Hom.is_isomorphism` need.
+The kernel is built in two stages: `_kernel_lifts` (the central lifts of
+the Q directions, held on the hom too), then the assembly of the kernel
+group, the only place the C-layer kernel group is built.
+`kernel_generators` reads the first stage and the central-layer map's
+held `kernel_basis` alone, and gives the kernel as a generating set of
+the source, which is all that exactness and `Class2Hom.is_isomorphism`
+need.
 The kernel's Q relations are the source's relations written exactly in
 the kernel basis (`intlinalg.sub_basis_coordinates`).  Its lattice steps
 are preimages read off certificates already held, so the basis they give
@@ -769,10 +771,10 @@ class Subgroup:
         self.group = group
         self.gens = list(gens)
         self.normal = normal
+        self._q_rows = None  # built by the first read of q_rows
         g = group
         nq, nc = g.q.ngens, g.c.ngens
         qparts = [e.qvec for e in self.gens]
-        self.q_rows = la.row_basis(qparts + g.q.relations, nq)
         central = [e.cvec for e in self.gens if g.q.contains_in_lattice(e.qvec)]
         central += list(g.c.relations)
         # every row, zero ones included: a row's position steers the
@@ -787,6 +789,17 @@ class Subgroup:
             for m in combos:
                 central.append(g.power_product(self.gens, m).cvec)
         self.c_rows = la.row_basis(central, nc)
+
+    @property
+    def q_rows(self) -> list[list[int]]:
+        """A row basis of the Q parts of the generators plus the Q
+        relations, built on the first read and held: only `quotient`
+        reads it."""
+        if self._q_rows is None:
+            g = self.group
+            self._q_rows = la.row_basis(
+                [e.qvec for e in self.gens] + g.q.relations, g.q.ngens)
+        return self._q_rows
 
     def contains(self, elem: Class2Elem) -> bool:
         g = self.group
@@ -897,7 +910,9 @@ def hom_kernel(f: Class2Hom):
         return f._kernel
     s = f.source
     nqs = s.q.ngens
-    ck, cincl, u_vectors, kelems = _kernel_lifts(f)
+    # central layer: the kernel group of cmap, from its held basis
+    ck, cincl = f.cmap.kernel()
+    u_vectors, kelems = _kernel_lifts(f)
     nk = len(kelems)
     # Q-layer relations: source relations expressed exactly in the u basis
     qk = FinAbGroup(nk, la.sub_basis_coordinates(
@@ -925,8 +940,8 @@ def hom_kernel(f: Class2Hom):
 
 
 def _kernel_lifts(f: Class2Hom):
-    """(C-layer kernel, its inclusion, Q directions u, central lifts), the
-    first stage of `hom_kernel`, built on the first call and held on f.
+    """(Q directions u, central lifts), the first stage of `hom_kernel`,
+    built on the first call and held on f.
 
     Both lattice steps are preimages read off a Smith certificate already
     held: the Q directions off the target's Q relations, and the killable
@@ -938,8 +953,6 @@ def _kernel_lifts(f: Class2Hom):
         return f._lifts
     s, t = f.source, f.target
     nqs = s.q.ngens
-    # central layer: kernel of cmap
-    ck, cincl = f.cmap.kernel()
     # Q directions whose central defect is killable through cmap: z is
     # linear modulo (im cmap + target C relations)
     s_lat = t.q.preimage_lattice(f.q_matrix(), nqs)
@@ -955,20 +968,20 @@ def _kernel_lifts(f: Class2Hom):
         assert cfix is not None, "killable defect has no lift"
         kelems.append(s.element(u, la.vec_add(s.collect_central(u),
                                               cfix.vec)))
-    f._lifts = ck, cincl, u_vectors, kelems
+    f._lifts = u_vectors, kelems
     return f._lifts
 
 
 def kernel_generators(f: Class2Hom) -> list[Class2Elem]:
     """Generators of the kernel of f as a subgroup of its source: the
-    lifts of `_kernel_lifts`, then the columns of the C-layer kernel's
-    inclusion as central elements.  A twisted lift of `hom_kernel` differs
-    from its lift by a central kernel element, so these generate the
-    subgroup its inclusion hits, and no kernel group is built."""
-    _, cincl, _, kelems = _kernel_lifts(f)
+    lifts of `_kernel_lifts`, then the vectors of the central-layer map's
+    `kernel_basis` (the columns of its kernel's inclusion) as central
+    elements.  A twisted lift of `hom_kernel` differs from its lift by a
+    central kernel element, so these generate the subgroup its inclusion
+    hits, and no kernel group is built."""
+    _, kelems = _kernel_lifts(f)
     s = f.source
-    return kelems + [s.central([row[j] for row in cincl.matrix])
-                     for j in range(cincl.source.ngens)]
+    return kelems + [s.central(x) for x in f.cmap.kernel_basis()]
 
 
 def _twist_lifts(kgroup: Class2Group, s: Class2Group, kelems, cincl: AbMap):

@@ -5,7 +5,7 @@ import random
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from secgroups import intlinalg as la
 from secgroups.abelian import (AbElem, AbMap, FinAbGroup, direct_sum, exact,
@@ -14,6 +14,8 @@ from secgroups.abelian import (AbElem, AbMap, FinAbGroup, direct_sum, exact,
                                tensor_square, tensor_square_map,
                                tensor_square_relations, tensor_z2, zero_map)
 from secgroups.nil2 import Class2Group, Class2Hom, abelian_as_class2
+
+from lattices import lattices_equal
 
 
 def test_invariant_factors_and_rank():
@@ -413,3 +415,136 @@ def test_sparse_certificate_matches_dense_bodies(case, d, data):
         assert g.divide(d, v) == oracle.divide(d, v)
     if g.order() is not None and g.order() <= 64:
         assert [e.vec for e in g.elements()] == list(oracle.elements())
+
+
+def _snf_certificate(ngens, relations):
+    """The certificate the former `FinAbGroup.__init__` built for every
+    group, read off the SNF of the transposed relations: (free rank,
+    invariant factors, moduli, U's sparse columns, U^-1's)."""
+    diag, u, _, ui, _ = la.smith_normal_form(
+        la.transpose(relations, ngens), len(relations), keep=("u", "uinv"))
+    rank = sum(1 for x in diag if x)
+    return (ngens - rank, tuple(x for x in diag if x > 1),
+            diag[:rank] + [0] * (ngens - rank),
+            la.sparse_transpose(u, ngens), ui)
+
+
+_ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+
+
+def _matrix(draw, rows, cols, entry=_ENTRY):
+    return [draw(st.lists(entry, min_size=cols, max_size=cols))
+            for _ in range(rows)]
+
+
+@given(st.integers(0, 6), st.integers(0, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_relation_free_certificate_matches_the_snf(ngens, ncols, data):
+    """A group without relations sets the identity certificate the SNF of
+    an ngens x 0 matrix gives, and its preimage, the kernel of a, is the
+    certified preimage read off that certificate."""
+    g = FinAbGroup(ngens)
+    rank, factors, moduli, u, ui = _snf_certificate(ngens, [])
+    assert (g.free_rank, g.invariant_factors) == (rank, factors)
+    assert (g._moduli, g._u, g._uinv) == (moduli, u, ui)
+    a = _matrix(data.draw, ngens, ncols)
+    assert g.preimage_lattice(a, ncols) == la.certified_preimage(
+        u, moduli, a, ncols)
+
+
+def _combinations(draw, basis, n, count):
+    """count integer combinations of the basis vectors, in Z^n."""
+    if not basis:
+        return [[0] * n for _ in range(count)]
+    cols = la.transpose(basis, n)
+    return [la.mat_vec(cols, draw(st.lists(st.integers(-2, 2),
+                                           min_size=len(basis),
+                                           max_size=len(basis))))
+            for _ in range(count)]
+
+
+def _source_for(draw, tgt, a, ns):
+    """A group on ns generators for which a: it -> tgt is well defined:
+    its relations are the whole preimage of tgt's lattice (a injective),
+    or 0-2 combinations of that preimage's basis."""
+    pre = tgt.preimage_lattice(a, ns)
+    if draw(st.booleans()):
+        return FinAbGroup(ns, pre)
+    return FinAbGroup(ns, _combinations(draw, pre, ns,
+                                        draw(st.integers(0, 2))))
+
+
+@st.composite
+def _well_defined_maps(draw):
+    """AbMap into a random group on 0-3 generators with entries -2..3, out
+    of a source `_source_for` makes it well defined."""
+    nt = draw(st.integers(0, 3))
+    tgt = FinAbGroup(nt, _matrix(draw, draw(st.integers(0, 2)), nt))
+    ns = draw(st.integers(0, 3))
+    a = _matrix(draw, tgt.ngens, ns)
+    return AbMap(_source_for(draw, tgt, a, ns), tgt, a)
+
+
+@given(_well_defined_maps())
+@settings(max_examples=300, deadline=None)
+def test_is_injective_matches_the_kernel_group(f):
+    """The held kernel basis lies in the source's relation lattice exactly
+    when the former body's kernel group is trivial."""
+    assert f.is_injective() == f.kernel()[0].is_trivial()
+
+
+def _former_exact(f_in, f_out):
+    """The former `abelian.exact`: the row bases of the image of f_in and
+    of the kernel of f_out, each with the middle's relations, span one
+    lattice."""
+    mid = f_in.target
+    ker, ki = f_out.kernel()
+    ker_rows = la.transpose(ki.matrix, ker.ngens) + mid.relations
+    im_rows = la.transpose(f_in.matrix, f_in.source.ngens) + mid.relations
+    return lattices_equal(la.row_basis(im_rows, mid.ngens),
+                          la.row_basis(ker_rows, mid.ngens), mid.ngens)
+
+
+@st.composite
+def _composable_pairs(draw):
+    """(f_in, f_out), both well defined.  f_in's columns are f_out's
+    kernel basis (exact), that basis with one vector dropped or doubled,
+    combinations of it (in the kernel, often not onto it), or random
+    vectors (often not in the kernel)."""
+    f_out = draw(_well_defined_maps())
+    mid, basis = f_out.source, f_out.kernel_basis()
+    kind = draw(st.sampled_from(["kernel", "dropped", "doubled",
+                                 "combinations", "random"]))
+    if kind == "kernel":
+        cols = basis
+    elif kind == "dropped":
+        cols = basis[1:]
+    elif kind == "doubled":
+        cols = [[2 * x for x in v] for v in basis[:1]] + basis[1:]
+    elif kind == "combinations":
+        cols = _combinations(draw, basis, mid.ngens, draw(st.integers(0, 3)))
+    else:
+        cols = _matrix(draw, draw(st.integers(0, 3)), mid.ngens)
+    a = la.transpose(cols, mid.ngens) if cols else la.zeros(mid.ngens, 0)
+    f_in = AbMap(_source_for(draw, mid, a, len(cols)), mid, a)
+    return f_in, f_out
+
+
+def _pair(mid, tgt, a_out, a_in):
+    return (AbMap(FinAbGroup(len(a_in[0]) if a_in else 0), mid, a_in),
+            AbMap(mid, tgt, a_out))
+
+
+@given(_composable_pairs())
+@example(_pair(FinAbGroup(2), FinAbGroup(1), [[0, 1]], [[1], [0]]))
+@example(_pair(FinAbGroup(2), FinAbGroup(1), [[0, 1]], [[2], [0]]))
+@example(_pair(FinAbGroup(2), FinAbGroup(1), [[0, 1]], [[1], [1]]))
+@example(_pair(FinAbGroup(1, [[4]]), FinAbGroup(1, [[4]]), [[2]], [[2]]))
+@example(_pair(FinAbGroup(1, [[4]]), FinAbGroup(1, [[4]]), [[2]], [[0]]))
+@settings(max_examples=300, deadline=None)
+def test_exact_matches_the_lattice_comparison(pair):
+    """Composite and kernel-basis solves give the former lattice
+    comparison's answer on well-defined maps, exact and not; the examples
+    are exact, not onto the kernel, not into it, exact on Z/4 and not."""
+    f_in, f_out = pair
+    assert exact(f_in, f_out) == _former_exact(f_in, f_out)

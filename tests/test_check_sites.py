@@ -3,11 +3,11 @@ the library derives from valid input are built unchecked.
 
 The four checks counted here are those of class-2 homs, omega pairings,
 morphisms and class-2 groups.  `six_term` after `fiber` on a crit-5
-morphism and the homotopy groups of a wedge model run none of them; a
-document with a broken hom or morphism still fails its check, with the
-error positioned at its block.  The tests that hold the derived objects
-to their checks are named in the docstrings of `nil2`, `crossed` and
-`functors`.
+morphism, building a wedge model and the homotopy groups of one run none
+of them; a document with a broken hom or morphism still fails its check,
+with the error positioned at its block.  The tests that hold the derived
+objects to their checks are named in the docstrings of `nil2`, `crossed`,
+`functors` and `models.wedge_model`.
 """
 
 import importlib.resources
@@ -66,6 +66,16 @@ def test_homotopy_groups_of_a_wedge_run_no_check(n, check_calls):
     w = wedge_model(n, _points(3))
     check_calls.update(dict.fromkeys(check_calls, 0))
     homotopy_groups(w)
+    assert not any(check_calls.values()), check_calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_wedge_model_runs_no_check(n, check_calls):
+    """The level-2 identity pairing is valid by construction, as the
+    stable pairing above it is: neither is checked
+    (`tests/test_models.py::test_wedge_pairings_pass_their_check`)."""
+    for k in range(1, 4):
+        wedge_model(n, _points(k))
     assert not any(check_calls.values()), check_calls
 
 

@@ -29,6 +29,8 @@ from secgroups.selftest import (
     two_object_connected_groupoid, ad2_free_instance,
 )
 
+from lattices import lattices_equal
+
 
 def test_fiber_of_identity_is_acyclic():
     x = wedge_model(2, PointedSet(["a", "b"]))
@@ -131,7 +133,7 @@ def _former_exact_at_h1y(m2: AbMap, delta: Class2Hom) -> bool:
     ker_rows = [dki.eval(g).qvec for g in dk.generators()]
     im_rows = la.transpose(m2.matrix, m2.source.ngens) + h1y.relations
     ker_lat = la.row_basis(ker_rows + h1y.relations, h1y.ngens)
-    return la.lattices_equal(la.row_basis(im_rows, h1y.ngens), ker_lat,
+    return lattices_equal(la.row_basis(im_rows, h1y.ngens), ker_lat,
                              h1y.ngens)
 
 

@@ -20,6 +20,8 @@ from secgroups.models import homotopy_groups, wedge_model
 from secgroups.selftest import (_induced_wedge_morphism, _points,
                                 _random_quotient_wedge)
 
+from lattices import lattices_equal
+
 
 def _random_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)]
@@ -120,7 +122,7 @@ def test_lattice_membership_and_equality():
     assert la.in_lattice(rows, 2, [4, 3])
     assert not la.in_lattice(rows, 2, [1, 0])
     other = [[2, 3], [0, 3], [2, 0]]
-    assert la.lattices_equal(la.row_basis(rows, 2),
+    assert lattices_equal(la.row_basis(rows, 2),
                              la.row_basis(other, 2), 2)
 
 
@@ -143,7 +145,7 @@ def _assert_preimage_basis(pre, a, ncols, lattice_rows):
     vectors are independent."""
     oracle = _former_preimage_lattice(a, ncols, lattice_rows)
     assert all(len(x) == ncols for x in pre)
-    assert la.lattices_equal(pre, oracle, ncols)
+    assert lattices_equal(pre, oracle, ncols)
     assert len(pre) == len(oracle) == _rank(pre, ncols)
 
 
@@ -216,7 +218,7 @@ def test_solver_preimage_matches_two_snf_oracle(case, data):
 def test_row_basis_is_idempotent(rows):
     b1 = la.row_basis(rows, 3)
     b2 = la.row_basis(b1, 3)
-    assert la.lattices_equal(b1, b2, 3)
+    assert lattices_equal(b1, b2, 3)
 
 
 def test_kron_matches_definition():
@@ -480,6 +482,30 @@ def test_smith_normal_form_of_nothing_is_single_entries(a, ncols):
     assert v == vi == [{i: 1} for i in range(ncols)]
 
 
+@st.composite
+def _pivotless(draw):
+    """An empty or all-zero matrix, 0-6 rows by 0-6 columns."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return la.zeros(m, n), n
+
+
+@given(_pivotless())
+@example(([], 0))
+@example(([], 4))
+@example(([[], [], []], 0))
+@settings(max_examples=60, deadline=None)
+def test_smith_normal_form_without_a_pivot_matches_dense_oracle(case):
+    """An empty or all-zero matrix returns before the pivot loop, with the
+    diagonal and the four transforms the dense oracle gives for every keep
+    subset: min(m, ncols) zeros and identities."""
+    a, ncols = case
+    _assert_kernel_matches_oracle(a, ncols)
+    for keep in _KEEPS:
+        d = _dense_snf_oracle(a, ncols, keep)[1]
+        diag = la.smith_normal_form(a, ncols, keep)[0]
+        assert diag == [d[i][i] for i in range(min(len(a), ncols))]
+
+
 @pytest.mark.parametrize("keep,named", [
     ("vinv", "string 'vinv'"), ("v", "string 'v'"), (("v", "w"), "'w' in"),
     (["vinv", "U"], "'U' in"), (("u", "uinv", "vinverse"), "'vinverse' in")])
@@ -702,7 +728,7 @@ def test_in_lattice_answers_many_vectors_as_one_at_a_time(data):
     other = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                                max_size=3))
     for a, b in ((rows, other), (rows, rows + vecs), (vecs, rows)):
-        assert la.lattices_equal(a, b, n) == _former_lattices_equal(a, b, n)
+        assert lattices_equal(a, b, n) == _former_lattices_equal(a, b, n)
 
 
 def test_in_lattice_edge_cases():
@@ -712,5 +738,5 @@ def test_in_lattice_edge_cases():
     assert la.in_lattice([[2, 0], [0, 3]], 2, [4, 3], [0, 0], [2, 6])
     assert not la.in_lattice([[2, 0], [0, 3]], 2, [4, 3], [1, 0])
     assert la.in_lattice([[]], 0, [])
-    assert la.lattices_equal([], [[0, 0]], 2)
-    assert not la.lattices_equal([], [[1, 0]], 2)
+    assert lattices_equal([], [[0, 0]], 2)
+    assert not lattices_equal([], [[1, 0]], 2)

@@ -21,6 +21,16 @@ def test_abelian_as_class2():
     assert g.order() == 4
 
 
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                  (3, 1), (3, 2), (3, 3)])
+def test_wedge_pairings_pass_their_check(n, k):
+    """`wedge_model` builds its pairing unchecked, the identity pairing of
+    the free group's tensor square at level 2 and the stable one above;
+    each passes the check it skips."""
+    w = wedge_model(n, PointedSet([chr(97 + i) for i in range(k)]))
+    w.omega.validate()
+
+
 def test_wedge_model_level1_h0():
     w = wedge_model(1, PointedSet(["a", "b"]))
     # no relations: h0 is the free group itself, h1 vanishes

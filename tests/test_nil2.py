@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word
@@ -19,7 +19,7 @@ from secgroups.nil2 import (
     free_nil, nilize, hom_from_values, hom_from_words,
     hom_kernel, hom_cokernel, identity_hom, trivial_hom, product_group,
     kernel_generators, boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
-    pair_support, _nonzero_terms, _projection_twist,
+    pair_support, _kernel_lifts, _nonzero_terms, _projection_twist,
 )
 from secgroups.selftest import oracle_element, _random_word
 
@@ -942,6 +942,19 @@ def _kernel_entries(check):
             [_raw(x) for x in incl.gen_images], incl.cmap.matrix)
 
 
+def _draw_kernel_hom(data) -> Class2Hom:
+    """A hom drawn by `_homs_with_breaks`, or random data between two
+    `_unchecked_class2_groups`."""
+    if data.draw(st.booleans()):
+        return data.draw(_homs_with_breaks())
+    s = data.draw(_unchecked_class2_groups())
+    t = data.draw(_unchecked_class2_groups())
+    images = _elements(data.draw, t, s.q.ngens)
+    cmap = AbMap(s.c, t.c, _matrix(data.draw, t.c.ngens, s.c.ngens),
+                 check=False)
+    return Class2Hom(s, t, images, cmap, check=False)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_hom_kernel_matches_former_body(data):
@@ -951,15 +964,7 @@ def test_hom_kernel_matches_former_body(data):
     whose commutators are nonzero, fill the table's entries.  Where the
     groups and the hom pass their checks, the inclusion, built unchecked,
     passes its check too."""
-    if data.draw(st.booleans()):
-        f = data.draw(_homs_with_breaks())
-    else:
-        s = data.draw(_unchecked_class2_groups())
-        t = data.draw(_unchecked_class2_groups())
-        images = _elements(data.draw, t, s.q.ngens)
-        cmap = AbMap(s.c, t.c, _matrix(data.draw, t.c.ngens, s.c.ngens),
-                     check=False)
-        f = Class2Hom(s, t, images, cmap, check=False)
+    f = _draw_kernel_hom(data)
     assert _kernel_entries(lambda: hom_kernel(f)) == _kernel_entries(
         lambda: _former_hom_kernel(f))
     if f._kernel is not None and not any(map(_error, (
@@ -1135,6 +1140,40 @@ def test_kernel_generators_on_the_z4_grid_generate_the_kernel():
             refused += 1
     # 128 isomorphisms, each a brute-force bijection
     assert (refused, isos) == (72, 128)
+
+
+def _former_kernel_generators(f: Class2Hom):
+    """The former `kernel_generators`: the lifts, then the columns of the
+    inclusion of the C-layer kernel group, built first."""
+    ck, cincl = f.cmap.kernel()
+    _, kelems = _kernel_lifts(f)
+    s = f.source
+    return kelems + [s.central([row[j] for row in cincl.matrix])
+                     for j in range(ck.ngens)]
+
+
+def _raw_generators(gens):
+    """The generators' raw vectors, or the lifting error."""
+    try:
+        return [_raw(x) for x in gens()]
+    except AssertionError as e:
+        return str(e)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_generators_match_former_body(data):
+    """The held kernel basis of the central-layer map gives the columns of
+    its kernel group's inclusion: the same vectors, on homs whose
+    central-layer map is well defined, injective and not."""
+    f = _draw_kernel_hom(data)
+    assume(_error(lambda: AbMap(f.source.c, f.target.c, f.cmap.matrix))
+           is None)
+    # a fresh hom and central-layer map hold nothing the former body built
+    assert _raw_generators(lambda: _former_kernel_generators(f)) == \
+        _raw_generators(lambda: kernel_generators(Class2Hom(
+            f.source, f.target, f.gen_images,
+            AbMap(f.source.c, f.target.c, f.cmap.matrix), check=False)))
 
 
 def test_is_isomorphism_answers_where_the_kernel_group_is_refused():
