@@ -128,11 +128,7 @@ class FinAbGroup:
 
     def preimage_lattice(self, a, ncols: int) -> list[list[int]]:
         """Basis of {x : a @ x lies in the relation lattice}, read off the
-        held certificate (`intlinalg.certified_preimage`); without
-        relations that is the kernel of a, which the rule computes when U
-        is the identity and every modulus 0."""
-        if not self.relations:
-            return la.kernel_basis(a, ncols)
+        held certificate (`intlinalg.certified_preimage`)."""
         return la.certified_preimage(self._u, self._moduli, a, ncols)
 
     def divide(self, d: int, vec):
@@ -276,7 +272,9 @@ class AbMap:
         """A basis of {x : f(x) in the relation lattice of the target},
         which contains the source relations, read off the target's
         certificate on first use and held.  Injectivity, exactness and
-        `kernel` read it; only `kernel` builds a group from it."""
+        `kernel` read it; only `kernel` builds a group from it.  Every call
+        returns the held list itself, so callers read it and never change
+        it or its rows."""
         if self._kernel_basis is None:
             self._kernel_basis = self.target.preimage_lattice(
                 self.matrix, self.source.ngens)
