@@ -40,8 +40,11 @@ of base is asked only where a free base is refused: `induced_h1`,
 `induced_h0` and `h0_order`.  A map fed by words of a free base is a
 `FreeBaseHom`; a boundary into a free base is a `WordHom`.  Every product
 of powers in a class-2 group (a `FreeBaseHom` on a word, an omega pairing on
-a tensor vector, an element from its coordinates in a subgroup) is
-collected by the one closed form `nil2.Class2Group.power_product`.
+a tensor vector, a symmetrized pairing value) is collected by the one
+closed form `nil2.Class2Group.power_product`.  `induced_h1` pulls back
+through kernel inclusions by `nil2.Class2Hom.preimage`.  A `WordHom`'s
+values must commute, as the image of a class-2 group in a free group is
+cyclic.
 
 A morphism, a pairing and a group action check themselves when built from
 input.  The maps a morphism induces on h0 and h1 are derived from valid
@@ -218,11 +221,16 @@ class WordHom:
                 if img != want:
                     raise ValueError("boundary breaks commutators (%d,%d)" % (i, j))
         for rel in s.q.relations:
-            if not self.eval(s.ordered_product_element(rel)).is_trivial():
+            if not self.eval(s.element(rel)).is_trivial():
                 raise ValueError("Q relation %r survives in the free group" % (rel,))
         for rel in s.c.relations:
             if not self.eval(s.central(rel)).is_trivial():
                 raise ValueError("C relation %r survives in the free group" % (rel,))
+        # the image of a class-2 group in a free group is cyclic: every
+        # value commutes with the first nontrivial one
+        vals = [w for w in self.values() if not w.is_trivial()]
+        if any(w * vals[0] != vals[0] * w for w in vals[1:]):
+            raise ValueError("boundary images do not commute")
 
 
 def _common_root(words: list[Word]):
@@ -280,8 +288,8 @@ class AbCoords:
     def __init__(self, base: Class2Group):
         self.base = base
         lam_cols = la.transpose(base.lam, base.q.ngens ** 2)
-        full = la.row_basis(lam_cols + base.c.relations, base.c.ngens)
-        if la.in_lattice(full, base.c.ngens, *la.identity(base.c.ngens)):
+        if la.in_lattice(lam_cols + base.c.relations, base.c.ngens,
+                         *la.identity(base.c.ngens)):
             self.group = FinAbGroup(base.q.ngens, base.q.relations)
         else:
             self.group = base.abelianization()
@@ -373,6 +381,15 @@ class OmegaPairing:
 
     def eval_vec(self, vec) -> Class2Elem:
         return self.m.power_product(self.images, vec)
+
+    def symmetrized(self, i: int, j: int) -> Class2Elem:
+        """omega(e_i (x) e_j + e_j (x) e_i): the product of its one or two
+        images in index order, the one image squared when i == j."""
+        na = self.coords.group.ngens
+        p, q = sorted((i * na + j, j * na + i))
+        if p == q:
+            return self.m.power_product([self.images[p]], [2])
+        return self.m.power_product([self.images[p], self.images[q]], [1, 1])
 
     def pair(self, a_vec, b_vec) -> Class2Elem:
         """eval_vec of a (x) b, collected over the nonzero (i, j) in the
@@ -634,23 +651,13 @@ class StableQuadraticModule(ReducedQuadraticModule):
         self.level = level
 
     def check_axioms(self) -> list[str]:
-        """The reduced axioms, then stability: omega(e_i (x) e_j + e_j (x)
-        e_i) is the product of its one or two images, in index order."""
+        """The reduced axioms, then stability: every symmetrized value
+        omega(e_i (x) e_j + e_j (x) e_i) is the identity."""
         out = super().check_axioms()
         na = self.coords.group.ngens
-        images = self.omega.images
         # (i, j) and (j, i) test one element: each unordered pair once
-        fails = set()
-        for i in range(na):
-            for j in range(i, na):
-                p, q = i * na + j, j * na + i
-                if p == q:
-                    val = self.omega.m.power_product([images[p]], [2])
-                else:
-                    val = self.omega.m.power_product(
-                        [images[p], images[q]], [1, 1])
-                if not val.is_identity():
-                    fails.add((i, j))
+        fails = {(i, j) for i in range(na) for j in range(i, na)
+                 if not self.omega.symmetrized(i, j).is_identity()}
         out += ["stability fails at (%d,%d)" % (i, j) for i in range(na)
                 for j in range(na) if (min(i, j), max(i, j)) in fails]
         return out
@@ -751,7 +758,12 @@ class CrossMorphism:
         ks, kis = hom_kernel(self.src.bnd)
         kt, kit = hom_kernel(self.tgt.bnd)
         h1s, h1t = ks.underlying_ab(), kt.underlying_ab()
-        cols = [_subgroup_coords(self.f1.eval(v), kit) for v in kis.values()]
+        cols = []
+        for v in kis.values():
+            x = kit.preimage(self.f1.eval(v))
+            if x is None:
+                raise ValueError("element not in subgroup")
+            cols.append(x.qvec + x.cvec)
         return AbMap(h1s, h1t, la.transpose(cols, h1t.ngens), check=False)
 
     def induced_h0(self):
@@ -769,16 +781,3 @@ class CrossMorphism:
             return False
         return self.induced_h0().is_isomorphism()
 
-
-def _subgroup_coords(elem: Class2Elem, incl: Class2Hom):
-    """Coordinates of an ambient element inside a subgroup given by incl."""
-    amb = incl.target
-    m = incl.q_map().preimage(elem.qvec)
-    if m is None:
-        raise ValueError("element not in subgroup (Q layer)")
-    prod = amb.power_product(incl.gen_images, m.vec)
-    resid = la.vec_sub(elem.cvec, prod.cvec)
-    cc = incl.cmap.preimage(resid)
-    if cc is None:
-        raise ValueError("element not in subgroup (C layer)")
-    return m.vec + cc.vec

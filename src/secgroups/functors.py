@@ -13,7 +13,9 @@ instances, with a hard cap on the search space.
 
 `fiber` implements the pullback model: the zero level is the subgroup of
 pairs (n, m') agreeing in the target base, the one level is the source M,
-and the pairing is pulled back along the base projection.  `six_term`
+and the pairing is pulled back along the base projection.  The fiber's
+boundary and the connecting map pull back into that subgroup by
+`nil2.Class2Hom.preimage`.  `six_term`
 produces the connecting sequence of a morphism and certifies exactness at
 the four interior spots: at h1 x by the abelian rule `abelian.exact`, and
 at h1 y, h0 Fib and h0 x by one class-2 rule, `_exact_at`: the incoming
@@ -50,8 +52,8 @@ from .abelian import AbMap, FinAbGroup, exact, tensor_square
 from .crossed import (AbCoords, CrossedModule, CrossMorphism, FreeGroupBase,
                       GroupAction, OmegaPairing, PointedGroupoid,
                       ReducedQuadraticModule, StableQuadraticModule,
-                      _subgroup_coords, quadratic_module)
-from .nil2 import (Class2Elem, Class2Group, Class2Hom, Subgroup,
+                      quadratic_module)
+from .nil2 import (Class2Elem, Class2Hom, Subgroup,
                    abelian_as_class2, hom_from_values, hom_cokernel,
                    hom_kernel, identity_hom, kernel_generators,
                    product_group)
@@ -93,9 +95,13 @@ def fiber(f: CrossMorphism) -> Fiber:
     fib0, incl0 = hom_kernel(combined)
 
     # boundary M_x -> Fib0 : m |-> (bnd m, f1 m)
-    bnd_fib = hom_from_values(x.m, fib0, [
-        fib0.element(*_coords_pair(embed(b, m), fib0, incl0))
-        for b, m in zip(x.bnd.values(), f.f1.values())], check=False)
+    bnd_values = []
+    for b, m in zip(x.bnd.values(), f.f1.values()):
+        v = incl0.preimage(embed(b, m))
+        if v is None:
+            raise ValueError("element not in subgroup")
+        bnd_values.append(v)
+    bnd_fib = hom_from_values(x.m, fib0, bnd_values, check=False)
 
     # base projection Fib0 -> N_x
     nq, nc = n_x.q.ngens, n_x.c.ngens
@@ -116,11 +122,6 @@ def fiber(f: CrossMorphism) -> Fiber:
     jmor = CrossMorphism(fib_obj, x, identity_hom(x.m), proj, check=False)
     f._fiber = Fiber(fib_obj, jmor, incl0)
     return f._fiber
-
-
-def _coords_pair(elem: Class2Elem, sub: Class2Group, incl: Class2Hom):
-    full = _subgroup_coords(elem, incl)
-    return full[:sub.q.ngens], full[sub.q.ngens:]
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +150,10 @@ def six_term(f: CrossMorphism) -> dict:
     for elem_my in kyi.values():
         pe = fib.zero_incl.target.element(zero.qvec + elem_my.qvec,
                                           zero.cvec + elem_my.cvec)
-        qc, cc = _coords_pair(pe, fib.obj.n, fib.zero_incl)
-        delta_imgs.append(p_fib.eval(fib.obj.n.element(qc, cc)))
+        v = fib.zero_incl.preimage(pe)
+        if v is None:
+            raise ValueError("element not in subgroup")
+        delta_imgs.append(p_fib.eval(v))
     delta = hom_from_values(abelian_as_class2(h1y_ab), m4.source, delta_imgs,
                             check=False)
 
@@ -247,17 +250,11 @@ def ad3(x: ReducedQuadraticModule):
     """
     coords = x.coords
     na = coords.group.ngens
-    killed = []
-    for i in range(na):
-        for j in range(i, na):
-            vec = [0] * (na * na)
-            vec[i * na + j] += 1
-            vec[j * na + i] += 1
-            val = x.omega.eval_vec(vec)
-            if not val.is_central():
-                raise ValueError("symmetrized pairing value is not central; "
-                                 "stabilization undefined")
-            killed.append(val)
+    killed = [x.omega.symmetrized(i, j) for i in range(na)
+              for j in range(i, na)]
+    if not all(val.is_central() for val in killed):
+        raise ValueError("symmetrized pairing value is not central; "
+                         "stabilization undefined")
     sub = Subgroup(x.m, killed, normal=True)
     m_stab, proj = sub.quotient()
     bnd_stab = hom_from_values(m_stab, x.n, x.bnd.values(), check=False)

@@ -10,7 +10,8 @@ indexed by the non-base points:
 with the boundary sending a pure tensor x (x) y to the commutator [x, y] in
 the free class-2 group.  `homotopy_groups` reads off (h0, h1) and
 `k_invariant` computes the quadratic attaching map from h0's quadratic
-functor into h1, together with a well-definedness certificate.
+functor into h1, together with a well-definedness certificate, reading
+kernel coordinates by `nil2.Class2Hom.preimage`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 from . import intlinalg as la
 from .abelian import AbMap, FinAbGroup
 from .crossed import (AbCoords, CrossedModule, FreeGroupBase, GroupAction,
-                      OmegaPairing, WordHom, _subgroup_coords,
-                      quadratic_module)
+                      OmegaPairing, WordHom, quadratic_module)
 from .nil2 import (Class2Hom, abelian_as_class2, boundary_map, free_nil,
                    hom_cokernel, hom_from_values, hom_kernel, level_gamma,
                    level_gamma_map)
@@ -119,7 +119,10 @@ def k_invariant(x) -> KInvariant:
         elem = x.omega.eval_vec(tvec)
         if not x.bnd.eval(elem).is_identity():
             raise ValueError("pairing image escapes the kernel")
-        return _subgroup_coords(elem, kincl)
+        pre = kincl.preimage(elem)
+        if pre is None:
+            raise ValueError("element not in subgroup")
+        return pre.qvec + pre.cvec
 
     cert = {"kernel_generators_vanish": True}
     kgrp, kin = gq.kernel()

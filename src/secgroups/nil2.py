@@ -22,6 +22,8 @@ form, is `collect_central`: one pass over the nonzeros of beta,
     sum_i binom(q_i, 2) beta(e_i (x) e_i)
         + sum_{i<j} q_i q_j beta(e_i (x) e_j).
 
+Its one-element case is a power or the inverse of an element.
+
 `lam` and `beta` are stored dense, one row per central generator and one
 column per pair (i, j) of Q generators, and that is the form every reader
 of the matrices sees.  They are evaluated through their nonzeros only,
@@ -38,7 +40,9 @@ nonzero term meets both sides (`pair_support`): elsewhere the obstruction
 is 0, in every lattice.  A hom given by its values on `generators()` is
 built by `hom_from_values` and nothing else: a C generator's value must be
 central (its Q part in the target's relation lattice), and its central
-part is that generator's column of the central-layer map.
+part is that generator's column of the central-layer map.  The way back,
+an element a hom sends to y, is `Class2Hom.preimage` and nothing else;
+`inverse` takes the preimages of the target's generators as its values.
 
 Input is checked where it enters (documents, the command line, public
 constructors), and an object the library derives from valid ones is built
@@ -231,10 +235,6 @@ class Class2Group:
                 _pairing(beta, out, prefix, aq)
                 prefix = la.vec_add(prefix, aq)
         return Class2Elem(self, prefix, out)
-
-    def ordered_product_element(self, qvec) -> "Class2Elem":
-        """The ordered product of generator powers e_1^q_1 ... e_n^q_n."""
-        return Class2Elem(self, qvec, self.collect_central(qvec))
 
     def collect_central(self, qvec) -> list[int]:
         """Central part of the ordered product of generator powers for qvec:
@@ -493,16 +493,10 @@ class Class2Elem:
         return Class2Elem(g, q, c)
 
     def inverse(self) -> "Class2Elem":
-        g = self.group
-        c = la.vec_add([-x for x in self.cvec], g.beta_eval(self.qvec, self.qvec))
-        return Class2Elem(g, [-x for x in self.qvec], c)
+        return self.group.power_product([self], [-1])
 
     def __pow__(self, a: int) -> "Class2Elem":
-        g = self.group
-        q = la.vec_scale(a, self.qvec)
-        c = la.vec_add(la.vec_scale(a, self.cvec),
-                       la.vec_scale(_binom2(a), g.beta_eval(self.qvec, self.qvec)))
-        return Class2Elem(g, q, c)
+        return self.group.power_product([self], [a])
 
     def commutator(self, other: "Class2Elem") -> "Class2Elem":
         g = self.group
@@ -704,27 +698,31 @@ class Class2Hom:
         c, _ = hom_cokernel(self)
         return c.is_trivial()
 
+    def preimage(self, y: Class2Elem):
+        """One x with f(x) == y, or None, the twin of `AbMap.preimage`:
+        its Q part from the held solver of `q_map()`, then the central
+        part that cancels the rest of y from the held solver of `cmap`.
+        It reads one Q solution, so None also where y is reached only by
+        another: never on a kernel inclusion or where `cmap` is onto."""
+        q = self.q_map().preimage(y.qvec)
+        if q is None:
+            return None
+        img = self.eval(self.source.element(q.vec))
+        c = self.cmap.preimage(la.vec_sub(y.cvec, img.cvec))
+        if c is None:
+            return None
+        return self.source.element(q.vec, c.vec)
+
     def inverse(self) -> "Class2Hom":
-        """Inverse of an isomorphism (raises when not invertible)."""
+        """Inverse of an isomorphism: the hom with the preimages of the
+        target's generators as values (raises when not invertible)."""
         s, t = self.source, self.target
-        qmap = self.q_map()
-        gen_images = []
-        for ej in la.identity(t.q.ngens):
-            qpre = qmap.preimage(ej)
-            if qpre is None:
-                raise ValueError("not surjective on Q layer")
-            img = self.eval(s.element(qpre.vec))
-            # fix the central discrepancy through cmap
-            cfix = self.cmap.preimage([-x for x in img.cvec])
-            if cfix is None:
-                raise ValueError("central layer not surjective")
-            gen_images.append(s.element(qpre.vec, cfix.vec))
-        for g in t.generators()[t.q.ngens:]:
-            pre = self.cmap.preimage(g.cvec)
-            if pre is None:
-                raise ValueError("central layer not surjective")
-            gen_images.append(s.central(pre.vec))
-        inv = hom_from_values(t, s, gen_images)
+        values = [self.preimage(g) for g in t.generators()]
+        for j, v in enumerate(values):
+            if v is None:
+                raise ValueError("not invertible: target generator %d has "
+                                 "no preimage" % j)
+        inv = hom_from_values(t, s, values)
         assert inv.compose(self) == identity_hom(s), "inverse failed"
         return inv
 

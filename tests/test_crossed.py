@@ -42,15 +42,58 @@ def test_crossed_module_h1_is_center_of_kernel():
 
 
 def test_word_hom_validation():
+    """a -> a, b -> b a maps commutators to commutators, but its images do
+    not commute, so it is no hom of a class-2 group; unchecked, it still
+    evaluates letter by letter."""
     points = PointedSet(["a", "b"])
     g = free_nil(points)
     base = FreeGroupBase(points)
     from secgroups.words import commutator_word
     u, v = Word.parse("a"), Word.parse("b a")
-    f = WordHom(g, base, [u, v], [commutator_word(u, v)])
-    f.validate()
+    with pytest.raises(ValueError, match="do not commute"):
+        WordHom(g, base, [u, v], [commutator_word(u, v)])
+    f = WordHom(g, base, [u, v], [commutator_word(u, v)], check=False)
     x = g.generator(0) * g.generator(1)
     assert f.eval(x) == Word.parse("a b a")
+    WordHom(g, base, [u, u ** 2], [Word()]).validate()
+
+
+def _e1_e2_is_z_inverse():
+    """Q = Z^2 / (1, 1), C = Z, beta = e1(x)e1 - e1(x)e2 - e2(x)e1 +
+    e2(x)e2, lam = 0: a valid group where the relation's ordered product
+    e1 e2 is z^-1, as it collects -1."""
+    return Class2Group(FinAbGroup(2, [[1, 1]]), FinAbGroup(1),
+                       [[0, 0, 0, 0]], [[1, -1, -1, 1]])
+
+
+def test_word_hom_validation_reads_the_identity_of_each_q_relation():
+    """The identity over a Q relation r is (r, 0), not the ordered product
+    (r, collect(r)).  The check tested the ordered product: it refused
+    e1 -> 1, e2 -> a^-1, z -> a, a hom, with "Q relation [1, 1] survives",
+    and accepted e1 -> a, e2 -> a^-1, z -> a, where e1 e2 goes to 1 and
+    z^-1 to a^-1."""
+    g = _e1_e2_is_z_inverse()
+    assert g.element([1, 1], g.collect_central([1, 1])) == g.central([-1])
+    base = FreeGroupBase(PointedSet(["*", "a"]))
+    a = Word.parse("a")
+    f = WordHom(g, base, [Word(), a ** -1], [a])
+    assert f.eval(g.generator(0) * g.generator(1)) == f.eval(g.central([-1]))
+    with pytest.raises(ValueError, match=r"Q relation \[1, 1\] survives"):
+        WordHom(g, base, [a, a ** -1], [a])
+
+
+def test_word_hom_validation_needs_commuting_images():
+    """On Z x Z with its second factor as the C layer, x -> a, z -> b
+    passed every former check, yet h(z) h(x) != h(z x)."""
+    g = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]], [[0]])
+    base = FreeGroupBase(PointedSet(["*", "a", "b"]))
+    a, b = Word.parse("a"), Word.parse("b")
+    x, z = g.generator(0), g.central_generator(0)
+    with pytest.raises(ValueError, match="do not commute"):
+        WordHom(g, base, [a], [b])
+    bad = WordHom(g, base, [a], [b], check=False)
+    assert bad.eval(z) * bad.eval(x) != bad.eval(z * x)
+    WordHom(g, base, [a], [a ** 3])
 
 
 def test_free_base_hom_equality_compares_source_target_and_images():

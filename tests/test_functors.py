@@ -18,7 +18,7 @@ from secgroups.nil2 import (Class2Group, Class2Hom, Subgroup,
 from secgroups.crossed import (AbCoords, CrossedModule, CrossMorphism,
                                FreeBaseHom, FreeGroupBase, GroupAction,
                                PointedGroupoid, check_axioms)
-from secgroups.models import wedge_model
+from secgroups.models import k_invariant, wedge_model
 from secgroups.functors import (
     fiber, six_term, phi1, phi2, phi3, ad1, ad2, ad3,
     adjunction_check, enumerate_morphisms, morphisms_equal, _exact_at,
@@ -282,6 +282,39 @@ def test_a_broken_morphism_names_its_generator():
     with pytest.raises(ValueError, match="boundary square does not commute "
                                          "at M generator 1$"):
         CrossMorphism(x, x, f1, identity_hom(x.n))
+
+
+def test_former_subgroup_coordinate_callers_refuse_outside_elements(
+        monkeypatch):
+    """Each pullback through an inclusion refuses an element outside the
+    subgroup with "element not in subgroup": the fiber's boundary and
+    `induced_h1` on morphisms that break the boundary square or miss the
+    target's kernel, and the connecting map and the k-invariant, whose
+    elements always lie in the kernel, where `preimage` is made to miss."""
+    x = wedge_model(2, PointedSet(["a", "b"]))
+    broken = CrossMorphism(x, x, trivial_hom(x.m, x.m), identity_hom(x.n),
+                           check=False)
+    with pytest.raises(ValueError, match="element not in subgroup"):
+        fiber(broken)
+    # a*a, in the kernel of the boundary, goes to a*b, which is not
+    swap = [x.m.generator(p) for p in (1, 0, 2, 3)]
+    off_kernel = CrossMorphism(x, x, hom_from_values(x.m, x.m, swap),
+                               identity_hom(x.n), check=False)
+    with pytest.raises(ValueError, match="element not in subgroup"):
+        off_kernel.induced_h1()
+
+    def missing_for(hom):
+        real = Class2Hom.preimage
+        monkeypatch.setattr(Class2Hom, "preimage", lambda self, y: (
+            None if self is hom else real(self, y)))
+
+    f = CrossMorphism(x, x, identity_hom(x.m), identity_hom(x.n))
+    missing_for(fiber(f).zero_incl)
+    with pytest.raises(ValueError, match="element not in subgroup"):
+        six_term(f)
+    missing_for(hom_kernel(x.bnd)[1])
+    with pytest.raises(ValueError, match="element not in subgroup"):
+        k_invariant(x)
 
 
 def test_fiber_rejects_level1():

@@ -10,6 +10,9 @@ A module-level function or class of the package whose name starts with one
 underscore must be named, as a bare name, an attribute or an imported name,
 by some top-level statement of the package other than its own definition.
 
+No package module imports an underscore name from another package
+module: a rule that two modules need is public in the one that owns it.
+
 A public function or class of `intlinalg` must be named the same way, or
 as a string, by some top-level statement of the package or of the
 benchmark (`perfbench/`, its tests excepted) other than its own
@@ -107,6 +110,30 @@ def test_the_scan_sees_an_orphaned_helper():
 def test_no_orphaned_private_helpers():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_MODULES}
     assert orphaned_helpers(sources) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names that `source`, a package module, imports from
+    another package module (a relative import)."""
+    return ["%s (line %d)" % (alias.name, node.lineno)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_scan_sees_a_private_import():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\n"
+              "from .a import public, _private\n"
+              "def f():\n"
+              "    from . import _inner\n"
+              "    return public, _private, _inner, _exit\n")
+    assert private_imports(source) == ["_private (line 3)", "_inner (line 5)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_package_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unnamed_public_functions(module: str, sources: dict) -> list[str]:

@@ -366,7 +366,7 @@ def _all_pairs_validate(f: Class2Hom):
                 raise ValueError(
                     "not multiplicative on generators %d,%d" % (i, j))
     for r in s.q.relations:
-        rep = s.ordered_product_element(r)
+        rep = s.element(r, s.collect_central(r))
         alt = s.central(s.collect_central(r))
         if f.eval(rep) != f.eval(alt):
             raise ValueError("hom disagrees on relation representatives")
@@ -479,6 +479,36 @@ def _elements(draw, g, count):
                       draw(_vectors(g.c.ngens, _EXPS))) for _ in range(count)]
 
 
+def _former_inverse(x):
+    """`Class2Elem.inverse` before it read `power_product`, kept as its
+    oracle."""
+    g = x.group
+    c = la.vec_add([-v for v in x.cvec], g.beta_eval(x.qvec, x.qvec))
+    return [-v for v in x.qvec], c
+
+
+def _former_pow(x, a):
+    """`Class2Elem.__pow__` before it read `power_product`."""
+    g = x.group
+    c = la.vec_add(la.vec_scale(a, x.cvec), la.vec_scale(
+        a * (a - 1) // 2, g.beta_eval(x.qvec, x.qvec)))
+    return la.vec_scale(a, x.qvec), c
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_power_and_inverse_match_their_former_bodies(data):
+    """Powers and inverses are `power_product` of one element, with the
+    same raw integers as the closed forms they once wrote out, at every
+    exponent from -6 to 6, 0 (the identity) and -1 (binom(-1, 2) = 1)
+    among them."""
+    g = data.draw(_unchecked_class2_groups(entry=st.integers(-3, 3)))
+    x = _elements(data.draw, g, 1)[0]
+    assert _raw(x.inverse()) == _former_inverse(x)
+    for a in range(-6, 7):
+        assert _raw(x ** a) == _former_pow(x, a)
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_hom_from_values_matches_evaluation_on_generators(data):
@@ -514,17 +544,15 @@ def test_power_product_matches_replay(data):
     elems = [pool[i] for i in picks]
     exps = data.draw(_vectors(len(elems), _EXPS))
     assert _raw(g.power_product(elems, exps)) == _raw(_replay(g, elems, exps))
-    # the generator case: the one-pass closed form of collect_central, and
-    # the element ordered_product_element builds from it, on a normal form
-    # and on one rich in zeros.  Mutations of the code this catches:
-    # dropping the diagonal binom(q_i, 2) term, j >= i in place of j > i,
-    # and summing the pairs j < i instead
+    # the generator case: the one-pass closed form of collect_central, on
+    # a normal form and on one rich in zeros.  Mutations of the code this
+    # catches: dropping the diagonal binom(q_i, 2) term, j >= i in place of
+    # j > i, and summing the pairs j < i instead
     gens = [g.generator(i) for i in range(g.q.ngens)]
     for entry in (_EXPS, st.sampled_from([0, 0, 0, 1, -1, 5, -5])):
         qvec = data.draw(_vectors(g.q.ngens, entry))
         replay = _replay(g, gens, qvec)
         assert g.collect_central(qvec) == replay.cvec
-        assert _raw(g.ordered_product_element(qvec)) == _raw(replay)
 
 
 def _former_hom_eval(f: Class2Hom, elem):
@@ -613,7 +641,7 @@ def _former_hom_validate(f: Class2Hom):
                 raise ValueError(
                     "not multiplicative on generators %d,%d" % (i, j))
     for r in s.q.relations:
-        rep = s.ordered_product_element(r)
+        rep = s.element(r, s.collect_central(r))
         alt = s.central(s.collect_central(r))
         if f.eval(rep) != f.eval(alt):
             raise ValueError("hom disagrees on relation representatives")
@@ -863,14 +891,14 @@ def _former_hom_kernel(f: Class2Hom):
     a = f.q_matrix()
     ckern, cincl = f.cmap.kernel()
     s_lat = t.q.preimage_lattice(a, nqs)
-    zvals = [f.eval(s.ordered_product_element(u)).cvec for u in s_lat]
+    zvals = [f.eval(s.element(u, s.collect_central(u))).cvec for u in s_lat]
     zker = f.cmap.solver().preimage_lattice(la.transpose(zvals, t.c.ngens),
                                             len(s_lat))
     s_mat = la.transpose(s_lat, nqs) if s_lat else la.zeros(nqs, 0)
     u_vectors = [la.mat_vec(s_mat, z) for z in zker]
     kelems = []
     for u in u_vectors:
-        img = f.eval(s.ordered_product_element(u))
+        img = f.eval(s.element(u, s.collect_central(u)))
         cfix = f.cmap.preimage([-x for x in img.cvec])
         if cfix is None:
             raise AssertionError("killable defect has no lift")
@@ -1539,3 +1567,178 @@ def test_element_equality_is_symmetric_across_relations():
     c = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]], [[0]])
     assert c2.element([1], [0]) != c.element([1], [2])
     assert c.element([1], [2]) != c2.element([1], [0])
+
+
+def _former_subgroup_coords(elem, incl):
+    """The pullback through an inclusion that `Class2Hom.preimage`
+    replaced (`crossed._subgroup_coords`), kept as its oracle: raw
+    (qvec, cvec), or None where it raised."""
+    m = incl.q_map().preimage(elem.qvec)
+    if m is None:
+        return None
+    prod = incl.target.power_product(incl.gen_images, m.vec)
+    cc = incl.cmap.preimage(la.vec_sub(elem.cvec, prod.cvec))
+    return None if cc is None else (m.vec, cc.vec)
+
+
+def _former_inverse_values(f):
+    """The values the lifting loops of the former `Class2Hom.inverse` gave
+    the target's generators: raw (qvec, cvec), None where a loop raised."""
+    s, t = f.source, f.target
+    out = []
+    for ej in la.identity(t.q.ngens):
+        qpre = f.q_map().preimage(ej)
+        if qpre is None:
+            out.append(None)
+            continue
+        img = f.eval(s.element(qpre.vec))
+        cfix = f.cmap.preimage([-x for x in img.cvec])
+        out.append(None if cfix is None else (qpre.vec, cfix.vec))
+    for g in t.generators()[t.q.ngens:]:
+        pre = f.cmap.preimage(g.cvec)
+        out.append(None if pre is None else ([0] * s.q.ngens, pre.vec))
+    return out
+
+
+def _pullback(f, y):
+    """f.preimage(y) as raw vectors, after checking that it hits y."""
+    x = f.preimage(y)
+    if x is None:
+        return None
+    assert f.eval(x) == y
+    return _raw(x)
+
+
+def _check_inclusion(incl, rng, outside=3):
+    """preimage on an inclusion against the former pullback: on the
+    images of the generators and of random elements of the subgroup, hit
+    exactly, and on random ambient elements, some of them outside.
+    Returns how many of those it refused."""
+    k, amb = incl.source, incl.target
+    ys = [incl.eval(x) for x in k.generators()]
+    ys += [incl.eval(k.element([rng.randint(-3, 3) for _ in range(k.q.ngens)],
+                               [rng.randint(-3, 3) for _ in range(k.c.ngens)]))
+           for _ in range(3)]
+    for y in ys:
+        assert _pullback(incl, y) == _former_subgroup_coords(y, incl)
+        assert _pullback(incl, y) is not None
+    refused = 0
+    for _ in range(outside):
+        y = amb.element([rng.randint(-3, 3) for _ in range(amb.q.ngens)],
+                        [rng.randint(-3, 3) for _ in range(amb.c.ngens)])
+        got = _pullback(incl, y)
+        assert got == _former_subgroup_coords(y, incl)
+        refused += got is None
+    return refused
+
+
+def test_preimage_matches_the_former_pullbacks():
+    """`Class2Hom.preimage` gives the raw integers of the pullback it
+    replaced on the kernel inclusions of crit-5 fibers and of their target
+    boundaries, with the fiber boundary's and connecting map's own
+    elements, and on the kernel inclusions of level-2/3 wedge boundaries on
+    1-3 letters, with the pairing values the k-invariant reads; and those of the former `inverse` loops on the
+    automorphisms of conjugation modules and of `phi2`.  Every answer
+    hits its element."""
+    from secgroups.functors import fiber, phi2
+    from secgroups.selftest import (_conjugation_module,
+                                    _induced_wedge_morphism, _points,
+                                    _random_quotient_wedge, _finite_rqm)
+    rng = random.Random(2804)
+    refused = 0
+    for seed in range(40):
+        srng = random.Random(seed)
+        x = wedge_model(2, _points(srng.randint(1, 2)))
+        y = _random_quotient_wedge(srng, 2, _points(srng.randint(1, 2)))
+        f = _induced_wedge_morphism(srng, x, y)
+        fib = fiber(f)
+        ky, kyi = hom_kernel(y.bnd)
+        zero = x.n.identity()
+        ys = [fib.zero_incl.target.element(zero.qvec + m.qvec,
+                                           zero.cvec + m.cvec)
+              for m in kyi.values()]
+        ys += [fib.zero_incl.eval(v) for v in fib.obj.bnd.values()]
+        for v in ys:
+            assert _pullback(fib.zero_incl, v) == _former_subgroup_coords(
+                v, fib.zero_incl) is not None
+        for incl in (fib.zero_incl, kyi):
+            refused += _check_inclusion(incl, rng)
+    for n in (2, 3):
+        for k in (1, 2, 3):
+            w = wedge_model(n, _points(k))
+            kincl = hom_kernel(w.bnd)[1]
+            refused += _check_inclusion(kincl, rng)
+            # the pairing values the k-invariant pulls back
+            for img in w.omega.images:
+                if w.bnd.eval(img).is_identity():
+                    assert _pullback(kincl, img) == _former_subgroup_coords(
+                        img, kincl) is not None
+            # a base generator is missed in the Q layer
+            assert w.bnd.preimage(w.n.generator(0)) is None
+    assert refused > 0
+    autos = list(_conjugation_module(_points(2)).action.autos)
+    autos += _conjugation_module(_points(3)).action.autos
+    for x in (wedge_model(2, _points(2)), _finite_rqm(4, 6, 1)):
+        autos += phi2(x).action.autos
+    for a in autos:
+        values = [_pullback(a, g) for g in a.target.generators()]
+        assert values == _former_inverse_values(a)
+        assert [_raw(v) for v in a.inverse().values()] == values
+
+
+def test_preimage_on_the_z4_grid():
+    """On every hom of the Z/4 grid, `preimage` gives, for each generator
+    of the target, what the former `inverse` loops gave, None included;
+    on each answered kernel inclusion, the former pullback.  Every answer
+    hits its element, and a y outside the image gives None.  The one Q
+    solution it reads misses 240 of the 10,240 pairs (hom, element of the
+    image): each a y that only another Q solution reaches, through a Q
+    direction sent outside the image of cmap.  There are none where cmap
+    is onto or on an inclusion."""
+    missed = 0
+    for f in _z4_grid_homs():
+        s, t = f.source, f.target
+        assert [_pullback(f, g) for g in t.generators()] == (
+            _former_inverse_values(f))
+        image = {_key(f.eval(x)) for x in s.elements()}
+        for y in t.elements():
+            got = f.preimage(y)
+            if got is None:
+                missed += _key(y) in image
+                assert _key(y) not in image or f.cmap.matrix[0][0] % 2 == 0
+            else:
+                assert f.eval(got) == y
+        try:
+            k, incl = hom_kernel(f)
+        except QuotientError:
+            continue
+        for x in k.elements():
+            y = incl.eval(x)
+            assert _pullback(incl, y) == _former_subgroup_coords(
+                y, incl) is not None
+        for y in s.elements():
+            if _pullback(incl, y) is None:
+                assert _former_subgroup_coords(y, incl) is None
+                assert not f.eval(y).is_identity()
+    assert missed == 240
+
+
+def test_preimage_refuses_in_either_layer():
+    """The trivial hom of Z/4-by-Z/4 misses a generator in the Q layer
+    and a central generator only in the C layer; `inverse` refuses a hom
+    that misses a generator, and Z onto Z, from the Q layer into the C
+    layer, which it reads as missing the central generator."""
+    g = _z4_by_z4(1)
+    f = trivial_hom(g, g)
+    assert f.preimage(g.generator(0)) is None
+    assert f.q_map().preimage([0]) is not None
+    assert f.preimage(g.central_generator(0)) is None
+    with pytest.raises(ValueError, match="generator 0 has no preimage"):
+        f.inverse()
+    s = Class2Group(FinAbGroup(1), FinAbGroup(0), [], [])
+    t = Class2Group(FinAbGroup(0), FinAbGroup(1), [[]], [[]])
+    onto = hom_from_values(s, t, [t.central([1])])
+    assert onto.is_isomorphism()
+    assert onto.eval(s.generator(0)) == t.central_generator(0)
+    with pytest.raises(ValueError, match="generator 0 has no preimage"):
+        onto.inverse()

@@ -4,9 +4,9 @@ Calls to `intlinalg.smith_normal_form` are counted, as
 `tests/test_check_sites.py` counts checks, so that an SNF run again where
 its answer is already held fails here and not only in a benchmark: a group
 without relations runs none, injectivity at most one past the certificates
-its groups hold, exactness at most two, and `six_term` after `fiber` on
-the crit-5 morphisms no more than measured once kernel questions read
-held kernel bases.
+its groups hold, exactness at most two, the spans test of `AbCoords` one,
+and `six_term` after `fiber` on the crit-5 morphisms no more than
+measured once kernel questions read held kernel bases.
 """
 
 import random
@@ -15,8 +15,10 @@ import pytest
 
 from secgroups import intlinalg as la
 from secgroups.abelian import AbMap, FinAbGroup, exact
+from secgroups.crossed import AbCoords
 from secgroups.functors import fiber, six_term
 from secgroups.models import wedge_model
+from secgroups.nil2 import free_nil
 from secgroups.selftest import (_induced_wedge_morphism, _points,
                                 _random_quotient_wedge)
 
@@ -82,6 +84,17 @@ def test_exact_runs_at_most_two_snfs(snf_calls):
         snf_calls[0] = 0
         exact(f_in, f_out)
         assert snf_calls[0] <= 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_ab_coords_spans_test_runs_one_snf(k, snf_calls):
+    """Whether the commutators and C relations span the central layer of
+    a free class-2 group is one solver over those rows; the row basis
+    taken first was a second SNF."""
+    g = free_nil(_points(k))
+    snf_calls[0] = 0
+    assert AbCoords(g).group.ngens == g.q.ngens
+    assert snf_calls[0] == 1
 
 
 # SNF calls of six_term after fiber on the morphism of each seed, as
