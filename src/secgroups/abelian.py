@@ -64,7 +64,7 @@ class FinAbGroup:
             self._moduli = [0] * ngens
             self._u = self._uinv = [{i: 1} for i in range(ngens)]
             return
-        diag, u, _, ui, _ = la.smith_normal_form(
+        diag, u, _, ui = la.smith_normal_form(
             la.transpose(rels, ngens), len(rels), keep=("u", "uinv"))
         rank = sum(1 for x in diag if x)
         self.free_rank = ngens - rank

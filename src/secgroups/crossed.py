@@ -130,13 +130,13 @@ class FreeGroupBase:
         images commute and the source is abelian.  The images are powers
         w^e_i of one root w, so the kernel is that of M -> Z, x_i -> e_i."""
         m = bnd.source
-        rooted = _common_root(bnd.q_images + bnd.c_images)
-        if rooted is None:
+        exps = _root_exponents(bnd.q_images + bnd.c_images)
+        if exps is None:
             raise NotImplementedError(
                 "kernel over a free base needs commuting boundary images")
         if not m.is_abelian():
             raise NotImplementedError("nonabelian kernel over a free base")
-        return AbMap(m.underlying_ab(), FinAbGroup(1), [rooted[1]],
+        return AbMap(m.underlying_ab(), FinAbGroup(1), [exps],
                      check=False).kernel()[0]
 
     def __repr__(self):
@@ -233,42 +233,35 @@ class WordHom:
             raise ValueError("boundary images do not commute")
 
 
-def _common_root(words: list[Word]):
-    """A word w with every input a power of w, or None (commuting inputs only)."""
+def _root_exponents(words: list[Word]):
+    """Exponents e_i with every input w^e_i for one word w, or None.
+
+    The first nontrivial input is u v u^-1 with v cyclically reduced, and w
+    is u r u^-1 for r the primitive root of v: each input conjugated by u
+    is r^e, e its length over r's, signed (commuting inputs only)."""
     nontrivial = [w for w in words if not w.is_trivial()]
     if not nontrivial:
-        return Word(), [0] * len(words)
-    root = nontrivial[0]
-    # primitive root of a cyclically reduced power
-    letters = root.letters
-    total = sum(abs(e) for _, e in letters)
-    flat = []
-    for s, e in letters:
-        flat.extend([(s, 1 if e > 0 else -1)] * abs(e))
-    for p in range(1, total + 1):
-        if total % p:
-            continue
-        cand = Word(flat[:p])
-        if cand ** (total // p) == root:
-            root = cand
-            break
-    exps = []
+        return [0] * len(words)
+    flat = [(s, 1 if e > 0 else -1)
+            for s, e in nontrivial[0].reduced().letters for _ in range(abs(e))]
+    c = 0  # the length of u: inverse letters matched at both ends
+    while (len(flat) - 2 * c > 1
+           and flat[c] == (flat[-1 - c][0], -flat[-1 - c][1])):
+        c += 1
+    u, v = Word(flat[:c]), flat[c:len(flat) - c]
+    r = next(p for p in range(1, len(v) + 1) if len(v) % p == 0
+             and Word(v[:p]) ** (len(v) // p) == Word(v))
+    root, exps = Word(v[:r]), []
     for w in words:
-        if w.is_trivial():
-            exps.append(0)
-            continue
-        k = sum(abs(e) for _, e in w.letters)
-        r = sum(abs(e) for _, e in root.letters)
-        if r == 0 or k % r:
-            return None
-        e = k // r
+        w = u.inverse() * w * u
+        e = sum(abs(x) for _, x in w.letters) // r
         if root ** e == w:
             exps.append(e)
-        elif root ** (-e) == w:
+        elif root ** -e == w:
             exps.append(-e)
         else:
             return None
-    return root, exps
+    return exps
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +765,13 @@ class CrossMorphism:
         if isinstance(cs, FinitelyPresentedGroup):
             raise H0Undecidable("induced h0 over a free base is a "
                                 "presentation-level statement only")
+        # generator i of cs is the image of (e_i, -T e_i), a section of the
+        # projection e_i -> (e_i, T e_i), whose central map is the identity
+        gens = hom_cokernel(s.bnd)[1].gen_images
+        values = [self.f0.eval(s.base.element(g.qvec, [-x for x in g.cvec]))
+                  for g in gens] + self.f0.values()[len(gens):]
         ct, pt = hom_cokernel(t.bnd)
-        return hom_from_values(cs, ct, [pt.eval(v) for v in self.f0.values()],
+        return hom_from_values(cs, ct, [pt.eval(v) for v in values],
                                check=False)
 
     def is_weak_equivalence(self) -> bool:

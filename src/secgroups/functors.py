@@ -375,20 +375,20 @@ def ad1(g: PointedGroupoid) -> PresentedCrossedModule:
 ADJUNCTION_CAP = 10 ** 6
 
 
-def _enumerate_homs(s, t, cap: int):
+def _enumerate_homs(s, t):
     """All homomorphisms s -> t; s free (a free base or a free class-2
     group) or t finite."""
     telems = list(t.elements())
     if s.is_free():  # pick any images
         total = len(telems) ** len(s.gen_names)
-        if total > cap:
+        if total > ADJUNCTION_CAP:
             raise RuntimeError("enumeration cap exceeded")
         for imgs in itertools.product(telems, repeat=len(s.gen_names)):
             yield s.free_hom(t, list(imgs))
         return
     centrals = [e for e in t.elements() if all(v == 0 for v in e.qvec)]
     total = (len(telems) ** s.q.ngens) * (len(centrals) ** s.c.ngens)
-    if total > cap:
+    if total > ADJUNCTION_CAP:
         raise RuntimeError("enumeration cap exceeded")
     for imgs in itertools.product(telems, repeat=s.q.ngens):
         for cimgs in itertools.product(centrals, repeat=s.c.ngens):
@@ -398,12 +398,12 @@ def _enumerate_homs(s, t, cap: int):
                 continue
 
 
-def enumerate_morphisms(x, y, cap: int = ADJUNCTION_CAP):
+def enumerate_morphisms(x, y):
     """All morphisms x -> y of same-level objects with finite targets."""
     out = []
-    f0s = list(_enumerate_homs(x.base, y.base, cap))
-    f1s = list(_enumerate_homs(x.m, y.m, cap))
-    if len(f0s) * len(f1s) > cap:
+    f0s = list(_enumerate_homs(x.base, y.base))
+    f1s = list(_enumerate_homs(x.m, y.m))
+    if len(f0s) * len(f1s) > ADJUNCTION_CAP:
         raise RuntimeError("enumeration cap exceeded")
     for f0 in f0s:
         for f1 in f1s:
@@ -424,7 +424,7 @@ def morphisms_equal(a: CrossMorphism, b: CrossMorphism) -> bool:
     return a.f1 == b.f1 and a.f0 == b.f0
 
 
-def adjunction_check(n: int, x, y, cap: int = ADJUNCTION_CAP) -> dict:
+def adjunction_check(n: int, x, y) -> dict:
     """Verify |Hom(x, phi_n y)| == |Hom(ad_n x, y)| and that the canonical
     map g |-> phi_n(g) o unit realizes the bijection."""
     if n == 2:
@@ -437,8 +437,8 @@ def adjunction_check(n: int, x, y, cap: int = ADJUNCTION_CAP) -> dict:
         phi = phi3
     else:
         raise ValueError("adjunction check implemented for n in {2, 3}")
-    left = enumerate_morphisms(adj, y, cap)
-    right = enumerate_morphisms(x, phi_y, cap)
+    left = enumerate_morphisms(adj, y)
+    right = enumerate_morphisms(x, phi_y)
     images = []
     for g in left:
         pg = CrossMorphism(phi(adj), phi_y, g.f1, g.f0, check=False)

@@ -7,17 +7,20 @@ Because the number of rows cannot disambiguate an empty matrix, functions
 that need the column count take it explicitly.
 
 The workhorse is `smith_normal_form`, which returns the diagonal of the
-Smith form together with the unimodular transforms and their inverses:
+Smith form together with the unimodular transforms and U's inverse:
 
-    U * A * V == D      and      Uinv * D * Vinv == A
+    U * A * V == D      and      Uinv * D == A * V
 
 with D diagonal, each diagonal entry nonnegative and dividing the next.
 Its `keep` names the transforms a caller reads, and only those are built
-and updated: a kernel needs V, a row basis Vinv, a solver U and V.
+and updated: a kernel needs V, a solver U and V, a group's certificate U
+and Uinv, and a row basis U, whose rows of U * A at the nonzero diagonal
+entries span the row lattice (U * A == D * V^-1, so row i is d_i times a
+row of the unimodular V^-1).
 The transforms are nearly permutations on these inputs (at 16 letters the
 largest are 256 x 256 with under 1% nonzeros), so each is held sparse, one
 {index: entry} dict per vector with zero entries dropped, in the
-orientation its updates run: U and Vinv as rows, V and Uinv as columns.
+orientation its updates run: U as rows, V and Uinv as columns.
 An identity starts as one entry per vector, and a row or column operation
 touches only the nonzeros of the vector it adds.  D stays a dense copy of
 the input, which the pivot search scans.  The operations, and so D and
@@ -158,7 +161,7 @@ def kron_matrix(a: list[list[int]], arows: int, acols: int,
     return out
 
 
-TRANSFORMS = ("u", "v", "uinv", "vinv")
+TRANSFORMS = ("u", "v", "uinv")
 
 
 def _add_scaled(dst: dict, src: dict, k: int) -> None:
@@ -172,17 +175,16 @@ def _add_scaled(dst: dict, src: dict, k: int) -> None:
 
 
 def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
-    """Return (diag, U, V, Uinv, Vinv) with U*a*V == D in Smith normal form
-    and diag the min(rows, ncols) diagonal entries of D.
+    """Return (diag, U, V, Uinv) with U*a*V == D in Smith normal form and
+    diag the min(rows, ncols) diagonal entries of D.
 
     Each transform is held in the orientation its updates run, one
-    {index: entry} dict per vector, zero entries dropped: U and Vinv as
-    lists of rows, V and Uinv as lists of columns.  Only the transforms
-    named in `keep` (some of "u", "v", "uinv", "vinv") are built and
-    updated; each one left out is returned as None, and any other entry,
-    or a bare string, is a ValueError.  Pivots are chosen by looking at D
-    alone, so D and every kept transform are the same whichever others are
-    kept.
+    {index: entry} dict per vector, zero entries dropped: U as a list of
+    rows, V and Uinv as lists of columns.  Only the transforms named in
+    `keep` (some of "u", "v", "uinv") are built and updated; each one left
+    out is returned as None, and any other entry, or a bare string, is a
+    ValueError.  Pivots are chosen by looking at D alone, so D and every
+    kept transform are the same whichever others are kept.
     """
     if isinstance(keep, str):
         raise ValueError("keep must be a collection of transform names, "
@@ -196,16 +198,15 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
     u = [{i: 1} for i in range(m)] if "u" in keep else None
     v = [{i: 1} for i in range(n)] if "v" in keep else None
     ui = [{i: 1} for i in range(m)] if "uinv" in keep else None
-    vi = [{i: 1} for i in range(n)] if "vinv" in keep else None
     # an empty or all-zero matrix has no pivot: D is the input and every
     # transform the identity, as the loop below would leave them
     if not any(map(any, a)):
-        return [0] * min(m, n), u, v, ui, vi
+        return [0] * min(m, n), u, v, ui
     d = [row[:] for row in a]
     # a row operation acts on the rows of D and U and on the columns of
-    # Uinv; a column operation on the columns of D and V and the rows of
-    # Vinv.  Rows of D above the pivot t are zero in every column >= t, so
-    # column operations on D touch rows t.. only.
+    # Uinv; a column operation on the columns of D and V.  Rows of D above
+    # the pivot t are zero in every column >= t, so column operations on D
+    # touch rows t.. only.
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
@@ -234,18 +235,13 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
             r[i], r[j] = r[j], r[i]
         if v is not None:
             v[i], v[j] = v[j], v[i]
-        if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
 
     def col_add(i, j, k):  # col i += k * col j
         for r in d[t:]:
             if r[j]:
                 r[i] += k * r[j]
-        if k:
-            if v is not None:
-                _add_scaled(v[i], v[j], k)
-            if vi is not None:
-                _add_scaled(vi[j], vi[i], -k)
+        if k and v is not None:
+            _add_scaled(v[i], v[j], k)
 
     t = 0
     while True:
@@ -306,7 +302,7 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
             t += 1
         else:
             row_add(t, offender, 1)
-    return [d[i][i] for i in range(min(m, n))], u, v, ui, vi
+    return [d[i][i] for i in range(min(m, n))], u, v, ui
 
 
 def divide_mod(d: int, b: int, m: int):
@@ -341,7 +337,7 @@ class Solver:
         self.nrows, self.ncols = len(a), ncols
         ext = [a[i][:] + [r[i] for r in lattice_rows]
                for i in range(self.nrows)]
-        self._diag, u, v, _, _ = smith_normal_form(
+        self._diag, u, v, _ = smith_normal_form(
             ext, ncols + len(lattice_rows), keep=("u", "v"))
         self._rank = sum(1 for x in self._diag if x)  # nonzeros come first
         self._u = sparse_transpose(u, self.nrows)
@@ -391,7 +387,7 @@ def sub_basis_coordinates(basis_cols: list[list[int]], k: int,
 
 def kernel_basis(a: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis (as column vectors, returned as lists) of {x : a @ x == 0}."""
-    diag, _, v, _, _ = smith_normal_form(a, ncols, keep=("v",))
+    diag, _, v, _ = smith_normal_form(a, ncols, keep=("v",))
     basis = []
     for j in range(ncols):
         if j >= len(diag) or not diag[j]:
@@ -403,16 +399,19 @@ def kernel_basis(a: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def row_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Independent rows spanning the same lattice (via SNF row reduction)."""
+    """Independent rows spanning the same lattice: the rows of U * rows at
+    the nonzero diagonal entries of its Smith form U * rows * V == D.  They
+    equal d_i times row i of V^-1, since U * rows == D * V^-1."""
     if not rows:
         return []
-    diag, _, _, _, vi = smith_normal_form(rows, ncols, keep=("vinv",))
+    diag, u, _, _ = smith_normal_form(rows, ncols, keep=("u",))
     out = []
     for i, di in enumerate(diag):
         if di:
             row = [0] * ncols
-            for j, x in vi[i].items():
-                row[j] = di * x
+            for k, x in u[i].items():
+                for j, y in enumerate(rows[k]):
+                    row[j] += x * y
             out.append(row)
     return out
 

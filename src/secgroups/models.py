@@ -81,11 +81,11 @@ def k_invariant(x) -> KInvariant:
     Generators of the quadratic functor of h0 are lifted through the
     projection, pushed through the tensor inclusion and the pairing, and
     read off in kernel coordinates.  Well-definedness of the lift choice is
-    certified: every kernel generator of the lifted functor map must land on
-    zero.  Construction fails loudly if h0 is not abelian.  The quadratic
-    functor of the coordinate group is built once, by `level_gamma`, and
-    the functor map starts from that group.  The abelianized projection
-    and the k-invariant are built unchecked;
+    certified: every `kernel_basis` vector of the lifted functor map must
+    land on zero.  Construction fails loudly if h0 is not abelian.  The
+    quadratic functor of the coordinate group is built once, by
+    `level_gamma`, and the functor map starts from that group.  The
+    abelianized projection and the k-invariant are built unchecked;
     `tests/test_models.py::test_k_invariant_maps_are_well_defined` holds
     them to their checks.
     """
@@ -125,11 +125,8 @@ def k_invariant(x) -> KInvariant:
         return pre.qvec + pre.cvec
 
     cert = {"kernel_generators_vanish": True}
-    kgrp, kin = gq.kernel()
-    for j in range(kgrp.ngens):
-        vec = [kin.matrix[r][j] for r in range(src_group.ngens)]
-        coords_j = push(vec)
-        if not h1_ab.element(coords_j).is_zero():
+    for vec in gq.kernel_basis():
+        if not h1_ab.element(push(vec)).is_zero():
             cert["kernel_generators_vanish"] = False
     cols = []
     for j in range(gamma_h.ngens):

@@ -861,8 +861,8 @@ def _projection_twist(qparts, cparts, nq: int, cq: FinAbGroup):
     the nonzeros of U's row j, so neither product walks a zero entry.
     """
     nc, ng = cq.ngens, len(qparts)
-    diag, u, v, _, _ = la.smith_normal_form(la.transpose(qparts, nq), ng,
-                                            keep=("u", "v"))
+    diag, u, v, _ = la.smith_normal_form(la.transpose(qparts, nq), ng,
+                                         keep=("u", "v"))
     t = la.zeros(nc, nq)
     for j in range(ng):
         neg_cv = [0] * nc
@@ -1050,13 +1050,11 @@ def nilize(word: Word, group: Class2Group) -> Class2Elem:
 
 
 def hom_from_words(source: Class2Group, target: Class2Group,
-                   images: dict, cmap: AbMap = None) -> Class2Hom:
+                   images: dict) -> Class2Hom:
     """Homomorphism of free_nil groups from generator words; the central
-    layer map is forced by commutators unless given."""
-    gen_images = [nilize(images[name], target) for name in source.gen_names]
-    if cmap is None:
-        return source.free_hom(target, gen_images)
-    return Class2Hom(source, target, gen_images, cmap)
+    layer map is forced by commutators."""
+    return source.free_hom(target, [nilize(images[name], target)
+                                    for name in source.gen_names])
 
 
 # ---------------------------------------------------------------------------

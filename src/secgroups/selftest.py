@@ -108,8 +108,8 @@ def _random_word(rng, syms, max_len):
                  for _ in range(rng.randint(0, max_len))])
 
 
-def crit_2(rng=None, n_words=2000, n_pairs=2000):
-    rng = rng or random.Random(0)
+def crit_2(rng):
+    n_words = n_pairs = 2000
     groups = {k: free_nil(_points(k)) for k in (1, 2, 3)}
     bad = 0
     for _ in range(n_words):
@@ -158,8 +158,8 @@ def _random_track(rng, n, src, tgt, bdata):
     return HopfTrack(n, phi, psi, alpha, check=False)
 
 
-def crit_3(rng=None, per_law=1000):
-    rng = rng or random.Random(0)
+def crit_3(rng):
+    per_law = 1000
     A, B, C = free_nil(_points(2)), free_nil(_points(2)), free_nil(_points(2))
     out = []
     for n in (2, 3):
@@ -272,8 +272,8 @@ def _rand_group_elem(rng, g):
     return e
 
 
-def crit_4(rng=None, squares=500):
-    rng = rng or random.Random(0)
+def crit_4(rng):
+    squares = 500
     out = []
     # quadratic squares over level-2 wedge models
     x = wedge_model(2, _points(2))
@@ -344,8 +344,8 @@ def _random_quotient_wedge(rng, n, points):
     return quotient_wedge(n, points, extra)
 
 
-def crit_5(rng=None, count=100):
-    rng = rng or random.Random(0)
+def crit_5(rng):
+    count = 100
     bad_axioms = 0
     bad_exact = 0
     for t in range(count):
@@ -392,10 +392,9 @@ def crit_6():
             # the stated value: h0 matches the free class-2 group on the
             # letters; diverges for k >= 2 (recorded divergence)
             stated = h0.is_isomorphic_abstract(free_nil(_points(k)))
-            out.append(("wedge h0 matches free class-2 group n=%d k=%d"
-                        % (n, k),
-                        "pass" if stated else "fail",
-                        "pass" if k == 1 else "fail"))
+            out.append(_result("wedge h0 matches free class-2 group "
+                               "n=%d k=%d" % (n, k), stated,
+                               "pass" if k == 1 else "fail"))
     return out
 
 

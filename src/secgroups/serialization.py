@@ -235,10 +235,10 @@ class _Parser:
                              % (what, least, t.text), t.line, t.col)
         return value
 
-    def word_tokens(self, stop=(";", "}")):
-        """Collect word tokens up to a stop mark, validating exponents."""
+    def word_tokens(self):
+        """Collect word tokens up to a `;` or `}`, validating exponents."""
         parts = []
-        while self.peek() is not None and self.peek() not in stop:
+        while self.peek() is not None and self.peek() not in (";", "}"):
             t = self.next()
             if "^" in t.text:
                 sym, _, exp = t.text.partition("^")

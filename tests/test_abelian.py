@@ -347,7 +347,7 @@ class _DenseCertificate:
     of U^-1, kept as their oracle."""
 
     def __init__(self, n, rows):
-        diag, u, _, ui, _ = la.smith_normal_form(
+        diag, u, _, ui = la.smith_normal_form(
             la.transpose(rows, n), len(rows), keep=("u", "uinv"))
         u, ui = _dense_rows(u, n), la.transpose(_dense_rows(ui, n), n)
         rank = sum(1 for x in diag if x)
@@ -421,7 +421,7 @@ def _snf_certificate(ngens, relations):
     """The certificate the former `FinAbGroup.__init__` built for every
     group, read off the SNF of the transposed relations: (free rank,
     invariant factors, moduli, U's sparse columns, U^-1's)."""
-    diag, u, _, ui, _ = la.smith_normal_form(
+    diag, u, _, ui = la.smith_normal_form(
         la.transpose(relations, ngens), len(relations), keep=("u", "uinv"))
     rank = sum(1 for x in diag if x)
     return (ngens - rank, tuple(x for x in diag if x > 1),

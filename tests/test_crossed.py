@@ -8,7 +8,8 @@ from secgroups.words import PointedSet, Word
 from secgroups.abelian import FinAbGroup, AbMap, tensor_square_relations
 from secgroups import intlinalg as la
 from secgroups.nil2 import (Class2Elem, Class2Group, Class2Hom, free_nil,
-                            hom_kernel, identity_hom)
+                            hom_cokernel, hom_from_values, hom_kernel,
+                            identity_hom)
 from secgroups.crossed import (
     FreeBaseHom, FreeGroupBase, WordHom, AbCoords, GroupAction, OmegaPairing,
     CrossedModule, PointedGroupoid, ReducedQuadraticModule,
@@ -508,6 +509,41 @@ def test_cross_morphism_identity_and_weak_equivalence():
     assert f.is_weak_equivalence()
 
 
+def _twisted_module():
+    """M = Z^3 on x, w1, w2 into the free class-2 group on a, b, c by
+    x -> a [b, c], w1 -> [a, b], w2 -> [a, c].  a acts trivially; b and c
+    fix w1 and w2 and send x to x w1^s w2^t, where conjugating x's image
+    by them multiplies it by [a, b]^s [a, c]^t.  The projection onto the
+    cokernel is twisted: a goes to a [b, c]^-1."""
+    n = free_nil(PointedSet(["*", "a", "b", "c"]))
+    m = abelian_as_class2(FinAbGroup(3), ["x", "w1", "w2"])
+    a, b, c, ab, ac, bc = n.generators()
+    x, w1, w2 = m.generators()
+    dx = a * bc
+    autos = [identity_hom(m)]
+    for g in (b, c):
+        s, t, _ = (dx.inverse() * dx.conjugate_by(g)).cvec
+        autos.append(hom_from_values(m, m, [x * w1 ** s * w2 ** t, w1, w2]))
+    bnd = hom_from_values(m, n, [dx, ab, ac])
+    return CrossedModule(m, n, bnd, GroupAction(n, m, autos))
+
+
+def test_induced_h0_reads_the_sections_of_a_twisted_projection():
+    """Generator i of the source's h0 is the image of the section
+    (e_i, -T e_i), not of e_i: the identity of a module whose projection
+    has the twist T = -[b, c] on a induces a valid h0 map and is a weak
+    equivalence."""
+    x = _twisted_module()
+    assert check_axioms(x) == []
+    proj = hom_cokernel(x.bnd)[1]
+    assert [g.cvec for g in proj.gen_images] == [[0, 0, -1], [0, 0, 0],
+                                                 [0, 0, 0]]
+    f = CrossMorphism(x, x, identity_hom(x.m), identity_hom(x.base))
+    f.induced_h0().validate()
+    assert f.induced_h0().is_isomorphism()
+    assert f.is_weak_equivalence()
+
+
 def test_induced_h1_refuses_a_free_base():
     _, unit = ad2(wedge_model(1, PointedSet(["*", "a"])))
     with pytest.raises(NotImplementedError, match="free base"):
@@ -650,6 +686,43 @@ def test_h1_over_a_free_base_matches_the_abelian_kernel(data):
                                           max_size=len(ker))))
             for _ in range(data.draw(st.integers(0, 3)))]
     _h1_over_one_letter(FinAbGroup(nm, rels), exps)
+
+
+def _h1_over_two_letters(images):
+    """h1 of Z^n -> F(a, b), x_i -> images[i], with the trivial action."""
+    base = FreeGroupBase(PointedSet(["*", "a", "b"]))
+    m = abelian_as_class2(FinAbGroup(len(images)))
+    bnd = WordHom(m, base, images)
+    return CrossedModule(m, base, bnd, GroupAction.trivial(base, m)).h1()
+
+
+@pytest.mark.parametrize("images", [("a b a^-1", "a b^2 a^-1"),
+                                    ("b", "b^2"),
+                                    ("a b^2 a^-1", "a b^-2 a^-1")])
+def test_h1_over_a_free_base_reads_a_conjugated_root(images):
+    """Commuting images are powers of one root, which need not be
+    cyclically reduced (a b a^-1 in the first case): h1 is Z, the kernel
+    of the exponents (1, 2), (1, 2) and (1, -1)."""
+    h1 = _h1_over_two_letters([Word.parse(w) for w in images])
+    assert (h1.ngens, h1.free_rank, h1.invariant_factors) == (1, 1, ())
+
+
+_LETTER = st.tuples(st.sampled_from("ab"), st.sampled_from([-1, 1]))
+
+
+@given(st.lists(_LETTER, max_size=4), st.lists(_LETTER, min_size=1,
+                                               max_size=4),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_h1_over_a_free_base_matches_the_kernel_of_the_exponents(u, r, exps):
+    """x_i -> u r^e_i u^-1 for random words u and r (r nontrivial): h1 is
+    the kernel of Z^n -> Z, x_i -> e_i."""
+    u, r = Word(u), Word(r)
+    assume(not r.is_trivial())
+    h1 = _h1_over_two_letters([u * r ** e * u.inverse() for e in exps])
+    n = len(exps)
+    assert h1.is_isomorphic_to(
+        AbMap(FinAbGroup(n), FinAbGroup(1), [exps]).kernel()[0])
 
 
 def test_h0_order_finite_on_free_base():

@@ -17,6 +17,11 @@ A public function or class of `intlinalg` must be named the same way, or
 as a string, by some top-level statement of the package or of the
 benchmark (`perfbench/`, its tests excepted) other than its own
 definition: tests alone do not keep a kernel helper alive.
+
+Every parameter with a default of a function or method of the package must
+be set, by keyword or by position, by some call in the package or the
+benchmark that names it: an option that no caller sets is a constant.
+Calls in tests do not count.
 """
 
 import ast
@@ -185,3 +190,114 @@ def test_every_public_intlinalg_function_has_a_caller():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in PACKAGE_MODULES + BENCH_MODULES}
     assert unnamed_public_functions("intlinalg", sources) == []
+
+
+def _calls(node, cls=None):
+    """(name, call) for each call under node: the bare or attribute name
+    it calls, and for `cls(...)` the name of the enclosing class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            f = child.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if name == "cls":
+                name = cls
+            if name:
+                yield name, child
+        yield from _calls(child, child.name
+                          if isinstance(child, ast.ClassDef) else cls)
+
+
+def _defaulted(module, cls, fn):
+    """(label, called name, position, parameter) for each parameter of fn
+    with a default; a method's positions skip self or cls unless it is a
+    static method, and a keyword-only parameter has no position."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in fn.decorator_list)
+    skip = 1 if cls and not static else 0
+    label = "%s.%s" % (module, "%s.%s" % (cls, fn.name) if cls else fn.name)
+    callee = cls if fn.name == "__init__" else fn.name
+    first = len(positional) - len(args.defaults)
+    for i in range(first, len(positional)):
+        name = positional[i].arg
+        yield "%s(%s)" % (label, name), callee, i - skip, name
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield "%s(%s)" % (label, arg.arg), callee, None, arg.arg
+
+
+def _sets(call, position, name):
+    """Does the call set the parameter, by keyword or by position?  A
+    starred argument or a ** mapping may set any it reaches."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and any(
+        i == position or isinstance(a, ast.Starred)
+        for i, a in enumerate(call.args[:position + 1]))
+
+
+def unset_options(modules: dict, callers: list) -> list[str]:
+    """The defaulted parameters of the module-level functions and methods
+    of `modules` (module name -> text) that no call in `callers` (texts)
+    sets, as `module.function(parameter)` or
+    `module.Class.method(parameter)`.  A call reaches a function by its
+    bare or attribute name, and `__init__` by the class name (or `cls`
+    inside the class)."""
+    params = []
+    for module, text in modules.items():
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, ast.FunctionDef):
+                params += _defaulted(module, None, stmt)
+            elif isinstance(stmt, ast.ClassDef):
+                params += [p for item in stmt.body
+                           if isinstance(item, ast.FunctionDef)
+                           for p in _defaulted(module, stmt.name, item)]
+    calls = {}
+    for text in callers:
+        for name, call in _calls(ast.parse(text)):
+            calls.setdefault(name, []).append(call)
+    return sorted(label for label, callee, position, name in params
+                  if not any(_sets(call, position, name)
+                             for call in calls.get(callee, ())))
+
+
+def test_the_scan_sees_an_option_no_call_sets():
+    modules = {"m": ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                     "def g(x=0):\n    pass\n"
+                     "def unused(y=0):\n    pass\n"
+                     "class K:\n"
+                     "    def __init__(self, p=0, q=0):\n        pass\n"
+                     "    @classmethod\n"
+                     "    def make(cls, r=0):\n        return cls(q=r)\n"
+                     "    def meth(self, s=0, t=0):\n        pass\n"
+                     "    @staticmethod\n"
+                     "    def stat(u=0, v=0):\n        pass\n")}
+    callers = [modules["m"],
+               "from m import f, g, K\n"
+               "f(0, 1, d=2)\n"
+               "g(*[1])\n"
+               "K().meth(1)\n"
+               "K.stat(1)\n",
+               "import m\nm.K.make(r=1)\n"]
+    assert unset_options(modules, callers) == [
+        "m.K.__init__(p)", "m.K.meth(t)", "m.K.stat(v)", "m.f(c)", "m.f(e)",
+        "m.unused(y)"]
+
+
+# the defaulted parameters no call in the package or the benchmark sets,
+# each with its reason
+UNSET_OPTIONS = {
+    "cli.main(argv)": "the entry point: the console script calls it with "
+                      "no arguments, so it reads sys.argv",
+}
+
+
+def test_every_option_is_set_by_some_call():
+    """Calls in tests do not count: an option only a test sets is one no
+    user of the package needs."""
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = [p.read_text(encoding="utf-8")
+               for p in PACKAGE_MODULES + BENCH_MODULES]
+    assert unset_options(modules, callers) == sorted(UNSET_OPTIONS)

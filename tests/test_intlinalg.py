@@ -17,8 +17,10 @@ from secgroups import intlinalg as la
 from secgroups.abelian import FinAbGroup
 from secgroups.functors import fiber, six_term
 from secgroups.models import homotopy_groups, wedge_model
+from secgroups.nil2 import hom_cokernel
 from secgroups.selftest import (_induced_wedge_morphism, _points,
                                 _random_quotient_wedge)
+from secgroups.words import PointedSet
 
 from lattices import lattices_equal
 
@@ -40,16 +42,16 @@ def _dense_rows(vecs, n):
 
 
 def _snf(a, ncols, keep=la.TRANSFORMS):
-    """The kernel's return as dense (U, D, V, Uinv, Vinv)."""
+    """The kernel's return as dense (U, D, V, Uinv)."""
     return _densify(la.smith_normal_form(a, ncols, keep), len(a), ncols)
 
 
 def _densify(result, m, ncols):
-    """A kernel return for an m x ncols input as dense (U, D, V, Uinv,
-    Vinv), the shape of the former dense return and of the oracle: U and
-    Vinv from their sparse rows, V and Uinv from their sparse columns, and
-    D the m x ncols matrix with the returned diagonal."""
-    diag, u, v, ui, vi = result
+    """A kernel return for an m x ncols input as dense (U, D, V, Uinv),
+    the shape of the former dense return and of the oracle: U from its
+    sparse rows, V and Uinv from their sparse columns, and D the m x ncols
+    matrix with the returned diagonal."""
+    diag, u, v, ui = result
     d = la.zeros(m, ncols)
     for i, x in enumerate(diag):
         d[i][i] = x
@@ -60,7 +62,7 @@ def _densify(result, m, ncols):
     def cols(t, k):
         return None if t is None else la.transpose(_dense_rows(t, k), k)
 
-    return rows(u, m), d, cols(v, ncols), cols(ui, m), rows(vi, ncols)
+    return rows(u, m), d, cols(v, ncols), cols(ui, m)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -69,10 +71,10 @@ def test_smith_normal_form_properties(seed):
     for _ in range(25):
         m, n = rng.randint(0, 4), rng.randint(0, 4)
         a = _random_matrix(rng, m, n)
-        u, d, v, ui, vi = _snf(a, n)
+        u, d, v, ui = _snf(a, n)
         assert la.mat_mul(la.mat_mul(u, a), v) == d
         assert la.mat_mul(u, ui) == la.identity(m)
-        assert la.mat_mul(v, vi) == la.identity(n)
+        assert la.mat_mul(v, _dense_snf_oracle(a, n)[4]) == la.identity(n)
         diag = [d[i][i] for i in range(min(m, n))]
         for i in range(m):
             for j in range(n):
@@ -241,11 +243,11 @@ def test_smith_normal_form_builds_only_the_kept_transforms(keep):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
         cases.append((_random_matrix(rng, m, n), n))
     for a, n in cases:
-        diag, u, v, ui, vi = la.smith_normal_form(a, n)
-        full = dict(zip(la.TRANSFORMS, (u, v, ui, vi)))
-        pdiag, pu, pv, pui, pvi = la.smith_normal_form(a, n, keep=keep)
+        diag, *full = la.smith_normal_form(a, n)
+        full = dict(zip(la.TRANSFORMS, full))
+        pdiag, *part = la.smith_normal_form(a, n, keep=keep)
         assert pdiag == diag
-        for name, got in zip(la.TRANSFORMS, (pu, pv, pui, pvi)):
+        for name, got in zip(la.TRANSFORMS, part):
             assert got == (full[name] if name in keep else None)
 
 
@@ -253,14 +255,16 @@ def _dense_snf_oracle(a, ncols, keep=la.TRANSFORMS):
     """The dense Smith normal form that the kernel replaced, as the oracle:
     it rescans d[t:, t:] for every pivot and for divisibility and walks
     every row of D in a column operation.  The kernel must make the same
-    operations in the same order."""
+    operations in the same order.  Returns (U, D, V, Uinv, Vinv): V^-1,
+    which the kernel no longer carries, is always built, for the identity
+    check V V^-1 == 1."""
     m = len(a)
     n = ncols
     d = [row[:] for row in a]
     u = la.identity(m) if "u" in keep else None
     v = la.identity(n) if "v" in keep else None
     ui = la.identity(m) if "uinv" in keep else None
-    vi = la.identity(n) if "vinv" in keep else None
+    vi = la.identity(n)
     row_held = [x for x in (d, u) if x is not None]
     col_held = [x for x in (d, v) if x is not None]
 
@@ -289,15 +293,13 @@ def _dense_snf_oracle(a, ncols, keep=la.TRANSFORMS):
         for x in col_held:
             for r in x:
                 r[i], r[j] = r[j], r[i]
-        if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
+        vi[i], vi[j] = vi[j], vi[i]
 
     def col_add(i, j, k):  # col i += k * col j
         for x in col_held:
             for r in x:
                 r[i] += k * r[j]
-        if vi is not None:
-            vi[j] = [p - k * q for p, q in zip(vi[j], vi[i])]
+        vi[j] = [p - k * q for p, q in zip(vi[j], vi[i])]
 
     t = 0
     while True:
@@ -404,14 +406,16 @@ def _time_limit(seconds):
 
 
 def _assert_kernel_matches_oracle(a, ncols):
-    """Equal entries for every keep subset, and no zero entry held."""
+    """Equal entries for every keep subset, no zero entry held, and the
+    former row basis."""
     for keep in _KEEPS:
-        expected = _dense_snf_oracle(a, ncols, keep)
+        expected = _dense_snf_oracle(a, ncols, keep)[:4]
         with _time_limit(5):
             result = la.smith_normal_form(a, ncols, keep)
         assert _densify(result, len(a), ncols) == expected, keep
         assert all(x for t in result[1:] if t is not None
                    for vec in t for x in vec.values()), keep
+    assert la.row_basis(a, ncols) == _former_row_basis(a, ncols)
 
 
 @given(_snf_inputs())
@@ -421,8 +425,8 @@ def _assert_kernel_matches_oracle(a, ncols):
 @example(([[0, 0, 0], [0, 4, 6], [0, 6, 4]], 3))
 @settings(max_examples=300, deadline=None)
 def test_smith_normal_form_matches_dense_oracle(case):
-    """The same U, D, V, Uinv and Vinv as the dense oracle for every keep
-    subset."""
+    """The same U, D, V and Uinv as the dense oracle for every keep
+    subset, and the former row basis."""
     _assert_kernel_matches_oracle(*case)
 
 
@@ -444,7 +448,8 @@ def test_smith_normal_form_matches_dense_oracle_on_library_inputs(
     """Every input the library hands the kernel while it builds the level-2
     and level-3 wedge models on one to four letters with their h0 and h1,
     and one fiber and six-term sequence drawn as the fiber criterion draws
-    them, gives the oracle's entries for every keep subset."""
+    them, gives the oracle's entries for every keep subset and the former
+    row basis."""
     real, seen = la.smith_normal_form, {}
 
     def recorded(a, ncols, keep=la.TRANSFORMS):
@@ -468,18 +473,53 @@ def test_smith_normal_form_matches_dense_oracle_on_library_inputs(
         _assert_kernel_matches_oracle(a, ncols)
 
 
+def _former_row_basis(rows, ncols):
+    """The former body of `la.row_basis`, kept as its oracle: d_i times row
+    i of V^-1 at each nonzero d_i.  The kernel no longer carries V^-1, so
+    here it is the exact inverse of the kernel's V, row i the one solution
+    y of y V == e_i, certified by V^-1 V == 1."""
+    if not rows:
+        return []
+    diag, _, v, _ = la.smith_normal_form(rows, ncols, keep=("v",))
+    vt = _dense_rows(v, ncols)  # V's columns, the rows of V^T
+    solver = la.Solver(vt, ncols)
+    vi = [solver.solve([int(i == j) for j in range(ncols)])
+          for i in range(ncols)]
+    assert la.mat_mul(vi, la.transpose(vt, ncols)) == la.identity(ncols)
+    return [[di * x for x in vi[i]] for i, di in enumerate(diag) if di]
+
+
+def test_row_basis_matches_the_former_body_on_a_normal_closure(monkeypatch):
+    """The largest row basis the cokernel of the level-2 wedge boundary on
+    16 letters asks for, its normal closure's 4,608 central rows on 120
+    coordinates, is the former body's, integer for integer."""
+    real, seen = la.row_basis, []
+
+    def recorded(rows, ncols):
+        seen.append(([row[:] for row in rows], ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(la, "row_basis", recorded)
+    letters = ["x%d" % i for i in range(16)]
+    hom_cokernel(wedge_model(2, PointedSet(["*"] + letters)).bnd)
+    monkeypatch.undo()
+    rows, ncols = max(seen, key=lambda case: len(case[0]) * case[1])
+    assert (len(rows), ncols) == (4608, 120)
+    assert la.row_basis(rows, ncols) == _former_row_basis(rows, ncols)
+
+
 @pytest.mark.parametrize("a,ncols", [([], 0), ([], 4), ([[], [], []], 0),
                                      ([[0, 0], [0, 0], [0, 0]], 2),
                                      ([[0, 0, 0]], 3)])
 def test_smith_normal_form_of_nothing_is_single_entries(a, ncols):
     """With no pivot, each transform is the identity held as m (U and
-    U^-1) or ncols (V and V^-1) single entries, one per vector, and the
-    diagonal has min(m, ncols) zeros."""
+    U^-1) or ncols (V) single entries, one per vector, and the diagonal
+    has min(m, ncols) zeros."""
     m = len(a)
-    diag, u, v, ui, vi = la.smith_normal_form(a, ncols)
+    diag, u, v, ui = la.smith_normal_form(a, ncols)
     assert diag == [0] * min(m, ncols)
     assert u == ui == [{i: 1} for i in range(m)]
-    assert v == vi == [{i: 1} for i in range(ncols)]
+    assert v == [{i: 1} for i in range(ncols)]
 
 
 @st.composite
@@ -496,7 +536,7 @@ def _pivotless(draw):
 @settings(max_examples=60, deadline=None)
 def test_smith_normal_form_without_a_pivot_matches_dense_oracle(case):
     """An empty or all-zero matrix returns before the pivot loop, with the
-    diagonal and the four transforms the dense oracle gives for every keep
+    diagonal and the three transforms the dense oracle gives for every keep
     subset: min(m, ncols) zeros and identities."""
     a, ncols = case
     _assert_kernel_matches_oracle(a, ncols)
@@ -508,16 +548,18 @@ def test_smith_normal_form_without_a_pivot_matches_dense_oracle(case):
 
 @pytest.mark.parametrize("keep,named", [
     ("vinv", "string 'vinv'"), ("v", "string 'v'"), (("v", "w"), "'w' in"),
-    (["vinv", "U"], "'U' in"), (("u", "uinv", "vinverse"), "'vinverse' in")])
+    (["vinv", "U"], "'U' in"), (("u", "uinv", "vinverse"), "'vinverse' in"),
+    (("vinv",), "'vinv' in")])
 def test_smith_normal_form_refuses_unknown_keep(keep, named):
     """A bare string would be read letter by letter ("vinv" would also
-    build V), and an unknown name would leave its transform None."""
+    build V), and an unknown name, V^-1's former "vinv" among them, would
+    leave its transform None."""
     with pytest.raises(ValueError, match=re.escape(named)):
         la.smith_normal_form([[1]], 1, keep=keep)
 
 
 def test_empty_dimensions():
-    u, d, v, ui, vi = _snf([], 3)
+    u, d, v, ui = _snf([], 3)
     assert d == [] and v == la.identity(3)
     assert la.mat_mul([], []) == []
     assert la.row_basis([], 2) == []
@@ -529,7 +571,7 @@ def _fresh_solve_mod(a, ncols, b, lattice_rows):
     ext = [a[i][:] + [lattice_rows[k][i] for k in range(len(lattice_rows))]
            for i in range(nrows)]
     next_ = ncols + len(lattice_rows)
-    u, d, v, _, _ = _snf(ext, next_)
+    u, d, v, _ = _snf(ext, next_)
     ub = la.mat_vec(u, b)
     y = [0] * next_
     diag = [d[i][i] for i in range(min(len(d), next_))]
@@ -607,7 +649,7 @@ class _DenseSolver:
     def __init__(self, a, ncols, lattice_rows=()):
         ext = [a[i][:] + [r[i] for r in lattice_rows] for i in range(len(a))]
         next_ = ncols + len(lattice_rows)
-        u, d, v, _, _ = _snf(ext, next_, keep=("u", "v"))
+        u, d, v, _ = _snf(ext, next_, keep=("u", "v"))
         diag = [d[i][i] for i in range(min(len(d), next_))]
         rank = sum(1 for x in diag if x)
         self._pivots = list(zip(u[:rank], diag[:rank]))
