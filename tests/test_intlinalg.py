@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 import signal
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -473,19 +474,40 @@ def test_smith_normal_form_matches_dense_oracle_on_library_inputs(
         _assert_kernel_matches_oracle(a, ncols)
 
 
+def _unimodular_inverse(rows):
+    """The exact inverse of a square integer matrix of determinant ±1, by
+    Gauss-Jordan elimination over the rationals, certified integral and by
+    rows * inverse == 1.  Each step clears a column with one pivot, so the
+    entries stay as small as the matrix's minors, where a Smith form of the
+    same matrix may let them grow without bound."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                          for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        pivot = aug[c][c]
+        aug[c] = [x / pivot for x in aug[c]]
+        for i in range(n):
+            k = aug[i][c]
+            if i != c and k:
+                aug[i] = [x - k * y for x, y in zip(aug[i], aug[c])]
+    inv = [row[n:] for row in aug]
+    assert all(x.denominator == 1 for row in inv for x in row)
+    inv = [[int(x) for x in row] for row in inv]
+    assert la.mat_mul(rows, inv) == la.identity(n)
+    return inv
+
+
 def _former_row_basis(rows, ncols):
     """The former body of `la.row_basis`, kept as its oracle: d_i times row
     i of V^-1 at each nonzero d_i.  The kernel no longer carries V^-1, so
-    here it is the exact inverse of the kernel's V, row i the one solution
-    y of y V == e_i, certified by V^-1 V == 1."""
+    here it is the exact inverse of the kernel's V."""
     if not rows:
         return []
     diag, _, v, _ = la.smith_normal_form(rows, ncols, keep=("v",))
-    vt = _dense_rows(v, ncols)  # V's columns, the rows of V^T
-    solver = la.Solver(vt, ncols)
-    vi = [solver.solve([int(i == j) for j in range(ncols)])
-          for i in range(ncols)]
-    assert la.mat_mul(vi, la.transpose(vt, ncols)) == la.identity(ncols)
+    vi = _unimodular_inverse(la.transpose(_dense_rows(v, ncols), ncols))
     return [[di * x for x in vi[i]] for i, di in enumerate(diag) if di]
 
 
