@@ -33,6 +33,9 @@ mostly unit entries, so a step usually costs one short search and the row
 and column operations that clear the pivot's row and column.  A column
 operation touches D only in the rows from the pivot down, and only where
 the multiplier is nonzero, and a pivot already in place is not swapped.
+Each operation is written out where it runs, inside the one loop, with no
+helper built per call, and a row or column operation whose multiplier is
+0 is skipped, since it changes nothing.
 An empty or all-zero matrix has no pivot, so the kernel returns min(m, n)
 zeros and identity transforms before its loop starts.
 Integer solving and kernels are small wrappers around it.
@@ -59,7 +62,8 @@ Callers read the sparse return directly: a certificate holds sparse
 columns (U's taken from its rows in one pass by `sparse_transpose`, Uinv's
 as returned), and a transform is applied to a vector by adding the columns
 of its nonzero entries (`column_combination`); `mat_vec` likewise sums over
-the nonzeros of its vector only.  The integers are the ones the dense
+the nonzeros of its vector only, and returns zeros for a zero vector
+without a pass over the rows.  The integers are the ones the dense
 products give.
 """
 
@@ -102,6 +106,8 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     """a @ v, summed over the nonzero entries of v only."""
     nz = [(j, v[j]) for j in compress(range(len(v)), v)]
+    if not nz:
+        return [0] * len(a)
     return [sum([row[j] * x for j, x in nz]) for row in a]
 
 
@@ -207,42 +213,6 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
     # Uinv; a column operation on the columns of D and V.  Rows of D above
     # the pivot t are zero in every column >= t, so column operations on D
     # touch rows t.. only.
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-        if ui is not None:
-            ui[i], ui[j] = ui[j], ui[i]
-
-    def row_add(i, j, k):  # row i += k * row j
-        d[i] = [p + k * q for p, q in zip(d[i], d[j])]
-        if k:
-            if u is not None:
-                _add_scaled(u[i], u[j], k)
-            if ui is not None:
-                _add_scaled(ui[j], ui[i], -k)
-
-    def row_neg(i):
-        d[i] = [-p for p in d[i]]
-        if u is not None:
-            u[i] = {c: -x for c, x in u[i].items()}
-        if ui is not None:
-            ui[i] = {r: -x for r, x in ui[i].items()}
-
-    def col_swap(i, j):
-        for r in d[t:]:
-            r[i], r[j] = r[j], r[i]
-        if v is not None:
-            v[i], v[j] = v[j], v[i]
-
-    def col_add(i, j, k):  # col i += k * col j
-        for r in d[t:]:
-            if r[j]:
-                r[i] += k * r[j]
-        if k and v is not None:
-            _add_scaled(v[i], v[j], k)
-
     t = 0
     while True:
         # pivot: the first entry of least |x| in d[t:, t:], row-major.  Rows
@@ -264,30 +234,61 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
                         pi, pj, best = i, j, abs(x)
         if not best:
             break
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
+        if pi != t:  # swap rows t and pi
+            d[t], d[pi] = d[pi], d[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
+            if ui is not None:
+                ui[t], ui[pi] = ui[pi], ui[t]
+        if pj != t:  # swap columns t and pj
+            for r in d[t:]:
+                r[t], r[pj] = r[pj], r[t]
+            if v is not None:
+                v[t], v[pj] = v[pj], v[t]
         # clear row and column t
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
                 if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_add(i, t, -q)
-                    if d[i][t]:
-                        row_swap(t, i)
+                    # row i -= q * row t
+                    dt = d[t]
+                    q = d[i][t] // dt[t]
+                    if q:
+                        d[i] = [p - q * x for p, x in zip(d[i], dt)]
+                        if u is not None:
+                            _add_scaled(u[i], u[t], -q)
+                        if ui is not None:
+                            _add_scaled(ui[t], ui[i], q)
+                    if d[i][t]:  # swap rows t and i
+                        d[t], d[i] = d[i], d[t]
+                        if u is not None:
+                            u[t], u[i] = u[i], u[t]
+                        if ui is not None:
+                            ui[t], ui[i] = ui[i], ui[t]
                         dirty = True
             for j in range(t + 1, n):
                 if d[t][j]:
+                    # column j -= q * column t
                     q = d[t][j] // d[t][t]
-                    col_add(j, t, -q)
-                    if d[t][j]:
-                        col_swap(t, j)
+                    if q:
+                        for r in d[t:]:
+                            if r[t]:
+                                r[j] -= q * r[t]
+                        if v is not None:
+                            _add_scaled(v[j], v[t], -q)
+                    if d[t][j]:  # swap columns t and j
+                        for r in d[t:]:
+                            r[t], r[j] = r[j], r[t]
+                        if v is not None:
+                            v[t], v[j] = v[j], v[t]
                         dirty = True
-        if d[t][t] < 0:
-            row_neg(t)
+        if d[t][t] < 0:  # negate row t
+            d[t] = [-p for p in d[t]]
+            if u is not None:
+                u[t] = {c: -x for c, x in u[t].items()}
+            if ui is not None:
+                ui[t] = {r: -x for r, x in ui[t].items()}
         # enforce divisibility of the rest of the submatrix by d[t][t]
         # (nothing to check when it is 1); rows t+1.. are now zero in
         # columns ..t
@@ -300,8 +301,12 @@ def smith_normal_form(a: list[list[int]], ncols: int, keep=TRANSFORMS):
                     break
         if offender is None:
             t += 1
-        else:
-            row_add(t, offender, 1)
+        else:  # row t += row offender
+            d[t] = [p + x for p, x in zip(d[t], d[offender])]
+            if u is not None:
+                _add_scaled(u[t], u[offender], 1)
+            if ui is not None:
+                _add_scaled(ui[offender], ui[t], -1)
     return [d[i][i] for i in range(min(m, n))], u, v, ui
 
 

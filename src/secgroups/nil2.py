@@ -22,7 +22,17 @@ form, is `collect_central`: one pass over the nonzeros of beta,
     sum_i binom(q_i, 2) beta(e_i (x) e_i)
         + sum_{i<j} q_i q_j beta(e_i (x) e_j).
 
-Its one-element case is a power or the inverse of an element.
+Its one-element case is a power or the inverse of an element.  It sums
+over the factors with a nonzero exponent only (most exponents the library
+passes are 0: a sparse coordinate vector, a hom evaluated on a normal
+form), starts the prefix term at the second of them, and sums no pairing
+at all when beta has no nonzero terms.
+
+No group or element refers back to itself: a group holds no table of its
+own generators (`nilize` builds the ones a word reads), so groups,
+elements and the certificates, solvers and kernels they hold are freed by
+reference counting when their last user drops them, never left for the
+cyclic garbage collector (`tests/test_reference_cycles.py`).
 
 `lam` and `beta` are stored dense, one row per central generator and one
 column per pair (i, j) of Q generators, and that is the form every reader
@@ -99,7 +109,7 @@ zero composite, `abelian.exact`, surjective.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 
 from . import intlinalg as la
 from .abelian import (AbMap, FinAbGroup, exact, gamma,
@@ -149,7 +159,6 @@ class Class2Group:
             "x%d" % i for i in range(nq)]
         self._lam_terms = _nonzero_terms(self.lam, nq)
         self._beta_terms = _nonzero_terms(self.beta, nq)
-        self._gens = [self.generator(i) for i in range(nq)]
         if check:
             self._validate()
 
@@ -222,18 +231,31 @@ class Class2Group:
 
     def power_product(self, elems, exps) -> "Class2Elem":
         """The ordered product of powers x_1^a_1 ... x_m^a_m, collected by
-        the closed form of the module docstring with one running prefix."""
+        the closed form of the module docstring with one running prefix.
+
+        Only the factors with a nonzero exponent are visited; the prefix
+        term starts at the second of them, and no pairing is summed when
+        beta has no nonzero terms.  elems and exps must have one length,
+        else ValueError."""
+        if len(elems) != len(exps):
+            raise ValueError("power_product needs one exponent per element: "
+                             "%d elements, %d exponents"
+                             % (len(elems), len(exps)))
         beta = self._beta_terms
-        prefix = [0] * self.q.ngens
+        prefix = None
         out = [0] * self.c.ngens
-        for x, a in zip(elems, exps):
-            if a:
-                aq = [a * v for v in x.qvec]
-                for r, v in enumerate(x.cvec):
-                    out[r] += a * v
-                _pairing(beta, out, x.qvec, x.qvec, _binom2(a))
-                _pairing(beta, out, prefix, aq)
-                prefix = la.vec_add(prefix, aq)
+        for x, a in zip(compress(elems, exps), compress(exps, exps)):
+            qv = x.qvec
+            aq = [a * v for v in qv]
+            for r, v in enumerate(x.cvec):
+                out[r] += a * v
+            if beta:
+                _pairing(beta, out, qv, qv, _binom2(a))
+                if prefix is not None:
+                    _pairing(beta, out, prefix, aq)
+            prefix = aq if prefix is None else la.vec_add(prefix, aq)
+        if prefix is None:
+            prefix = [0] * self.q.ngens
         return Class2Elem(self, prefix, out)
 
     def collect_central(self, qvec) -> list[int]:
@@ -1045,7 +1067,7 @@ def nilize(word: Word, group: Class2Group) -> Class2Elem:
     """Collect a free word left-to-right into its (q, c) normal form."""
     name_to_idx = {n: i for i, n in enumerate(group.gen_names)}
     return group.power_product(
-        [group._gens[name_to_idx[sym]] for sym, _ in word.letters],
+        [group.generator(name_to_idx[sym]) for sym, _ in word.letters],
         [exp for _, exp in word.letters])
 
 

@@ -530,6 +530,158 @@ def test_row_basis_matches_the_former_body_on_a_normal_closure(monkeypatch):
     assert la.row_basis(rows, ncols) == _former_row_basis(rows, ncols)
 
 
+def _former_add_scaled(dst, src, k):
+    for i, x in src.items():
+        y = dst.get(i, 0) + k * x
+        if y:
+            dst[i] = y
+        else:
+            del dst[i]
+
+
+def _former_smith_normal_form(a, ncols, keep):
+    """The former body of `la.smith_normal_form`, kept as its oracle: the
+    same pivots and operations, each made by one of five nested helpers
+    built on every call.  The kernel now writes the operations out where
+    they run, and must return the same raw (diag, U, V, Uinv), sparse
+    dicts and all.  Only valid `keep` values reach it."""
+    m = len(a)
+    n = ncols
+    u = [{i: 1} for i in range(m)] if "u" in keep else None
+    v = [{i: 1} for i in range(n)] if "v" in keep else None
+    ui = [{i: 1} for i in range(m)] if "uinv" in keep else None
+    if not any(map(any, a)):
+        return [0] * min(m, n), u, v, ui
+    d = [row[:] for row in a]
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+        if ui is not None:
+            ui[i], ui[j] = ui[j], ui[i]
+
+    def row_add(i, j, k):  # row i += k * row j
+        d[i] = [p + k * q for p, q in zip(d[i], d[j])]
+        if k:
+            if u is not None:
+                _former_add_scaled(u[i], u[j], k)
+            if ui is not None:
+                _former_add_scaled(ui[j], ui[i], -k)
+
+    def row_neg(i):
+        d[i] = [-p for p in d[i]]
+        if u is not None:
+            u[i] = {c: -x for c, x in u[i].items()}
+        if ui is not None:
+            ui[i] = {r: -x for r, x in ui[i].items()}
+
+    def col_swap(i, j):
+        for r in d[t:]:
+            r[i], r[j] = r[j], r[i]
+        if v is not None:
+            v[i], v[j] = v[j], v[i]
+
+    def col_add(i, j, k):  # col i += k * col j
+        for r in d[t:]:
+            if r[j]:
+                r[i] += k * r[j]
+        if k and v is not None:
+            _former_add_scaled(v[i], v[j], k)
+
+    t = 0
+    while True:
+        pi = pj = best = 0
+        for i in range(t, m):
+            row = d[i]
+            if 1 in row or -1 in row:
+                pi, best = i, 1
+                for pj in range(t, n):
+                    if row[pj] == 1 or row[pj] == -1:
+                        break
+                break
+            if any(row):
+                for j in range(t, n):
+                    x = row[j]
+                    if x and (not best or abs(x) < best):
+                        pi, pj, best = i, j, abs(x)
+        if not best:
+            break
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    row_add(i, t, -q)
+                    if d[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    col_add(j, t, -q)
+                    if d[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+        if d[t][t] < 0:
+            row_neg(t)
+        p = d[t][t]
+        offender = None
+        if p != 1:
+            for i in range(t + 1, m):
+                if any(x % p for x in d[i]):
+                    offender = i
+                    break
+        if offender is None:
+            t += 1
+        else:
+            row_add(t, offender, 1)
+    return [d[i][i] for i in range(min(m, n))], u, v, ui
+
+
+@st.composite
+def _small_snf_inputs(draw):
+    """(a, ncols) of at most 5 x 5 with entries -3..3: dense, or mostly
+    zero.  Larger dense draws let the floor-quotient reduction blow
+    entries up (ROADMAP item 6), in the oracle as in the kernel."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+                for _ in range(m)], n
+    return _sparse_matrix(draw, m, n, [x for x in range(-3, 4) if x],
+                          m * n // 3 + 1), n
+
+
+@given(_small_snf_inputs())
+@example(([[0, 0, 0], [0, 4, 6], [0, 6, 4]], 3))
+@example(([[2, 3], [3, 2]], 2))
+@example(([[-2]], 1))
+@settings(max_examples=300, deadline=None)
+def test_smith_normal_form_matches_its_former_body(case):
+    a, ncols = case
+    for keep in _KEEPS:
+        assert la.smith_normal_form(a, ncols, keep) == \
+            _former_smith_normal_form(a, ncols, keep), keep
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                max_size=4),
+       st.lists(st.sampled_from([0, 0, 0, 1, -2, 5]), min_size=4,
+                max_size=4))
+@example([[1, 2, 3, 4]], [0, 0, 0, 0])
+@example([], [0, 0, 0, 0])
+@settings(max_examples=100, deadline=None)
+def test_mat_vec_matches_the_dense_product(a, vec):
+    """A zero vector, returned without a pass over the rows, among them."""
+    assert la.mat_vec(a, vec) == [sum(x * y for x, y in zip(row, vec))
+                                  for row in a]
+
+
 @pytest.mark.parametrize("a,ncols", [([], 0), ([], 4), ([[], [], []], 0),
                                      ([[0, 0], [0, 0], [0, 0]], 2),
                                      ([[0, 0, 0]], 3)])

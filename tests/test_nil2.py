@@ -19,7 +19,8 @@ from secgroups.nil2 import (
     free_nil, nilize, hom_from_values, hom_from_words,
     hom_kernel, hom_cokernel, identity_hom, trivial_hom, product_group,
     kernel_generators, boundary_map, level_tensor_square, level_gamma, exact_sequence_report,
-    pair_support, _kernel_lifts, _nonzero_terms, _projection_twist,
+    pair_support, _binom2, _kernel_lifts, _nonzero_terms, _pairing,
+    _projection_twist,
 )
 from secgroups.selftest import oracle_element, _random_word
 
@@ -553,6 +554,60 @@ def test_power_product_matches_replay(data):
         qvec = data.draw(_vectors(g.q.ngens, entry))
         replay = _replay(g, gens, qvec)
         assert g.collect_central(qvec) == replay.cvec
+
+
+def _former_power_product(g: Class2Group, elems, exps):
+    """The former body of `Class2Group.power_product`, kept as its oracle:
+    it walks every (element, exponent) pair and adds the prefix term from
+    the first factor on.  The body now visits the nonzero exponents only
+    and skips the pairings where beta has no terms; the raw integers must
+    be the same."""
+    beta = g._beta_terms
+    prefix = [0] * g.q.ngens
+    out = [0] * g.c.ngens
+    for x, a in zip(elems, exps):
+        if a:
+            aq = [a * v for v in x.qvec]
+            for r, v in enumerate(x.cvec):
+                out[r] += a * v
+            _pairing(beta, out, x.qvec, x.qvec, _binom2(a))
+            _pairing(beta, out, prefix, aq)
+            prefix = la.vec_add(prefix, aq)
+    return prefix, out
+
+
+# exponent entries mostly 0, as the library's are (84% on module
+# invariants), with ±1, ±2 and larger among them
+_SPARSE_EXPS = st.sampled_from([0] * 8 + [1, -1, 2, -2, 3, -7, 12])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_power_product_matches_its_former_body(data):
+    g = data.draw(_unchecked_class2_groups(entry=st.integers(-3, 3)))
+    if data.draw(st.booleans()):
+        # the same layers with beta and lam zero: an abelian group whose
+        # beta has no terms, central layer and all
+        zero = la.zeros(g.c.ngens, g.q.ngens ** 2)
+        g = Class2Group(g.q, g.c, zero, zero, check=False)
+        assert not g._beta_terms
+    pool = _elements(data.draw, g, data.draw(st.integers(1, 3)))
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))),
+                               max_size=8))
+    elems = [pool[i] for i in picks]
+    exps = data.draw(_vectors(len(elems), data.draw(st.sampled_from(
+        [_SPARSE_EXPS, _EXPS]))))
+    assert _raw(g.power_product(elems, exps)) == \
+        _former_power_product(g, elems, exps)
+
+
+def test_power_product_refuses_mismatched_lengths():
+    g = free_nil(POINTS)
+    with pytest.raises(ValueError, match="1 elements, 2 exponents"):
+        g.power_product([g.generator(0)], [1, 5])
+    with pytest.raises(ValueError, match="2 elements, 1 exponents"):
+        g.power_product([g.generator(0), g.generator(1)], [0])
+    assert _raw(g.power_product([], [])) == _raw(g.identity())
 
 
 def _former_hom_eval(f: Class2Hom, elem):
