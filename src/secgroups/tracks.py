@@ -21,10 +21,16 @@ and returns the kernel of the level boundary, under which the set of tracks
 is a torsor generator by generator.
 
 `TwoMorphism` is the corresponding notion for morphisms of crossed (level
-one) or quadratic (level two and up) modules.  It is evaluated by one
-derivation rule under the target's action on M, which a quadratic module
-takes from its pairing; that the pairing values are central, as the
-quadratic-module axioms require, is what makes the rule the quadratic one.
+one) or quadratic (level two and up) modules.  It obeys one derivation rule
+under the target's action on M, which a quadratic module takes from its
+pairing; that the pairing values are central, as the quadratic-module
+axioms require, is what makes the rule the quadratic one.  At level two and
+up, when the pairing coordinates are the Q layer, the rule makes a
+2-morphism its generator values plus a bilinear correction, and it is
+evaluated in closed form by one product of powers, the polynomial
+collection of Deep Thought (Leedham-Green and Soicher 1998).  At level one,
+whose action is by arbitrary automorphisms, and on other coordinates, it
+is evaluated letter by letter.
 """
 
 from __future__ import annotations
@@ -184,10 +190,26 @@ class TwoMorphism:
     built from its values on the generators of M by `hom_from_values`,
     which refuses a central generator whose value is not central.
 
-    Evaluation spells a base element as letters through the base's
-    `letters` and folds over a table held per 2-morphism: for each base
-    generator e, the pairs (f0(e), alpha(e)) and (f0(e^-1), alpha(e^-1)),
-    where alpha(e^-1) = (alpha(e)^{f0(e)^-1})^-1.
+    The letter rule, `eval_word`, folds a word over a table held per
+    2-morphism: for each base generator e, the pairs (f0(e), alpha(e)) and
+    (f0(e^-1), alpha(e^-1)), where alpha(e^-1) = (alpha(e)^{f0(e)^-1})^-1.
+
+    At level two and up, when the target's pairing coordinates are the Q
+    layer, `eval` takes (q, c) in closed form instead:
+        alpha(q, c) = prod_i alpha(e_i)^q_i * prod_i W_ii^binom(q_i, 2)
+                      * prod_{i<j} W_ij^(q_i q_j) * prod_r alpha(z_r)^c'_r
+    with W_ij = omega'({d' alpha(e_i)} (x) {f0 e_j}), the z_r the central
+    generators of the base and c' = c - collect_central(q).  The W_ij
+    and the alpha(z_r), the latter by the letter rule, are computed once
+    on construction.  It is exact for any values: {d' .} and {f0 .} are
+    additive in Q coordinates, since RQ1 sends d' omega' to commutators;
+    omega' is central and bilinear; binom(q, 2) also covers negative q, as
+    alpha(e^-1) = alpha(e)^-1 * W_ee; and alpha is additive on the centre,
+    where {f0 .} vanishes.  Otherwise, at level one or on coordinates
+    with central generators, `eval` spells (q, c) through the base's
+    `letters` and folds it by the letter rule.  Either way `eval` refuses
+    an element of a group whose Q and C differ from the base's
+    (`same_presentation`).
 
     The base of x must be a free class-2 group: the companion's g0 is
     forced on the commutators through `free_hom`, which needs one.
@@ -212,6 +234,10 @@ class TwoMorphism:
             # from 1 = alpha(e)^{f0(e^-1)} alpha(e^-1)
             inv = self.y.act(v, up.inverse()).inverse()
             self._table[base.gen_names[i]] = ((up, v), (down, inv))
+        self._factors = None
+        if (self.y.level >= 2
+                and len(self.y.coords.basis) == self.y.base.q.ngens):
+            self._factors = self._closed_form_factors()
         self.g = self._derive_companion()
         if check:
             self.validate()
@@ -226,10 +252,38 @@ class TwoMorphism:
                 out = self.y.act(out, img) * val
         return out
 
-    def eval(self, elem: Class2Elem) -> Class2Elem:
+    def _spell(self, elem: Class2Elem) -> Word:
         names = self.x.base.gen_names
-        return self.eval_word(Word([(names[i], e) for i, e in
-                                    self.x.base.letters(elem)]).reduced())
+        return Word([(names[i], e)
+                     for i, e in self.x.base.letters(elem)]).reduced()
+
+    def _closed_form_factors(self) -> list[Class2Elem]:
+        """The factors of `eval`'s closed form: the alpha(e_i), the W_ij
+        for i <= j row by row, and the alpha(z_r)."""
+        y, base = self.y, self.x.base
+        nq = base.q.ngens
+        d = [y.coords.of(y.bnd.eval(v)) for v in self.values]
+        fe = [y.coords.of(up) for (up, _), _ in self._table.values()]
+        w = [y.omega.pair(d[i], fe[j])
+             for i in range(nq) for j in range(i, nq)]
+        central = [self.eval_word(self._spell(base.central_generator(r)))
+                   for r in range(base.c.ngens)]
+        return self.values + w + central
+
+    def eval(self, elem: Class2Elem) -> Class2Elem:
+        base, g = self.x.base, elem.group
+        if g is not base and not (g.q.same_presentation(base.q)
+                                  and g.c.same_presentation(base.c)):
+            raise ValueError("2-morphism on %r evaluated at an element of "
+                             "%r" % (base, g))
+        if self._factors is None:
+            return self.eval_word(self._spell(elem))
+        q = elem.qvec
+        nq = len(q)
+        exps = (q + [q[i] * q[j] if i < j else q[i] * (q[i] - 1) // 2
+                     for i in range(nq) for j in range(i, nq)]
+                + la.vec_sub(elem.cvec, base.collect_central(q)))
+        return self.y.m.power_product(self._factors, exps)
 
     # -- the companion morphism ----------------------------------------------
 

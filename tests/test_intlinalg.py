@@ -375,7 +375,7 @@ def _snf_inputs(draw):
     divisibility scan and its restart run.  Dense draws keep to 25 cells and
     sparse ones to a quarter of the cells: beyond that the floor-quotient
     reduction, in the kernel as in the oracle, lets entries grow until a
-    single 8x8 input takes seconds (ROADMAP item 5)."""
+    single 8x8 input takes seconds (ROADMAP item 6)."""
     m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     kind = draw(st.sampled_from(["sparse", "dense", "unit-free"]))
     if kind == "dense":

@@ -8,8 +8,11 @@ import pytest
 from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word
 from secgroups.abelian import FinAbGroup, AbMap, gamma, tensor_z2
-from secgroups.nil2 import free_nil, boundary_map, identity_hom, nilize
-from secgroups.crossed import CrossMorphism
+from secgroups.nil2 import (Class2Group, Class2Hom, abelian_as_class2,
+                            free_nil, boundary_map, identity_hom, nilize,
+                            trivial_hom)
+from secgroups.crossed import (AbCoords, CrossMorphism, OmegaPairing,
+                               ReducedQuadraticModule, quadratic_module)
 from secgroups.functors import phi2
 from secgroups.models import wedge_model
 from secgroups.tracks import (
@@ -298,42 +301,215 @@ def _random_base_elem(rng, base):
     return nilize(_random_word(rng, base.gen_names, 6), base)
 
 
+def _full_coordinates_morphism(rng, x):
+    """A morphism from x into a level-2 module whose pairing coordinates
+    are not the Q layer: its base Z x Z has a central generator z that is
+    no commutator, so the coordinates are (n0, z).  M = Z, the boundary
+    sends m0 to z, and RQ1 forces the trivial pairing, as the boundary is
+    injective."""
+    n = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]], [[0]], ["n0"])
+    m = abelian_as_class2(FinAbGroup(1), ["m0"])
+    bnd = Class2Hom(m, n, [n.central_generator(0)],
+                    AbMap(m.c, n.c, la.zeros(1, 0), check=False))
+    y = ReducedQuadraticModule(m, n, bnd,
+                               OmegaPairing(AbCoords(n), m,
+                                            [m.identity()] * 4))
+    assert len(y.coords.basis) == 2 and not y.check_axioms()
+    f0 = x.base.free_hom(n, [n.element([rng.randint(-2, 2)],
+                                       [rng.randint(-2, 2)])
+                             for _ in range(x.base.q.ngens)])
+    return CrossMorphism(x, y, trivial_hom(x.m, m), f0)
+
+
+def _heisenberg_morphism(rng, x):
+    """A random morphism from the level-n wedge x into a level-n module
+    whose boundary has no central image, so the W_ij of the closed form
+    are not trivial, as they are into a wedge.  M is the free class-2
+    group on m1, m2 with c = [m1, m2], the base is Z^2 on n1, n2, the
+    boundary sends m_i to n_i, omega(n1 (x) n2) = c = omega(n2 (x) n1)^-1
+    and the other two images are trivial.  f1 is forced on the pairing
+    images that generate the M of x."""
+    n = abelian_as_class2(FinAbGroup(2), ["n1", "n2"])
+    m = free_nil(PointedSet(["*", "m1", "m2"]))
+    c = m.generator(0).commutator(m.generator(1))
+    bnd = Class2Hom(m, n, [n.generator(0), n.generator(1)],
+                    AbMap(m.c, n.c, la.zeros(0, 1), check=False))
+    omega = OmegaPairing(AbCoords(n), m,
+                         [m.identity(), c, c.inverse(), m.identity()])
+    y = quadratic_module(m, n, bnd, omega, x.level)
+    assert not y.check_axioms()
+    k = x.base.q.ngens
+    f0 = x.base.free_hom(n, [n.element([rng.randint(-2, 2),
+                                        rng.randint(-2, 2)])
+                             for _ in range(k)])
+    fe = [y.coords.of(f0.eval(x.base.generator(a))) for a in range(k)]
+    f1 = Class2Hom(x.m, m, [omega.pair(fe[p // k], fe[p % k])
+                            for p in range(x.m.q.ngens)],
+                   AbMap(x.m.c, m.c, la.zeros(1, 0), check=False))
+    return CrossMorphism(x, y, f1, f0)
+
+
 def _random_two_morphisms(rng):
-    """2-morphisms of random quadratic squares on wedge models (levels 2
-    and 3) and of random crossed squares on a conjugation module."""
+    """(kind, 2-morphism) pairs with values drawn unchecked.  "wedge",
+    "quotient" and "heisenberg": random quadratic squares at levels 2-4,
+    from a wedge on 1-3 letters into a wedge or a quotient wedge on 1-2
+    letters or the module of `_heisenberg_morphism`, evaluated in closed
+    form.  "full-coordinates": a level-2 target whose pairing coordinates
+    are not the Q layer, and "crossed": a random crossed square on a
+    conjugation module; both take the letter rule."""
     out = []
-    for n in (2, 3):
-        x = wedge_model(n, _points(2))
-        y = wedge_model(n, _points(rng.randint(1, 2)))
-        f = _induced_wedge_morphism(rng, x, y)
-        out.append(TwoMorphism(f, [_rand_m_elem(rng, y)
-                                   for _ in range(x.n.q.ngens)], check=False))
+    for n in (2, 3, 4):
+        x = wedge_model(n, _points(rng.randint(1, 3)))
+        for kind in ("wedge", "quotient"):
+            pts = _points(rng.randint(1, 2))
+            y = (wedge_model(n, pts) if kind == "wedge"
+                 else _random_quotient_wedge(rng, n, pts))
+            f = _induced_wedge_morphism(rng, x, y)
+            out.append((kind, TwoMorphism(
+                f, [_rand_m_elem(rng, y) for _ in range(x.n.q.ngens)],
+                check=False)))
+        f = _heisenberg_morphism(rng, x)
+        out.append(("heisenberg", TwoMorphism(
+            f, [_rand_group_elem(rng, f.tgt.m) * f.tgt.m.central_generator(0)
+                ** rng.randint(-2, 2) for _ in range(x.n.q.ngens)],
+            check=False)))
+    f = _full_coordinates_morphism(rng, wedge_model(2, _points(2)))
+    out.append(("full-coordinates", TwoMorphism(
+        f, [f.tgt.m.element([rng.randint(-2, 2)], []) for _ in range(2)],
+        check=False)))
     cm = _conjugation_module(_points(2))
     ident = CrossMorphism(cm, cm, identity_hom(cm.m), identity_hom(cm.base),
                           check=False)
-    out.append(TwoMorphism(ident, [_rand_group_elem(rng, cm.m)
-                                   for _ in range(2)], check=False))
+    out.append(("crossed", TwoMorphism(
+        ident, [_rand_group_elem(rng, cm.m) for _ in range(2)],
+        check=False)))
     return out
 
 
+CLOSED_KINDS = {"wedge", "quotient", "heisenberg"}
+KINDS = CLOSED_KINDS | {"full-coordinates", "crossed"}
+
+
+def _random_coordinates(rng, base, count):
+    """count base elements drawn as (q, c) with entries in -3..3."""
+    return [base.element([rng.randint(-3, 3) for _ in range(base.q.ngens)],
+                         [rng.randint(-3, 3) for _ in range(base.c.ngens)])
+            for _ in range(count)]
+
+
+def _letter_rule(alpha, elem):
+    """The letter rule: elem spelled by the base's `letters`, folded by
+    `eval_word` over the 2-morphism's table."""
+    names = alpha.x.base.gen_names
+    return alpha.eval_word(Word([(names[i], e) for i, e in
+                                 alpha.x.base.letters(elem)]).reduced())
+
+
 def test_one_derivation_rule_matches_the_two_branch_oracle():
+    """`eval` against the two-branch oracle, and the closed form against
+    the letter rule, on elements with negative exponents and nonzero
+    central parts.  No drawn value set fails `validate`: on a free class-2
+    base the letter rule spells a product of two generators as a word that
+    reduces freely to them, and the closed form agrees with it wherever
+    the W_ij are central with d' W_ij in the Q relations, which the
+    target's axioms give."""
     rng = random.Random(20)
     outcomes = set()
+    drawn = set()
     for _ in range(8):
-        for alpha in _random_two_morphisms(rng):
-            for _ in range(4):
-                e = _random_base_elem(rng, alpha.x.base)
+        for kind, alpha in _random_two_morphisms(rng):
+            base = alpha.x.base
+            closed = alpha._factors is not None
+            assert closed == (kind in CLOSED_KINDS)
+            elems = _random_coordinates(rng, base, 6)
+            for e in elems:
+                drawn.add((min(e.qvec) < 0, any(e.cvec)))
+                assert alpha.eval(e) == _letter_rule(alpha, e)
+            for e in elems[:2] + [_random_base_elem(rng, base)
+                                  for _ in range(3)]:
                 assert alpha.eval(e) == _oracle_eval(alpha, e)
             valid = _validates(alpha)
             assert valid == _oracle_validates(alpha)
-            outcomes.add((alpha.x.level, valid))
+            outcomes.add((kind, alpha.x.level, base.q.ngens, valid))
             companion = alpha.g
             for i in range(alpha.x.m.q.ngens):
                 mg = alpha.x.m.generator(i)
                 want = alpha.f.f1.eval(mg) * _oracle_eval(
                     alpha, alpha.x.bnd.eval(mg))
                 assert companion.f1.eval(mg) == want
-    assert {level for level, _ in outcomes} == {1, 2, 3}
+    closed = {(level, k) for kind, level, k, _ in outcomes
+              if kind in CLOSED_KINDS}
+    assert {level for level, _ in closed} == {2, 3, 4}
+    assert {k for _, k in closed} == {1, 2, 3}
+    assert {kind for kind, *_ in outcomes} == KINDS
+    assert (True, True) in drawn
+    assert all(valid for *_, valid in outcomes)
+
+
+@pytest.fixture
+def spelling_calls(monkeypatch):
+    """Calls to `Class2Group.letters` and `TwoMorphism.eval_word`, from
+    here on."""
+    counts = {}
+    for cls, name in ((Class2Group, "letters"), (TwoMorphism, "eval_word")):
+        counts[name] = 0
+
+        def counting(self, arg, _name=name, _f=getattr(cls, name)):
+            counts[_name] += 1
+            return _f(self, arg)
+
+        monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
+def test_closed_form_evaluation_spells_no_letters(spelling_calls):
+    """Once built, a 2-morphism of level >= 2 into a module whose pairing
+    coordinates are the Q layer evaluates without spelling its argument
+    or folding letters; at level one, and into a target with full
+    coordinates, `eval` still spells and folds."""
+    rng = random.Random(27)
+    kinds = set()
+    for _ in range(2):
+        for kind, alpha in _random_two_morphisms(rng):
+            elems = _random_coordinates(rng, alpha.x.base, 4)
+            spelling_calls.update(dict.fromkeys(spelling_calls, 0))
+            for e in elems:
+                alpha.eval(e)
+            if kind in CLOSED_KINDS:
+                assert not any(spelling_calls.values()), spelling_calls
+            else:
+                assert all(spelling_calls.values()), spelling_calls
+            kinds.add(kind)
+    assert kinds == KINDS
+
+
+def test_eval_refuses_an_element_of_another_group():
+    """On both evaluation paths, an element of the free class-2 group on 1
+    or 3 letters (before, an IndexError) or of a group shaped like the
+    2-letter base with another central layer (before, evaluated) is
+    refused with both groups named; an element of another free class-2
+    group on 2 letters is evaluated as the base's own."""
+    rng = random.Random(29)
+    _, _, quadratic = _quadratic_pair(rng)
+    cm = _conjugation_module(_points(2))
+    ident = CrossMorphism(cm, cm, identity_hom(cm.m), identity_hom(cm.base),
+                          check=False)
+    crossed = TwoMorphism(ident, [_rand_group_elem(rng, cm.m)
+                                  for _ in range(2)])
+    for alpha in (quadratic, crossed):
+        base = alpha.x.base
+        others = [free_nil(_points(k)) for k in (1, 3)]
+        others.append(Class2Group(base.q, FinAbGroup(1, [[2]]), base.lam,
+                                  base.beta, check=False))
+        for g in others:
+            with pytest.raises(ValueError) as exc:
+                alpha.eval(g.generator(0))
+            assert repr(base) in str(exc.value)
+            assert repr(g) in str(exc.value)
+        twin = free_nil(_points(2))
+        assert twin is not base
+        assert alpha.eval(twin.element([1, -2], [3])) == alpha.eval(
+            base.element([1, -2], [3]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -417,7 +593,7 @@ def test_eval_is_raw_equal_to_the_former_evaluation():
     rng = random.Random(25)
     levels = set()
     for _ in range(6):
-        for alpha in _random_two_morphisms(rng):
+        for _, alpha in _random_two_morphisms(rng):
             levels.add(alpha.x.level)
             base = alpha.x.base
             elems = [_random_base_elem(rng, base) for _ in range(6)]
@@ -430,4 +606,4 @@ def test_eval_is_raw_equal_to_the_former_evaluation():
                 want = alpha.f.f1.eval(mg) * _former_eval(
                     alpha, alpha.x.bnd.eval(mg))
                 assert _raw(alpha.g.f1.eval(mg)) == _raw(want)
-    assert levels == {1, 2, 3}
+    assert levels == {1, 2, 3, 4}
