@@ -224,7 +224,10 @@ class AbMap:
         return AbElem(self.target, la.mat_vec(self.matrix, vec))
 
     def compose(self, other: "AbMap") -> "AbMap":
-        """self after other."""
+        """self after other; through a group with no generators it is the
+        zero map, whose columns the empty middle matrix cannot show."""
+        if not other.matrix:
+            return zero_map(other.source, self.target)
         return AbMap(other.source, self.target,
                      la.mat_mul(self.matrix, other.matrix), check=False)
 

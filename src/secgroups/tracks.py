@@ -31,6 +31,15 @@ evaluated in closed form by one product of powers, the polynomial
 collection of Deep Thought (Leedham-Green and Soicher 1998).  At level one,
 whose action is by arbitrary automorphisms, and on other coordinates, it
 is evaluated letter by letter.
+
+2-morphisms form a 2-category, so a vertical composite, a whisker or an
+inverse of valid ones is valid.  On the closed form such a derived
+2-morphism is built unchecked, and so is the companion of every
+2-morphism there; input to the public constructor is still checked by
+default.  On the letter rule both keep their checks (ROADMAP item 4).
+`tests/test_tracks.py` holds each derived 2-morphism to the one built with
+every check on, and `tests/test_check_sites.py` counts no check in the
+interchange law on level-2 squares.
 """
 
 from __future__ import annotations
@@ -186,9 +195,11 @@ class TwoMorphism:
     m ^ n = m * omega'({d' m} (x) {n}); omega' is central, so the rule
     reads alpha(a b) = alpha(a) * alpha(b) * omega'({d' alpha(a)} (x) {f0 b}).
     The companion morphism g, with g0 = f0 * (d' alpha) and
-    g1 = f1 * (alpha d), is derived and validated on construction; g1 is
-    built from its values on the generators of M by `hom_from_values`,
-    which refuses a central generator whose value is not central.
+    g1 = f1 * (alpha d), is derived on construction: unchecked on the
+    closed form below, and validated with its two maps on the letter
+    rule.  g1 is built from its values on the generators of M by
+    `hom_from_values`, which refuses a central generator whose value is
+    not central on both paths.
 
     The letter rule, `eval_word`, folds a word over a table held per
     2-morphism: for each base generator e, the pairs (f0(e), alpha(e)) and
@@ -234,11 +245,9 @@ class TwoMorphism:
             # from 1 = alpha(e)^{f0(e^-1)} alpha(e^-1)
             inv = self.y.act(v, up.inverse()).inverse()
             self._table[base.gen_names[i]] = ((up, v), (down, inv))
-        self._factors = None
-        if (self.y.level >= 2
-                and len(self.y.coords.basis) == self.y.base.q.ngens):
-            self._factors = self._closed_form_factors()
-        self.g = self._derive_companion()
+        closed = _closed_form_target(self.y)
+        self._factors = self._closed_form_factors() if closed else None
+        self.g = self._derive_companion(check=not closed)
         if check:
             self.validate()
 
@@ -287,13 +296,14 @@ class TwoMorphism:
 
     # -- the companion morphism ----------------------------------------------
 
-    def _derive_companion(self) -> CrossMorphism:
+    def _derive_companion(self, check: bool) -> CrossMorphism:
         x, y, f = self.x, self.y, self.f
         g0_imgs = [up * y.bnd.eval(v) for (up, v), _ in self._table.values()]
-        g0 = x.base.free_hom(y.base, g0_imgs)
+        g0 = x.base.free_hom(y.base, g0_imgs, check=check)
         g1 = hom_from_values(x.m, y.m, [f.f1.eval(g) * self.eval(x.bnd.eval(g))
-                                        for g in x.m.generators()])
-        return CrossMorphism(x, y, g1, g0)
+                                        for g in x.m.generators()],
+                             check=check)
+        return CrossMorphism(x, y, g1, g0, check=check)
 
     # -- validation -----------------------------------------------------------
 
@@ -312,7 +322,7 @@ class TwoMorphism:
 
     def inverse(self) -> "TwoMorphism":
         """The reversed 2-morphism g => f, with inverted values."""
-        return TwoMorphism(self.g, [v.inverse() for v in self.values])
+        return _derived(self.g, [v.inverse() for v in self.values])
 
     def __eq__(self, other):
         if not isinstance(other, TwoMorphism):
@@ -324,12 +334,25 @@ class TwoMorphism:
         raise TypeError("TwoMorphism is unhashable")
 
 
+def _closed_form_target(y) -> bool:
+    """Whether 2-morphisms into y take the closed form: level two and up,
+    with the pairing coordinates the Q layer."""
+    return y.level >= 2 and len(y.coords.basis) == y.base.q.ngens
+
+
+def _derived(f: CrossMorphism, values) -> TwoMorphism:
+    """A 2-morphism derived from valid ones, which is valid because they
+    form a 2-category: built unchecked into a closed-form target, and
+    checked, with its companion, on the letter rule."""
+    return TwoMorphism(f, values, check=not _closed_form_target(f.tgt))
+
+
 def vcomp2(second: TwoMorphism, first: TwoMorphism) -> TwoMorphism:
     """Vertical pasting (f => g) then (g => h); values multiply."""
     if not (second.f.f0 == first.g.f0 and second.f.f1 == first.g.f1):
         raise ValueError("2-morphisms are not pasteable")
     vals = [a * b for a, b in zip(first.values, second.values)]
-    return TwoMorphism(first.f, vals)
+    return _derived(first.f, vals)
 
 
 def whisker_right2(alpha: TwoMorphism, k: CrossMorphism) -> TwoMorphism:
@@ -342,7 +365,7 @@ def whisker_right2(alpha: TwoMorphism, k: CrossMorphism) -> TwoMorphism:
             for i in range(base_w.q.ngens)]
     fk = CrossMorphism(k.src, alpha.y, alpha.f.f1.compose(k.f1),
                        alpha.f.f0.compose(k.f0), check=False)
-    return TwoMorphism(fk, vals)
+    return _derived(fk, vals)
 
 
 def whisker_left2(h: CrossMorphism, alpha: TwoMorphism) -> TwoMorphism:
@@ -353,7 +376,7 @@ def whisker_left2(h: CrossMorphism, alpha: TwoMorphism) -> TwoMorphism:
     vals = [h.f1.eval(v) for v in alpha.values]
     hf = CrossMorphism(alpha.x, h.tgt, h.f1.compose(alpha.f.f1),
                        h.f0.compose(alpha.f.f0), check=False)
-    return TwoMorphism(hf, vals)
+    return _derived(hf, vals)
 
 
 def interchange_holds(alpha: TwoMorphism, alpha2: TwoMorphism) -> bool:

@@ -198,6 +198,15 @@ def test_zero_and_identity_maps_compose():
     assert z.compose(i) == z
 
 
+def test_maps_through_the_trivial_group_compose_to_the_zero_map():
+    """Before, the composite Z -> 0 -> Z had the 1x0 matrix [[]] and
+    raised on its shape (a whisker of a 2-morphism through a 1-letter
+    wedge, whose base has no central layer, met it)."""
+    z, o = FinAbGroup(1), FinAbGroup(0)
+    assert zero_map(o, z).compose(zero_map(z, o)) == zero_map(z, z)
+    assert zero_map(z, o).compose(zero_map(o, z)) == zero_map(o, o)
+
+
 @st.composite
 def _lattice_and_vector(draw):
     """(n, relation rows, vector): 0-4 rows, some zero or dependent, and a

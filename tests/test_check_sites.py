@@ -1,13 +1,15 @@
 """Where the checks run: input is checked where it enters, and the objects
 the library derives from valid input are built unchecked.
 
-The four checks counted here are those of class-2 homs, omega pairings,
-morphisms and class-2 groups.  `six_term` after `fiber` on a crit-5
-morphism, building a wedge model and the homotopy groups of one run none
-of them; a document with a broken hom or morphism still fails its check,
-with the error positioned at its block.  The tests that hold the derived
-objects to their checks are named in the docstrings of `nil2`, `crossed`,
-`functors` and `models.wedge_model`.
+The five checks counted here are those of class-2 homs, omega pairings,
+morphisms, class-2 groups and 2-morphisms.  `six_term` after `fiber` on a
+crit-5 morphism, building a wedge model, the homotopy groups of one and
+the interchange law on level-2 squares run none of them; a level-1
+square still runs its checks, and a document with a broken hom or
+morphism still fails its check, with the error positioned at its block.
+The tests that hold the derived objects to their checks are named in the
+docstrings of `nil2`, `crossed`, `functors`, `tracks` and
+`models.wedge_model`.
 """
 
 import importlib.resources
@@ -18,19 +20,26 @@ import pytest
 from secgroups.crossed import CrossMorphism, OmegaPairing
 from secgroups.functors import fiber, six_term
 from secgroups.models import homotopy_groups, wedge_model
-from secgroups.nil2 import Class2Group, Class2Hom
-from secgroups.selftest import (_induced_wedge_morphism, _points,
+from secgroups.nil2 import Class2Group, Class2Hom, identity_hom
+from secgroups.selftest import (_conjugation_module, _induced_wedge_morphism,
+                                _points, _rand_group_elem,
                                 _random_quotient_wedge)
 from secgroups.serialization import ValidationError, parse
+from secgroups.tracks import TwoMorphism, interchange_holds
+
+from squares import heisenberg_square, wedge_square
 
 CORPUS = importlib.resources.files("secgroups") / "corpus"
 CHECKS = ((Class2Hom, "validate"), (OmegaPairing, "validate"),
-          (CrossMorphism, "validate"), (Class2Group, "_validate"))
+          (CrossMorphism, "validate"), (Class2Group, "_validate"),
+          (TwoMorphism, "validate"))
+DERIVATION_CHECKS = ("TwoMorphism.validate", "CrossMorphism.validate",
+                     "Class2Hom.validate")
 
 
 @pytest.fixture
 def check_calls(monkeypatch):
-    """Calls to each of the four checks, by "Class.method", from here on."""
+    """Calls to each of the five checks, by "Class.method", from here on."""
     counts = {}
     for cls, name in CHECKS:
         key = "%s.%s" % (cls.__name__, name)
@@ -77,6 +86,36 @@ def test_a_wedge_model_runs_no_check(n, check_calls):
     for k in range(1, 4):
         wedge_model(n, _points(k))
     assert not any(check_calls.values()), check_calls
+
+
+def test_interchange_on_level_2_squares_runs_no_check(check_calls):
+    """The composites of both pastings, and their companions, are built
+    unchecked on the wedge squares of crit 4 and the quad_square
+    benchmark op, and on squares into a module with nontrivial W_ij
+    (`tests/test_tracks.py` holds them to their checks)."""
+    rng = random.Random(33)
+    squares = ([wedge_square(rng) for _ in range(3)]
+               + [heisenberg_square(rng, 2) for _ in range(3)])
+    check_calls.update(dict.fromkeys(check_calls, 0))
+    for alpha, alpha2 in squares:
+        assert interchange_holds(alpha, alpha2)
+    assert not any(check_calls.values()), check_calls
+
+
+def test_interchange_on_a_crossed_square_still_checks(check_calls):
+    """At level one the composites and their companions are still
+    checked: that half of ROADMAP item 4 waits on the benchmark."""
+    rng = random.Random(34)
+    cm = _conjugation_module(_points(2))
+    ident = CrossMorphism(cm, cm, identity_hom(cm.m), identity_hom(cm.base),
+                          check=False)
+    a1 = TwoMorphism(ident, [_rand_group_elem(rng, cm.m) for _ in range(2)],
+                     check=False)
+    a2 = TwoMorphism(a1.g, [_rand_group_elem(rng, cm.m) for _ in range(2)],
+                     check=False)
+    check_calls.update(dict.fromkeys(check_calls, 0))
+    assert interchange_holds(a1, a2)
+    assert all(check_calls[key] for key in DERIVATION_CHECKS), check_calls
 
 
 @pytest.mark.parametrize("name, old, new, check, message", [

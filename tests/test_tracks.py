@@ -12,7 +12,7 @@ from secgroups.nil2 import (Class2Group, Class2Hom, abelian_as_class2,
                             free_nil, boundary_map, identity_hom, nilize,
                             trivial_hom)
 from secgroups.crossed import (AbCoords, CrossMorphism, OmegaPairing,
-                               ReducedQuadraticModule, quadratic_module)
+                               ReducedQuadraticModule)
 from secgroups.functors import phi2
 from secgroups.models import wedge_model
 from secgroups.tracks import (
@@ -23,8 +23,10 @@ from secgroups.tracks import (
 from secgroups.selftest import (
     _random_hom, _random_track, _conjugation_module, _rand_m_elem,
     _induced_wedge_morphism, _points, _rand_group_elem, _random_word,
-    _random_quotient_wedge,
+    _random_quotient_wedge, quotient_wedge,
 )
+
+from squares import heisenberg_morphism, heisenberg_square, heisenberg_values
 
 
 G1 = free_nil(PointedSet(["a"]))
@@ -321,39 +323,18 @@ def _full_coordinates_morphism(rng, x):
     return CrossMorphism(x, y, trivial_hom(x.m, m), f0)
 
 
-def _heisenberg_morphism(rng, x):
-    """A random morphism from the level-n wedge x into a level-n module
-    whose boundary has no central image, so the W_ij of the closed form
-    are not trivial, as they are into a wedge.  M is the free class-2
-    group on m1, m2 with c = [m1, m2], the base is Z^2 on n1, n2, the
-    boundary sends m_i to n_i, omega(n1 (x) n2) = c = omega(n2 (x) n1)^-1
-    and the other two images are trivial.  f1 is forced on the pairing
-    images that generate the M of x."""
-    n = abelian_as_class2(FinAbGroup(2), ["n1", "n2"])
-    m = free_nil(PointedSet(["*", "m1", "m2"]))
-    c = m.generator(0).commutator(m.generator(1))
-    bnd = Class2Hom(m, n, [n.generator(0), n.generator(1)],
-                    AbMap(m.c, n.c, la.zeros(0, 1), check=False))
-    omega = OmegaPairing(AbCoords(n), m,
-                         [m.identity(), c, c.inverse(), m.identity()])
-    y = quadratic_module(m, n, bnd, omega, x.level)
-    assert not y.check_axioms()
-    k = x.base.q.ngens
-    f0 = x.base.free_hom(n, [n.element([rng.randint(-2, 2),
-                                        rng.randint(-2, 2)])
-                             for _ in range(k)])
-    fe = [y.coords.of(f0.eval(x.base.generator(a))) for a in range(k)]
-    f1 = Class2Hom(x.m, m, [omega.pair(fe[p // k], fe[p % k])
-                            for p in range(x.m.q.ngens)],
-                   AbMap(x.m.c, m.c, la.zeros(1, 0), check=False))
-    return CrossMorphism(x, y, f1, f0)
+def _values_into(rng, kind, y, count):
+    """count random values into the target y of a closed-form kind."""
+    if kind == "heisenberg":
+        return heisenberg_values(rng, y, count)
+    return [_rand_m_elem(rng, y) for _ in range(count)]
 
 
 def _random_two_morphisms(rng):
     """(kind, 2-morphism) pairs with values drawn unchecked.  "wedge",
     "quotient" and "heisenberg": random quadratic squares at levels 2-4,
     from a wedge on 1-3 letters into a wedge or a quotient wedge on 1-2
-    letters or the module of `_heisenberg_morphism`, evaluated in closed
+    letters or the module of `heisenberg_morphism`, evaluated in closed
     form.  "full-coordinates": a level-2 target whose pairing coordinates
     are not the Q layer, and "crossed": a random crossed square on a
     conjugation module; both take the letter rule."""
@@ -366,13 +347,10 @@ def _random_two_morphisms(rng):
                  else _random_quotient_wedge(rng, n, pts))
             f = _induced_wedge_morphism(rng, x, y)
             out.append((kind, TwoMorphism(
-                f, [_rand_m_elem(rng, y) for _ in range(x.n.q.ngens)],
-                check=False)))
-        f = _heisenberg_morphism(rng, x)
+                f, _values_into(rng, kind, y, x.n.q.ngens), check=False)))
+        f = heisenberg_morphism(rng, x)
         out.append(("heisenberg", TwoMorphism(
-            f, [_rand_group_elem(rng, f.tgt.m) * f.tgt.m.central_generator(0)
-                ** rng.randint(-2, 2) for _ in range(x.n.q.ngens)],
-            check=False)))
+            f, heisenberg_values(rng, f.tgt, x.n.q.ngens), check=False)))
     f = _full_coordinates_morphism(rng, wedge_model(2, _points(2)))
     out.append(("full-coordinates", TwoMorphism(
         f, [f.tgt.m.element([rng.randint(-2, 2)], []) for _ in range(2)],
@@ -526,6 +504,140 @@ def test_quadratic_action_is_the_phi2_action(n):
                                  for _ in range(x.m.c.ngens)])
                 b = _random_base_elem(rng, x.n)
                 assert x.act(m, b) == crossed.act(m, b)
+
+
+# --- derived 2-morphisms on the closed form, built unchecked ----------------
+#
+# A composite, whisker or inverse of valid 2-morphisms is valid, since they
+# form a 2-category, so on the closed form it is built without its checks
+# or its companion's.  Here each is held to the one built from the same
+# values with every check on.
+
+def _kernel_quotient_wedge(n, points):
+    """The level-n wedge with the whole kernel of its boundary divided
+    out, so that a morphism induced into it from a quotient wedge is well
+    defined."""
+    w = wedge_model(n, points)
+    _, bmap, _, _ = boundary_map(n, w.n)
+    return quotient_wedge(n, points,
+                          la.kernel_basis(bmap.matrix, w.m.q.ngens))
+
+
+def _heisenberg_endomorphism(rng, y):
+    """A random endomorphism of the module of `heisenberg_morphism`: a
+    matrix A on the base Z^2 and its lift to the free class-2 M, which
+    sends c = [m1, m2] to c^det(A), as omega requires."""
+    a = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+    m, n = y.m, y.base
+    f0 = n.free_hom(n, [n.element([a[0][j], a[1][j]]) for j in range(2)])
+    f1 = m.free_hom(m, [m.generator(0) ** a[0][j] * m.generator(1) ** a[1][j]
+                        for j in range(2)])
+    return CrossMorphism(y, y, f1, f0)
+
+
+def _checked_morphism_out_of(rng, kind, y):
+    """A random morphism out of the target y of a closed-form kind, held
+    to its checks: into the module of `heisenberg_morphism` from a wedge,
+    into a kernel quotient wedge from a quotient wedge, and an
+    endomorphism of the Heisenberg module."""
+    if kind == "wedge":
+        h = heisenberg_morphism(rng, y)
+    elif kind == "quotient":
+        z = _kernel_quotient_wedge(y.level, _points(rng.randint(1, 2)))
+        h = _induced_wedge_morphism(rng, y, z)
+    else:
+        h = _heisenberg_endomorphism(rng, y)
+    h.f0.validate()
+    h.f1.validate()
+    h.validate()
+    return h
+
+
+def _built_with_every_check(f, values):
+    """The 2-morphism on f with these values, validated, and its companion
+    built with the checks of `free_hom`, `hom_from_values` and the
+    morphism on."""
+    alpha = TwoMorphism(f, values)
+    return alpha, alpha._derive_companion(check=True)
+
+
+def test_derived_two_morphisms_equal_the_ones_built_with_every_check():
+    """On the closed form at levels 2-4, `inverse`, `vcomp2`,
+    `whisker_right2` and `whisker_left2` equal the 2-morphism built from
+    the values their rules give with every check on, in the morphism,
+    the values and the companion's f0 and f1; each passes `validate` and
+    its companion passes `CrossMorphism.validate`."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(3):
+        for kind, alpha in _random_two_morphisms(rng):
+            if kind not in CLOSED_KINDS:
+                continue
+            x, y = alpha.x, alpha.y
+            second = TwoMorphism(alpha.g, _values_into(
+                rng, kind, y, len(alpha.values)), check=False)
+            w = wedge_model(x.level, _points(rng.randint(1, 3)))
+            k = _induced_wedge_morphism(rng, w, x)
+            h = _checked_morphism_out_of(rng, kind, y)
+            cases = [
+                ("inverse", alpha.inverse(), alpha.g,
+                 [v.inverse() for v in alpha.values]),
+                ("vcomp2", vcomp2(second, alpha), alpha.f,
+                 [a * b for a, b in zip(alpha.values, second.values)]),
+                ("whisker_right2", whisker_right2(alpha, k),
+                 CrossMorphism(w, y, alpha.f.f1.compose(k.f1),
+                               alpha.f.f0.compose(k.f0)),
+                 [alpha.eval(k.f0.eval(w.base.generator(i)))
+                  for i in range(w.base.q.ngens)]),
+                ("whisker_left2", whisker_left2(h, alpha),
+                 CrossMorphism(x, h.tgt, h.f1.compose(alpha.f.f1),
+                               h.f0.compose(alpha.f.f0)),
+                 [h.f1.eval(v) for v in alpha.values]),
+            ]
+            for name, derived, f, values in cases:
+                assert derived._factors is not None
+                want, companion = _built_with_every_check(f, values)
+                assert derived == want, (name, kind)
+                assert derived.g.f0 == companion.f0, (name, kind)
+                assert derived.g.f1 == companion.f1, (name, kind)
+                derived.validate()
+                derived.g.validate()
+                seen.add((name, kind, x.level))
+    assert seen == {(name, kind, n)
+                    for name in ("inverse", "vcomp2", "whisker_right2",
+                                 "whisker_left2")
+                    for kind in CLOSED_KINDS for n in (2, 3, 4)}
+
+
+def _w_factors(alpha):
+    """The W_ij of a closed-form 2-morphism, i <= j row by row."""
+    nq = alpha.x.base.q.ngens
+    return alpha._factors[nq:nq + nq * (nq + 1) // 2]
+
+
+def test_interchange_on_squares_into_a_module_with_nontrivial_w():
+    """Squares x -> y -> z at levels 2-4 whose z is the module of
+    `heisenberg_morphism`: every composite of both pastings passes its
+    check and its companion's, some carry a nontrivial W_ij at every
+    level, and the pastings agree.  Squares between wedges, as crit 4 and
+    the quad_square benchmark op draw them, carry none."""
+    rng = random.Random(32)
+    nontrivial = set()
+    for n in (2, 3, 4):
+        for _ in range(4):
+            alpha, alpha2 = heisenberg_square(rng, n)
+            for second, first in (
+                    (whisker_left2(alpha2.g, alpha),
+                     whisker_right2(alpha2, alpha.f)),
+                    (whisker_right2(alpha2, alpha.g),
+                     whisker_left2(alpha2.f, alpha))):
+                for c in (second, first, vcomp2(second, first)):
+                    c.validate()
+                    c.g.validate()
+                    if not all(w.is_identity() for w in _w_factors(c)):
+                        nontrivial.add(n)
+            assert interchange_holds(alpha, alpha2)
+    assert nontrivial == {2, 3, 4}
 
 
 # --- evaluation from the per-generator table against the former one --------
