@@ -68,9 +68,9 @@ checks (`test_kernel_inclusions_pass_their_check`,
 `test_quotient_refuses_where_the_full_check_refused`), and
 `tests/test_check_sites.py` fails if a check runs again on the h0/h1,
 fiber and six-term paths.  `tracks.py` builds the 2-morphisms it derives
-unchecked where they take the closed form (level two and up); on the
-letter rule it still checks them, until the benchmark stops reading a
-faster track-laws as a memory regression (ROADMAP items 1 and 4).
+unchecked from level two up; at level one it still checks them, until the
+benchmark stops reading a faster track-laws as a memory regression
+(ROADMAP items 1 and 4).
 
 The free objects here are `free_nil` (free class-2 group on a pointed set,
 with the strictly upper triangular cocycle convention fixing the orientation

@@ -33,13 +33,13 @@ whose action is by arbitrary automorphisms, and on other coordinates, it
 is evaluated letter by letter.
 
 2-morphisms form a 2-category, so a vertical composite, a whisker or an
-inverse of valid ones is valid.  On the closed form such a derived
-2-morphism is built unchecked, and so is the companion of every
-2-morphism there; input to the public constructor is still checked by
-default.  On the letter rule both keep their checks (ROADMAP item 4).
+inverse of valid ones is valid.  From level two up such a derived
+2-morphism is built unchecked, and so is its companion; at level one both
+are still checked, and so is every companion (ROADMAP item 4).  Input to
+the public constructor is checked by default, companion included.
 `tests/test_tracks.py` holds each derived 2-morphism to the one built with
 every check on, and `tests/test_check_sites.py` counts no check in the
-interchange law on level-2 squares.
+interchange law from level two up.
 """
 
 from __future__ import annotations
@@ -195,11 +195,11 @@ class TwoMorphism:
     m ^ n = m * omega'({d' m} (x) {n}); omega' is central, so the rule
     reads alpha(a b) = alpha(a) * alpha(b) * omega'({d' alpha(a)} (x) {f0 b}).
     The companion morphism g, with g0 = f0 * (d' alpha) and
-    g1 = f1 * (alpha d), is derived on construction: unchecked on the
-    closed form below, and validated with its two maps on the letter
-    rule.  g1 is built from its values on the generators of M by
-    `hom_from_values`, which refuses a central generator whose value is
-    not central on both paths.
+    g1 = f1 * (alpha d), is derived on construction, and validated with
+    its two maps when `check` is set and, whatever `check` says, at level
+    one (ROADMAP item 4).  g1 is built from its values on the
+    generators of M by `hom_from_values`, which refuses a central
+    generator whose value is not central even unchecked.
 
     The letter rule, `eval_word`, folds a word over a table held per
     2-morphism: for each base generator e, the pairs (f0(e), alpha(e)) and
@@ -245,9 +245,11 @@ class TwoMorphism:
             # from 1 = alpha(e)^{f0(e^-1)} alpha(e^-1)
             inv = self.y.act(v, up.inverse()).inverse()
             self._table[base.gen_names[i]] = ((up, v), (down, inv))
-        closed = _closed_form_target(self.y)
-        self._factors = self._closed_form_factors() if closed else None
-        self.g = self._derive_companion(check=not closed)
+        self._factors = None
+        if (self.y.level >= 2
+                and len(self.y.coords.basis) == self.y.base.q.ngens):
+            self._factors = self._closed_form_factors()
+        self.g = self._derive_companion(check or self.y.level == 1)
         if check:
             self.validate()
 
@@ -334,17 +336,11 @@ class TwoMorphism:
         raise TypeError("TwoMorphism is unhashable")
 
 
-def _closed_form_target(y) -> bool:
-    """Whether 2-morphisms into y take the closed form: level two and up,
-    with the pairing coordinates the Q layer."""
-    return y.level >= 2 and len(y.coords.basis) == y.base.q.ngens
-
-
 def _derived(f: CrossMorphism, values) -> TwoMorphism:
     """A 2-morphism derived from valid ones, which is valid because they
-    form a 2-category: built unchecked into a closed-form target, and
-    checked, with its companion, on the letter rule."""
-    return TwoMorphism(f, values, check=not _closed_form_target(f.tgt))
+    form a 2-category: built unchecked, with its companion, from level two
+    up; at level one both are still checked (ROADMAP item 4)."""
+    return TwoMorphism(f, values, check=f.tgt.level == 1)
 
 
 def vcomp2(second: TwoMorphism, first: TwoMorphism) -> TwoMorphism:

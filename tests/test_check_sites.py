@@ -4,8 +4,9 @@ the library derives from valid input are built unchecked.
 The five checks counted here are those of class-2 homs, omega pairings,
 morphisms, class-2 groups and 2-morphisms.  `six_term` after `fiber` on a
 crit-5 morphism, building a wedge model, the homotopy groups of one and
-the interchange law on level-2 squares run none of them; a level-1
-square still runs its checks, and a document with a broken hom or
+the interchange law from level two up run none of them; a level-1
+square still runs its checks, a 2-morphism built through the public
+constructor checks its companion, and a document with a broken hom or
 morphism still fails its check, with the error positioned at its block.
 The tests that hold the derived objects to their checks are named in the
 docstrings of `nil2`, `crossed`, `functors`, `tracks` and
@@ -88,7 +89,20 @@ def test_a_wedge_model_runs_no_check(n, check_calls):
     assert not any(check_calls.values()), check_calls
 
 
-def test_interchange_on_level_2_squares_runs_no_check(check_calls):
+def _crossed_square(rng):
+    """A square of 2-morphisms of a level-1 crossed module, as the
+    crossed_square benchmark op builds it."""
+    cm = _conjugation_module(_points(2))
+    ident = CrossMorphism(cm, cm, identity_hom(cm.m), identity_hom(cm.base),
+                          check=False)
+    a1 = TwoMorphism(ident, [_rand_group_elem(rng, cm.m) for _ in range(2)],
+                     check=False)
+    a2 = TwoMorphism(a1.g, [_rand_group_elem(rng, cm.m) for _ in range(2)],
+                     check=False)
+    return a1, a2
+
+
+def test_interchange_from_level_2_runs_no_check(check_calls):
     """The composites of both pastings, and their companions, are built
     unchecked on the wedge squares of crit 4 and the quad_square
     benchmark op, and on squares into a module with nontrivial W_ij
@@ -105,16 +119,21 @@ def test_interchange_on_level_2_squares_runs_no_check(check_calls):
 def test_interchange_on_a_crossed_square_still_checks(check_calls):
     """At level one the composites and their companions are still
     checked: that half of ROADMAP item 4 waits on the benchmark."""
-    rng = random.Random(34)
-    cm = _conjugation_module(_points(2))
-    ident = CrossMorphism(cm, cm, identity_hom(cm.m), identity_hom(cm.base),
-                          check=False)
-    a1 = TwoMorphism(ident, [_rand_group_elem(rng, cm.m) for _ in range(2)],
-                     check=False)
-    a2 = TwoMorphism(a1.g, [_rand_group_elem(rng, cm.m) for _ in range(2)],
-                     check=False)
+    a1, a2 = _crossed_square(random.Random(34))
     check_calls.update(dict.fromkeys(check_calls, 0))
     assert interchange_holds(a1, a2)
+    assert all(check_calls[key] for key in DERIVATION_CHECKS), check_calls
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_a_checked_two_morphism_checks_its_companion(level, check_calls):
+    """Input to the public constructor is checked with its companion's
+    maps, on the closed form as on the letter rule."""
+    rng = random.Random(35)
+    alpha = (_crossed_square(rng)[0] if level == 1
+             else heisenberg_square(rng, 2)[1])
+    check_calls.update(dict.fromkeys(check_calls, 0))
+    TwoMorphism(alpha.f, alpha.values)
     assert all(check_calls[key] for key in DERIVATION_CHECKS), check_calls
 
 
