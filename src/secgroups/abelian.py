@@ -2,16 +2,12 @@
 
 A `FinAbGroup` is Z^n modulo the row lattice of a relation matrix.  Nothing
 is ever reduced to a "nicer" presentation behind the caller's back: elements
-keep their coefficient vectors.  Construction runs one Smith normal form on
-the transposed relations and keeps its certificate (U, U^-1 and the
-diagonal), U and U^-1 as sparse columns; a group without relations holds
-the identity certificate that SNF would give and runs none.  Every later
-membership test (element equality, well-definedness of maps) adds the
-columns of U at the vector's nonzero entries and tests each nonzero
-coordinate against its diagonal entry, with no further SNF.  The same
-certificate answers preimages into the relation lattice
-(`preimage_lattice`, through `intlinalg.certified_preimage`), as a map's
-held `Solver` answers preimages into its image plus the target relations.
+keep their coefficient vectors.  A group holds the Smith certificate of
+its relation lattice, `lattice` (`intlinalg.Lattice`), built once:
+membership (element equality, well-definedness of maps), division,
+element lists and preimages into the relation lattice read it with no
+further SNF, as a map's held `solver()` answers them for its image plus
+the target relations.
 
 `AbMap` is a homomorphism given by its matrix on generators (columns are
 images).  Construction checks well-definedness: every source relation must
@@ -19,7 +15,7 @@ land in the target relation lattice.  Kernels and cokernels come back as
 new groups together with the inclusion / projection map.  A map holds its
 kernel basis once read (`kernel_basis`): injectivity tests it against the
 source's certificate, and `exact` against the incoming map's held
-`Solver`, so only `kernel` (and `nil2.hom_kernel` through it) builds a
+`solver()`, so only `kernel` (and `nil2.hom_kernel` through it) builds a
 kernel group.
 
 The quadratic functors live here too, each a plain `FinAbGroup` on a
@@ -32,8 +28,6 @@ three and up.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import intlinalg as la
 
@@ -50,28 +44,13 @@ class FinAbGroup:
                 raise ValueError("relation length %d != ngens %d" % (len(r), ngens))
             rels.append(r)
         self.relations = rels
-        # Smith certificate of the relation lattice L, the column span of
-        # R^T: with U R^T V = D, a vector v lies in L iff U v lies in D Z^n,
-        # so coordinate i of U v is taken modulo moduli[i] (0 = exactly).
-        # R^T has the same invariant factors as R.  U and U^-1 are held as
-        # sparse columns, U's read off the sparse rows the SNF returns and
-        # U^-1's as returned; a coordinate of modulus 1 never refuses.
-        # Without relations L is 0 and the certificate is the identity,
-        # what the SNF of an ngens x 0 matrix returns, so none is run.
-        if not rels:
-            self.free_rank = ngens
-            self.invariant_factors = ()
-            self._moduli = [0] * ngens
-            self._u = self._uinv = [{i: 1} for i in range(ngens)]
-            return
-        diag, u, _, ui = la.smith_normal_form(
-            la.transpose(rels, ngens), len(rels), keep=("u", "uinv"))
-        rank = sum(1 for x in diag if x)
-        self.free_rank = ngens - rank
-        self.invariant_factors = tuple(x for x in diag if x > 1)
-        self._moduli = diag[:rank] + [0] * (ngens - rank)
-        self._u = la.sparse_transpose(u, ngens)
-        self._uinv = ui
+        # the Smith certificate of the relation lattice, spanned by the
+        # relation rows alone (no map columns: ngens empty rows), so its
+        # SNF runs on R^T, which has the invariant factors of R
+        self.lattice = la.Lattice([[]] * ngens, 0, rels)
+        moduli = self.lattice.moduli
+        self.free_rank = moduli.count(0)
+        self.invariant_factors = tuple(x for x in moduli if x > 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -114,41 +93,12 @@ class FinAbGroup:
 
     def contains_in_lattice(self, vec) -> bool:
         """Does vec lie in the relation lattice?"""
-        vec = list(vec)
-        if not any(vec):
-            return True
-        if not self.relations:
-            return False
-        y = la.column_combination(self._u, vec, self.ngens)
-        for i in itertools.compress(range(self.ngens), y):
-            m = self._moduli[i]
-            if not m or y[i] % m:
-                return False
-        return True
-
-    def preimage_lattice(self, a, ncols: int) -> list[list[int]]:
-        """Basis of {x : a @ x lies in the relation lattice}, read off the
-        held certificate (`intlinalg.certified_preimage`)."""
-        return la.certified_preimage(self._u, self._moduli, a, ncols)
-
-    def divide(self, d: int, vec):
-        """One s with d*s == vec modulo the relations, or None.  A zero
-        coordinate of U vec divides as 0, so only the nonzero ones are
-        divided."""
-        z = la.column_combination(self._u, list(vec), self.ngens)
-        for i in itertools.compress(range(self.ngens), z):
-            z[i] = la.divide_mod(d, z[i], self._moduli[i])
-            if z[i] is None:
-                return None
-        return la.column_combination(self._uinv, z, self.ngens)
+        return self.lattice.contains(list(vec))
 
     def elements(self):
         """Iterate over all elements (requires the group to be finite)."""
-        if self.free_rank:
-            raise ValueError("infinite group")
-        for ys in itertools.product(*[range(m) for m in self._moduli]):
-            yield AbElem(self, la.column_combination(self._uinv, ys,
-                                                     self.ngens))
+        for vec in self.lattice.representatives():
+            yield AbElem(self, vec)
 
 
 class AbElem:
@@ -279,7 +229,7 @@ class AbMap:
         returns the held list itself, so callers read it and never change
         it or its rows."""
         if self._kernel_basis is None:
-            self._kernel_basis = self.target.preimage_lattice(
+            self._kernel_basis = self.target.lattice.preimage(
                 self.matrix, self.source.ngens)
         return self._kernel_basis
 
@@ -314,13 +264,13 @@ class AbMap:
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
-    def solver(self) -> la.Solver:
+    def solver(self) -> la.Lattice:
         """The Smith certificate of this map modulo the target relations,
-        built on first use and held: it solves preimages, and its span, the
-        image plus the relations, answers `preimage_lattice`."""
+        built on first use and held: it solves preimages, and its lattice,
+        the image plus the relations, answers `preimage`."""
         if self._solver is None:
-            self._solver = la.Solver(self.matrix, self.source.ngens,
-                                     self.target.relations)
+            self._solver = la.Lattice(self.matrix, self.source.ngens,
+                                      self.target.relations)
         return self._solver
 
     def preimage(self, y):
@@ -364,8 +314,7 @@ def exact(f_in: AbMap, f_out: AbMap) -> bool:
     if not all(tgt.contains_in_lattice(la.mat_vec(f_out.matrix, col))
                for col in la.transpose(f_in.matrix, f_in.source.ngens)):
         return False
-    return all(f_in.solver().solve(x) is not None
-               for x in f_out.kernel_basis())
+    return all(map(f_in.solver().contains, f_out.kernel_basis()))
 
 
 def direct_sum(a: FinAbGroup, b: FinAbGroup):

@@ -13,10 +13,9 @@ Smith form together with the unimodular transforms and U's inverse:
 
 with D diagonal, each diagonal entry nonnegative and dividing the next.
 Its `keep` names the transforms a caller reads, and only those are built
-and updated: a kernel needs V, a solver U and V, a group's certificate U
-and Uinv, and a row basis U, whose rows of U * A at the nonzero diagonal
-entries span the row lattice (U * A == D * V^-1, so row i is d_i times a
-row of the unimodular V^-1).
+and updated: a kernel needs V, a row basis U, whose rows of U * A at the
+nonzero diagonal entries span the row lattice (U * A == D * V^-1, so row
+i is d_i times a row of the unimodular V^-1), and a `Lattice` all three.
 The transforms are nearly permutations on these inputs (at 16 letters the
 largest are 256 x 256 with under 1% nonzeros), so each is held sparse, one
 {index: entry} dict per vector with zero entries dropped, in the
@@ -38,39 +37,39 @@ helper built per call, and a row or column operation whose multiplier is
 0 is skipped, since it changes nothing.
 An empty or all-zero matrix has no pivot, so the kernel returns min(m, n)
 zeros and identity transforms before its loop starts.
-Integer solving and kernels are small wrappers around it.
-A `Solver` keeps the certificate of one system a @ x == b modulo a lattice,
-so repeated solves against one map (preimages, kernel and subgroup
-coordinates) reuse one SNF; `solve_mod` is a one-shot wrapper around
-it.  A lattice preimage {x : a @ x in L} has one rule,
-`certified_preimage`, read off a Smith certificate of L that its owner
-already holds (a `FinAbGroup`'s relation lattice, a `Solver`'s span): one
-`kernel_basis`, whose vectors are already a basis, and no second SNF.
-`in_lattice` answers membership of any number of vectors in an
-ad-hoc set of rows from one `Solver`, so one SNF serves them all (a spans
-test); a `FinAbGroup` instead keeps the Smith certificate of its relation
-lattice, computed once at construction (the identity, with no SNF, when it
-has no relations), and reduces membership and division there to
-`divide_mod` on each diagonal coordinate.  No lattices are compared:
-injectivity and exactness read a held kernel basis (`abelian`).
+
+A `Lattice` is the one Smith certificate of a lattice L, the span of the
+columns of E = [a | lattice_rows^T]: one SNF, U E V = D, held as U and
+U^-1 in sparse columns, V's first rank columns cut to a's ncols rows (no
+V when a has no columns, as for a group's relation lattice), and the
+moduli, D's nonzero entries then 0 past the rank.  b lies in L exactly
+when coordinate i of U b is 0 modulo moduli[i] (a modulus 0 means
+exactly 0), so every question reads the certificate with no further SNF:
+`contains`, `solve` (one x with a @ x == b modulo the lattice rows),
+`divide` (by `divide_mod` per coordinate), `representatives` of the
+cosets and `preimage` {x : c @ x in L} (`certified_preimage`: one
+`kernel_basis`, already a basis).  A system with no nonzero entry holds
+the identity certificate and runs no SNF, and a vector or matrix of the
+wrong length is a `ValueError`.  Groups, maps, a class-2 group's `lam`,
+`in_lattice` (any number of vectors, one certificate) and `solve_mod`
+each hold one.  No lattices are compared: injectivity and exactness read
+a held kernel basis (`abelian`).
 `sub_basis_coordinates` is the one step that rewrites relation rows in a
 basis of a sub-lattice containing them (a kernel, a commutator subgroup):
 each row is solved exactly against the basis, never modulo the relations
 themselves, where any vector of the lattice, 0 among them, would do.
 
-Callers read the sparse return directly: a certificate holds sparse
-columns (U's taken from its rows in one pass by `sparse_transpose`, Uinv's
-as returned), and a transform is applied to a vector by adding the columns
-of its nonzero entries (`column_combination`); `mat_vec` likewise sums over
-the nonzeros of its vector only, and returns zeros for a zero vector
-without a pass over the rows.  The integers are the ones the dense
-products give.
+A transform is applied to a vector by adding the sparse columns of its
+nonzero entries (`column_combination`); `mat_vec` likewise sums over the
+nonzeros of its vector only, and returns zeros for a zero vector without
+a pass over the rows.  The integers are the ones the dense products give.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import compress
+from itertools import compress, product
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -323,54 +322,103 @@ def divide_mod(d: int, b: int, m: int):
     return b // g * pow(d // g, -1, m) % m
 
 
-class Solver:
-    """Solutions of a @ x == b modulo the lattice spanned by lattice_rows,
-    for many right-hand sides b against one fixed system.
+# one identity per size, shared: no question writes to a certificate
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> list[dict]:
+    return [{i: 1} for i in range(n)]
 
-    Construction runs one SNF of the extended matrix E = [a | lattice_rows^T]
-    and keeps its certificate U E V = D: U and the first ncols rows of V as
-    sparse columns (U's read off its sparse rows by `sparse_transpose`, V's
-    cut from its first rank columns), and the diagonal.  `solve(b)` adds
-    b_j U[:, j] over the nonzero b_j, tests the rows past the rank for zero,
-    divides once per pivot, and adds y_k V[:, k] over the nonzero y_k, with
-    no further SNF; a unit right-hand side costs one column of U.  This is
-    the vector the extended system's SNF solution gives, so a held solver
-    and a fresh one agree exactly.
-    """
+
+class Lattice:
+    """The Smith certificate of the lattice spanned by the columns of a
+    and the lattice rows, built once for every question against it (see
+    the module docstring)."""
+
+    __slots__ = ("nrows", "ncols", "rank", "moduli", "u", "v", "uinv")
 
     def __init__(self, a: list[list[int]], ncols: int, lattice_rows=()):
-        self.nrows, self.ncols = len(a), ncols
-        ext = [a[i][:] + [r[i] for r in lattice_rows]
-               for i in range(self.nrows)]
-        self._diag, u, v, _ = smith_normal_form(
-            ext, ncols + len(lattice_rows), keep=("u", "v"))
-        self._rank = sum(1 for x in self._diag if x)  # nonzeros come first
-        self._u = sparse_transpose(u, self.nrows)
-        self._v = [{i: x for i, x in col.items() if i < ncols}
-                   for col in v[:self._rank]]
+        nrows = self.nrows = len(a)
+        self.ncols = ncols
+        if not ((ncols and any(map(any, a)))
+                or any(map(any, lattice_rows))):
+            self.rank = 0
+            self.moduli = [0] * nrows
+            self.u = self.uinv = _identity(nrows)
+            self.v = []
+            return
+        ext = [a[i] + [r[i] for r in lattice_rows] for i in range(nrows)]
+        # V gives the x of a's ncols columns: with none, x is empty
+        diag, u, v, self.uinv = smith_normal_form(
+            ext, ncols + len(lattice_rows),
+            TRANSFORMS if ncols else ("u", "uinv"))
+        rank = self.rank = sum(1 for x in diag if x)  # nonzeros come first
+        self.moduli = diag[:rank] + [0] * (nrows - rank)
+        self.u = sparse_transpose(u, nrows)
+        self.v = [{i: x for i, x in col.items() if i < ncols}
+                  for col in v[:rank]] if ncols else [{}] * rank
+
+    def _wrong_length(self, what: str, n: int) -> ValueError:
+        return ValueError("%s, the lattice has %d coordinates"
+                          % (what % n, self.nrows))
+
+    def contains(self, b: list[int]) -> bool:
+        """Does b lie in the lattice?  A zero b does at once, and a nonzero
+        one never when the lattice is 0."""
+        if len(b) != self.nrows:
+            raise self._wrong_length("vector has %d entries", len(b))
+        if not any(b):
+            return True
+        if not self.rank:
+            return False
+        y = column_combination(self.u, b, self.nrows)
+        for i in compress(range(self.nrows), y):
+            m = self.moduli[i]
+            if not m or y[i] % m:
+                return False
+        return True
 
     def solve(self, b: list[int]):
-        """One x with a @ x == b modulo the lattice, or None."""
+        """One x with a @ x == b modulo the lattice rows, or None: the rows
+        past the rank must vanish, then one division per pivot."""
         if len(b) != self.nrows:
-            raise ValueError("right-hand side has %d entries, system has %d "
-                             "rows" % (len(b), self.nrows))
-        rank = self._rank
-        y = column_combination(self._u, b, self.nrows)
+            raise self._wrong_length("right-hand side has %d entries", len(b))
+        rank = self.rank
+        y = column_combination(self.u, b, self.nrows)
         if any(y[rank:]):
             return None
         del y[rank:]
         for k in compress(range(rank), y):
-            y[k], r = divmod(y[k], self._diag[k])
+            y[k], r = divmod(y[k], self.moduli[k])
             if r:
                 return None
-        return column_combination(self._v, y, self.ncols)
+        return column_combination(self.v, y, self.ncols)
 
-    def preimage_lattice(self, a: list[list[int]], ncols: int):
-        """Basis of {x : a @ x lies in the span of the system}, the image of
-        its matrix plus the lattice, read off the held certificate by
-        `certified_preimage`: past the rank, a coordinate must be 0."""
-        moduli = self._diag[:self._rank] + [0] * (self.nrows - self._rank)
-        return certified_preimage(self._u, moduli, a, ncols)
+    def divide(self, d: int, b: list[int]):
+        """One s with d*s == b modulo the lattice, or None.  A zero
+        coordinate of U b divides as 0, so only the nonzero ones are
+        divided."""
+        if len(b) != self.nrows:
+            raise self._wrong_length("vector has %d entries", len(b))
+        z = column_combination(self.u, b, self.nrows)
+        for i in compress(range(self.nrows), z):
+            z[i] = divide_mod(d, z[i], self.moduli[i])
+            if z[i] is None:
+                return None
+        return column_combination(self.uinv, z, self.nrows)
+
+    def preimage(self, a: list[list[int]], ncols: int) -> list[list[int]]:
+        """Basis of {x : a @ x lies in the lattice}, for a with one row per
+        coordinate (`certified_preimage`)."""
+        if len(a) != self.nrows:
+            raise self._wrong_length("matrix has %d rows", len(a))
+        return certified_preimage(self.u, self.moduli, a, ncols)
+
+    def representatives(self):
+        """One vector per coset of the lattice, U^-1 y for each y with
+        0 <= y_i < moduli[i]; a ValueError if there are infinitely many."""
+        if 0 in self.moduli:
+            raise ValueError("infinite group")
+        for ys in product(*[range(m) for m in self.moduli]):
+            yield column_combination(self.uinv, ys, self.nrows)
 
 
 def sub_basis_coordinates(basis_cols: list[list[int]], k: int,
@@ -378,13 +426,13 @@ def sub_basis_coordinates(basis_cols: list[list[int]], k: int,
     """Each row as the integer coefficients of the k independent columns
     of basis_cols: the one x with basis_cols @ x == row, solved exactly
     (not modulo any lattice).  Every row must lie in their span.  No
-    solver is built when there are no rows."""
+    lattice is built when there are no rows."""
     if not rows:
         return []
-    solver = Solver(basis_cols, k)
+    lattice = Lattice(basis_cols, k)
     out = []
     for row in rows:
-        coeffs = solver.solve(row)
+        coeffs = lattice.solve(row)
         assert coeffs is not None, "row outside the span of the columns"
         out.append(coeffs)
     return out
@@ -422,23 +470,20 @@ def row_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def in_lattice(rows: list[list[int]], ncols: int, *vecs: list[int]) -> bool:
-    """Is every vec an integer combination of the given rows?  One solver
-    answers them all; a zero vec is in at once, and no solver is built
-    when every vec is zero."""
-    vecs = [v for v in vecs if any(v)]
-    if not vecs:
+    """Is every vec an integer combination of the given rows?  One
+    `Lattice` answers them all, and none is built when every vec is
+    zero."""
+    if not any(map(any, vecs)):
         return True
-    if not rows:
-        return False
     # columns are the lattice generators
-    solver = Solver(transpose(rows, ncols), len(rows))
-    return all(solver.solve(v) is not None for v in vecs)
+    lattice = Lattice(transpose(rows, ncols), len(rows))
+    return all(map(lattice.contains, vecs))
 
 
 def solve_mod(a: list[list[int]], ncols: int, b: list[int],
               lattice_rows: list[list[int]]):
     """One x with a @ x == b modulo the lattice spanned by lattice_rows."""
-    return Solver(a, ncols, lattice_rows).solve(b)
+    return Lattice(a, ncols, lattice_rows).solve(b)
 
 
 def certified_preimage(u_cols, moduli: list[int], a: list[list[int]],

@@ -30,7 +30,7 @@ at all when beta has no nonzero terms.
 
 No group or element refers back to itself: a group holds no table of its
 own generators (`nilize` builds the ones a word reads), so groups,
-elements and the certificates, solvers and kernels they hold are freed by
+elements and the lattices and kernels they hold are freed by
 reference counting when their last user drops them, never left for the
 cyclic garbage collector (`tests/test_reference_cycles.py`).
 
@@ -77,8 +77,8 @@ with the strictly upper triangular cocycle convention fixing the orientation
 a ^ b = lam(a (x) b) for generator indices i < j) and `nilize`, which
 collects an arbitrary free word into its normal form.  The way back, an
 element spelled as letters, is `Class2Group.letters` and nothing else: it
-solves the central residue against `lam` through a solver the group builds
-once.
+solves the central residue against `lam` through a `Lattice` the group
+builds once.
 
 Subgroups, normal closures, quotients, and kernels/cokernels of
 homomorphisms are computed lattice-by-lattice; a quotient whose cocycle
@@ -140,8 +140,8 @@ class Class2Group:
     # set by free_nil: the central generator of each commutator [e_i, e_j]
     # for i < j, keyed (i, j) in the order of the central generators
     wedge_index = None
-    # set by letters on first use: the held solver of lam modulo C
-    _lam_solver = None
+    # set by letters on first use: the held lattice of lam modulo C
+    _lam_lattice = None
     # set by underlying_ab on first use
     _underlying_ab = None
 
@@ -340,15 +340,16 @@ class Class2Group:
     def letters(self, elem) -> list[tuple[int, int]]:
         """The (generator index, exponent) letters of a word for elem: its
         Q part, then the commutators that make up its central residue,
-        solved against `lam` through one solver held on the group."""
+        solved against `lam` through one `Lattice` held on the group."""
         out = [(i, a) for i, a in enumerate(elem.qvec) if a]
         resid = la.vec_sub(elem.cvec, self.collect_central(elem.qvec))
         if not any(resid):
             return out
         nq = self.q.ngens
-        if self._lam_solver is None:
-            self._lam_solver = la.Solver(self.lam, nq ** 2, self.c.relations)
-        sol = self._lam_solver.solve(resid)
+        if self._lam_lattice is None:
+            self._lam_lattice = la.Lattice(self.lam, nq ** 2,
+                                           self.c.relations)
+        sol = self._lam_lattice.solve(resid)
         if sol is None:
             raise ValueError("central base element outside commutators")
         for p, a in enumerate(sol):
@@ -806,7 +807,7 @@ class Subgroup:
         # relation lattice of Q contribute their central parts
         if self.gens:
             qmat = la.transpose(qparts, nq)  # nq x ngen
-            combos = g.q.preimage_lattice(qmat, len(self.gens))
+            combos = g.q.lattice.preimage(qmat, len(self.gens))
             for m in combos:
                 central.append(g.power_product(self.gens, m).cvec)
         self.c_rows = la.row_basis(central, nc)
@@ -892,7 +893,7 @@ def _projection_twist(qparts, cparts, nq: int, cq: FinAbGroup):
         for i, x in v[j].items():
             for r, y in enumerate(cparts[i]):
                 neg_cv[r] -= x * y
-        sj = cq.divide(diag[j] if j < len(diag) else 0, neg_cv)
+        sj = cq.lattice.divide(diag[j] if j < len(diag) else 0, neg_cv)
         if sj is None:
             return None
         if j < nq:
@@ -917,7 +918,7 @@ def hom_kernel(f: Class2Hom):
 
     The kernel's cocycle table sends only the nonzero commutators of the
     kernel basis (over `pair_support`) to central coordinates: a zero one
-    has the zero coordinates the table starts with, as `la.Solver` solves 0
+    has the zero coordinates the table starts with, as `la.Lattice` solves 0
     by 0, so no preimage solver is built when every commutator vanishes.
 
     The lifts of a basis need not multiply out to 1 over a source relation
@@ -964,10 +965,9 @@ def _kernel_lifts(f: Class2Hom):
     """(Q directions u, central lifts), the first stage of `hom_kernel`,
     built on the first call and held on f.
 
-    Both lattice steps are preimages read off a Smith certificate already
-    held: the Q directions off the target's Q relations, and the killable
-    ones off the solver of the central-layer map, whose span is its image
-    plus the target's C relations.  The lift of u is the ordered product
+    Both lattice steps are `Lattice.preimage`s of lattices already held:
+    the target's Q relations, and the central-layer map's `solver()`, its
+    image plus the target's C relations.  The lift of u is the ordered product
     for u times the central element that cancels its image's central
     part, so f sends it to 1."""
     if f._lifts is not None:
@@ -976,9 +976,9 @@ def _kernel_lifts(f: Class2Hom):
     nqs = s.q.ngens
     # Q directions whose central defect is killable through cmap: z is
     # linear modulo (im cmap + target C relations)
-    s_lat = t.q.preimage_lattice(f.q_matrix(), nqs)
+    s_lat = t.q.lattice.preimage(f.q_matrix(), nqs)
     zvals = [t.power_product(f.gen_images, u).cvec for u in s_lat]
-    zker = f.cmap.solver().preimage_lattice(
+    zker = f.cmap.solver().preimage(
         la.transpose(zvals, t.c.ngens), len(s_lat)) if s_lat else []
     s_mat = la.transpose(s_lat, nqs)
     u_vectors = [la.mat_vec(s_mat, z) for z in zker]

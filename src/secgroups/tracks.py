@@ -310,6 +310,11 @@ class TwoMorphism:
     # -- validation -----------------------------------------------------------
 
     def validate(self):
+        """The derivation rule on base generator pairs, for the closed
+        form only: on the letter rule a b is spelled as a word that
+        reduces freely to a b, so both sides are one fold."""
+        if self._factors is None:
+            return
         x, y = self.x, self.y
         gens = [x.base.generator(i) for i in range(x.base.q.ngens)]
         for a in gens:

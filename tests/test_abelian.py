@@ -233,7 +233,7 @@ def test_certificate_membership_and_division_match_fresh_snf(case, d):
     n, rows, vec = case
     g = FinAbGroup(n, rows)
     assert g.contains_in_lattice(vec) == la.in_lattice(rows, n, vec)
-    s = g.divide(d, vec)
+    s = g.lattice.divide(d, vec)
     scalar = [[d if i == j else 0 for j in range(n)] for i in range(n)]
     assert (s is None) == (la.solve_mod(scalar, n, vec, rows) is None)
     if s is not None:
@@ -350,10 +350,11 @@ def test_exact_refuses_maps_that_do_not_meet():
 
 
 class _DenseCertificate:
-    """The former dense bodies of `FinAbGroup.contains_in_lattice`,
-    `divide` and `elements`, reading dense rows of U and U^-1 built by the
-    same SNF call, densified from its sparse rows of U and sparse columns
-    of U^-1, kept as their oracle."""
+    """The former dense bodies of a group's membership test, division and
+    element list, now `Lattice.contains`, `divide` and `representatives`,
+    reading dense rows of U and U^-1 built by the same SNF call, densified
+    from its sparse rows of U and sparse columns of U^-1, kept as their
+    oracle."""
 
     def __init__(self, n, rows):
         diag, u, _, ui = la.smith_normal_form(
@@ -408,22 +409,27 @@ def _dense_mat_vec(a, v):
 @settings(max_examples=300, deadline=None)
 def test_sparse_certificate_matches_dense_bodies(case, d, data):
     """Membership, the raw vector `divide` returns (or None) and the raw
-    vectors `elements` lists, in order, equal the dense bodies' on the
-    vector, on zero and unit vectors and on sparse ones.  Mutations of the
-    code this catches: passing a nonzero coordinate of modulus 0, dividing
-    only the first nonzero coordinate, and dropping the column of U^-1 at
-    the last coordinate."""
+    vectors `representatives` lists, in order, equal the dense bodies' on
+    the vector, on zero and unit vectors and on sparse ones, and the
+    group's answers are its lattice's.  Mutations of the code this
+    catches: passing a nonzero coordinate of modulus 0, dividing only the
+    first nonzero coordinate, and dropping the column of U^-1 at the last
+    coordinate."""
     n, rows, vec = case
     g, oracle = FinAbGroup(n, rows), _DenseCertificate(n, rows)
+    lattice = la.Lattice(la.transpose(rows, n), len(rows))
     vecs = [vec, [0] * n] + [[int(i == j) for i in range(n)]
                              for j in range(n)]
     vecs.append(data.draw(st.lists(st.sampled_from([0, 0, 0, 2, -3]),
                                    min_size=n, max_size=n)))
     for v in vecs:
-        assert g.contains_in_lattice(v) == oracle.contains_in_lattice(v)
-        assert g.divide(d, v) == oracle.divide(d, v)
+        assert lattice.contains(v) == g.contains_in_lattice(v) \
+            == oracle.contains_in_lattice(v)
+        assert lattice.divide(d, v) == g.lattice.divide(d, v) \
+            == oracle.divide(d, v)
     if g.order() is not None and g.order() <= 64:
-        assert [e.vec for e in g.elements()] == list(oracle.elements())
+        assert list(lattice.representatives()) == [
+            e.vec for e in g.elements()] == list(oracle.elements())
 
 
 def _snf_certificate(ngens, relations):
@@ -455,9 +461,10 @@ def test_relation_free_certificate_matches_the_snf(ngens, ncols, data):
     g = FinAbGroup(ngens)
     rank, factors, moduli, u, ui = _snf_certificate(ngens, [])
     assert (g.free_rank, g.invariant_factors) == (rank, factors)
-    assert (g._moduli, g._u, g._uinv) == (moduli, u, ui)
+    lat = g.lattice
+    assert (lat.moduli, lat.u, lat.uinv) == (moduli, u, ui)
     a = _matrix(data.draw, ngens, ncols)
-    assert g.preimage_lattice(a, ncols) == la.certified_preimage(
+    assert g.lattice.preimage(a, ncols) == la.certified_preimage(
         u, moduli, a, ncols)
 
 
@@ -476,7 +483,7 @@ def _source_for(draw, tgt, a, ns):
     """A group on ns generators for which a: it -> tgt is well defined:
     its relations are the whole preimage of tgt's lattice (a injective),
     or 0-2 combinations of that preimage's basis."""
-    pre = tgt.preimage_lattice(a, ns)
+    pre = tgt.lattice.preimage(a, ns)
     if draw(st.booleans()):
         return FinAbGroup(ns, pre)
     return FinAbGroup(ns, _combinations(draw, pre, ns,

@@ -18,6 +18,10 @@ as a string, by some top-level statement of the package or of the
 benchmark (`perfbench/`, its tests excepted) other than its own
 definition: tests alone do not keep a kernel helper alive.
 
+No package module but `intlinalg` calls `smith_normal_form`, one exempt
+site excepted (`SNF_CALLERS`, with its reason): a lattice question is asked
+of an `intlinalg.Lattice`, which holds the certificate.
+
 Every parameter with a default of a function or method of the package must
 be set, by keyword or by position, by some call in the package or the
 benchmark that names it: an option that no caller sets is a constant.
@@ -190,6 +194,58 @@ def test_every_public_intlinalg_function_has_a_caller():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in PACKAGE_MODULES + BENCH_MODULES}
     assert unnamed_public_functions("intlinalg", sources) == []
+
+
+def snf_call_sites(sources: dict) -> list[str]:
+    """`module.name` for each call of `smith_normal_form`, and each import
+    of it, in the modules of `sources` (module name -> text) other than
+    `intlinalg`, named by the top-level function or class that holds it
+    (`<module>` at the top level)."""
+    out = []
+    for module, text in sources.items():
+        if module == "intlinalg":
+            continue
+        for stmt in ast.parse(text).body:
+            for node in ast.walk(stmt):
+                f = node.func if isinstance(node, ast.Call) else None
+                name = (node.name if isinstance(node, ast.alias)
+                        else f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                if name == "smith_normal_form":
+                    out.append("%s.%s" % (module,
+                                          getattr(stmt, "name", "<module>")))
+    return sorted(out)
+
+
+def test_the_scan_sees_an_snf_call():
+    sources = {
+        "intlinalg": ("def smith_normal_form(a):\n    return a\n"
+                      "def kernel(a):\n    return smith_normal_form(a)\n"),
+        "a": ("from . import intlinalg as la\n"
+              "from .intlinalg import smith_normal_form as snf\n"
+              "class G:\n"
+              "    def __init__(self):\n"
+              "        la.smith_normal_form([])\n"
+              "def f():\n    return la.kernel([])\n"),
+    }
+    assert snf_call_sites(sources) == ["a.<module>", "a.G"]
+
+
+# the one site outside intlinalg that runs an SNF itself, with its reason
+SNF_CALLERS = {
+    "nil2._projection_twist": "it solves T G == -C for a matrix T, one "
+                              "`Lattice.divide` in the quotient's central "
+                              "layer per diagonal entry of the SNF of G; "
+                              "as one Lattice on T's nc * nq unknowns it "
+                              "would run another, larger SNF and pick "
+                              "another T, which the quotient's projection "
+                              "carries",
+}
+
+
+def test_only_intlinalg_runs_a_smith_normal_form():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert snf_call_sites(sources) == sorted(SNF_CALLERS)
 
 
 def _calls(node, cls=None):

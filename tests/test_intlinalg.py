@@ -107,7 +107,7 @@ def test_solve_and_kernel():
         a = _random_matrix(rng, m, n)
         x = [rng.randint(-4, 4) for _ in range(n)]
         b = la.mat_vec(a, x)
-        sol = la.Solver(a, n).solve(b)
+        sol = la.Lattice(a, n).solve(b)
         assert sol is not None
         assert la.mat_vec(a, sol) == b
         for k in la.kernel_basis(a, n):
@@ -116,7 +116,7 @@ def test_solve_and_kernel():
 
 def test_solve_reports_unsolvable():
     a = [[2, 0], [0, 2]]
-    assert la.Solver(a, 2).solve([1, 0]) is None
+    assert la.Lattice(a, 2).solve([1, 0]) is None
     assert la.solve_mod(a, 2, [1, 0], [[1, 0]]) is not None
 
 
@@ -198,7 +198,7 @@ def _preimage_cases(draw):
 def test_group_preimage_matches_two_snf_oracle(case):
     a, ncols, lat = case
     g = FinAbGroup(len(a), lat)
-    _assert_preimage_basis(g.preimage_lattice(a, ncols), a, ncols, lat)
+    _assert_preimage_basis(g.lattice.preimage(a, ncols), a, ncols, lat)
 
 
 @given(_preimage_cases(), st.data())
@@ -210,8 +210,8 @@ def test_solver_preimage_matches_two_snf_oracle(case, data):
     n = len(a)
     m = data.draw(st.integers(0, 3))
     b = _sparse_matrix(data.draw, n, m, _PRE_VALUES, n * m // 4 + 1)
-    solver = la.Solver(b, m, lat)
-    _assert_preimage_basis(solver.preimage_lattice(a, ncols), a, ncols,
+    lattice = la.Lattice(b, m, lat)
+    _assert_preimage_basis(lattice.preimage(a, ncols), a, ncols,
                            la.transpose(b, m) + lat)
 
 
@@ -740,7 +740,8 @@ def test_empty_dimensions():
 
 
 def _fresh_solve_mod(a, ncols, b, lattice_rows):
-    """The one-SNF-per-call solve_mod that `Solver` replaced, as the oracle."""
+    """The one-SNF-per-call solve_mod that a held `Lattice` replaced, as
+    the oracle."""
     nrows = len(b)
     ext = [a[i][:] + [lattice_rows[k][i] for k in range(len(lattice_rows))]
            for i in range(nrows)]
@@ -795,7 +796,7 @@ def _systems(draw):
 @settings(max_examples=400, deadline=None)
 def test_held_solver_matches_fresh_solve_mod(system):
     a, ncols, lat, rhs = system
-    solver = la.Solver(a, ncols, lat)
+    solver = la.Lattice(a, ncols, lat)
     for b in rhs:
         x = solver.solve(b)
         assert x == _fresh_solve_mod(a, ncols, b, lat)
@@ -807,7 +808,26 @@ def test_held_solver_matches_fresh_solve_mod(system):
 
 def test_solver_rejects_a_wrong_length_right_hand_side():
     with pytest.raises(ValueError):
-        la.Solver([[1, 0], [0, 1]], 2).solve([1])
+        la.Lattice([[1, 0], [0, 1]], 2).solve([1])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_every_lattice_question_refuses_the_wrong_length(n):
+    """A vector or matrix with n rows, for a lattice on 2 coordinates, is
+    a ValueError naming both lengths, also where the vector is zero or the
+    lattice has no relations: it was read as if padded with zeros or cut,
+    or raised IndexError."""
+    message = "has %d (entries|rows), the lattice has 2 coordinates" % n
+    for rels in ([[2, 0]], []):
+        g = FinAbGroup(2, rels)
+        lattice = g.lattice
+        for vec in ([0] * n, [2] * n):
+            for question in (g.contains_in_lattice, lattice.contains,
+                             lattice.solve, lambda v: lattice.divide(1, v),
+                             lambda v: lattice.preimage([[x] for x in v],
+                                                        1)):
+                with pytest.raises(ValueError, match=message):
+                    question(vec)
 
 
 def _dense_mat_vec(a, v):
@@ -816,9 +836,9 @@ def _dense_mat_vec(a, v):
 
 
 class _DenseSolver:
-    """The former body of `la.Solver`, kept as its oracle: the rows of U,
-    the diagonal and the first ncols rows of V, every product summed over
-    every entry."""
+    """The former body of `la.Lattice.solve`, kept as its oracle: the rows
+    of U, the diagonal and the first ncols rows of V, every product summed
+    over every entry."""
 
     def __init__(self, a, ncols, lattice_rows=()):
         ext = [a[i][:] + [r[i] for r in lattice_rows] for i in range(len(a))]
@@ -880,16 +900,19 @@ def _sparse_systems(draw):
 @settings(max_examples=400, deadline=None)
 def test_sparse_solver_matches_dense_body(system):
     """The same vector, or None, as the dense body for unit, zero, sparse
-    and dense right-hand sides.  Mutations of the code this catches:
-    dropping the zero test of the rows past the rank (a vector where the
-    oracle has None), and skipping the division by a pivot."""
+    and dense right-hand sides, and membership exactly where it solves.
+    Mutations of the code this catches: dropping the zero test of the rows
+    past the rank (a vector where the oracle has None), and skipping the
+    division by a pivot."""
     a, ncols, lat, rhs = system
     m = len(a)
     rhs = rhs + [[0] * m] + [[int(i == j) for i in range(m)]
                              for j in range(m)]
-    sparse, dense = la.Solver(a, ncols, lat), _DenseSolver(a, ncols, lat)
+    sparse, dense = la.Lattice(a, ncols, lat), _DenseSolver(a, ncols, lat)
     for b in rhs:
-        assert sparse.solve(b) == dense.solve(b)
+        x = dense.solve(b)
+        assert sparse.solve(b) == x
+        assert sparse.contains(b) == (x is not None)
 
 
 @given(st.data())
@@ -914,7 +937,7 @@ def _former_in_lattice(rows, ncols, vec):
         return True
     if not rows:
         return False
-    return la.Solver(la.transpose(rows, ncols), len(rows)).solve(vec) \
+    return la.Lattice(la.transpose(rows, ncols), len(rows)).solve(vec) \
         is not None
 
 

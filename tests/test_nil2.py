@@ -945,10 +945,10 @@ def _former_hom_kernel(f: Class2Hom):
     nqs, ncs = s.q.ngens, s.c.ngens
     a = f.q_matrix()
     ckern, cincl = f.cmap.kernel()
-    s_lat = t.q.preimage_lattice(a, nqs)
+    s_lat = t.q.lattice.preimage(a, nqs)
     zvals = [f.eval(s.element(u, s.collect_central(u))).cvec for u in s_lat]
-    zker = f.cmap.solver().preimage_lattice(la.transpose(zvals, t.c.ngens),
-                                            len(s_lat))
+    zker = f.cmap.solver().preimage(la.transpose(zvals, t.c.ngens),
+                                    len(s_lat))
     s_mat = la.transpose(s_lat, nqs) if s_lat else la.zeros(nqs, 0)
     u_vectors = [la.mat_vec(s_mat, z) for z in zker]
     kelems = []
@@ -963,7 +963,7 @@ def _former_hom_kernel(f: Class2Hom):
     u_mat = la.transpose(u_vectors, nqs) if u_vectors else la.zeros(nqs, 0)
     qk_rels = []
     if s.q.relations:
-        solver = la.Solver(u_mat, nk)  # exact: not modulo the relations
+        solver = la.Lattice(u_mat, nk)  # exact: not modulo the relations
         for rel in s.q.relations:
             coeffs = solver.solve(rel)
             if coeffs is None:
@@ -1304,7 +1304,7 @@ def test_hom_kernel_of_abelian_groups_matches_the_abelian_kernel(data):
     tgt = FinAbGroup(nt, _matrix(data.draw, data.draw(st.integers(0, 2)),
                                  nt, coeff))
     a = _matrix(data.draw, nt, ns, coeff)
-    pre = tgt.preimage_lattice(a, ns)
+    pre = tgt.lattice.preimage(a, ns)
     rels = [la.mat_vec(la.transpose(pre, ns), data.draw(_vectors(len(pre),
                                                                  coeff)))
             for _ in range(data.draw(st.integers(0, 2)))] if pre else []
@@ -1324,7 +1324,7 @@ def _solve_blockwise(rows, rhs, nc, nq, cq: FinAbGroup):
             col = nunk + b * nrel + k
             for r in range(nc):
                 a[b * nc + r][col] = lrow[r]
-    sol = la.Solver(a, ext_cols).solve(rhs)
+    sol = la.Lattice(a, ext_cols).solve(rhs)
     if sol is None:
         return None
     t = [[sol[r * nq + k] for k in range(nq)] for r in range(nc)]
@@ -1424,7 +1424,7 @@ def _former_commutator_subgroup(g: Class2Group) -> FinAbGroup:
     nc = g.c.ngens
     lat = la.row_basis(la.transpose(g.lam, g.q.ngens ** 2) + g.c.relations,
                        nc)
-    solver = la.Solver(la.transpose(lat, nc), len(lat))
+    solver = la.Lattice(la.transpose(lat, nc), len(lat))
     return FinAbGroup(len(lat), [solver.solve(r) for r in g.c.relations])
 
 
@@ -1511,7 +1511,7 @@ def _former_middle_exact(inc: AbMap, bnd: AbMap) -> bool:
     into the kernel of bnd, and ask that the lift be onto."""
     kb, kb_incl = bnd.kernel()
     mid = bnd.source
-    solver = la.Solver(kb_incl.matrix, kb.ngens, mid.relations)
+    solver = la.Lattice(kb_incl.matrix, kb.ngens, mid.relations)
     lift_cols = []
     for j in range(inc.source.ngens):
         coeffs = solver.solve([inc.matrix[r][j] for r in range(mid.ngens)])

@@ -3,10 +3,11 @@
 Calls to `intlinalg.smith_normal_form` are counted, as
 `tests/test_check_sites.py` counts checks, so that an SNF run again where
 its answer is already held fails here and not only in a benchmark: a group
-without relations runs none, injectivity at most one past the certificates
-its groups hold, exactness at most two, the spans test of `AbCoords` one,
-and `six_term` after `fiber` on the crit-5 morphisms no more than
-measured once kernel questions read held kernel bases.
+without relations, and any system with no nonzero entry, runs none,
+injectivity at most one past the certificates its groups hold, exactness
+at most two, the spans test of `AbCoords` one, and `six_term` after
+`fiber` on the crit-5 morphisms no more than measured once kernel
+questions read held kernel bases.
 """
 
 import random
@@ -42,7 +43,20 @@ def test_a_group_without_relations_runs_no_snf(snf_calls):
         g = FinAbGroup(n)
         assert g.free_rank == n
         assert g.contains_in_lattice([0] * n)
-        assert g.divide(2, [2] * n) == [1] * n
+        assert g.lattice.divide(2, [2] * n) == [1] * n
+    assert snf_calls[0] == 0
+
+
+def test_a_system_with_no_nonzero_entry_runs_no_snf(snf_calls):
+    """Zero maps into groups whose relations are all zero, and membership
+    in the span of zero rows, hold the identity certificate."""
+    for nt in range(4):
+        for ns in range(3):
+            tgt = FinAbGroup(nt, [[0] * nt] * (nt % 2))
+            f = AbMap(FinAbGroup(ns), tgt, la.zeros(nt, ns))
+            assert f.preimage([0] * nt).vec == [0] * ns
+            assert (f.preimage([1] * nt) is None) == (nt > 0)
+            assert la.in_lattice([[0] * nt] * 2, nt, [1] * nt) == (nt == 0)
     assert snf_calls[0] == 0
 
 
@@ -54,7 +68,7 @@ def _maps(rng):
         tgt = FinAbGroup(nt, [[rng.randint(-3, 3) for _ in range(nt)]
                               for _ in range(rng.randint(0, 2))])
         a = [[rng.randint(-2, 2) for _ in range(ns)] for _ in range(nt)]
-        pre = tgt.preimage_lattice(a, ns)
+        pre = tgt.lattice.preimage(a, ns)
         rels = [la.mat_vec(la.transpose(pre, ns),
                            [rng.randint(-2, 2) for _ in pre])
                 for _ in range(rng.randint(0, 2))] if pre else []

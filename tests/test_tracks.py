@@ -4,6 +4,7 @@ module morphisms."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secgroups import intlinalg as la
 from secgroups.words import PointedSet, Word
@@ -424,6 +425,59 @@ def test_one_derivation_rule_matches_the_two_branch_oracle():
     assert {kind for kind, *_ in outcomes} == KINDS
     assert (True, True) in drawn
     assert all(valid for *_, valid in outcomes)
+
+
+def _former_validate(alpha):
+    """The pair loop `validate` ran on every path, kept as its oracle on
+    the letter rule."""
+    x, y = alpha.x, alpha.y
+    gens = [x.base.generator(i) for i in range(x.base.q.ngens)]
+    for a in gens:
+        for b in gens:
+            lhs = alpha.eval(a * b)
+            rhs = y.act(alpha.eval(a), alpha.f.f0.eval(b)) * alpha.eval(b)
+            if not lhs == rhs:
+                raise ValueError("derivation rule fails on a generator pair")
+
+
+def _letter_rule_square(rng, kind):
+    """(alpha, alpha2) on the letter rule, drawn unchecked: a square of a
+    conjugation module on 1-3 letters, its first morphism a random
+    endomorphism, or two 2-morphisms into the level-2 target with full
+    coordinates, on a wedge of 1-3 letters, the second on the companion."""
+    if kind == "crossed":
+        cm = _conjugation_module(_points(rng.randint(1, 3)))
+        f = _conjugation_endomorphism(rng, cm)
+
+        def values():
+            return [_rand_group_elem(rng, cm.m) for _ in range(cm.m.q.ngens)]
+    else:
+        f = _full_coordinates_morphism(
+            rng, wedge_model(2, _points(rng.randint(1, 3))))
+
+        def values():
+            return [f.tgt.m.element([rng.randint(-3, 3)], [])
+                    for _ in range(f.src.base.q.ngens)]
+    alpha = TwoMorphism(f, values(), check=False)
+    return alpha, TwoMorphism(alpha.g, values(), check=False)
+
+
+@given(seed=st.integers(0, 2 ** 32),
+       kind=st.sampled_from(["crossed", "full-coordinates"]))
+@settings(max_examples=40, deadline=None)
+def test_validate_on_the_letter_rule_skips_a_loop_that_cannot_fail(seed,
+                                                                   kind):
+    """Where `eval` is the letter rule, `validate` evaluates nothing, and
+    the pair loop it ran before never raises: on the drawn 2-morphisms,
+    their inverses and the vertical composite of each square."""
+    alpha, alpha2 = _letter_rule_square(random.Random(seed), kind)
+    for c in (alpha, alpha2, alpha.inverse(), vcomp2(alpha2, alpha)):
+        assert c._factors is None
+        evals = []
+        c.eval = lambda e, c=c: evals.append(e) or TwoMorphism.eval(c, e)
+        c.validate()
+        assert not evals
+        _former_validate(c)
 
 
 @pytest.fixture
