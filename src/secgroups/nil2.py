@@ -1,9 +1,10 @@
 """Nilpotency class two groups as central extensions with bilinear cocycles.
 
 A `Class2Group` is a central extension of an abelian quotient layer Q by a
-central layer C.  The data is a commutator pairing `lam` and a bilinear
-cocycle `beta`, both maps from the tensor square of Q into C, with
-lam = beta - beta o swap.  Elements are pairs (q, c) multiplied by
+central layer C.  The data is one bilinear cocycle `beta` from the tensor
+square of Q into C; the commutator pairing lam = beta - beta o swap is
+derived from it, and the one check (`_validate`) is that beta descends
+through the Q relations.  Elements are pairs (q, c) multiplied by
 
     (q, c) * (q', c') = (q + q', c + c' + beta(q (x) q'))
 
@@ -34,11 +35,12 @@ elements and the lattices and kernels they hold are freed by
 reference counting when their last user drops them, never left for the
 cyclic garbage collector (`tests/test_reference_cycles.py`).
 
-`lam` and `beta` are stored dense, one row per central generator and one
-column per pair (i, j) of Q generators, and that is the form every reader
-of the matrices sees.  They are evaluated through their nonzeros only,
-indexed once per group by first index: a free class-2 group has one nonzero
-per central generator, an abelian group viewed as class two has none.
+`beta` and the derived `lam` are stored dense, one row per central
+generator and one column per pair (i, j) of Q generators, and that is the
+form every reader of the matrices sees.  They are evaluated through their
+nonzeros only, indexed once per group by first index: a free class-2
+group has one nonzero of beta per central generator, an abelian group
+viewed as class two has none.
 
 Homomorphisms are stored as generator images plus a map on the central
 layer; construction checks that map on the C relations, commutator
@@ -60,11 +62,11 @@ unchecked: `Subgroup.quotient`'s group and projection, `hom_kernel`'s
 inclusion and `Class2Hom.q_map`.  A quotient tests only what can fail
 there: descent through the new Q rows, and the projection's central twist
 on the ambient group's own Q relations (the twist is solved on the
-subgroup's generators alone).  Alternation, the swap identity and descent
-through the old relations hold because the ambient group is valid and both
-lattices only grow.  `hom_from_values` tests its central values whatever
-`check` says.  `tests/test_nil2.py` holds the derived objects to their
-checks (`test_kernel_inclusions_pass_their_check`,
+subgroup's generators alone).  Descent through the old relations holds
+because the ambient group is valid and both lattices only grow.
+`hom_from_values` tests its central values whatever `check` says.
+`tests/test_nil2.py` holds the derived objects to their checks
+(`test_kernel_inclusions_pass_their_check`,
 `test_quotient_refuses_where_the_full_check_refused`), and
 `tests/test_check_sites.py` fails if a check runs again on the h0/h1,
 fiber and six-term paths.  `tracks.py` builds the 2-morphisms it derives
@@ -145,38 +147,36 @@ class Class2Group:
     # set by underlying_ab on first use
     _underlying_ab = None
 
-    def __init__(self, q: FinAbGroup, c: FinAbGroup,
-                 lam_matrix, beta_matrix, gen_names=None, check: bool = True):
+    def __init__(self, q: FinAbGroup, c: FinAbGroup, beta_matrix, *,
+                 gen_names=None, check: bool = True):
         self.q = q
         self.c = c
         nq, nc = q.ngens, c.ngens
-        self.lam = [list(r) for r in lam_matrix]
         self.beta = [list(r) for r in beta_matrix]
-        if len(self.lam) != nc or any(len(r) != nq * nq for r in self.lam):
-            raise ValueError("lam must be c.ngens x q.ngens^2")
         if len(self.beta) != nc or any(len(r) != nq * nq for r in self.beta):
             raise ValueError("beta must be c.ngens x q.ngens^2")
-        self.gen_names = list(gen_names) if gen_names else [
-            "x%d" % i for i in range(nq)]
-        self._lam_terms = _nonzero_terms(self.lam, nq)
+        self.gen_names = (["x%d" % i for i in range(nq)] if gen_names is None
+                          else list(gen_names))
+        if len(self.gen_names) != nq:
+            raise ValueError("%d generator names for %d Q generators"
+                             % (len(self.gen_names), nq))
+        if len(set(self.gen_names)) != nq:
+            raise ValueError("repeated generator name %r" % next(
+                n for i, n in enumerate(self.gen_names)
+                if n in self.gen_names[:i]))
         self._beta_terms = _nonzero_terms(self.beta, nq)
+        # lam = beta - beta o swap, from the nonzeros of beta
+        self.lam = la.zeros(nc, nq * nq)
+        for i, row in self._beta_terms:
+            for j, r, coeff in row:
+                self.lam[r][i * nq + j] += coeff
+                self.lam[r][j * nq + i] -= coeff
+        self._lam_terms = _nonzero_terms(self.lam, nq)
         if check:
             self._validate()
 
     def _validate(self):
-        nq, nc = self.q.ngens, self.c.ngens
-        # a pair (i, j) where lam and beta vanish at (i, j) and (j, i) tests
-        # two zero vectors, which lie in every lattice, so it is skipped
-        support = _support(self._lam_terms) | _support(self._beta_terms)
-        for i, j in sorted(support | {(j, i) for i, j in support}):
-            anti = [self.lam[r][i * nq + j] + self.lam[r][j * nq + i]
-                    for r in range(nc)]
-            if not self.c.contains_in_lattice(anti):
-                raise ValueError("lam not alternating at (%d,%d)" % (i, j))
-            delta = [self.beta[r][i * nq + j] - self.beta[r][j * nq + i]
-                     - self.lam[r][i * nq + j] for r in range(nc)]
-            if not self.c.contains_in_lattice(delta):
-                raise ValueError("beta - beta o swap != lam at (%d,%d)" % (i, j))
+        """Descent, the one condition on beta (lam is derived from it)."""
         self._check_descent(self.q.relations)
 
     def _check_descent(self, rels):
@@ -304,36 +304,33 @@ class Class2Group:
                 yield Class2Elem(self, qe.vec, ce.vec)
 
     def underlying_ab(self):
-        """The underlying abelian group (only when the group is abelian).
-
-        Generators: the Q generators followed by the C generators.  Each Q
-        relation r picks up the central defect of the ordered product for r.
-        Built on the first call and held on the group; a group with no
-        central layer is its Q layer, and that group is returned.
-        """
-        if not self.c.ngens:
-            return self.q
+        """The underlying abelian group (only when the group is abelian) on
+        the Q generators followed by the C generators (`_ab_group`), built
+        on the first call and held on the group."""
         if self._underlying_ab is None:
             if not self.is_abelian():
                 raise ValueError("underlying_ab needs an abelian group")
-            nq, nc = self.q.ngens, self.c.ngens
-            rels = [[0] * nq + r for r in self.c.relations]
-            for r in self.q.relations:
-                c0 = self.collect_central(r)
-                rels.append(list(r) + [-x for x in c0])
-            self._underlying_ab = FinAbGroup(nq + nc, rels)
+            self._underlying_ab = self._ab_group(self.c.relations)
         return self._underlying_ab
 
     def abelianization(self):
         """G_ab as a FinAbGroup on the Q generators then the C generators:
-        the quotient by the commutator subgroup, i.e. by the image of lam
-        inside the central layer."""
-        nq, nc = self.q.ngens, self.c.ngens
-        extra = la.transpose(self.lam, nq * nq)
-        cq = FinAbGroup(nc, self.c.relations + extra)
-        ab = Class2Group(self.q, cq, la.zeros(nc, nq * nq), self.beta,
-                         self.gen_names, check=False)
-        return ab.underlying_ab()
+        `underlying_ab`'s rows with the columns of lam among the C
+        relations, the quotient by the commutator subgroup."""
+        return self._ab_group(self.c.relations
+                              + la.transpose(self.lam, self.q.ngens ** 2))
+
+    def _ab_group(self, c_rows) -> FinAbGroup:
+        """Z^(nq + nc) modulo c_rows on the C generators, then each Q
+        relation r with the central defect of its ordered product; a group
+        with no central layer gives its Q layer itself."""
+        if not self.c.ngens:
+            return self.q
+        nq = self.q.ngens
+        rels = [[0] * nq + r for r in c_rows]
+        for r in self.q.relations:
+            rels.append(list(r) + [-x for x in self.collect_central(r)])
+        return FinAbGroup(nq + self.c.ngens, rels)
 
     # -- as a base group ------------------------------------------------------
 
@@ -422,10 +419,9 @@ def _nonzero_terms(mat, nq: int):
     [(i, [(j, r, coeff), ...]), ...] over the i that have any."""
     by_i = {}
     for r, row in enumerate(mat):
-        for p, coeff in enumerate(row):
-            if coeff:
-                i, j = divmod(p, nq)
-                by_i.setdefault(i, []).append((j, r, coeff))
+        for p in compress(range(len(row)), row):
+            i, j = divmod(p, nq)
+            by_i.setdefault(i, []).append((j, r, row[p]))
     return sorted(by_i.items())
 
 
@@ -473,9 +469,8 @@ def _pairing(terms, out: list[int], qu, qv, scale: int = 1) -> list[int]:
 
 def abelian_as_class2(a: FinAbGroup, gen_names=None) -> Class2Group:
     """An abelian group viewed as a class-2 group with trivial central layer."""
-    c = FinAbGroup(0)
-    return Class2Group(a, c, la.zeros(0, a.ngens ** 2),
-                       la.zeros(0, a.ngens ** 2), gen_names, check=False)
+    return Class2Group(a, FinAbGroup(0), [], gen_names=gen_names,
+                       check=False)
 
 
 def _lattice_quotient_group(gen_rows: list[list[int]], ambient: FinAbGroup) -> FinAbGroup:
@@ -574,16 +569,14 @@ def product_group(g: Class2Group, h: Class2Group):
     from .abelian import direct_sum
     q, c = direct_sum(g.q, h.q)[0], direct_sum(g.c, h.c)[0]
     nq, nc = q.ngens, c.ngens
-    lam = la.zeros(nc, nq * nq)
     beta = la.zeros(nc, nq * nq)
     # each factor's nonzeros in its diagonal block
     for x, off, off_c in ((g, 0, 0), (h, g.q.ngens, g.c.ngens)):
-        for mat, terms in ((lam, x._lam_terms), (beta, x._beta_terms)):
-            for i, row in terms:
-                for j, r, coeff in row:
-                    mat[off_c + r][(off + i) * nq + off + j] = coeff
+        for i, row in x._beta_terms:
+            for j, r, coeff in row:
+                beta[off_c + r][(off + i) * nq + off + j] = coeff
     names = [n + "'" for n in g.gen_names] + [n + "''" for n in h.gen_names]
-    prod = Class2Group(q, c, lam, beta, names, check=False)
+    prod = Class2Group(q, c, beta, gen_names=names, check=False)
 
     def embed(eg: Class2Elem, eh: Class2Elem) -> Class2Elem:
         return prod.element(eg.qvec + eh.qvec, eg.cvec + eh.cvec)
@@ -759,8 +752,13 @@ def hom_from_values(source: Class2Group, target: Class2Group, values,
     """The hom with these values on `source.generators()`: the Q generators'
     values are its generator images, and each C generator's value, which
     must be central (its Q part in the target's relation lattice), gives
-    its column of the central-layer map."""
+    its column of the central-layer map.  One value per generator, else
+    ValueError."""
     nq = source.q.ngens
+    if len(values) != nq + source.c.ngens:
+        raise ValueError("hom_from_values needs one value per generator: "
+                         "%d generators, %d values"
+                         % (nq + source.c.ngens, len(values)))
     cols = []
     for j, v in enumerate(values[nq:]):
         if not target.q.contains_in_lattice(v.qvec):
@@ -842,10 +840,10 @@ class Subgroup:
         nq, nc = g.q.ngens, g.c.ngens
         qq = FinAbGroup(nq, g.q.relations + self.q_rows)
         cq = FinAbGroup(nc, list(self.c_rows))
-        # g is valid and both lattices only grow, so lam stays alternating,
-        # beta - beta o swap stays lam and beta still descends through g's
-        # own Q relations: only the new rows can fail
-        quot = Class2Group(qq, cq, g.lam, g.beta, g.gen_names, check=False)
+        # g is valid and both lattices only grow, so beta still descends
+        # through g's own Q relations: only the new rows can fail
+        quot = Class2Group(qq, cq, g.beta, gen_names=g.gen_names,
+                           check=False)
         try:
             quot._check_descent(self.q_rows)
         except ValueError as exc:
@@ -916,10 +914,11 @@ def hom_kernel(f: Class2Hom):
     """(kernel group, inclusion hom), assembled on the first call from the
     lifts `_kernel_lifts` holds and held on f.
 
-    The kernel's cocycle table sends only the nonzero commutators of the
-    kernel basis (over `pair_support`) to central coordinates: a zero one
-    has the zero coordinates the table starts with, as `la.Lattice` solves 0
-    by 0, so no preimage solver is built when every commutator vanishes.
+    The kernel's cocycle at i > j is the commutator of lifts i and j in
+    central coordinates, solved only where it is nonzero (over
+    `pair_support`): a zero one has the zero coordinates the table starts
+    with, as `la.Lattice` solves 0 by 0, so no preimage solver is built
+    when every commutator vanishes.
 
     The lifts of a basis need not multiply out to 1 over a source relation
     r written in that basis: the product of the lifts to the powers r is a
@@ -939,21 +938,18 @@ def hom_kernel(f: Class2Hom):
     # Q-layer relations: source relations expressed exactly in the u basis
     qk = FinAbGroup(nk, la.sub_basis_coordinates(
         la.transpose(u_vectors, nqs), nk, s.q.relations))
-    lamk = la.zeros(ck.ngens, nk * nk)
+    # ordered-product cocycle: only sorting costs survive
     betak = la.zeros(ck.ngens, nk * nk)
     kq = [x.qvec for x in kelems]
-    for i, j in pair_support(s._lam_terms, kq, kq):
+    for i, j in below_diagonal(pair_support(s._lam_terms, kq, kq)):
         lv = s.lam_eval(kq[i], kq[j])
         if not any(lv):
             continue
         lc = cincl.preimage(lv)
         assert lc is not None, "central value outside kernel layer"
         for r in range(ck.ngens):
-            lamk[r][i * nk + j] = lc.vec[r]
-            if i > j:
-                # ordered-product cocycle: only sorting costs survive
-                betak[r][i * nk + j] = lc.vec[r]
-    kgroup = Class2Group(qk, ck, lamk, betak, check=False)
+            betak[r][i * nk + j] = lc.vec[r]
+    kgroup = Class2Group(qk, ck, betak, check=False)
     kelems = _twist_lifts(kgroup, s, kelems, cincl)
     incl = Class2Hom(kgroup, s, kelems,
                      AbMap(ck, s.c, cincl.matrix, check=False), check=False)
@@ -1052,13 +1048,10 @@ def free_nil(points: PointedSet) -> Class2Group:
     nc = k * (k - 1) // 2
     c = FinAbGroup(nc)
     idx = {pair: p for p, pair in enumerate(combinations(range(k), 2))}
-    lam = la.zeros(nc, k * k)
     beta = la.zeros(nc, k * k)
     for (i, j), p in idx.items():
-        lam[p][i * k + j] = 1
-        lam[p][j * k + i] = -1
         beta[p][i * k + j] = 1
-    g = Class2Group(q, c, lam, beta, gen_names=list(syms), check=False)
+    g = Class2Group(q, c, beta, gen_names=syms, check=False)
     g.wedge_index = idx
     g.points = points
     return g

@@ -284,9 +284,9 @@ def test_map_equality_refuses_other_groups_in_both_orders():
     assert a == b and b == a
     # Class2Hom compares the layers of its source and target this way: a
     # hom out of Z and one out of Z/2 with the same image were equal
-    s = Class2Group(FinAbGroup(0), FinAbGroup(1), [[]], [[]])
-    t = Class2Group(FinAbGroup(0), FinAbGroup(1), [[]], [[]])
-    t2 = Class2Group(FinAbGroup(0), FinAbGroup(1, [[2]]), [[]], [[]])
+    s = Class2Group(FinAbGroup(0), FinAbGroup(1), [[]])
+    t = Class2Group(FinAbGroup(0), FinAbGroup(1), [[]])
+    t2 = Class2Group(FinAbGroup(0), FinAbGroup(1, [[2]]), [[]])
     f = Class2Hom(s, t2, [], AbMap(s.c, t2.c, [[2]]))
     g = Class2Hom(s, t, [], AbMap(s.c, t.c, [[0]]))
     assert f != g and g != f

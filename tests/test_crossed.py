@@ -64,7 +64,7 @@ def _e1_e2_is_z_inverse():
     e2(x)e2, lam = 0: a valid group where the relation's ordered product
     e1 e2 is z^-1, as it collects -1."""
     return Class2Group(FinAbGroup(2, [[1, 1]]), FinAbGroup(1),
-                       [[0, 0, 0, 0]], [[1, -1, -1, 1]])
+                       [[1, -1, -1, 1]])
 
 
 def test_word_hom_validation_reads_the_identity_of_each_q_relation():
@@ -86,7 +86,7 @@ def test_word_hom_validation_reads_the_identity_of_each_q_relation():
 def test_word_hom_validation_needs_commuting_images():
     """On Z x Z with its second factor as the C layer, x -> a, z -> b
     passed every former check, yet h(z) h(x) != h(z x)."""
-    g = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]], [[0]])
+    g = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]])
     base = FreeGroupBase(PointedSet(["*", "a", "b"]))
     a, b = Word.parse("a"), Word.parse("b")
     x, z = g.generator(0), g.central_generator(0)
@@ -168,17 +168,22 @@ def _relations(draw, ngens):
     return _matrix(draw, draw(st.integers(0, 2)), ngens, st.integers(-4, 4))
 
 
-def _unchecked_class2(draw, nq, nc, lam=None):
+def _unchecked_class2(draw, nq, nc, beta=None):
     """Class2Group(check=False) with at most two Q and two C relations and
-    a small beta; lam is beta itself or beta - beta o swap unless given."""
+    a small beta unless given."""
     q, c = FinAbGroup(nq, _relations(draw, nq)), \
         FinAbGroup(nc, _relations(draw, nc))
-    beta = _matrix(draw, nc, nq * nq)
-    if lam is None:
-        lam = beta if draw(st.booleans()) else [
-            [row[i * nq + j] - row[j * nq + i]
-             for i in range(nq) for j in range(nq)] for row in beta]
-    return Class2Group(q, c, lam, beta, check=False)
+    if beta is None:
+        beta = _matrix(draw, nc, nq * nq)
+    return Class2Group(q, c, beta, check=False)
+
+
+def _symmetric(draw, nc, nq):
+    """A small nc x nq^2 matrix whose entries (i, j) and (j, i) are equal:
+    a beta with beta - beta o swap = 0."""
+    rows = _matrix(draw, nc, nq * nq)
+    return [[row[min(i, j) * nq + max(i, j)] for i in range(nq)
+             for j in range(nq)] for row in rows]
 
 
 def test_omega_pairing_runs_no_smith_normal_form(monkeypatch):
@@ -211,8 +216,8 @@ def test_omega_pairing_runs_no_smith_normal_form(monkeypatch):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_omega_validate_matches_all_pairs_oracle(data):
-    """Random M = Class2Group(check=False), nq 0-4, nc 0-3, small beta and
-    in some cases lam != beta - beta o swap; N_ab with 0-2 generators."""
+    """Random M = Class2Group(check=False), nq 0-4, nc 0-3, small beta;
+    N_ab with 0-2 generators."""
     draw = data.draw
     nq, nc = draw(st.integers(0, 4)), draw(st.integers(0, 3))
     na = draw(st.sampled_from([0, 1, 2, 2]))
@@ -335,16 +340,20 @@ def _unchecked_hom(draw, s, t, central=False):
 def _base_of_mode(draw, mode):
     """A Class2Group(check=False) with general relations and at most four
     coordinates, whose `AbCoords` takes the Q layer (its central layer is
-    the wedge of a free class-2 group on up to four letters) or the full
-    pair presentation (lam = 0 and at least one central generator)."""
+    the wedge of a free class-2 group on up to four letters: beta is the
+    free one plus a symmetric matrix, so lam is the free one) or the full
+    pair presentation (a symmetric beta, so lam = 0, and at least one
+    central generator)."""
     if mode == "q":
         free = free_nil(PointedSet(["*"] + ["a", "b", "c", "d"][
             :draw(st.integers(0, 4))]))
-        return _unchecked_class2(draw, free.q.ngens, free.c.ngens,
-                                 lam=free.lam)
+        nq, nc = free.q.ngens, free.c.ngens
+        return _unchecked_class2(draw, nq, nc, beta=[
+            la.vec_add(f, x)
+            for f, x in zip(free.beta, _symmetric(draw, nc, nq))])
     nc = draw(st.integers(1, 2))
     nq = draw(st.integers(0, 4 - nc))
-    return _unchecked_class2(draw, nq, nc, lam=la.zeros(nc, nq * nq))
+    return _unchecked_class2(draw, nq, nc, beta=_symmetric(draw, nc, nq))
 
 
 @pytest.mark.parametrize("level", [2, 3])

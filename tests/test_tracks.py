@@ -310,7 +310,7 @@ def _full_coordinates_morphism(rng, x):
     no commutator, so the coordinates are (n0, z).  M = Z, the boundary
     sends m0 to z, and RQ1 forces the trivial pairing, as the boundary is
     injective."""
-    n = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]], [[0]], ["n0"])
+    n = Class2Group(FinAbGroup(1), FinAbGroup(1), [[0]], gen_names=["n0"])
     m = abelian_as_class2(FinAbGroup(1), ["m0"])
     bnd = Class2Hom(m, n, [n.central_generator(0)],
                     AbMap(m.c, n.c, la.zeros(1, 0), check=False))
@@ -533,8 +533,8 @@ def test_eval_refuses_an_element_of_another_group():
     for alpha in (quadratic, crossed):
         base = alpha.x.base
         others = [free_nil(_points(k)) for k in (1, 3)]
-        others.append(Class2Group(base.q, FinAbGroup(1, [[2]]), base.lam,
-                                  base.beta, check=False))
+        others.append(Class2Group(base.q, FinAbGroup(1, [[2]]), base.beta,
+                                  check=False))
         for g in others:
             with pytest.raises(ValueError) as exc:
                 alpha.eval(g.generator(0))
